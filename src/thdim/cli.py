@@ -16,7 +16,7 @@ from .circuits import (GraphicFunction, compile_circuit, format_circuit,
                        parse_circuit, verify_circuit)
 from .decompose import (Decomposition, RandomizedSearchError, decompose_degeneracy,
                         decompose_treewidth, decompose_vertex_cover,
-                        format_decomposition, verify_decomposition)
+                        format_decomposition)
 from .exactdim import EXACT_DIMENSION_LIMIT, compute_report, exact_decomposition
 from .graphs import ExactLimitError, Graph, ParseError, max_independent_set, parse_edge_list
 from .maxdeg import decompose_maxdeg
@@ -93,7 +93,7 @@ def _run_method(g: Graph, args) -> Decomposition:
 def cmd_decompose(args) -> int:
     g = _read_graph(args.path)
     d = _run_method(g, args)
-    if not d.verified or not verify_decomposition(g, d):
+    if not d.verified:
         print("internal error: decomposition failed verification", file=sys.stderr)
         return EXIT_INTERNAL
     _emit(format_decomposition(d), args.out)

@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import (Graph, ProperColoring, VertexOrdering,
-                     degeneracy_ordering, edge_mask)
+from .graphs import Graph, ProperColoring, VertexOrdering, degeneracy_ordering
 from .seeding import split_seed
 from .threshold import ThresholdGraph, format_threshold, parse_threshold, threshold_supergraph
 from .treedecomp import TreeDecomposition, validate_tree_decomposition
@@ -64,38 +63,41 @@ class VerificationResult:
 def verify_decomposition(g: Graph, d: Decomposition) -> VerificationResult:
     """Check that every factor contains g and their edge intersection equals g.
 
-    On failure reports the first offending pair: either an edge of g missing
-    from some factor (with its index), or a non-edge of g present in every
-    factor (factor_index None).
+    Works on per-vertex bitmasks: a factor contains g iff no vertex has a
+    g-neighbour among its non-neighbours in the factor, and the intersection
+    equals g iff every non-edge of g is a non-adjacency of some factor.
+    On failure reports the first offending pair in lexicographic order:
+    either an edge of g missing from some factor (with its index), or a
+    non-edge of g present in every factor (factor_index None).
     """
     for idx, f in enumerate(d.factors):
-        if f.graph.n != g.n:
-            raise ValueError(f"factor {idx} lives on {f.graph.n} vertices, graph on {g.n}")
-    gmask = edge_mask(g)
-    inter = None
+        if f.n != g.n:
+            raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {g.n}")
+    adjacent = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+    excluded = [0] * g.n  # non-adjacencies of some factor
     for idx, f in enumerate(d.factors):
-        fmask = edge_mask(f.graph)
-        if fmask & gmask != gmask:
-            missing = _first_pair(g.n, gmask & ~fmask)
+        nonadj = f.nonadjacency_masks()
+        missing = [nonadj[v] & adjacent[v] for v in range(g.n)]
+        pair = _first_pair(missing)
+        if pair is not None:
             return VerificationResult(False, "factor drops an edge of the graph",
-                                      pair=missing, factor_index=idx)
-        inter = fmask if inter is None else inter & fmask
-    if inter != gmask:
-        extra = _first_pair(g.n, inter & ~gmask)
-        return VerificationResult(False, "a non-edge survives every factor", pair=extra)
+                                      pair=pair, factor_index=idx)
+        for v in range(g.n):
+            excluded[v] |= nonadj[v]
+    full = (1 << g.n) - 1
+    surviving = [full & ~adjacent[v] & ~excluded[v] & ~(1 << v) for v in range(g.n)]
+    pair = _first_pair(surviving)
+    if pair is not None:
+        return VerificationResult(False, "a non-edge survives every factor", pair=pair)
     return VerificationResult(True)
 
 
-def _first_pair(n: int, mask: int) -> tuple[int, int] | None:
-    if mask == 0:
-        return None
-    idx = (mask & -mask).bit_length() - 1
-    k = idx
-    for u in range(n):
-        row = n - u - 1
-        if k < row:
-            return (u, u + 1 + k)
-        k -= row
+def _first_pair(masks: Sequence[int]) -> tuple[int, int] | None:
+    """The lexicographically first pair (u, w), u < w, with w in masks[u], for
+    symmetric masks: the smallest u whose mask is non-empty, and its lowest bit."""
+    for u, mask in enumerate(masks):
+        if mask:
+            return (u, (mask & -mask).bit_length() - 1)
     return None
 
 
@@ -235,12 +237,12 @@ def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
     k, order = degeneracy_ordering(g)
     k = max(k, 1)  # palette 10k must be non-empty even for edgeless inputs
     family = build_separating_colorings(g, k, order, seed=seed)
+    pos = order.position()
     factors = []
     for coloring in family.colorings:
         for cls in coloring.color_classes():
             if not cls:
                 continue
-            pos = order.position()
             cls_ordered = sorted(cls, key=lambda v: pos[v])
             factors.append(threshold_supergraph(g, cls_ordered))
     bound = 10 * k * math.ceil(math.log(g.n))

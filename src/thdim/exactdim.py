@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from .graphs import (ExactLimitError, Graph, chromatic_number, complete_mask,
                      degeneracy_ordering, edge_mask, max_independent_set,
                      maximal_cliques, pair_index)
-from .decompose import (Decomposition, decompose_degeneracy, decompose_treewidth,
-                        decompose_vertex_cover, verify_decomposition)
+from .decompose import (Decomposition, _finish, decompose_degeneracy, decompose_treewidth,
+                        decompose_vertex_cover)
 from .threshold import (DOMINATING, ISOLATED, ThresholdGraph, ForbiddenSubgraph,
                         recognize_threshold)
 from .treedecomp import heuristic_tree_decomposition
@@ -154,12 +154,7 @@ def exact_dimension(g: Graph) -> int:
 def exact_decomposition(g: Graph) -> Decomposition:
     """A witnessing optimal decomposition for n <= 8."""
     dim, creations = _exact_cover_solution(g)
-    factors = tuple(ThresholdGraph.from_creation(c) for c in creations)
-    d = Decomposition(factors=factors, method="exact", bound_claimed=dim, verified=False)
-    result = verify_decomposition(g, d)
-    if not result:
-        raise AssertionError(f"exact decomposition failed verification: {result}")
-    return Decomposition(factors=factors, method="exact", bound_claimed=dim, verified=True)
+    return _finish(g, [ThresholdGraph.from_creation(c) for c in creations], "exact", dim)
 
 
 def _exact_cover_solution(g: Graph) -> tuple[int, list[tuple[tuple[int, str], ...]]]:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .decompose import Decomposition, RandomizedSearchError, verify_decomposition
-from .graphs import (Graph, VertexOrdering, degeneracy_ordering, edge_mask,
-                     greedy_coloring)
+from .decompose import Decomposition, RandomizedSearchError, _finish
+from .graphs import Graph, VertexOrdering, degeneracy_ordering, greedy_coloring
 from .seeding import split_seed
 from .threshold import DOMINATING, ISOLATED, ThresholdGraph, threshold_supergraph
 
@@ -220,21 +219,6 @@ class SplitExtension:
         return Graph(self.base.n, edges)
 
 
-def _universal_completion(n: int, a_part: Sequence[int], b_part: Sequence[int],
-                          base: Graph) -> Graph:
-    """The supergraph keeping only A_part-to-B_part base edges and the B_part
-    clique, with every vertex outside A_part+B_part made universal."""
-    a_set = set(a_part)
-    b_set = set(b_part)
-    outside = [v for v in range(n) if v not in a_set and v not in b_set]
-    edges = list(combinations(sorted(b_set), 2))
-    for a in a_part:
-        edges.extend((a, u) for u in base.adj[a] if u in b_set)
-    for u in outside:
-        edges.extend((u, w) for w in range(n) if w != u)
-    return Graph(n, edges)
-
-
 def decompose_split(ext: SplitExtension, seed: int = 0,
                     diagnostics: list[str] | None = None) -> Decomposition:
     """Decompose G*[A,B] into threshold factors.
@@ -249,8 +233,6 @@ def decompose_split(ext: SplitExtension, seed: int = 0,
     `diagnostics`, when given, collects text lines describing the parameters
     and intermediate artifacts.
     """
-    target = ext.as_graph()
-    n = target.n
     a_side = sorted(ext.a_side)
     b_side = sorted(ext.b_side)
     d_true = max((sum(1 for u in ext.base.adj[v] if u in ext.a_side) for v in b_side),
@@ -270,7 +252,7 @@ def decompose_split(ext: SplitExtension, seed: int = 0,
     universal = ThresholdGraph.from_creation(
         [(a, ISOLATED) for a in a_side] + [(b, DOMINATING) for b in b_side])
     factors: list[ThresholdGraph] = [universal]
-    seen = {edge_mask(universal.graph)}
+    seen = {universal.degrees()}
     budget = 1
 
     if a_side and b_side:
@@ -306,26 +288,24 @@ def decompose_split(ext: SplitExtension, seed: int = 0,
             cells: dict[int, list[int]] = {}
             for a in a_side:
                 cells.setdefault(c[a], []).append(a)
+            b_set = set(b_part)
             for color, a_part in sorted(cells.items()):
-                cell_graph = _universal_completion(n, a_part, b_part, ext.base)
+                # the cell keeps the base edges between a_part and b_part;
+                # every vertex outside both sees all of a_part
+                a_set = set(a_part)
+                outside = [v for v in range(ext.base.n) if v not in a_set and v not in b_set]
                 blocks = _conflict_blocks(ext.base, a_part, b_part, ground)
                 for perm in family.perms:
                     fwd = [v for ci in perm for v in blocks[ci]]
                     rev = [v for ci in perm for v in reversed(blocks[ci])]
                     for ordering in (fwd, rev):
-                        f = threshold_supergraph(cell_graph, ordering)
-                        mask = edge_mask(f.graph)
-                        if mask not in seen:
-                            seen.add(mask)
+                        f = threshold_supergraph(ext.base, ordering, saturated=outside)
+                        key = f.degrees()
+                        if key not in seen:
+                            seen.add(key)
                             factors.append(f)
 
-    d_out = Decomposition(factors=tuple(factors), method="maxdeg",
-                          bound_claimed=budget, verified=False)
-    result = verify_decomposition(target, d_out)
-    if not result:
-        raise AssertionError(f"split decomposition failed verification: {result}")
-    return Decomposition(factors=d_out.factors, method="maxdeg",
-                         bound_claimed=budget, verified=True)
+    return _finish(ext.as_graph(), factors, "maxdeg", budget)
 
 
 def _conflict_blocks(base: Graph, a_part: Sequence[int], b_part: Sequence[int],
@@ -358,8 +338,7 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
                      diagnostics: list[str] | None = None) -> Decomposition:
     """Partition the graph so every vertex sees few neighbors per part, color
     each part, and decompose one split extension per color class; the union
-    of all factor lists intersects back to g (verified, and additionally the
-    extension graphs themselves are intersected when n <= 64)."""
+    of all factor lists, deduplicated, intersects back to g (verified)."""
     delta = g.max_degree()
     if delta < 2:
         raise ValueError("max-degree decomposition needs maximum degree >= 2")
@@ -371,9 +350,8 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
         diagnostics.append(
             "partition sizes: " + " ".join(str(len(p)) for p in partition))
     factors: list[ThresholdGraph] = []
-    seen: set[int] = set()
+    seen: set[tuple[int, ...]] = set()
     budget = 0
-    extension_masks: list[int] = []
     for i, part in enumerate(partition):
         members = sorted(part)
         sub = g.induced(members)
@@ -387,26 +365,12 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
             a_side = frozenset(members[x] for x in cls)
             ext = SplitExtension(base=g, a_side=a_side,
                                  b_side=frozenset(range(g.n)) - a_side)
-            if g.n <= 64:
-                extension_masks.append(edge_mask(ext.as_graph()))
             piece = decompose_split(ext, seed=split_seed(seed, "split", i, j),
                                     diagnostics=diagnostics)
             budget += piece.bound_claimed
             for f in piece.factors:
-                mask = edge_mask(f.graph)
-                if mask not in seen:
-                    seen.add(mask)
+                key = f.degrees()
+                if key not in seen:
+                    seen.add(key)
                     factors.append(f)
-    if g.n <= 64 and extension_masks:
-        inter = extension_masks[0]
-        for mask in extension_masks[1:]:
-            inter &= mask
-        if inter != edge_mask(g):
-            raise AssertionError("split extensions do not intersect back to the graph")
-    d_out = Decomposition(factors=tuple(factors), method="maxdeg",
-                          bound_claimed=budget, verified=False)
-    result = verify_decomposition(g, d_out)
-    if not result:
-        raise AssertionError(f"max-degree decomposition failed verification: {result}")
-    return Decomposition(factors=d_out.factors, method="maxdeg",
-                         bound_claimed=budget, verified=True)
+    return _finish(g, factors, "maxdeg", budget)

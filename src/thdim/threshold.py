@@ -9,9 +9,10 @@ its cliques are exactly the 0-1 solutions of one linear inequality.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph
 
@@ -25,52 +26,100 @@ class InternalVerificationError(AssertionError):
 
 @dataclass(frozen=True)
 class ThresholdGraph:
-    """A threshold graph together with the certificates of thresholdness.
+    """A threshold graph held as its creation sequence.
 
     `creation` is the build order: each vertex enters either isolated or
-    dominating (adjacent to everything already present). `split_a` is the
-    independent side ordered so neighborhoods are nested decreasingly
-    (N(a_1) >= N(a_2) >= ...), `split_b` the clique side.
+    dominating (adjacent to everything already present), so u and v are
+    adjacent iff the later of the two is dominating. `split_a` is the
+    independent side in creation order, which nests neighborhoods
+    decreasingly (N(a_1) >= N(a_2) >= ...); `split_b` is the clique side.
+    `rank[v]` is v's position in `creation` and `tag[v]` its tag. The
+    adjacency `graph` is only built when asked for.
     """
 
-    graph: Graph
     creation: tuple[tuple[int, str], ...]
-    split_a: tuple[int, ...]
-    split_b: frozenset[int]
+    rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    tag: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        creation = tuple(self.creation)
+        n = len(creation)
+        rank = [-1] * n
+        tag = [ISOLATED] * n
+        for i, (v, t) in enumerate(creation):
+            if not (0 <= v < n) or rank[v] >= 0:
+                raise ValueError("creation sequence must mention each vertex exactly once")
+            if t != ISOLATED and t != DOMINATING:
+                raise ValueError(f"unknown creation tag {t!r}")
+            rank[v] = i
+            tag[v] = t
+        object.__setattr__(self, "creation", creation)
+        object.__setattr__(self, "rank", tuple(rank))
+        object.__setattr__(self, "tag", tuple(tag))
 
     @property
     def n(self) -> int:
-        return self.graph.n
+        return len(self.creation)
+
+    @cached_property
+    def split_a(self) -> tuple[int, ...]:
+        return tuple(v for v, t in self.creation if t == ISOLATED)
+
+    @cached_property
+    def split_b(self) -> frozenset[int]:
+        return frozenset(v for v, t in self.creation if t == DOMINATING)
+
+    @cached_property
+    def graph(self) -> Graph:
+        edges = []
+        placed: list[int] = []
+        for v, t in self.creation:
+            if t == DOMINATING:
+                edges.extend((v, u) for u in placed)
+            placed.append(v)
+        return Graph(self.n, edges)
 
     @classmethod
     def from_creation(cls, creation: Sequence[tuple[int, str]]) -> "ThresholdGraph":
-        """Replay a creation sequence covering vertices 0..n-1 exactly once."""
-        creation = tuple(creation)
-        n = len(creation)
-        if sorted(v for v, _ in creation) != list(range(n)):
-            raise ValueError("creation sequence must mention each vertex exactly once")
-        edges = []
-        placed: list[int] = []
-        for v, tag in creation:
-            if tag == DOMINATING:
-                edges.extend((v, u) for u in placed)
-            elif tag != ISOLATED:
-                raise ValueError(f"unknown creation tag {tag!r}")
-            placed.append(v)
-        graph = Graph(n, edges)
-        # isolated-tagged vertices in creation order have nested, shrinking
-        # neighborhoods (their neighbors are exactly the later dominators)
-        split_a = tuple(v for v, tag in creation if tag == ISOLATED)
-        split_b = frozenset(v for v, tag in creation if tag == DOMINATING)
-        return cls(graph=graph, creation=creation, split_a=split_a, split_b=split_b)
+        """Wrap a creation sequence covering vertices 0..n-1 exactly once."""
+        return cls(creation)
 
     def prefix_length(self, v: int) -> int:
-        """For v in the clique side: how many leading split_a vertices it sees."""
-        s = 0
-        for i, u in enumerate(self.split_a, start=1):
-            if u in self.graph.adj[v]:
-                s = i
-        return s
+        """For v in the clique side: how many leading split_a vertices it sees,
+        that is, how many isolated vertices were placed before it."""
+        if self.tag[v] == ISOLATED:
+            return 0
+        return sum(1 for u in self.split_a if self.rank[u] < self.rank[v])
+
+    def degrees(self) -> tuple[int, ...]:
+        """deg(v) for every vertex: the vertices placed before v if v is
+        dominating, plus the dominating vertices placed after v. A labeled
+        threshold graph is determined by its degree vector."""
+        deg = [0] * self.n
+        later_dominating = 0
+        for i in range(self.n - 1, -1, -1):
+            v, t = self.creation[i]
+            deg[v] = later_dominating + (i if t == DOMINATING else 0)
+            if t == DOMINATING:
+                later_dominating += 1
+        return tuple(deg)
+
+    def nonadjacency_masks(self) -> list[int]:
+        """Bitmask of the non-neighbours of every vertex (v itself excluded):
+        the vertices placed before v if v is isolated, OR the isolated
+        vertices placed after v. One suffix and one prefix sweep."""
+        masks = [0] * self.n
+        isolated_after = 0
+        for v, t in reversed(self.creation):
+            masks[v] = isolated_after
+            if t == ISOLATED:
+                isolated_after |= 1 << v
+        placed = 0
+        for v, t in self.creation:
+            if t == ISOLATED:
+                masks[v] |= placed
+            placed |= 1 << v
+        return masks
 
 
 @dataclass(frozen=True)
@@ -125,10 +174,7 @@ def recognize_threshold(g: Graph) -> ThresholdGraph | ForbiddenSubgraph:
             if u in remaining:
                 deg[u] -= 1
         removals.append((pick, tag))
-    creation = tuple(reversed(removals))
-    split_a = tuple(v for v, t in creation if t == ISOLATED)
-    split_b = frozenset(v for v, t in creation if t == DOMINATING)
-    return ThresholdGraph(graph=g, creation=creation, split_a=split_a, split_b=split_b)
+    return ThresholdGraph(tuple(reversed(removals)))
 
 
 def _forbidden_witness(g: Graph, remaining: set[int]) -> ForbiddenSubgraph:
@@ -163,46 +209,48 @@ def _forbidden_witness(g: Graph, remaining: set[int]) -> ForbiddenSubgraph:
 # ---------------------------------------------------------------------------
 # guided threshold supergraph
 
-def threshold_supergraph(g: Graph, a_order: Sequence[int]) -> ThresholdGraph:
+def threshold_supergraph(g: Graph, a_order: Sequence[int],
+                         saturated: Iterable[int] = ()) -> ThresholdGraph:
     """Complete g into a threshold supergraph guided by an ordered independent set.
 
     With A = a_order = (u_1, ..., u_k) independent in g and B the rest, the
     result makes B a clique and attaches each v in B to exactly the prefix
     u_1..u_{s(v)}, where s(v) is the position of v's last neighbor inside A
-    (0 when v has no neighbor in A). The output always contains g.
+    (0 when v has no neighbor in A). Vertices of B listed in `saturated`
+    see all of A, as if g joined them to it. The output always contains g.
     """
     a_order = tuple(a_order)
-    a_set = set(a_order)
-    if len(a_set) != len(a_order):
+    position = {u: i for i, u in enumerate(a_order, start=1)}
+    if len(position) != len(a_order):
         raise ValueError("a_order contains duplicates")
     if any(not (0 <= u < g.n) for u in a_order):
         raise ValueError("a_order vertex out of range")
-    for u, v in combinations(a_order, 2):
-        if g.has_edge(u, v):
+    # s(v) by a sweep over A's neighborhoods: positions ascend, so the last
+    # write is the largest; an edge inside A shows up at its earlier end
+    prefix = [0] * g.n
+    for i, u in enumerate(a_order, start=1):
+        inside = [position[v] for v in g.adj[u] if v in position]
+        if inside:
+            v = a_order[min(inside) - 1]
             raise ValueError(f"a_order is not independent: edge ({u},{v})")
-    position = {u: i for i, u in enumerate(a_order, start=1)}
-    b_side = [v for v in range(g.n) if v not in a_set]
-    prefix = {}
-    for v in b_side:
-        s = 0
-        for u in g.adj[v]:
-            if u in position:
-                s = max(s, position[u])
-        prefix[v] = s
+        for v in g.adj[u]:
+            prefix[v] = i
+    k = len(a_order)
+    for v in saturated:
+        if v in position:
+            raise ValueError(f"saturated vertex {v} lies in a_order")
+        prefix[v] = k
     # creation: B grouped by prefix length ascending, each u_j entering
     # isolated right after the B-vertices it must not see
-    by_level: list[list[int]] = [[] for _ in range(len(a_order) + 1)]
-    for v in b_side:
-        by_level[prefix[v]].append(v)
-    creation: list[tuple[int, str]] = []
-    creation.extend((v, DOMINATING) for v in sorted(by_level[0]))
+    by_level: list[list[int]] = [[] for _ in range(k + 1)]
+    for v in range(g.n):
+        if v not in position:
+            by_level[prefix[v]].append(v)
+    creation: list[tuple[int, str]] = [(v, DOMINATING) for v in by_level[0]]
     for j, u in enumerate(a_order, start=1):
         creation.append((u, ISOLATED))
-        creation.extend((v, DOMINATING) for v in sorted(by_level[j]))
-    t = ThresholdGraph.from_creation(creation)
-    # keep the guiding split: a_order itself is nested by construction
-    return ThresholdGraph(graph=t.graph, creation=t.creation,
-                          split_a=a_order, split_b=frozenset(b_side))
+        creation.extend((v, DOMINATING) for v in by_level[j])
+    return ThresholdGraph(tuple(creation))
 
 
 def is_supergraph(big: Graph, small: Graph) -> bool:
@@ -290,14 +338,6 @@ def verify_ltf(g: Graph, witness: LtfWitness, seed: int = 0,
 
 def _mask_to_vector(n: int, mask: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
-
-
-def _vector_to_mask(x: Sequence[int]) -> int:
-    mask = 0
-    for i, xi in enumerate(x):
-        if xi:
-            mask |= 1 << i
-    return mask
 
 
 # ---------------------------------------------------------------------------

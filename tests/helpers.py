@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 from thdim import (Graph, complete_graph, cycle_graph, disjoint_cliques,
                    empty_graph, gen_gnm, path_graph, petersen_graph, star_graph)
-from thdim.graphs import graph_from_mask, pair_index
+from thdim.graphs import edge_mask, graph_from_mask, pair_index
 from thdim.seeding import split_seed
 
 
@@ -174,3 +174,30 @@ def threshold_struct_ok(t) -> bool:
         return False
     hoods = [set(t.graph.adj[u]) for u in t.split_a]
     return all(hoods[i + 1] <= hoods[i] for i in range(len(hoods) - 1))
+
+
+def edge_mask_verify(g: Graph, factors) -> tuple[bool, str, tuple[int, int] | None, int | None]:
+    """Decomposition check on materialized n^2-bit edge masks, the way the
+    library did it before factors became creation sequences: every factor's
+    edge mask must contain g's, and their AND must equal it. Returns
+    (ok, reason, first offending pair, factor index)."""
+    gmask = edge_mask(g)
+    inter = None
+    for idx, f in enumerate(factors):
+        fmask = edge_mask(f.graph)
+        if fmask & gmask != gmask:
+            return (False, "factor drops an edge of the graph",
+                    _first_mask_pair(g.n, gmask & ~fmask), idx)
+        inter = fmask if inter is None else inter & fmask
+    if inter != gmask:
+        return (False, "a non-edge survives every factor",
+                _first_mask_pair(g.n, inter & ~gmask), None)
+    return (True, "", None, None)
+
+
+def _first_mask_pair(n: int, mask: int) -> tuple[int, int]:
+    idx = (mask & -mask).bit_length() - 1
+    for u, v in combinations(range(n), 2):
+        if pair_index(n, u, v) == idx:
+            return (u, v)
+    raise AssertionError("mask bit beyond the last pair")

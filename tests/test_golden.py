@@ -1,0 +1,43 @@
+"""Seeded decompositions stay byte-identical: sha256 of format_decomposition
+for fixed inputs and seeds, recorded before factors became creation
+sequences and checked by mask verification."""
+
+import hashlib
+
+import pytest
+
+from thdim import (decompose_degeneracy, decompose_maxdeg, decompose_treewidth,
+                   decompose_vertex_cover, format_decomposition, gen_gnm,
+                   heuristic_tree_decomposition, max_independent_set)
+
+from helpers import bounded_degree_graph
+
+GOLDEN = {
+    ("degeneracy", 12, 20, 1): "0f55116fd95afbb4cf119cea4cbbb895e2d6521c67ecbe3ff77926926629c1f1",
+    ("treewidth", 12, 20, 1): "611bfe83013af915f1bb530b6f48982971af9c36a63025223f650906dbeca3ae",
+    ("degeneracy", 20, 45, 2): "c5e9f7723beb5f75624062975528efce4d5a4d7c1fa340fb0c249154c266dded",
+    ("treewidth", 20, 45, 2): "1b3b4644a1614ff065d8ecb463a876e3abb01e4b3acf6d0c6d95036772a7841b",
+    ("degeneracy", 30, 60, 3): "d05b48c70e9cd5feb9e0706b259cbe8f8f3f0112e9a225ebb5df97029d24c169",
+    ("treewidth", 30, 60, 3): "b35654d2407b999e2ad47d976666c22d58479aff2534bac7cf54d7a31b7ca9dc",
+    ("vertex-cover", 12, 20, 1): "61604f3b558f26a98a16e1fb2d1e16addcb13f6bf5e0c16c852144b4839ad2d9",
+    ("maxdeg", 40, 50, 4): "d86868e9c4bcd3e54e79108ddbf87131a13e43a136f679f99107e03548aaa621",
+    ("maxdeg", 40, 50, 5): "05183d3884fe6e8c1341678ad3af540fdd755330d70036c584e0cf1da2e4fb9f",
+}
+
+
+def build(method, n, m, seed):
+    if method == "maxdeg":
+        return decompose_maxdeg(bounded_degree_graph(n, m, 6, seed=seed), seed=seed)
+    g = gen_gnm(n, m, seed=seed)
+    if method == "degeneracy":
+        return decompose_degeneracy(g, seed=seed)
+    if method == "treewidth":
+        return decompose_treewidth(g, heuristic_tree_decomposition(g))
+    return decompose_vertex_cover(g, sorted(set(range(g.n)) - max_independent_set(g)))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_seeded_decomposition_is_byte_identical(case):
+    d = build(*case)
+    assert d.verified
+    assert hashlib.sha256(format_decomposition(d).encode()).hexdigest() == GOLDEN[case]
