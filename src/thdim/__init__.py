@@ -31,7 +31,7 @@ from .exactdim import (EXACT_DIMENSION_LIMIT, DimensionReport, compute_report,
                        exact_dimension, lower_bound_clique_chromatic,
                        threshold_cover_number, upper_bound_ramsey_style)
 from .circuits import (GraphicFunction, MajorityCircuit, compile_circuit,
-                       eval_graphic, format_circuit, from_2cnf, ltfs_to_graph,
-                       parse_circuit, to_2cnf, verify_circuit)
+                       format_circuit, from_2cnf, ltfs_to_graph, parse_circuit,
+                       to_2cnf, verify_circuit)
 from .randgraphs import (ExperimentRow, gen_gnm, gen_gnp, girth_degeneracy_check,
                          parse_experiment_spec, render_table, run_experiment)

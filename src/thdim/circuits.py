@@ -42,10 +42,6 @@ class GraphicFunction:
         return 1
 
 
-def eval_graphic(f: GraphicFunction, x: Sequence[int]) -> int:
-    return f.evaluate(x)
-
-
 # ---------------------------------------------------------------------------
 # 2-CNF normal form: one all-negative clause per non-edge
 
@@ -108,7 +104,7 @@ class MajorityCircuit:
         return int(all(gate.accepts(x) for gate in self.gates))
 
 
-def compile_circuit(g: Graph, d: Decomposition, seed: int = 0) -> MajorityCircuit:
+def compile_circuit(g: Graph, d: Decomposition) -> MajorityCircuit:
     """One gate per factor; the AND of the gates computes g's clique indicator.
 
     The decomposition is re-verified first: compiling an unverified or wrong
@@ -116,7 +112,7 @@ def compile_circuit(g: Graph, d: Decomposition, seed: int = 0) -> MajorityCircui
     """
     if not d.verified or not verify_decomposition(g, d):
         raise ValueError("refusing to compile an unverified decomposition")
-    gates = tuple(extract_ltf(f, seed=seed) for f in d.factors)
+    gates = tuple(extract_ltf(f) for f in d.factors)
     return MajorityCircuit(arity=g.n, gates=gates)
 
 

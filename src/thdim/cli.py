@@ -80,7 +80,7 @@ def _run_method(g: Graph, args) -> Decomposition:
             td = heuristic_tree_decomposition(g)
         return decompose_treewidth(g, td)
     if args.method == "maxdeg":
-        diagnostics = [] if getattr(args, "diag", None) else None
+        diagnostics = [] if args.diag else None
         d = decompose_maxdeg(g, seed=args.seed, diagnostics=diagnostics)
         if diagnostics is not None:
             Path(args.diag).write_text("\n".join(diagnostics) + "\n")
@@ -115,7 +115,7 @@ def cmd_report(args) -> int:
 def cmd_compile(args) -> int:
     g = _read_graph(args.path)
     d = _run_method(g, args)
-    circuit = compile_circuit(g, d, seed=args.seed)
+    circuit = compile_circuit(g, d)
     mode = args.verify or ("exhaustive" if g.n <= 16 else "sampled")
     ok, counterexample = verify_circuit(GraphicFunction(g), circuit, mode=mode,
                                         seed=args.seed)
@@ -148,6 +148,21 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+# every option a subcommand may declare; each declares only those its cmd_* reads
+OPTIONS = {
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default=None),
+    "--exact-cap": dict(dest="exact_cap", type=int, default=24),
+    "--method": dict(choices=["vc", "degeneracy", "treewidth", "maxdeg", "exact"],
+                     default="degeneracy"),
+    "--td": dict(default=None, help="tree decomposition file"),
+    "--verify": dict(choices=["exhaustive", "sampled"], default=None),
+    "--diag": dict(default=None, help="write maxdeg intermediate artifacts (partition, "
+                                      "families) to this file"),
+}
+METHOD_OPTIONS = ("--seed", "--out", "--exact-cap", "--method", "--td", "--diag")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thdim",
@@ -156,51 +171,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"thdim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method=False):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--exact-cap", dest="exact_cap", type=int, default=24)
-        if method:
-            p.add_argument("--method", choices=["vc", "degeneracy", "treewidth",
-                                                "maxdeg", "exact"],
-                           default="degeneracy")
-            p.add_argument("--td", default=None, help="tree decomposition file")
-            p.add_argument("--verify", choices=["exhaustive", "sampled"], default=None)
-            p.add_argument("--diag", default=None,
-                           help="write maxdeg intermediate artifacts (partition, "
-                                "families) to this file")
+    def command(name, func, summary, positionals, options):
+        p = sub.add_parser(name, help=summary)
+        for positional in positionals:
+            p.add_argument(positional)
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("recognize", help="decide thresholdness, print witness")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=cmd_recognize)
-
-    p = sub.add_parser("decompose", help="emit a verified decomposition")
-    p.add_argument("path")
-    common(p, method=True)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("report", help="dimension bounds and factor counts")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("compile", help="compile a decomposition into a circuit")
-    p.add_argument("path")
-    common(p, method=True)
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("verify", help="compare a circuit against a graph")
-    p.add_argument("path")
-    p.add_argument("circuit")
-    common(p, method=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("experiment", help="run the random-graph table")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=cmd_experiment)
-
+    command("recognize", cmd_recognize, "decide thresholdness, print witness", ["path"], [])
+    command("decompose", cmd_decompose, "emit a verified decomposition",
+            ["path"], METHOD_OPTIONS)
+    command("report", cmd_report, "dimension bounds and factor counts",
+            ["path"], ["--seed", "--out", "--exact-cap"])
+    command("compile", cmd_compile, "compile a decomposition into a circuit",
+            ["path"], METHOD_OPTIONS + ("--verify",))
+    command("verify", cmd_verify, "compare a circuit against a graph",
+            ["path", "circuit"], ["--seed", "--verify"])
+    command("experiment", cmd_experiment, "run the random-graph table",
+            ["spec"], ["--seed", "--out"])
     return parser
 
 

@@ -48,9 +48,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -67,9 +64,6 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(len(s) for s in self.adj) // 2
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def complement(self) -> "Graph":
         return Graph(self.n, ((u, v) for u, v in combinations(range(self.n), 2)

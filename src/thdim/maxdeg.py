@@ -221,7 +221,14 @@ class SplitExtension:
 
 def decompose_split(ext: SplitExtension, seed: int = 0,
                     diagnostics: list[str] | None = None) -> Decomposition:
-    """Decompose G*[A,B] into threshold factors.
+    """Decompose G*[A,B] into threshold factors, verified against G*[A,B]."""
+    factors, budget = _split_factors(ext, seed, diagnostics)
+    return _finish(ext.as_graph(), factors, "maxdeg", budget)
+
+
+def _split_factors(ext: SplitExtension, seed: int,
+                   diagnostics: list[str] | None) -> tuple[list[ThresholdGraph], int]:
+    """Threshold factors of G*[A,B] and their claimed count bound, unverified.
 
     One all-of-B-universal factor resolves every non-edge inside A; for the
     rest, B is sliced by which random coloring of A first spreads each
@@ -304,8 +311,7 @@ def decompose_split(ext: SplitExtension, seed: int = 0,
                         if key not in seen:
                             seen.add(key)
                             factors.append(f)
-
-    return _finish(ext.as_graph(), factors, "maxdeg", budget)
+    return factors, budget
 
 
 def _conflict_blocks(base: Graph, a_part: Sequence[int], b_part: Sequence[int],
@@ -365,10 +371,10 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
             a_side = frozenset(members[x] for x in cls)
             ext = SplitExtension(base=g, a_side=a_side,
                                  b_side=frozenset(range(g.n)) - a_side)
-            piece = decompose_split(ext, seed=split_seed(seed, "split", i, j),
-                                    diagnostics=diagnostics)
-            budget += piece.bound_claimed
-            for f in piece.factors:
+            piece, piece_budget = _split_factors(ext, split_seed(seed, "split", i, j),
+                                                 diagnostics)
+            budget += piece_budget
+            for f in piece:
                 key = f.degrees()
                 if key not in seen:
                     seen.add(key)

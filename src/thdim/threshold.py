@@ -84,13 +84,6 @@ class ThresholdGraph:
         """Wrap a creation sequence covering vertices 0..n-1 exactly once."""
         return cls(creation)
 
-    def prefix_length(self, v: int) -> int:
-        """For v in the clique side: how many leading split_a vertices it sees,
-        that is, how many isolated vertices were placed before it."""
-        if self.tag[v] == ISOLATED:
-            return 0
-        return sum(1 for u in self.split_a if self.rank[u] < self.rank[v])
-
     def degrees(self) -> tuple[int, ...]:
         """deg(v) for every vertex: the vertices placed before v if v is
         dominating, plus the dominating vertices placed after v. A labeled
@@ -289,32 +282,63 @@ class LtfWitness:
         return total <= self.bound
 
 
-def extract_ltf(t: ThresholdGraph, seed: int = 0, exhaustive_limit: int = 20) -> LtfWitness:
+def extract_ltf(t: ThresholdGraph) -> LtfWitness:
     """Integer LTF weights for a threshold graph via base-(n+1) positional levels.
 
-    Clique-side vertices weigh (n+1)^(k - s(v)); the j-th independent vertex
-    weighs M - ((n+1)^(k-j+1) - 1) with bound M = 2(n+1)^(k+1) - 1, so that
-    one independent vertex fits together with exactly its clique neighbors.
+    Clique-side vertices weigh (n+1)^(k - s(v)), s(v) being the independent
+    vertices placed before v; the j-th independent vertex weighs
+    M - ((n+1)^(k-j+1) - 1) with bound M = 2(n+1)^(k+1) - 1, so that one
+    independent vertex fits together with exactly its clique neighbors.
     Weights grow like (n+1)^O(k): arbitrary precision is required.
-    The witness is verified before being returned (exhaustively up to
-    `exhaustive_limit` inputs bits, sampled beyond).
+    The witness is certified exactly before being returned.
     """
-    g = t.graph
-    n = g.n
     k = len(t.split_a)
-    base = n + 1
+    base = t.n + 1
     bound = 2 * base ** (k + 1) - 1
-    weights = [0] * n
-    for j, u in enumerate(t.split_a, start=1):
-        weights[u] = bound - (base ** (k - j + 1) - 1)
-    for v in t.split_b:
-        weights[v] = base ** (k - t.prefix_length(v))
+    weights = [0] * t.n
+    level = base ** k  # (n+1)^(k - s) once s independent vertices are placed
+    for v, tag in t.creation:
+        if tag == ISOLATED:
+            weights[v] = bound - (level - 1)
+            level //= base
+        else:
+            weights[v] = level
     witness = LtfWitness(weights=tuple(weights), bound=bound)
-    ok, counterexample = verify_ltf(g, witness, seed=seed, exhaustive_limit=exhaustive_limit)
-    if not ok:
+    bad = _ltf_counterexample(t, witness)
+    if bad is not None:
         raise InternalVerificationError(
-            f"LTF extraction produced a bad witness; counterexample {counterexample}")
+            f"LTF extraction produced a bad witness; counterexample {sorted(bad)}")
     return witness
+
+
+def _ltf_counterexample(t: ThresholdGraph, witness: LtfWitness) -> frozenset[int] | None:
+    """A vertex set on which the gate and the clique indicator of t differ, or None.
+
+    Non-negative weights make the accepted sets closed under subsets, so the
+    gate is exact iff it accepts the maximal cliques (among: the clique side,
+    and each independent vertex with the dominating vertices placed after
+    it) and rejects each independent vertex paired with the lightest vertex
+    placed before it. O(n) big-integer operations.
+    """
+    w, b = witness.weights, witness.bound
+    if witness.arity != t.n or any(a < 0 for a in w):
+        raise ValueError("certificate needs one non-negative weight per vertex")
+    later_dominating = 0
+    for i in range(t.n - 1, -1, -1):
+        v, tag = t.creation[i]
+        if tag == DOMINATING:
+            later_dominating += w[v]
+        elif w[v] + later_dominating > b:
+            return frozenset([v] + [u for u, s in t.creation[i + 1:] if s == DOMINATING])
+    if later_dominating > b:
+        return t.split_b
+    lightest = None
+    for v, tag in t.creation:
+        if tag == ISOLATED and lightest is not None and w[v] + w[lightest] <= b:
+            return frozenset((v, lightest))
+        if lightest is None or w[v] < w[lightest]:
+            lightest = v
+    return None
 
 
 def verify_ltf(g: Graph, witness: LtfWitness, seed: int = 0,

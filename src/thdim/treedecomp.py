@@ -86,23 +86,25 @@ def _check_traces(td: TreeDecomposition) -> None:
                 3, f"bags containing vertex {v} do not form a connected subtree")
 
 
-def validate_tree_decomposition(td: TreeDecomposition, g: Graph) -> None:
-    """Raise TreeDecompositionError unless td is a tree decomposition of g."""
-    if td.n != g.n:
+def validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = None) -> None:
+    """Raise TreeDecompositionError unless td is a tree of bags over the
+    vertices 0..td.n-1 that covers every vertex and has connected vertex
+    traces; when g is given, unless td is a tree decomposition of g (same n,
+    every edge inside some bag)."""
+    if g is not None and td.n != g.n:
         raise TreeDecompositionError(0, f"decomposition is for n={td.n}, graph has n={g.n}")
     _check_tree_shape(td)
-    covered = set()
-    for bag in td.bags.values():
-        for v in bag:
-            if not (0 <= v < g.n):
-                raise TreeDecompositionError(0, f"bag vertex {v} out of range")
-        covered |= bag
-    if covered != set(range(g.n)):
-        missing = sorted(set(range(g.n)) - covered)
+    covered = set().union(*td.bags.values())
+    stray = {v for v in covered if not 0 <= v < td.n}
+    if stray:
+        raise TreeDecompositionError(0, f"bag vertex {min(stray)} out of range for n={td.n}")
+    if covered != set(range(td.n)):
+        missing = sorted(set(range(td.n)) - covered)
         raise TreeDecompositionError(1, f"vertices {missing} appear in no bag")
-    for u, v in g.edges():
-        if not any(u in bag and v in bag for bag in td.bags.values()):
-            raise TreeDecompositionError(2, f"edge ({u},{v}) is inside no bag")
+    if g is not None:
+        for u, v in g.edges():
+            if not any(u in bag and v in bag for bag in td.bags.values()):
+                raise TreeDecompositionError(2, f"edge ({u},{v}) is inside no bag")
     _check_traces(td)
 
 
@@ -111,8 +113,8 @@ def parse_tree_decomposition(text: str, g: Graph | None = None) -> TreeDecomposi
 
     Header "s td <#bags> <maxbagsize> <n>", bag lines "b <id> <v...>" with
     0-based vertices, then bag-tree edges "<id> <id>". Root is bag 1.
-    Structural checks and vertex coverage / subtree connectivity always run;
-    edge coverage additionally runs when the graph is supplied.
+    The result passes `validate_tree_decomposition(td, g)`, which checks
+    edge coverage only when the graph is supplied.
     """
     header = None
     bags: dict[int, frozenset[int]] = {}
@@ -157,18 +159,7 @@ def parse_tree_decomposition(text: str, g: Graph | None = None) -> TreeDecomposi
         root=1,
         n=n,
     )
-    _check_tree_shape(td)
-    for bag in td.bags.values():
-        for v in bag:
-            if not (0 <= v < n):
-                raise TreeDecompositionError(0, f"bag vertex {v} out of range for n={n}")
-    covered = set().union(*td.bags.values()) if td.bags else set()
-    if covered != set(range(n)):
-        missing = sorted(set(range(n)) - covered)
-        raise TreeDecompositionError(1, f"vertices {missing} appear in no bag")
-    _check_traces(td)
-    if g is not None:
-        validate_tree_decomposition(td, g)
+    validate_tree_decomposition(td, g)
     return td
 
 

@@ -201,3 +201,21 @@ def _first_mask_pair(n: int, mask: int) -> tuple[int, int]:
         if pair_index(n, u, v) == idx:
             return (u, v)
     raise AssertionError("mask bit beyond the last pair")
+
+
+def maximal_cliques(g: Graph) -> list[frozenset[int]]:
+    """Every maximal clique of g, by Bron–Kerbosch with pivoting."""
+    found: list[frozenset[int]] = []
+
+    def extend(r: set[int], p: set[int], x: set[int]) -> None:
+        if not p and not x:
+            found.append(frozenset(r))
+            return
+        pivot = max(p | x, key=lambda u: len(p & g.adj[u]))
+        for v in sorted(p - g.adj[pivot]):
+            extend(r | {v}, p & g.adj[v], x & g.adj[v])
+            p = p - {v}
+            x = x | {v}
+
+    extend(set(), set(range(g.n)), set())
+    return found

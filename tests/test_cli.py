@@ -1,3 +1,5 @@
+import pytest
+
 from thdim import (complete_graph, cycle_graph, disjoint_cliques, parse_circuit,
                    parse_decomposition, path_graph, star_graph, verify_decomposition,
                    write_edge_list)
@@ -168,3 +170,24 @@ def test_bad_td_file_is_usage_error(tmp_path):
     td = tmp_path / "bad.td"
     td.write_text("s td 1 1 4\nb 1 0\n")
     assert main(["decompose", path, "--method", "treewidth", "--td", str(td)]) == 2
+
+
+@pytest.mark.parametrize("argv_tail", [
+    "recognize --seed 1", "recognize --out x", "recognize --exact-cap 8",
+    "decompose --verify sampled",
+    "verify --out x", "verify --exact-cap 8", "verify --method vc", "verify --td x",
+    "verify --diag x",
+    "experiment --exact-cap 8",
+])
+def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, argv_tail):
+    command, *option = argv_tail.split()
+    path = write_graph(tmp_path, "k3.gr", complete_graph(3))
+    circ = tmp_path / "c.txt"
+    assert main(["compile", path, "--out", str(circ)]) == 0
+    spec = tmp_path / "spec.txt"
+    spec.write_text("6 6 1\n")
+    argv = {"recognize": ["recognize", path], "decompose": ["decompose", path],
+            "verify": ["verify", path, str(circ)],
+            "experiment": ["experiment", str(spec), "--out", str(tmp_path / "t.csv")]}[command]
+    assert main(argv) == 0
+    assert main(argv + option) == 2

@@ -216,3 +216,18 @@ def test_maxdeg_bounded_randoms():
         g = bounded_degree_graph(14 + 4 * i, round(1.3 * (14 + 4 * i)), 6, seed=i)
         d = decompose_maxdeg(g, seed=i)
         assert d.verified
+
+
+def test_maxdeg_verifies_only_the_union(monkeypatch):
+    import thdim.decompose
+    calls = []
+    original = thdim.decompose.verify_decomposition
+
+    def counting(g, d):
+        calls.append(g.n)
+        return original(g, d)
+
+    monkeypatch.setattr(thdim.decompose, "verify_decomposition", counting)
+    g = bounded_degree_graph(30, 40, 6, seed=2)
+    assert decompose_maxdeg(g, seed=0).verified
+    assert calls == [g.n]

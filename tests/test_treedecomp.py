@@ -90,3 +90,14 @@ def test_format_round_trip():
     back = parse_tree_decomposition(format_tree_decomposition(td), g)
     assert back.width == td.width
     assert set(map(frozenset, back.bags.values())) == set(map(frozenset, td.bags.values()))
+
+
+def test_validate_without_graph_checks_range_and_coverage():
+    shape = {"tree": {1: (2,), 2: (1,)}, "root": 1, "n": 3}
+    validate_tree_decomposition(
+        TreeDecomposition(bags={1: frozenset({0, 1}), 2: frozenset({1, 2})}, **shape))
+    for bags, condition in [({1: frozenset({0}), 2: frozenset({1})}, 1),
+                            ({1: frozenset({0, 1}), 2: frozenset({2, 3})}, 0)]:
+        with pytest.raises(TreeDecompositionError) as err:
+            validate_tree_decomposition(TreeDecomposition(bags=bags, **shape))
+        assert err.value.condition == condition
