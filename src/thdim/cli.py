@@ -17,7 +17,7 @@ from .circuits import (GraphicFunction, compile_circuit, format_circuit,
 from .decompose import (Decomposition, RandomizedSearchError, decompose_degeneracy,
                         decompose_treewidth, decompose_vertex_cover,
                         format_decomposition)
-from .exactdim import EXACT_DIMENSION_LIMIT, compute_report, exact_decomposition
+from .exactdim import compute_report, exact_decomposition
 from .graphs import ExactLimitError, Graph, ParseError, max_independent_set, parse_edge_list
 from .maxdeg import decompose_maxdeg
 from .randgraphs import parse_experiment_spec, render_table, run_experiment
@@ -104,8 +104,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_report(args) -> int:
     g = _read_graph(args.path)
-    report = compute_report(g, seed=args.seed,
-                            exact_cap=min(args.exact_cap, EXACT_DIMENSION_LIMIT))
+    report = compute_report(g, seed=args.seed, exact_cap=args.exact_cap)
     sys.stdout.write(report.to_text())
     if args.out:
         Path(args.out).write_text(report.to_rows())

@@ -1,7 +1,7 @@
-"""Ground truth at desk scale: brute-force exact threshold dimension via
-set cover over all threshold supergraphs, the clique-removal chromatic lower
-bound, the n - max(omega, alpha) upper bound, and the cover number of the
-complement.
+"""Ground truth at desk scale: exact threshold dimension via set cover over
+the maximal threshold subgraphs of the complement (Chvatal-Hammer), the
+clique-removal chromatic lower bound, the n - max(omega, alpha) upper bound,
+and the cover number of the complement.
 
 Convention: the dimension of a threshold graph (complete graphs included)
 is 1; an intersection of zero graphs is not a thing here.
@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .graphs import (ExactLimitError, Graph, chromatic_number, complete_mask,
-                     degeneracy_ordering, edge_mask, max_independent_set,
-                     maximal_cliques, pair_index)
+                     degeneracy_ordering, edge_mask, graph_from_mask,
+                     max_independent_set, maximal_cliques, pair_index)
 from .decompose import (Decomposition, _finish, decompose_degeneracy, decompose_treewidth,
                         decompose_vertex_cover)
 from .threshold import (DOMINATING, ISOLATED, ThresholdGraph, ForbiddenSubgraph,
@@ -95,6 +95,47 @@ def enumerate_threshold_supergraphs(g: Graph) -> list[ThresholdGraph]:
             for _, c in sorted(creations.items())]
 
 
+def _maximal(masks) -> list[int]:
+    """The inclusion-maximal non-zero masks, largest first (ties ascending)."""
+    keep: list[int] = []
+    for c in sorted(set(masks), key=lambda c: (-c.bit_count(), c)):
+        if c and not any(c & ~k == 0 for k in keep):
+            keep.append(c)
+    return keep
+
+
+def _maximal_covers(g: Graph) -> list[int]:
+    """The inclusion-maximal non-edge pair masks c with K_n - c threshold,
+    i.e. the edge sets of the maximal threshold subgraphs of the complement,
+    in `_maximal`'s order.
+
+    In a threshold graph with an edge, the last dominating vertex v of a
+    creation sequence sees every earlier vertex and every later one is
+    isolated, so the graph is star(v, S) plus a threshold graph on S, with
+    S among v's non-neighbours in g. Hence on a vertex set U the maximal
+    ones are the maximal star(v, T) | c' with T = U minus v's g-neighbours
+    and c' maximal on T; the recursion is memoised on U (at most 2^n sets).
+    """
+    n = g.n
+    full = (1 << n) - 1
+    non = [full & ~(1 << v) & ~sum(1 << u for u in g.adj[v]) for v in range(n)]
+    memo: dict[int, list[int]] = {}
+
+    def maximal_on(u_mask: int) -> list[int]:
+        if u_mask in memo:
+            return memo[u_mask]
+        candidates = []
+        for v in range(n):
+            t = non[v] & u_mask if u_mask >> v & 1 else 0
+            if t:
+                star = sum(1 << pair_index(n, v, u) for u in range(n) if t >> u & 1)
+                candidates += [star | c for c in maximal_on(t)]
+        memo[u_mask] = _maximal(candidates) or [0]
+        return memo[u_mask]
+
+    return maximal_on(full)
+
+
 def _min_cover(universe: int, covers: list[int]) -> list[int]:
     """Minimum subset of `covers` whose union is `universe` (branch & bound).
 
@@ -104,14 +145,11 @@ def _min_cover(universe: int, covers: list[int]) -> list[int]:
     """
     if universe == 0:
         return []
-    keep: list[int] = []
-    for c in sorted(set(covers), key=lambda c: (-c.bit_count(), c)):
-        if c and not any(c & ~k == 0 for k in keep):
-            keep.append(c)
+    keep = _maximal(covers)
     elements = [i for i in range(universe.bit_length()) if universe >> i & 1]
     holders = {e: [c for c in keep if c >> e & 1] for e in elements}
     if any(not holders[e] for e in elements):
-        raise AssertionError("uncoverable non-edge; supergraph enumeration is broken")
+        raise AssertionError("uncoverable non-edge; the cover search is broken")
 
     # greedy for the initial upper bound
     best: list[int] = []
@@ -144,35 +182,32 @@ def _min_cover(universe: int, covers: list[int]) -> list[int]:
 
 
 def exact_dimension(g: Graph) -> int:
-    """Exact threshold dimension for n <= 8 via set cover: each supergraph
-    covers the non-edges it excludes; the answer is the least number of
-    supergraphs covering every non-edge (1 when g is itself threshold)."""
-    dim, _ = _exact_cover_solution(g)
-    return dim
+    """Exact threshold dimension for n <= 8 via set cover: each maximal
+    threshold subgraph of the complement covers its edges, the non-edges of
+    g that the threshold supergraph K_n minus it excludes; the answer is the
+    least number of them covering every non-edge (1 when g is itself
+    threshold)."""
+    return len(_exact_cover(g))
 
 
 def exact_decomposition(g: Graph) -> Decomposition:
     """A witnessing optimal decomposition for n <= 8."""
-    dim, creations = _exact_cover_solution(g)
-    return _finish(g, [ThresholdGraph.from_creation(c) for c in creations], "exact", dim)
+    complete = complete_mask(g.n)
+    factors = [recognize_threshold(graph_from_mask(g.n, complete & ~c))
+               for c in _exact_cover(g)]
+    if not all(isinstance(t, ThresholdGraph) for t in factors):
+        raise AssertionError("a maximal cover left a non-threshold factor")
+    return _finish(g, factors, "exact", len(factors))
 
 
-def _exact_cover_solution(g: Graph) -> tuple[int, list[tuple[tuple[int, str], ...]]]:
+def _exact_cover(g: Graph) -> list[int]:
+    """A minimum list of maximal covers whose union is every non-edge of g;
+    [0] (the factor K_n = g) when g is complete."""
     if g.n > EXACT_DIMENSION_LIMIT:
         raise ExactLimitError(
             f"exact dimension refused for n={g.n} > {EXACT_DIMENSION_LIMIT}")
-    gmask = edge_mask(g)
-    universe = complete_mask(g.n) & ~gmask
-    creations = _supergraph_creations(g)
-    if universe == 0:
-        return 1, [creations[gmask]]
-    by_cover: dict[int, int] = {}
-    for emask, creation in creations.items():
-        cover = universe & ~emask
-        if cover and cover not in by_cover:
-            by_cover[cover] = emask
-    solution = _min_cover(universe, list(by_cover))
-    return len(solution), [creations[by_cover[c]] for c in solution]
+    universe = complete_mask(g.n) & ~edge_mask(g)
+    return _min_cover(universe, _maximal_covers(g)) if universe else [0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ import math
 from itertools import combinations, permutations
 
 from thdim import (Graph, complete_graph, cycle_graph, disjoint_cliques,
-                   empty_graph, gen_gnm, path_graph, petersen_graph, star_graph)
-from thdim.graphs import edge_mask, graph_from_mask, pair_index
+                   empty_graph, enumerate_threshold_supergraphs, gen_gnm,
+                   path_graph, petersen_graph, star_graph)
+from thdim.exactdim import _min_cover
+from thdim.graphs import complete_mask, edge_mask, graph_from_mask, pair_index
 from thdim.seeding import split_seed
 
 
@@ -219,3 +221,17 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 
     extend(set(), set(range(g.n)), set())
     return found
+
+
+def dfs_exact_cover(g: Graph):
+    """Exact cover search over every labeled threshold supergraph of g
+    (n <= 8), the oracle for exactdim's search over maximal covers only.
+    Returns the set of covers (the non-edges each supergraph excludes; 0
+    included) and, in `_min_cover`'s order, the supergraphs whose covers it
+    picks ([g] when g is complete)."""
+    universe = complete_mask(g.n) & ~edge_mask(g)
+    by_cover = {}
+    for t in enumerate_threshold_supergraphs(g):
+        by_cover.setdefault(universe & ~edge_mask(t.graph), t)
+    chosen = _min_cover(universe, list(by_cover)) or [0]
+    return set(by_cover), [by_cover[c] for c in chosen]

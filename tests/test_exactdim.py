@@ -5,10 +5,13 @@ from thdim import (ExactLimitError, ThresholdGraph, complete_graph,
                    enumerate_threshold_supergraphs, exact_decomposition,
                    exact_dimension, lower_bound_clique_chromatic, path_graph,
                    recognize_threshold, star_graph, threshold_cover_number,
-                   upper_bound_ramsey_style, verify_decomposition)
+                   upper_bound_ramsey_style, verify_decomposition, write_edge_list)
+from thdim import exactdim
+from thdim.cli import main
 from thdim.graphs import edge_mask, graph_from_mask
 
-from helpers import all_graphs, brute_is_threshold, pendant_clique_complement, random_corpus
+from helpers import (all_graphs, brute_is_threshold, dfs_exact_cover,
+                     pendant_clique_complement, random_corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +96,36 @@ def test_exact_decomposition_witnesses_dimension():
         d = exact_decomposition(g)
         assert d.verified and d.size == exact_dimension(g) == d.bound_claimed
         assert verify_decomposition(g, d).ok
+
+
+ORACLE_GRAPHS = ([g for n in range(6) for g in all_graphs(n)]
+                 + random_corpus(24, [(6, 5), (6, 9), (7, 8), (7, 14), (8, 9), (8, 13)],
+                                 seed=43))
+
+
+def test_maximal_covers_match_all_supergraph_search():
+    for g in ORACLE_GRAPHS:
+        covers, factors = dfs_exact_cover(g)
+        maximal = {c for c in covers if not any(c != d and c & ~d == 0 for d in covers)}
+        assert exactdim._maximal_covers(g) == sorted(maximal, key=lambda c: (-c.bit_count(), c))
+        assert exact_dimension(g) == len(factors)
+        d = exact_decomposition(g)
+        assert [t.degrees() for t in d.factors] == [t.degrees() for t in factors]
+
+
+def test_report_path_enumerates_no_supergraphs(monkeypatch, tmp_path):
+    def refuse(g):
+        raise AssertionError("every threshold supergraph was enumerated")
+
+    monkeypatch.setattr(exactdim, "_supergraph_creations", refuse)
+    for g in random_corpus(4, [(8, 10), (8, 13)], seed=47):
+        d = exact_decomposition(g)
+        assert d.verified and d.size == exact_dimension(g)
+        assert threshold_cover_number(g) >= 1
+        assert compute_report(g, seed=1).exact == d.size
+        path = tmp_path / "g.txt"
+        path.write_text(write_edge_list(g))
+        assert main(["report", str(path), "--seed", "1"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Seeded decompositions stay byte-identical: sha256 of format_decomposition
 for fixed inputs and seeds, recorded before factors became creation
-sequences and checked by mask verification."""
+sequences and checked by mask verification. The exact-method hashes were
+recorded when the exact search moved to maximal covers of the complement;
+they pin the creation order recognize_threshold gives each factor."""
 
 import hashlib
 
 import pytest
 
 from thdim import (decompose_degeneracy, decompose_maxdeg, decompose_treewidth,
-                   decompose_vertex_cover, format_decomposition, gen_gnm,
+                   decompose_vertex_cover, exact_decomposition, format_decomposition, gen_gnm,
                    heuristic_tree_decomposition, max_independent_set)
 
 from helpers import bounded_degree_graph
@@ -22,6 +24,8 @@ GOLDEN = {
     ("vertex-cover", 12, 20, 1): "61604f3b558f26a98a16e1fb2d1e16addcb13f6bf5e0c16c852144b4839ad2d9",
     ("maxdeg", 40, 50, 4): "d86868e9c4bcd3e54e79108ddbf87131a13e43a136f679f99107e03548aaa621",
     ("maxdeg", 40, 50, 5): "05183d3884fe6e8c1341678ad3af540fdd755330d70036c584e0cf1da2e4fb9f",
+    ("exact", 8, 10, 1): "842c56136a46af5f5dabb1fcca77025fee349a08c364c405154e265f1e6cb6a7",
+    ("exact", 8, 13, 2): "851fdd35091401e4dc8c4fae1a2493bdd932d573f2a658043fca3bba6b3f03d6",
 }
 
 
@@ -33,6 +37,8 @@ def build(method, n, m, seed):
         return decompose_degeneracy(g, seed=seed)
     if method == "treewidth":
         return decompose_treewidth(g, heuristic_tree_decomposition(g))
+    if method == "exact":
+        return exact_decomposition(g)
     return decompose_vertex_cover(g, sorted(set(range(g.n)) - max_independent_set(g)))
 
 
