@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .decompose import Decomposition, verify_decomposition
+from .decompose import Decomposition
 from .graphs import Graph
 from .threshold import (LtfWitness, and_of_gates_counterexample, extract_ltf,
                         _mask_to_vector)
@@ -105,13 +105,11 @@ class MajorityCircuit:
 
 
 def compile_circuit(g: Graph, d: Decomposition) -> MajorityCircuit:
-    """One gate per factor; the AND of the gates computes g's clique indicator.
-
-    The decomposition is re-verified first: compiling an unverified or wrong
-    decomposition is refused.
-    """
-    if not d.verified or not verify_decomposition(g, d):
-        raise ValueError("refusing to compile an unverified decomposition")
+    """One exact gate per factor, so the AND accepts the common cliques of the
+    factors: the cliques of g, for a decomposition verified against g itself.
+    Any other decomposition is refused."""
+    if d.verified_for != g:
+        raise ValueError("refusing to compile a decomposition not verified for this graph")
     gates = tuple(extract_ltf(f) for f in d.factors)
     return MajorityCircuit(arity=g.n, gates=gates)
 
@@ -172,6 +170,8 @@ def parse_circuit(text: str) -> MajorityCircuit:
     if len(head) != 3 or head[0] != "ltf-and":
         raise ValueError(f"expected 'ltf-and <arity> <gates>', got {lines[0]!r}")
     arity, count = int(head[1]), int(head[2])
+    if arity < 0 or count < 0:
+        raise ValueError(f"negative arity or gate count in {lines[0]!r}")
     body = lines[1:]
     if len(body) != count:
         raise ValueError(f"header promised {count} gates, found {len(body)}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .graphs import Graph, ProperColoring, VertexOrdering, degeneracy_ordering
@@ -36,13 +36,18 @@ class Decomposition:
     factors: tuple[ThresholdGraph, ...]
     method: str
     bound_claimed: int
-    verified: bool = False
+    # the graph the factors were checked against; set by `_finish` alone
+    verified_for: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not self.factors:
             raise ValueError("a decomposition needs at least one factor")
+
+    @property
+    def verified(self) -> bool:
+        return self.verified_for is not None
 
     @property
     def size(self) -> int:
@@ -103,13 +108,12 @@ def _first_pair(masks: Sequence[int]) -> tuple[int, int] | None:
 
 def _finish(g: Graph, factors: Sequence[ThresholdGraph], method: str,
             bound: int) -> Decomposition:
-    d = Decomposition(factors=tuple(factors), method=method,
-                      bound_claimed=bound, verified=False)
+    d = Decomposition(factors=tuple(factors), method=method, bound_claimed=bound)
     result = verify_decomposition(g, d)
     if not result:
         raise AssertionError(f"{method} construction failed verification: {result}")
-    return Decomposition(factors=d.factors, method=method,
-                         bound_claimed=bound, verified=True)
+    object.__setattr__(d, "verified_for", g)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -357,5 +361,4 @@ def parse_decomposition(text: str) -> Decomposition:
     if len(body) != count:
         raise ValueError(f"header promised {count} factors, found {len(body)}")
     factors = tuple(parse_threshold(ln) for ln in body)
-    return Decomposition(factors=factors, method=method,
-                         bound_claimed=count, verified=False)
+    return Decomposition(factors=factors, method=method, bound_claimed=count)

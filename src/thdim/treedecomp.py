@@ -131,6 +131,8 @@ def parse_tree_decomposition(text: str, g: Graph | None = None) -> TreeDecomposi
             header = tuple(int(t) for t in tokens[2:])
             continue
         if tokens[0] == "b":
+            if len(tokens) < 2:
+                raise TreeDecompositionError(0, f"line {line_no}: expected 'b <id> <v...>'")
             bag_id = int(tokens[1])
             if bag_id in bags:
                 raise TreeDecompositionError(0, f"line {line_no}: duplicate bag {bag_id}")

@@ -117,9 +117,32 @@ def test_compile_rejects_unverified():
     g = path_graph(4)
     d = decompose_vertex_cover(g, [1, 2])
     stale = Decomposition(factors=d.factors, method=d.method,
-                          bound_claimed=d.bound_claimed, verified=False)
+                          bound_claimed=d.bound_claimed)
     with pytest.raises(ValueError):
         compile_circuit(g, stale)
+
+
+def test_compile_rejects_decomposition_verified_for_another_graph():
+    d = decompose_vertex_cover(path_graph(4), [1, 2])
+    with pytest.raises(ValueError):
+        compile_circuit(cycle_graph(4), d)
+
+
+def test_compile_does_not_verify_again(monkeypatch):
+    import thdim.circuits
+    import thdim.decompose
+    g = gen_gnm(16, 24, seed=3)
+    d = decompose_degeneracy(g, seed=0)
+    calls = []
+
+    def counting(graph, decomposition):
+        calls.append(graph.n)
+        return True
+
+    monkeypatch.setattr(thdim.decompose, "verify_decomposition", counting)
+    monkeypatch.setattr(thdim.circuits, "verify_decomposition", counting, raising=False)
+    assert compile_circuit(g, d).gate_count == d.size
+    assert calls == []
 
 
 def test_verify_circuit_2k2_exhaustive():
@@ -221,7 +244,7 @@ def test_circuit_file_round_trip():
 
 @pytest.mark.parametrize("text", [
     "", "ltf-and 3\n", "ltf-and 3 1\ngate 1 1 1\n", "ltf-and 2 1\nnope 1 1 1\n",
-    "ltf-and 2 2\ngate 1 1 1\n",
+    "ltf-and 2 2\ngate 1 1 1\n", "ltf-and -1 1\ngate\n",
 ])
 def test_circuit_file_errors(text):
     with pytest.raises(ValueError):

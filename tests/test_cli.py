@@ -1,8 +1,8 @@
 import pytest
 
-from thdim import (complete_graph, cycle_graph, disjoint_cliques, parse_circuit,
-                   parse_decomposition, path_graph, star_graph, verify_decomposition,
-                   write_edge_list)
+from thdim import (GraphicFunction, complete_graph, cycle_graph, disjoint_cliques, gen_gnm,
+                   ltfs_to_graph, parse_circuit, parse_decomposition, path_graph,
+                   star_graph, verify_circuit, verify_decomposition, write_edge_list)
 from thdim.cli import main
 
 
@@ -123,12 +123,35 @@ def test_compile_and_verify_roundtrip(tmp_path, capsys):
     circ = tmp_path / "c.txt"
     assert main(["compile", path, "--method", "exact", "--out", str(circ)]) == 0
     err = capsys.readouterr().err
-    assert "verify-mode=exhaustive" in err and "verified=true" in err
+    assert "verified=true" in err
     c = parse_circuit(circ.read_text())
     assert c.gate_count == 2
 
     assert main(["verify", path, str(circ)]) == 0
     assert "equal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, m, method", [(16, 24, "degeneracy"), (24, 18, "treewidth")])
+def test_compile_writes_the_certified_circuit_without_walking_it(tmp_path, monkeypatch,
+                                                                 n, m, method):
+    import thdim.circuits
+    import thdim.threshold
+
+    def walked(*args, **kwargs):
+        raise AssertionError("compile walked the circuit's inputs")
+
+    g = gen_gnm(n, m, seed=5)
+    path = write_graph(tmp_path, "g.gr", g)
+    circ = tmp_path / "c.txt"
+    with monkeypatch.context() as patch:
+        patch.setattr(thdim.threshold, "and_of_gates_counterexample", walked)
+        patch.setattr(thdim.circuits, "and_of_gates_counterexample", walked)
+        assert main(["compile", path, "--method", method, "--out", str(circ)]) == 0
+    c = parse_circuit(circ.read_text())
+    if n <= 16:
+        assert verify_circuit(GraphicFunction(g), c, "exhaustive") == (True, None)
+    else:
+        assert ltfs_to_graph(c.gates) == g
 
 
 def test_verify_corrupted_circuit(tmp_path, capsys):
@@ -165,16 +188,17 @@ def test_usage_errors(tmp_path):
     assert main(["bogus-command"]) == 2
 
 
-def test_bad_td_file_is_usage_error(tmp_path):
+@pytest.mark.parametrize("text", ["s td 1 1 4\nb 1 0\n", "s td 1 3 3\nb\n"])
+def test_bad_td_file_is_usage_error(tmp_path, text):
     path = write_graph(tmp_path, "p4.gr", path_graph(4))
     td = tmp_path / "bad.td"
-    td.write_text("s td 1 1 4\nb 1 0\n")
+    td.write_text(text)
     assert main(["decompose", path, "--method", "treewidth", "--td", str(td)]) == 2
 
 
 @pytest.mark.parametrize("argv_tail", [
     "recognize --seed 1", "recognize --out x", "recognize --exact-cap 8",
-    "decompose --verify sampled",
+    "decompose --verify sampled", "compile --verify sampled",
     "verify --out x", "verify --exact-cap 8", "verify --method vc", "verify --td x",
     "verify --diag x",
     "experiment --exact-cap 8",
@@ -187,6 +211,7 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, argv_tail
     spec = tmp_path / "spec.txt"
     spec.write_text("6 6 1\n")
     argv = {"recognize": ["recognize", path], "decompose": ["decompose", path],
+            "compile": ["compile", path, "--out", str(tmp_path / "c2.txt")],
             "verify": ["verify", path, str(circ)],
             "experiment": ["experiment", str(spec), "--out", str(tmp_path / "t.csv")]}[command]
     assert main(argv) == 0

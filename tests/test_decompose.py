@@ -298,3 +298,10 @@ def test_decomposition_requires_factors_and_known_method():
         Decomposition(factors=(), method="manual", bound_claimed=0)
     with pytest.raises(ValueError):
         Decomposition(factors=(t,), method="bogus", bound_claimed=1)
+
+
+def test_decomposition_cannot_be_declared_verified():
+    t = recognize_threshold(complete_graph(2))
+    with pytest.raises(TypeError):
+        Decomposition(factors=(t,), method="manual", bound_claimed=1, verified=True)
+    assert not Decomposition(factors=(t,), method="manual", bound_claimed=1).verified
