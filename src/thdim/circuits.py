@@ -1,6 +1,7 @@
 """The Boolean side: clique-indicator functions of graphs, their 2-CNF normal
 form, compilation of a verified decomposition into a depth-2 circuit (integer
-LTF gates under one AND), and the reverse reading of gate lists as graphs.
+LTF gates under one AND), its exact verification, and the reverse reading of
+gate lists as graphs.
 
 Every LTF here is realizable by a single majority gate through wire
 duplication and hardcoded inputs; the integer-inequality form is the
@@ -15,8 +16,7 @@ from typing import Sequence
 
 from .decompose import Decomposition
 from .graphs import Graph
-from .threshold import (LtfWitness, and_of_gates_counterexample, extract_ltf,
-                        _mask_to_vector)
+from .threshold import LtfWitness, _circuit_counterexample, _mask_to_vector, extract_ltf
 
 Literal = tuple[int, bool]  # (variable, negated)
 Clause = tuple[Literal, Literal]
@@ -114,22 +114,17 @@ def compile_circuit(g: Graph, d: Decomposition) -> MajorityCircuit:
     return MajorityCircuit(arity=g.n, gates=gates)
 
 
-def verify_circuit(f: GraphicFunction, c: MajorityCircuit, mode: str = "exhaustive",
-                   seed: int = 0) -> tuple[bool, tuple[int, ...] | None]:
-    """Compare the circuit against the graphic function.
-
-    Exhaustive mode walks all 2^n inputs (arity <= 20); sampled mode checks
-    the zero vector, all singletons, all pair vectors, and 10^5 seeded random
-    vectors. Returns (equal, first counterexample vector or None).
+def verify_circuit(f: GraphicFunction, c: MajorityCircuit) -> tuple[bool, tuple[int, ...] | None]:
+    """Compare the circuit against the graphic function, exactly and at any
+    arity (see `_circuit_counterexample`): no input walk for non-negative
+    gates. A circuit with a negative weight is walked over all 2^n inputs
+    when n <= 20; above that, and when a gate's clique search runs over its
+    node budget, it is refused with ExactLimitError. Returns (equal, a
+    counterexample vector or None).
     """
     if c.arity != f.arity:
         raise ValueError("circuit and function arity differ")
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exhaustive" and c.arity > 20:
-        raise ValueError("exhaustive verification refused beyond arity 20")
-    bad = and_of_gates_counterexample(f.graph, list(c.gates),
-                                      exhaustive=(mode == "exhaustive"), seed=seed)
+    bad = _circuit_counterexample(f.graph, c.gates)
     if bad is None:
         return True, None
     return False, _mask_to_vector(c.arity, bad)

@@ -120,13 +120,14 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     g = _read_graph(args.path)
     circuit = parse_circuit(Path(args.circuit).read_text())
-    mode = args.verify or ("exhaustive" if circuit.arity <= 16 else "sampled")
-    ok, counterexample = verify_circuit(GraphicFunction(g), circuit, mode=mode,
-                                        seed=args.seed)
+    if args.verify:
+        print("note: --verify is ignored; verification is exact", file=sys.stderr)
+    ok, counterexample = verify_circuit(GraphicFunction(g), circuit)
     if ok:
-        print(f"equal verify-mode={mode}")
+        print("equal verify-mode=exact")
         return EXIT_OK
-    print(f"not-equal verify-mode={mode} counterexample={list(counterexample)}")
+    support = [v for v, bit in enumerate(counterexample) if bit]
+    print(f"not-equal verify-mode=exact counterexample={support}")
     return EXIT_NEGATIVE
 
 
@@ -145,7 +146,9 @@ OPTIONS = {
     "--method": dict(choices=["vc", "degeneracy", "treewidth", "maxdeg", "exact"],
                      default="degeneracy"),
     "--td": dict(default=None, help="tree decomposition file"),
-    "--verify": dict(choices=["exhaustive", "sampled"], default=None),
+    # accepted and ignored, so older scripts still run; verify is always exact
+    "--verify": dict(choices=["exhaustive", "sampled"], default=None,
+                     help="ignored: verification is exact"),
     "--diag": dict(default=None, help="write maxdeg intermediate artifacts (partition, "
                                       "families) to this file"),
 }
@@ -176,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("compile", cmd_compile, "compile a decomposition into a circuit",
             ["path"], METHOD_OPTIONS)
     command("verify", cmd_verify, "compare a circuit against a graph",
-            ["path", "circuit"], ["--seed", "--verify"])
+            ["path", "circuit"], ["--verify"])
     command("experiment", cmd_experiment, "run the random-graph table",
             ["spec"], ["--seed", "--out"])
     return parser

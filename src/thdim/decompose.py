@@ -78,7 +78,7 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerificationResult:
     for idx, f in enumerate(d.factors):
         if f.n != g.n:
             raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {g.n}")
-    adjacent = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+    adjacent = g.adjacency_masks()
     excluded = [0] * g.n  # non-adjacencies of some factor
     for idx, f in enumerate(d.factors):
         nonadj = f.nonadjacency_masks()

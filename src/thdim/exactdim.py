@@ -38,10 +38,7 @@ def _supergraph_creations(g: Graph) -> dict[int, tuple[tuple[int, str], ...]]:
     if n == 0:
         found[0] = ()
         return found
-    nbr = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            nbr[u] |= 1 << v
+    nbr = g.adjacency_masks()
     pairbit = [[0] * n for _ in range(n)]
     for u in range(n):
         for v in range(n):
@@ -118,7 +115,7 @@ def _maximal_covers(g: Graph) -> list[int]:
     """
     n = g.n
     full = (1 << n) - 1
-    non = [full & ~(1 << v) & ~sum(1 << u for u in g.adj[v]) for v in range(n)]
+    non = [full & ~(1 << v) & ~mask for v, mask in enumerate(g.adjacency_masks())]
     memo: dict[int, list[int]] = {}
 
     def maximal_on(u_mask: int) -> list[int]:

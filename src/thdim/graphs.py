@@ -23,7 +23,19 @@ class ParseError(ValueError):
 
 
 class ExactLimitError(ValueError):
-    """Refusal to run an exact solver above its configured size cap."""
+    """Refusal to work above a configured size cap: an exact solver's, or
+    the vertex count a file may declare."""
+
+
+# The most vertices an input file may declare. Its header is checked before
+# anything is allocated, so a one-line file cannot exhaust memory: Graph(n)
+# alone costs about 0.5 KB per vertex.
+MAX_VERTICES = 100_000
+
+
+def check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ExactLimitError(f"{n} vertices exceed the cap MAX_VERTICES = {MAX_VERTICES}")
 
 
 class Graph:
@@ -47,6 +59,10 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
+
+    def adjacency_masks(self) -> list[int]:
+        """Bitmask of the neighbours of every vertex."""
+        return [sum(1 << u for u in s) for s in self.adj]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -133,7 +149,8 @@ def parse_edge_list(text: str) -> Graph:
 
     First non-comment line must be "p <n> <m>"; the next m non-comment lines
     are "<u> <v>" with 0-based endpoints. Duplicate edges collapse silently,
-    self-loops and out-of-range indices are hard errors.
+    self-loops and out-of-range indices are hard errors. A header with more
+    than MAX_VERTICES vertices is refused with ExactLimitError.
     """
     n = m = None
     edges: list[tuple[int, int]] = []
@@ -152,6 +169,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(line_no, f"non-integer header fields in {line!r}") from None
             if n < 0 or m < 0:
                 raise ParseError(line_no, "negative vertex or edge count")
+            check_vertex_count(n)
             continue
         if seen >= m:
             raise ParseError(line_no, f"unexpected extra line {line!r} after {m} edges")
@@ -273,10 +291,7 @@ def max_independent_set(g: Graph, limit: int = 24) -> frozenset[int]:
     if g.n > limit:
         raise ExactLimitError(f"exact independent set refused for n={g.n} > {limit}")
     n = g.n
-    nbr = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            nbr[u] |= 1 << v
+    nbr = g.adjacency_masks()
     best = 0
     best_set = 0
 
@@ -314,10 +329,7 @@ def maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
     if n == 0:
         yield frozenset()
         return
-    nbr = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            nbr[u] |= 1 << v
+    nbr = g.adjacency_masks()
 
     def expand(r: int, p: int, x: int) -> Iterator[int]:
         if p == 0 and x == 0:

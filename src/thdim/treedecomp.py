@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph
+from .graphs import Graph, check_vertex_count
 
 
 class TreeDecompositionError(ValueError):
@@ -114,7 +114,8 @@ def parse_tree_decomposition(text: str, g: Graph | None = None) -> TreeDecomposi
     Header "s td <#bags> <maxbagsize> <n>", bag lines "b <id> <v...>" with
     0-based vertices, then bag-tree edges "<id> <id>". Root is bag 1.
     The result passes `validate_tree_decomposition(td, g)`, which checks
-    edge coverage only when the graph is supplied.
+    edge coverage only when the graph is supplied. A header with more than
+    MAX_VERTICES vertices is refused with ExactLimitError.
     """
     header = None
     bags: dict[int, frozenset[int]] = {}
@@ -129,6 +130,7 @@ def parse_tree_decomposition(text: str, g: Graph | None = None) -> TreeDecomposi
                 raise TreeDecompositionError(
                     0, f"line {line_no}: expected 's td <#bags> <maxbagsize> <n>'")
             header = tuple(int(t) for t in tokens[2:])
+            check_vertex_count(header[2])
             continue
         if tokens[0] == "b":
             if len(tokens) < 2:

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the package's own algorithms: forbidden
 subgraphs are found by scanning 4-subsets, girth by enumerating simple
-cycles, and graphs are enumerated by edge masks.
+cycles, circuits by walking all their inputs, and graphs are enumerated by
+edge masks.
 """
 
 from __future__ import annotations
@@ -235,3 +236,24 @@ def dfs_exact_cover(g: Graph):
         by_cover.setdefault(universe & ~edge_mask(t.graph), t)
     chosen = _min_cover(universe, list(by_cover)) or [0]
     return set(by_cover), [by_cover[c] for c in chosen]
+
+
+def walk_counterexample(g: Graph, gates) -> int | None:
+    """The first input mask, in Gray-code order, on which the AND of the
+    integer gates (`weights`, `bound`) and the clique indicator of g differ,
+    or None. Walks all 2^n inputs, one flipped bit at a time, keeping each
+    gate's sum and the number of non-adjacent pairs in the support."""
+    sums = [0] * len(gates)
+    violations = 0
+    mask = 0
+    for t in range(1 << g.n):
+        if t:
+            v = (t & -t).bit_length() - 1
+            sign = -1 if mask >> v & 1 else 1
+            mask ^= 1 << v
+            sums = [s + sign * gate.weights[v] for s, gate in zip(sums, gates)]
+            violations += sign * sum(1 for u in range(g.n)
+                                     if u != v and mask >> u & 1 and not g.has_edge(u, v))
+        if all(s <= gate.bound for s, gate in zip(sums, gates)) != (violations == 0):
+            return mask
+    return None

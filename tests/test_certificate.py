@@ -1,7 +1,8 @@
 """The exact LTF certificate for threshold factors: `_ltf_counterexample`
-agrees with the Gray-code walk of `verify_ltf` on every witness it is shown,
-any set it returns is misjudged by the gate, and `extract_ltf` certifies
-factors far beyond the reach of a 2^n walk without walking or sampling."""
+agrees with the Gray-code walk of `helpers.walk_counterexample` on every
+witness it is shown, any set it returns is misjudged by the gate, and
+`extract_ltf` and `verify_ltf` certify factors far beyond the reach of a 2^n
+walk without walking any inputs."""
 
 import random
 
@@ -13,7 +14,7 @@ from thdim import LtfWitness, ThresholdGraph, extract_ltf, ltfs_to_graph, verify
 from thdim import threshold
 from thdim.threshold import DOMINATING, ISOLATED, _ltf_counterexample
 
-from helpers import maximal_cliques
+from helpers import maximal_cliques, walk_counterexample
 
 
 def is_clique(t: ThresholdGraph, vertices) -> bool:
@@ -46,7 +47,7 @@ def factors_and_witnesses(draw):
 def test_certificate_agrees_with_gray_walk(case):
     t, w = case
     bad = _ltf_counterexample(t, w)
-    assert (bad is None) == verify_ltf(t.graph, w)[0]
+    assert (bad is None) == (walk_counterexample(t.graph, [w]) is None)
     if bad is not None:
         assert w.accepts_mask(sum(1 << v for v in bad)) != is_clique(t, bad)
 
@@ -73,7 +74,7 @@ def test_extract_ltf_on_40_vertices_walks_no_inputs(monkeypatch):
         raise AssertionError("extract_ltf walked or sampled inputs")
 
     monkeypatch.setattr(threshold, "_gray_counterexample", refuse)
-    monkeypatch.setattr(threshold, "_sampled_counterexample", refuse)
+    monkeypatch.setattr(threshold, "and_of_gates_counterexample", refuse)
     rng = random.Random(40)
     order = list(range(40))
     rng.shuffle(order)
@@ -84,3 +85,5 @@ def test_extract_ltf_on_40_vertices_walks_no_inputs(monkeypatch):
     assert len(cliques) <= len(t.split_a) + 1
     for clique in cliques:
         assert w.accepts_mask(sum(1 << v for v in clique))
+    # the exact check of verify_ltf walks no inputs either
+    assert verify_ltf(t.graph, w) == (True, None)

@@ -150,7 +150,7 @@ def test_verify_circuit_2k2_exhaustive():
     d = exact_decomposition(g)
     c = compile_circuit(g, d)
     assert c.gate_count == 2
-    ok, _ = verify_circuit(GraphicFunction(g), c, mode="exhaustive")
+    ok, _ = verify_circuit(GraphicFunction(g), c)
     assert ok
 
 
@@ -173,7 +173,7 @@ def test_verify_matches_naive_evaluation():
         d = decompose_degeneracy(g, seed=0)
         c = compile_circuit(g, d)
         f = GraphicFunction(g)
-        ok, _ = verify_circuit(f, c, mode="exhaustive")
+        ok, _ = verify_circuit(f, c)
         naive = all(c.evaluate(x) == f.evaluate(x)
                     for x in _all_vectors(g.n))
         assert ok == naive == True
@@ -184,21 +184,23 @@ def _all_vectors(n):
         yield tuple((mask >> i) & 1 for i in range(n))
 
 
-def test_verify_sampled_mode():
+def test_verify_exact_at_arity_24():
     g = gen_gnm(24, 60, seed=11)
     cover = sorted(set(range(g.n)) - max_independent_set(g))
     d = decompose_vertex_cover(g, cover)
     c = compile_circuit(g, d)
-    ok, _ = verify_circuit(GraphicFunction(g), c, mode="sampled", seed=0)
+    ok, _ = verify_circuit(GraphicFunction(g), c)
     assert ok
 
 
 def test_verify_exhaustive_refused_beyond_20():
+    # a negative weight leaves only the 2^n walk, which stops at 20 inputs
     g = empty_graph(21)
     d = decompose_vertex_cover(g, [])
     c = compile_circuit(g, d)
+    negative = MajorityCircuit(arity=21, gates=c.gates + (LtfWitness((-1,) * 21, 0),))
     with pytest.raises(ValueError):
-        verify_circuit(GraphicFunction(g), c, mode="exhaustive")
+        verify_circuit(GraphicFunction(g), negative)
 
 
 def test_verify_arity_mismatch():

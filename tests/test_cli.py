@@ -138,20 +138,18 @@ def test_compile_writes_the_certified_circuit_without_walking_it(tmp_path, monke
     import thdim.threshold
 
     def walked(*args, **kwargs):
-        raise AssertionError("compile walked the circuit's inputs")
+        raise AssertionError("compile checked the circuit again")
 
     g = gen_gnm(n, m, seed=5)
     path = write_graph(tmp_path, "g.gr", g)
     circ = tmp_path / "c.txt"
     with monkeypatch.context() as patch:
         patch.setattr(thdim.threshold, "and_of_gates_counterexample", walked)
-        patch.setattr(thdim.circuits, "and_of_gates_counterexample", walked)
+        patch.setattr(thdim.circuits, "_circuit_counterexample", walked)
         assert main(["compile", path, "--method", method, "--out", str(circ)]) == 0
     c = parse_circuit(circ.read_text())
-    if n <= 16:
-        assert verify_circuit(GraphicFunction(g), c, "exhaustive") == (True, None)
-    else:
-        assert ltfs_to_graph(c.gates) == g
+    assert verify_circuit(GraphicFunction(g), c) == (True, None)
+    assert ltfs_to_graph(c.gates) == g
 
 
 def test_verify_corrupted_circuit(tmp_path, capsys):
@@ -167,6 +165,27 @@ def test_verify_corrupted_circuit(tmp_path, capsys):
     circ.write_text("\n".join(lines) + "\n")
     assert main(["verify", path, str(circ)]) == 1
     assert "counterexample" in capsys.readouterr().out
+
+
+def test_hostile_vertex_counts_are_refused(tmp_path, monkeypatch, capsys):
+    import thdim.graphs
+    import thdim.treedecomp
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("allocated for a hostile header")
+
+    path = write_graph(tmp_path, "p4.gr", path_graph(4))
+    hostile = tmp_path / "hostile.gr"
+    hostile.write_text(f"p {10 ** 12} 0\n")
+    td = tmp_path / "hostile.td"
+    td.write_text(f"s td 1 1 {10 ** 12}\nb 1 0\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(thdim.graphs.Graph, "__init__", refuse)
+        assert main(["recognize", str(hostile)]) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(thdim.treedecomp, "validate_tree_decomposition", refuse)
+        assert main(["decompose", path, "--method", "treewidth", "--td", str(td)]) == 1
+    assert capsys.readouterr().err.count(f"refused: {10 ** 12} vertices exceed the cap") == 2
 
 
 def test_experiment_command(tmp_path):
@@ -200,7 +219,7 @@ def test_bad_td_file_is_usage_error(tmp_path, text):
     "recognize --seed 1", "recognize --out x", "recognize --exact-cap 8",
     "decompose --verify sampled", "compile --verify sampled",
     "verify --out x", "verify --exact-cap 8", "verify --method vc", "verify --td x",
-    "verify --diag x",
+    "verify --diag x", "verify --seed 1",
     "experiment --exact-cap 8",
 ])
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, argv_tail):

@@ -7,7 +7,7 @@ from thdim import (ExactLimitError, Graph, ParseError, VertexOrdering, complemen
                    empty_graph, exact_small_invariants, girth,
                    greedy_coloring, parse_edge_list, path_graph, petersen_graph,
                    write_edge_list)
-from thdim.graphs import max_independent_set, chromatic_number
+from thdim.graphs import MAX_VERTICES, max_independent_set, chromatic_number
 
 from helpers import all_graphs, pendant_clique_complement, exhaustive_girth, random_corpus
 
@@ -51,6 +51,16 @@ def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_edge_list(text)
     assert fragment in str(err.value)
+
+
+def test_vertex_count_above_the_cap_is_refused_before_allocation(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a graph was allocated for a hostile header")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    for n in (MAX_VERTICES + 1, 10 ** 12):
+        with pytest.raises(ExactLimitError):
+            parse_edge_list(f"p {n} 0\n")
 
 
 def test_edge_list_round_trip():

@@ -1,6 +1,7 @@
 import pytest
 
-from thdim import (TreeDecomposition, TreeDecompositionError, complete_graph,
+from thdim import treedecomp
+from thdim import (ExactLimitError, TreeDecomposition, TreeDecompositionError, complete_graph,
                    cycle_graph, format_tree_decomposition,
                    heuristic_tree_decomposition, parse_tree_decomposition,
                    path_graph, petersen_graph, validate_tree_decomposition)
@@ -17,6 +18,16 @@ def test_parse_path_of_bags_for_p4():
     text = "s td 3 2 4\nb 1 0 1\nb 2 1 2\nb 3 2 3\n1 2\n2 3\n"
     td = parse_tree_decomposition(text, path_graph(4))
     assert td.width == 1
+
+
+def test_vertex_count_above_the_cap_is_refused_before_validation(monkeypatch):
+    # validation without a graph lists range(n), so it must never see this n
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a hostile header reached validation")
+
+    monkeypatch.setattr(treedecomp, "validate_tree_decomposition", refuse)
+    with pytest.raises(ExactLimitError):
+        parse_tree_decomposition(f"s td 1 1 {10 ** 12}\nb 1 0\n")
 
 
 def test_parse_rejects_disconnected_trace():
