@@ -8,6 +8,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -241,16 +242,23 @@ def degeneracy_ordering(g: Graph) -> tuple[int, VertexOrdering]:
     """
     deg = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.n
+    # lazy deletion: degrees only fall, so a live vertex's current entry
+    # (deg[u], u) always pops before its stale ones
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     order: list[int] = []
     k = 0
-    for _ in range(g.n):
-        v = min((u for u in range(g.n) if alive[u]), key=lambda u: (deg[u], u))
-        k = max(k, deg[v])
+    while heap:
+        d, v = heapq.heappop(heap)
+        if not alive[v] or d != deg[v]:
+            continue
+        k = max(k, d)
         alive[v] = False
         order.append(v)
         for w in g.adj[v]:
             if alive[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return k, VertexOrdering(tuple(order), "degeneracy")
 
 

@@ -40,12 +40,22 @@ class SuitableFamily:
 
 def uncovered_suitable_pairs(ground: int, k: int,
                              perms: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int]]:
-    """Exhaustively list (subset, element) pairs no permutation covers."""
+    """Exhaustively list (subset, element) pairs no permutation covers.
+
+    Subsets come in lexicographic order and each subset's uncovered elements
+    in ascending order. The scan of a subset stops as soon as each of its
+    elements has come last in some permutation.
+    """
     positions = [{v: i for i, v in enumerate(p)} for p in perms]
     bad = []
     for subset in combinations(range(ground), k):
-        covered = {max(subset, key=pos.__getitem__) for pos in positions}
-        bad.extend((subset, x) for x in subset if x not in covered)
+        covered = set()
+        for pos in positions:
+            covered.add(max(subset, key=pos.__getitem__))
+            if len(covered) == k:
+                break
+        else:
+            bad.extend((subset, x) for x in subset if x not in covered)
     return bad
 
 
@@ -222,21 +232,27 @@ class SplitExtension:
 def decompose_split(ext: SplitExtension, seed: int = 0,
                     diagnostics: list[str] | None = None) -> Decomposition:
     """Decompose G*[A,B] into threshold factors, verified against G*[A,B]."""
-    factors, budget = _split_factors(ext, seed, diagnostics)
+    factors, budget = _split_factors(ext, seed, diagnostics, set())
     return _finish(ext.as_graph(), factors, "maxdeg", budget)
 
 
-def _split_factors(ext: SplitExtension, seed: int,
-                   diagnostics: list[str] | None) -> tuple[list[ThresholdGraph], int]:
+def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None,
+                   seen: set[tuple[int, ...]]) -> tuple[list[ThresholdGraph], int]:
     """Threshold factors of G*[A,B] and their claimed count bound, unverified.
 
     One all-of-B-universal factor resolves every non-edge inside A; for the
     rest, B is sliced by which random coloring of A first spreads each
     vertex's neighborhood thinly (at most r per color), each (coloring,
     color) cell gets a conflict-free ordering of its A-part from a suitable
-    permutation family over the conflict color classes, and each permutation
-    contributes a completion along its blocks and along the blocks reversed.
+    permutation family over the conflict color classes (blocks): each
+    permutation orders the blocks twice, once with every block ascending and
+    once with every block descending. A completion depends on a permutation
+    only through the order of the non-empty blocks, so each distinct
+    ordering of a cell is completed once, in the order the permutations
+    first give it.
 
+    Only factors whose degree vector is not in `seen` are returned, in order
+    of first occurrence; their degree vectors are added to `seen`.
     `diagnostics`, when given, collects text lines describing the parameters
     and intermediate artifacts.
     """
@@ -258,8 +274,15 @@ def _split_factors(ext: SplitExtension, seed: int,
 
     universal = ThresholdGraph.from_creation(
         [(a, ISOLATED) for a in a_side] + [(b, DOMINATING) for b in b_side])
-    factors: list[ThresholdGraph] = [universal]
-    seen = {universal.degrees()}
+    factors: list[ThresholdGraph] = []
+
+    def keep(f: ThresholdGraph) -> None:
+        key = f.degrees()
+        if key not in seen:
+            seen.add(key)
+            factors.append(f)
+
+    keep(universal)
     budget = 1
 
     if a_side and b_side:
@@ -302,15 +325,13 @@ def _split_factors(ext: SplitExtension, seed: int,
                 a_set = set(a_part)
                 outside = [v for v in range(ext.base.n) if v not in a_set and v not in b_set]
                 blocks = _conflict_blocks(ext.base, a_part, b_part, ground)
-                for perm in family.perms:
-                    fwd = [v for ci in perm for v in blocks[ci]]
-                    rev = [v for ci in perm for v in reversed(blocks[ci])]
-                    for ordering in (fwd, rev):
-                        f = threshold_supergraph(ext.base, ordering, saturated=outside)
-                        key = f.degrees()
-                        if key not in seen:
-                            seen.add(key)
-                            factors.append(f)
+                projections = dict.fromkeys(
+                    tuple(ci for ci in perm if blocks[ci]) for perm in family.perms)
+                orderings = dict.fromkeys(
+                    tuple(v for ci in proj for v in blocks[ci][::step])
+                    for proj in projections for step in (1, -1))
+                for ordering in orderings:
+                    keep(threshold_supergraph(ext.base, ordering, saturated=outside))
     return factors, budget
 
 
@@ -372,11 +393,7 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
             ext = SplitExtension(base=g, a_side=a_side,
                                  b_side=frozenset(range(g.n)) - a_side)
             piece, piece_budget = _split_factors(ext, split_seed(seed, "split", i, j),
-                                                 diagnostics)
+                                                 diagnostics, seen)
             budget += piece_budget
-            for f in piece:
-                key = f.degrees()
-                if key not in seen:
-                    seen.add(key)
-                    factors.append(f)
+            factors.extend(piece)
     return _finish(g, factors, "maxdeg", budget)

@@ -14,7 +14,7 @@ from itertools import combinations
 import random
 
 from .decompose import decompose_degeneracy
-from .graphs import Graph, degeneracy_ordering, girth
+from .graphs import Graph, check_vertex_count, degeneracy_ordering, girth
 from .seeding import split_seed
 
 
@@ -28,15 +28,30 @@ def gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
 
 
 def gen_gnm(n: int, m: int, seed: int = 0) -> Graph:
-    """Uniform graph with exactly m edges (partial Fisher-Yates over all pairs)."""
-    pairs = list(combinations(range(n), 2))
-    if not (0 <= m <= len(pairs)):
+    """Uniform graph with exactly m edges (partial Fisher-Yates over all pairs).
+
+    The shuffle runs over the indices of combinations(range(n), 2) and keeps
+    only the slots it has moved, so it takes O(m) memory, not O(n^2).
+    """
+    total = math.comb(n, 2)
+    if not (0 <= m <= total):
         raise ValueError(f"m={m} out of range for n={n}")
     rng = random.Random(split_seed(seed, "gnm", n))
+    moved: dict[int, int] = {}  # slot -> the pair index now in it, when not its own
+    picked = []
     for i in range(m):
-        j = i + rng.randrange(len(pairs) - i)
-        pairs[i], pairs[j] = pairs[j], pairs[i]
-    return Graph(n, pairs[:m])
+        j = i + rng.randrange(total - i)
+        picked.append(moved.get(j, j))
+        moved[j] = moved.pop(i, i)
+    return Graph(n, [_pair_at(n, idx) for idx in picked])
+
+
+def _pair_at(n: int, idx: int) -> tuple[int, int]:
+    """The idx-th pair of combinations(range(n), 2). Counted from the end,
+    the rows u = n-2, n-3, ... hold 1, 2, ... pairs."""
+    back = math.comb(n, 2) - 1 - idx
+    rows = (math.isqrt(8 * back + 1) - 1) // 2  # full rows after u
+    return n - 2 - rows, n - 1 - (back - rows * (rows + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -118,7 +133,11 @@ def render_table(rows: list[ExperimentRow]) -> str:
 
 
 def parse_experiment_spec(text: str) -> list[tuple[int, int, int]]:
-    """Lines of "<n> <m> <trials>"; '#' comments and blank lines allowed."""
+    """Lines of "<n> <m> <trials>"; '#' comments and blank lines allowed.
+
+    n above MAX_VERTICES is refused with ExactLimitError; n < 1, m outside
+    [0, C(n, 2)] and trials < 1 are ValueErrors.
+    """
     spec = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -127,7 +146,15 @@ def parse_experiment_spec(text: str) -> list[tuple[int, int, int]]:
         tokens = line.split()
         if len(tokens) != 3:
             raise ValueError(f"line {line_no}: expected '<n> <m> <trials>'")
-        spec.append((int(tokens[0]), int(tokens[1]), int(tokens[2])))
+        n, m, trials = (int(t) for t in tokens)
+        check_vertex_count(n)
+        if n < 1:
+            raise ValueError(f"line {line_no}: n={n} must be at least 1")
+        if not (0 <= m <= math.comb(n, 2)):
+            raise ValueError(f"line {line_no}: m={m} out of range for n={n}")
+        if trials < 1:
+            raise ValueError(f"line {line_no}: trials={trials} must be at least 1")
+        spec.append((n, m, trials))
     return spec
 
 

@@ -9,6 +9,7 @@ edge masks.
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations, permutations
 
 from thdim import (Graph, complete_graph, cycle_graph, disjoint_cliques,
@@ -257,3 +258,44 @@ def walk_counterexample(g: Graph, gates) -> int | None:
         if all(s <= gate.bound for s, gate in zip(sums, gates)) != (violations == 0):
             return mask
     return None
+
+
+def rescan_degeneracy_ordering(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The O(n^2) min-degree peel: rescan every live vertex for the least
+    (degree, index) at each step."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
+    order: list[int] = []
+    k = 0
+    for _ in range(g.n):
+        v = min((u for u in range(g.n) if alive[u]), key=lambda u: (deg[u], u))
+        k = max(k, deg[v])
+        alive[v] = False
+        order.append(v)
+        for w in g.adj[v]:
+            if alive[w]:
+                deg[w] -= 1
+    return k, tuple(order)
+
+
+def listed_gen_gnm(n: int, m: int, seed: int = 0) -> Graph:
+    """G(n, m) by a partial Fisher-Yates over the materialised list of all
+    C(n, 2) pairs, drawing from the same seeded stream as gen_gnm."""
+    pairs = list(combinations(range(n), 2))
+    if not (0 <= m <= len(pairs)):
+        raise ValueError(f"m={m} out of range for n={n}")
+    rng = random.Random(split_seed(seed, "gnm", n))
+    for i in range(m):
+        j = i + rng.randrange(len(pairs) - i)
+        pairs[i], pairs[j] = pairs[j], pairs[i]
+    return Graph(n, pairs[:m])
+
+
+def full_scan_uncovered_pairs(ground: int, k: int, perms) -> list[tuple[tuple[int, ...], int]]:
+    """(subset, element) pairs no permutation covers, taking the last element
+    of every subset under every permutation."""
+    bad = []
+    for subset in combinations(range(ground), k):
+        covered = {max(subset, key=list(p).index) for p in perms}
+        bad.extend((subset, x) for x in subset if x not in covered)
+    return bad

@@ -198,6 +198,20 @@ def test_experiment_command(tmp_path):
     assert out1.read_text().startswith("kind,n,m,trial")
 
 
+@pytest.mark.parametrize("line,code", [("100001 10 1", 1), ("8 29 1", 2), ("8 8 0", 2)])
+def test_experiment_spec_refusals(tmp_path, monkeypatch, line, code):
+    import thdim.randgraphs
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a refused spec must not generate graphs")
+
+    spec = tmp_path / "spec.txt"
+    spec.write_text("6 6 1\n" + line + "\n")
+    monkeypatch.setattr(thdim.randgraphs, "gen_gnm", refuse)
+    assert main(["experiment", str(spec), "--out", str(tmp_path / "t.csv")]) == code
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_usage_errors(tmp_path):
     bad = tmp_path / "bad.gr"
     bad.write_text("not a graph\n")

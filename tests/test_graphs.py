@@ -9,7 +9,8 @@ from thdim import (ExactLimitError, Graph, ParseError, VertexOrdering, complemen
                    write_edge_list)
 from thdim.graphs import MAX_VERTICES, max_independent_set, chromatic_number
 
-from helpers import all_graphs, pendant_clique_complement, exhaustive_girth, random_corpus
+from helpers import (all_graphs, pendant_clique_complement, exhaustive_girth, random_corpus,
+                     rescan_degeneracy_ordering)
 
 
 def test_graph_rejects_self_loops_and_bad_indices():
@@ -101,6 +102,16 @@ def test_degeneracy_forward_neighbors_bound():
         for v in range(g.n):
             forward = sum(1 for u in g.adj[v] if pos[u] > pos[v])
             assert forward <= k
+
+
+def test_degeneracy_heap_peel_matches_rescan():
+    corpus = random_corpus(24, [(1, 0), (8, 12), (40, 60), (60, 180), (120, 90), (200, 600)],
+                           seed=17)
+    corpus += list(all_graphs(5))
+    corpus += [petersen_graph(), empty_graph(7), complete_graph(6), cycle_graph(9)]
+    for g in corpus:
+        k, ordering = degeneracy_ordering(g)
+        assert (k, ordering.order) == rescan_degeneracy_ordering(g)
 
 
 def test_girth_named_values():

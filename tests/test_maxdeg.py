@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thdim import (Graph, RandomizedSearchError, SplitExtension, ThresholdGraph,
                    bipartite_coloring_family, bounded_partition,
@@ -8,7 +10,7 @@ from thdim import (Graph, RandomizedSearchError, SplitExtension, ThresholdGraph,
                    verify_decomposition)
 from thdim.graphs import edge_mask
 
-from helpers import bounded_degree_graph, random_corpus
+from helpers import bounded_degree_graph, full_scan_uncovered_pairs, random_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -21,6 +23,22 @@ def test_identity_plus_reverse_is_2_suitable():
 
 def test_identity_alone_is_not_2_suitable():
     assert uncovered_suitable_pairs(3, 2, [(0, 1, 2)]) != []
+
+
+@st.composite
+def permutation_families(draw):
+    ground = draw(st.integers(2, 9))
+    k = draw(st.integers(2, min(4, ground)))
+    perms = draw(st.lists(st.permutations(range(ground)), min_size=1, max_size=12))
+    return ground, k, perms
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_families())
+def test_uncovered_pairs_match_full_scan(family):
+    ground, k, perms = family
+    assert uncovered_suitable_pairs(ground, k, perms) == \
+        full_scan_uncovered_pairs(ground, k, perms)
 
 
 def test_build_small_family():
@@ -231,3 +249,28 @@ def test_maxdeg_verifies_only_the_union(monkeypatch):
     g = bounded_degree_graph(30, 40, 6, seed=2)
     assert decompose_maxdeg(g, seed=0).verified
     assert calls == [g.n]
+
+
+def test_maxdeg_completes_each_ordering_once_per_cell(monkeypatch):
+    import thdim.maxdeg
+    calls = []
+    original = thdim.maxdeg.threshold_supergraph
+
+    def counting(g, a_order, saturated=()):
+        saturated = tuple(saturated)
+        calls.append((tuple(a_order), saturated))
+        return original(g, a_order, saturated=saturated)
+
+    monkeypatch.setattr(thdim.maxdeg, "threshold_supergraph", counting)
+    g = bounded_degree_graph(40, 50, 6, seed=3)
+    d = decompose_maxdeg(g, seed=3)
+    assert d.verified
+    # a cell's orderings all permute its A-part, and `saturated` is the rest
+    # of the vertices outside its B-part, so (A-part, saturated) names the cell
+    by_cell: dict = {}
+    for ordering, saturated in calls:
+        by_cell.setdefault((frozenset(ordering), saturated), []).append(ordering)
+    assert len(by_cell) > 1
+    for orderings in by_cell.values():
+        assert len(orderings) == len(set(orderings))
+    assert len(calls) < 1000

@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import pytest
 
-from thdim import (complete_graph, cycle_graph, empty_graph, gen_gnm, gen_gnp,
+from thdim import (ExactLimitError, complete_graph, cycle_graph, empty_graph, gen_gnm, gen_gnp,
                    girth_degeneracy_check, parse_experiment_spec, path_graph,
                    petersen_graph, render_table, run_experiment)
-from thdim.randgraphs import TABLE_HEADER
+from thdim.graphs import MAX_VERTICES
+from thdim.randgraphs import TABLE_HEADER, _pair_at
+
+from helpers import listed_gen_gnm
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +40,29 @@ def test_gnm_out_of_range():
 
 def test_gnm_deterministic():
     assert gen_gnm(10, 20, seed=5) == gen_gnm(10, 20, seed=5)
+
+
+@pytest.mark.parametrize("n,m,seed", [
+    (0, 0, 1), (1, 0, 2), (2, 1, 3), (5, 10, 0), (9, 14, 3), (40, 50, 7),
+    (60, 180, 11), (120, 360, 4), (25, 300, 5),
+])
+def test_gnm_matches_listed_fisher_yates(n, m, seed):
+    assert gen_gnm(n, m, seed=seed) == listed_gen_gnm(n, m, seed=seed)
+
+
+def test_pair_at_unranks_combinations():
+    for n in range(2, 14):
+        assert [_pair_at(n, i) for i in range(math.comb(n, 2))] == \
+            list(itertools.combinations(range(n), 2))
+    n = MAX_VERTICES
+    assert _pair_at(n, 0) == (0, 1)
+    assert _pair_at(n, n - 1) == (1, 2)
+    assert _pair_at(n, math.comb(n, 2) - 1) == (n - 2, n - 1)
+
+
+def test_gnm_large_sparse():
+    g = gen_gnm(MAX_VERTICES, 10, seed=1)
+    assert g.n == MAX_VERTICES and g.m == 10
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +100,21 @@ def test_parse_spec():
     assert parse_experiment_spec("# c\n50 100 20\n10 14 2\n") == [(50, 100, 20), (10, 14, 2)]
     with pytest.raises(ValueError):
         parse_experiment_spec("50 100\n")
+    assert parse_experiment_spec(f"1 0 1\n8 28 1\n{MAX_VERTICES} 0 1\n") == \
+        [(1, 0, 1), (8, 28, 1), (MAX_VERTICES, 0, 1)]
+
+
+def test_parse_spec_refuses_more_vertices_than_the_cap():
+    with pytest.raises(ExactLimitError):
+        parse_experiment_spec(f"8 8 1\n{MAX_VERTICES + 1} 10 1\n")
+
+
+@pytest.mark.parametrize("line", ["8 29 1", "8 -1 1", "8 8 0", "8 8 -2", "0 0 1", "-3 0 1"])
+def test_parse_spec_rejects_out_of_range_values(line):
+    with pytest.raises(ValueError) as err:
+        parse_experiment_spec("# c\n8 8 1\n" + line + "\n")
+    assert not isinstance(err.value, ExactLimitError)
+    assert str(err.value).startswith("line 3:")
 
 
 # ---------------------------------------------------------------------------
