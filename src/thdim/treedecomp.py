@@ -8,9 +8,8 @@ vertices are 0-based like everywhere else in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .graphs import Graph, check_vertex_count
+from .graphs import Graph, _bits, check_vertex_count
 
 
 class TreeDecompositionError(ValueError):
@@ -65,12 +64,17 @@ def _check_tree_shape(td: TreeDecomposition) -> None:
         raise TreeDecompositionError(0, "bag tree is not connected")
 
 
-def _check_traces(td: TreeDecomposition) -> None:
-    """Condition 3: for each vertex, the bags containing it induce a subtree."""
+def _holders(td: TreeDecomposition) -> dict[int, set[int]]:
+    """The ids of the bags containing each vertex, per vertex."""
     holders: dict[int, set[int]] = {}
     for i, bag in td.bags.items():
         for v in bag:
             holders.setdefault(v, set()).add(i)
+    return holders
+
+
+def _check_traces(td: TreeDecomposition, holders: dict[int, set[int]]) -> None:
+    """Condition 3: for each vertex, the bags containing it induce a subtree."""
     for v, nodes in holders.items():
         start = next(iter(nodes))
         seen = {start}
@@ -101,11 +105,12 @@ def validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = None) -
     if covered != set(range(td.n)):
         missing = sorted(set(range(td.n)) - covered)
         raise TreeDecompositionError(1, f"vertices {missing} appear in no bag")
+    holders = _holders(td)
     if g is not None:
         for u, v in g.edges():
-            if not any(u in bag and v in bag for bag in td.bags.values()):
+            if holders[u].isdisjoint(holders[v]):
                 raise TreeDecompositionError(2, f"edge ({u},{v}) is inside no bag")
-    _check_traces(td)
+    _check_traces(td, holders)
 
 
 def parse_tree_decomposition(text: str, g: Graph | None = None) -> TreeDecomposition:
@@ -183,6 +188,14 @@ def format_tree_decomposition(td: TreeDecomposition) -> str:
 def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
     """Min-fill elimination ordering, turned into a valid tree decomposition.
 
+    Each step eliminates the live vertex of least (fill, index), where fill
+    counts the non-adjacent pairs among its neighbors in the fill graph.
+    The fill graph is held as per-vertex neighbor bitmasks, and each fill
+    count is kept up to date as vertices are eliminated: eliminating v only
+    adds edges inside N(v), so each neighbor of v gets its count recomputed
+    and any other vertex loses the new edges that fall inside its own
+    neighborhood.
+
     Bag i holds the i-th eliminated vertex plus its not-yet-eliminated
     neighbors in the fill graph; each bag hangs under the bag of its
     earliest-eliminated later neighbor, so vertex traces stay connected.
@@ -192,25 +205,38 @@ def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
     n = g.n
     if n == 0:
         return TreeDecomposition(bags={1: frozenset()}, tree={1: ()}, root=1, n=0)
-    adj = [set(g.adj[v]) for v in range(n)]
+    adj = g.adjacency_masks()
+
+    def fill_cost(v: int) -> int:
+        nb = adj[v]
+        d = nb.bit_count()
+        inside = sum((adj[a] & nb).bit_count() for a in _bits(nb)) // 2
+        return d * (d - 1) // 2 - inside
+
+    cost = [fill_cost(v) for v in range(n)]
     alive = set(range(n))
     elim_order: list[int] = []
     later_nbrs: list[set[int]] = [set() for _ in range(n)]
 
-    def fill_cost(v: int) -> int:
-        nb = adj[v]
-        return sum(1 for a, b in combinations(sorted(nb), 2) if b not in adj[a])
-
     for _ in range(n):
-        v = min(alive, key=lambda u: (fill_cost(u), u))
-        nb = set(adj[v])
-        later_nbrs[v] = nb
-        for a, b in combinations(sorted(nb), 2):
-            if b not in adj[a]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for u in nb:
-            adj[u].discard(v)
+        v = min(alive, key=lambda u: (cost[u], u))
+        nb = adj[v]
+        later = list(_bits(nb))
+        later_nbrs[v] = set(later)
+        new = {a: nb & ~adj[a] & ~(1 << a) for a in later}
+        touched = 0
+        for a, fresh in new.items():
+            if fresh:
+                touched |= adj[a]
+        for w in _bits(touched & ~nb & ~(1 << v)):
+            inside = adj[w] & nb
+            if inside & (inside - 1):  # w sees at least two vertices of N(v)
+                cost[w] -= sum((new[a] & inside).bit_count() for a in _bits(inside)) // 2
+        keep = ~(1 << v)
+        for a in later:
+            adj[a] = (adj[a] | new[a]) & keep
+        for a in later:
+            cost[a] = fill_cost(a)
         alive.discard(v)
         elim_order.append(v)
 

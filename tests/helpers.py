@@ -12,9 +12,9 @@ import math
 import random
 from itertools import combinations, permutations
 
-from thdim import (Graph, complete_graph, cycle_graph, disjoint_cliques,
+from thdim import (Graph, TreeDecomposition, complete_graph, cycle_graph, disjoint_cliques,
                    empty_graph, enumerate_threshold_supergraphs, gen_gnm,
-                   path_graph, petersen_graph, star_graph)
+                   path_graph, petersen_graph, star_graph, validate_tree_decomposition)
 from thdim.exactdim import _min_cover
 from thdim.graphs import complete_mask, edge_mask, graph_from_mask, pair_index
 from thdim.seeding import split_seed
@@ -299,3 +299,59 @@ def full_scan_uncovered_pairs(ground: int, k: int, perms) -> list[tuple[tuple[in
         covered = {max(subset, key=list(p).index) for p in perms}
         bad.extend((subset, x) for x in subset if x not in covered)
     return bad
+
+
+def rescan_min_fill_tree_decomposition(g: Graph) -> TreeDecomposition:
+    """The min-fill tree decomposition that recomputes the fill cost of every
+    live vertex at every step, on Python sets.
+
+    Bag i holds the i-th eliminated vertex plus its not-yet-eliminated
+    neighbors in the fill graph; each bag hangs under the bag of its
+    earliest-eliminated later neighbor, so vertex traces stay connected.
+    The root is the last eliminated vertex's bag. Width is a heuristic
+    upper bound on the true treewidth (exact on chordal inputs).
+    """
+    n = g.n
+    if n == 0:
+        return TreeDecomposition(bags={1: frozenset()}, tree={1: ()}, root=1, n=0)
+    adj = [set(g.adj[v]) for v in range(n)]
+    alive = set(range(n))
+    elim_order: list[int] = []
+    later_nbrs: list[set[int]] = [set() for _ in range(n)]
+
+    def fill_cost(v: int) -> int:
+        nb = adj[v]
+        return sum(1 for a, b in combinations(sorted(nb), 2) if b not in adj[a])
+
+    for _ in range(n):
+        v = min(alive, key=lambda u: (fill_cost(u), u))
+        nb = set(adj[v])
+        later_nbrs[v] = nb
+        for a, b in combinations(sorted(nb), 2):
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+        for u in nb:
+            adj[u].discard(v)
+        alive.discard(v)
+        elim_order.append(v)
+
+    elim_pos = {v: i for i, v in enumerate(elim_order)}
+    bags = {i + 1: frozenset({v} | later_nbrs[v]) for i, v in enumerate(elim_order)}
+    root = n  # bag of the last eliminated vertex
+    tree: dict[int, set[int]] = {i: set() for i in bags}
+    for i, v in enumerate(elim_order[:-1], start=1):
+        if later_nbrs[v]:
+            parent = min(elim_pos[u] for u in later_nbrs[v]) + 1
+        else:
+            parent = root
+        tree[i].add(parent)
+        tree[parent].add(i)
+    td = TreeDecomposition(
+        bags=bags,
+        tree={i: tuple(sorted(s)) for i, s in tree.items()},
+        root=root,
+        n=n,
+    )
+    validate_tree_decomposition(td, g)
+    return td

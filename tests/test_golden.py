@@ -2,7 +2,9 @@
 for fixed inputs and seeds, recorded before factors became creation
 sequences and checked by mask verification. The exact-method hashes were
 recorded when the exact search moved to maximal covers of the complement;
-they pin the creation order recognize_threshold gives each factor."""
+they pin the creation order recognize_threshold gives each factor. The
+treewidth hash at n = 120 was recorded before min-fill kept its fill costs
+up to date incrementally; it pins the elimination order."""
 
 import hashlib
 
@@ -21,6 +23,7 @@ GOLDEN = {
     ("treewidth", 20, 45, 2): "1b3b4644a1614ff065d8ecb463a876e3abb01e4b3acf6d0c6d95036772a7841b",
     ("degeneracy", 30, 60, 3): "d05b48c70e9cd5feb9e0706b259cbe8f8f3f0112e9a225ebb5df97029d24c169",
     ("treewidth", 30, 60, 3): "b35654d2407b999e2ad47d976666c22d58479aff2534bac7cf54d7a31b7ca9dc",
+    ("treewidth", 120, 360, 4): "140eeaf7d0827534e59e81e9f0b46a36e6b7d7480936336eb6b0c832aa82fa88",
     ("vertex-cover", 12, 20, 1): "61604f3b558f26a98a16e1fb2d1e16addcb13f6bf5e0c16c852144b4839ad2d9",
     ("maxdeg", 40, 50, 4): "d86868e9c4bcd3e54e79108ddbf87131a13e43a136f679f99107e03548aaa621",
     ("maxdeg", 40, 50, 5): "05183d3884fe6e8c1341678ad3af540fdd755330d70036c584e0cf1da2e4fb9f",

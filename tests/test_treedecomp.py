@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thdim import treedecomp
-from thdim import (ExactLimitError, TreeDecomposition, TreeDecompositionError, complete_graph,
-                   cycle_graph, format_tree_decomposition,
+from thdim import (ExactLimitError, Graph, TreeDecomposition, TreeDecompositionError,
+                   complete_graph, cycle_graph, format_tree_decomposition,
                    heuristic_tree_decomposition, parse_tree_decomposition,
                    path_graph, petersen_graph, validate_tree_decomposition)
 
-from helpers import pendant_complement_bags, pendant_clique_complement, random_corpus
+from helpers import (all_graphs, named_corpus, pendant_complement_bags, pendant_clique_complement,
+                     random_corpus, rescan_min_fill_tree_decomposition)
 
 
 def test_parse_single_bag_k3():
@@ -82,6 +85,43 @@ def test_heuristic_valid_on_randoms():
     for g in random_corpus(12, [(9, 14), (12, 20)], seed=31) + [petersen_graph()]:
         td = heuristic_tree_decomposition(g)
         validate_tree_decomposition(td, g)  # raises on any violation
+
+
+def _shape(td):
+    return td.bags, td.tree, td.root, td.n
+
+
+def test_min_fill_matches_rescan():
+    corpus = [g for n in range(6) for g in all_graphs(n)] + list(named_corpus().values())
+    corpus += random_corpus(10, [(15, 30), (25, 40), (40, 120), (60, 180), (120, 360)], seed=8)
+    for g in corpus:
+        assert _shape(heuristic_tree_decomposition(g)) == \
+            _shape(rescan_min_fill_tree_decomposition(g))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [p for p in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_min_fill_matches_rescan_property(g):
+    assert _shape(heuristic_tree_decomposition(g)) == \
+        _shape(rescan_min_fill_tree_decomposition(g))
+
+
+def test_validate_names_the_one_uncovered_edge_of_c6():
+    # a path of bags along 0-1-2-3-4-5 covers every edge of C6 but (0,5)
+    bags = {i + 1: frozenset({i, i + 1}) for i in range(5)}
+    tree = {i: tuple(j for j in (i - 1, i + 1) if 1 <= j <= 5) for i in bags}
+    td = TreeDecomposition(bags=bags, tree=tree, root=1, n=6)
+    with pytest.raises(TreeDecompositionError) as err:
+        validate_tree_decomposition(td, cycle_graph(6))
+    assert err.value.condition == 2
+    assert str(err.value) == "edge (0,5) is inside no bag"
 
 
 def test_handmade_star_bags_validate():
