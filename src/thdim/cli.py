@@ -8,6 +8,7 @@ error, 3 internal verification failure (a bug, never bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -155,6 +156,7 @@ OPTIONS = {
 METHOD_OPTIONS = ("--seed", "--out", "--exact-cap", "--method", "--td", "--diag")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thdim",
@@ -186,9 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one subcommand and return its exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process; parsing never changes it and gives a fresh namespace, so no
+    value carries over from one call to the next.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

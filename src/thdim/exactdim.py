@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graphs import (ExactLimitError, Graph, chromatic_number, complete_mask,
+from .graphs import (ExactLimitError, Graph, _chromatic, complete_mask,
                      degeneracy_ordering, edge_mask, graph_from_mask,
                      max_independent_set, maximal_cliques, pair_index)
 from .decompose import (Decomposition, _finish, decompose_degeneracy, decompose_treewidth,
@@ -215,20 +215,14 @@ def lower_bound_clique_chromatic(g: Graph, chi_limit: int = 16) -> int:
 
     Removing a larger clique can only lower chi, so the minimum over maximal
     cliques equals the minimum over all cliques (the empty clique included).
+    Each chi is taken on g's own adjacency masks with the clique's vertices
+    left out, so no subgraph is built.
     """
     if g.n > chi_limit:
         raise ExactLimitError(f"clique-chromatic bound refused for n={g.n} > {chi_limit}")
-    if g.n == 0:
-        return 0
-    best = None
-    for clique in maximal_cliques(g):
-        rest = [v for v in range(g.n) if v not in clique]
-        chi = chromatic_number(g.induced(rest), limit=chi_limit)
-        if best is None or chi < best:
-            best = chi
-            if best == 0:
-                break
-    return best if best is not None else 0
+    nbr = g.adjacency_masks()
+    full = (1 << g.n) - 1
+    return min(_chromatic(nbr, full & ~clique) for clique in maximal_cliques(g))
 
 
 def upper_bound_ramsey_style(g: Graph, ab_limit: int = 24) -> int:

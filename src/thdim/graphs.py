@@ -298,8 +298,12 @@ def max_independent_set(g: Graph, limit: int = 24) -> frozenset[int]:
     """Exact maximum independent set by branch and bound over bitmasks."""
     if g.n > limit:
         raise ExactLimitError(f"exact independent set refused for n={g.n} > {limit}")
-    n = g.n
-    nbr = g.adjacency_masks()
+    return frozenset(_bits(_max_independent(g.adjacency_masks(), (1 << g.n) - 1)))
+
+
+def _max_independent(nbr: list[int], avail: int) -> int:
+    """Mask of a maximum independent set among the vertices of `avail`,
+    where nbr[v] is the neighbour mask of v."""
     best = 0
     best_set = 0
 
@@ -327,16 +331,12 @@ def max_independent_set(g: Graph, limit: int = 24) -> frozenset[int]:
         grow(avail & ~nbr[pick] & ~(1 << pick), cur | 1 << pick, size + 1)
         grow(avail & ~(1 << pick), cur, size)
 
-    grow((1 << n) - 1, 0, 0)
-    return frozenset(v for v in range(n) if best_set >> v & 1)
+    grow(avail, 0, 0)
+    return best_set
 
 
-def maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
-    """Bron-Kerbosch with pivoting."""
-    n = g.n
-    if n == 0:
-        yield frozenset()
-        return
+def maximal_cliques(g: Graph) -> Iterator[int]:
+    """Vertex masks of the maximal cliques, by Bron-Kerbosch with pivoting."""
     nbr = g.adjacency_masks()
 
     def expand(r: int, p: int, x: int) -> Iterator[int]:
@@ -349,8 +349,7 @@ def maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
             p &= ~(1 << v)
             x |= 1 << v
 
-    for mask in expand(0, (1 << n) - 1, 0):
-        yield frozenset(v for v in range(n) if mask >> v & 1)
+    return expand(0, (1 << g.n) - 1, 0)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -361,42 +360,53 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def chromatic_number(g: Graph, limit: int = 16) -> int:
-    """Exact chromatic number: iterative deepening over k with backtracking."""
+    """Exact chromatic number (0 for the empty graph); refuses n > limit."""
     if g.n > limit:
         raise ExactLimitError(f"exact chromatic number refused for n={g.n} > {limit}")
-    n = g.n
-    if n == 0:
-        return 0
-    if g.m == 0:
-        return 1
-    omega = len(max_independent_set(g.complement(), limit=max(limit, 24)))
-    order = sorted(range(n), key=lambda v: -g.degree(v))
-    greedy = greedy_coloring(g, VertexOrdering(tuple(order)))
-    upper = greedy.palette_size
-    nbr_pos = [[order.index(u) for u in g.adj[v] if u in set(order[:i])]
-               for i, v in enumerate(order)]
-    # nbr_pos[i] = positions (earlier in `order`) adjacent to order[i]
+    return _chromatic(g.adjacency_masks(), (1 << g.n) - 1)
 
-    def colorable(k: int) -> bool:
-        colors = [-1] * n
 
-        def place(i: int, used: int) -> bool:
-            if i == n:
-                return True
-            banned = {colors[j] for j in nbr_pos[i]}
-            cap = min(k, used + 1)  # new color only one step beyond the max used
-            for c in range(cap):
-                if c not in banned:
-                    colors[i] = c
-                    if place(i + 1, max(used, c + 1)):
-                        return True
-            colors[i] = -1
-            return False
+def _chromatic(nbr: list[int], within: int) -> int:
+    """Exact chromatic number of the subgraph induced on the vertex mask
+    `within`, where nbr[v] is the neighbour mask of v.
 
-        return place(0, 0)
+    A first-fit colouring along decreasing degree with at most two colours
+    is optimal. Otherwise iterative deepening over k from the clique number
+    (a maximum independent set of the complement masks) up to first fit's
+    palette, by backtracking along the same order. Colour classes are vertex
+    masks that only ever hold vertices of `within`, so a class is tested
+    against whole neighbour masks.
+    """
+    order = sorted(_bits(within), key=lambda v: -(nbr[v] & within).bit_count())
+    first_fit: list[int] = []
+    for v in order:
+        for c, cls in enumerate(first_fit):
+            if not cls & nbr[v]:
+                first_fit[c] |= 1 << v
+                break
+        else:
+            first_fit.append(1 << v)
+    upper = len(first_fit)
+    if upper <= 2:
+        return upper
+    co = [within & ~(m | 1 << v) for v, m in enumerate(nbr)]
+    omega = _max_independent(co, within).bit_count()
+
+    def colorable(i: int, used: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for c in range(min(k, used + 1)):  # a new colour only one beyond the used
+            if not classes[c] & nbr[v]:
+                classes[c] |= 1 << v
+                if colorable(i + 1, max(used, c + 1)):
+                    return True
+                classes[c] ^= 1 << v
+        return False
 
     for k in range(omega, upper):
-        if colorable(k):
+        classes = [0] * k
+        if colorable(0, 0):
             return k
     return upper
 

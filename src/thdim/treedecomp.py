@@ -201,6 +201,9 @@ def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
     earliest-eliminated later neighbor, so vertex traces stay connected.
     The root is the last eliminated vertex's bag. Width is a heuristic
     upper bound on the true treewidth (exact on chordal inputs).
+
+    The result is valid by construction and is not validated here:
+    `decompose_treewidth` validates every tree decomposition it is given.
     """
     n = g.n
     if n == 0:
@@ -251,11 +254,9 @@ def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
             parent = root
         tree[i].add(parent)
         tree[parent].add(i)
-    td = TreeDecomposition(
+    return TreeDecomposition(
         bags=bags,
         tree={i: tuple(sorted(s)) for i, s in tree.items()},
         root=root,
         n=n,
     )
-    validate_tree_decomposition(td, g)
-    return td

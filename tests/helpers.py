@@ -12,11 +12,14 @@ import math
 import random
 from itertools import combinations, permutations
 
+from hypothesis import strategies as st
+
 from thdim import (Graph, TreeDecomposition, complete_graph, cycle_graph, disjoint_cliques,
                    empty_graph, enumerate_threshold_supergraphs, gen_gnm,
                    path_graph, petersen_graph, star_graph, validate_tree_decomposition)
 from thdim.exactdim import _min_cover
-from thdim.graphs import complete_mask, edge_mask, graph_from_mask, pair_index
+from thdim.graphs import (VertexOrdering, complete_mask, edge_mask, graph_from_mask,
+                          greedy_coloring, max_independent_set, pair_index)
 from thdim.seeding import split_seed
 
 
@@ -62,6 +65,30 @@ def named_corpus() -> dict[str, Graph]:
         "empty4": empty_graph(4),
         "H3": pendant_clique_complement(3),
     }
+
+
+def clebsch_graph() -> Graph:
+    """The folded 5-cube: 16 vertices, 5-regular, triangle-free, chromatic
+    number 4. Vertices are 4-bit words, adjacent when they differ in one bit
+    or in all four."""
+    return Graph(16, [(u, v) for u, v in combinations(range(16), 2)
+                      if (u ^ v).bit_count() in (1, 4)])
+
+
+def crown_graph(k: int) -> Graph:
+    """K_{k,k} minus a perfect matching, sides interleaved: vertex 2i sees
+    every 2j + 1 with j != i. Bipartite, yet first-fit in index order (the
+    decreasing-degree order, since the graph is regular) uses k colours."""
+    return Graph(2 * k, [(2 * i, 2 * j + 1) for i in range(k) for j in range(k) if i != j])
+
+
+@st.composite
+def small_graphs(draw, max_n: int):
+    """A hypothesis strategy: graphs with at most max_n vertices, every pair
+    an edge or not at the draw's choice."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, [p for p in pairs if draw(st.booleans())])
 
 
 def all_graphs(n: int):
@@ -355,3 +382,51 @@ def rescan_min_fill_tree_decomposition(g: Graph) -> TreeDecomposition:
     )
     validate_tree_decomposition(td, g)
     return td
+
+
+def backtrack_chromatic_number(g: Graph) -> int:
+    """Exact chromatic number on a Graph: the complement's independence
+    number gives omega, then iterative deepening over k with backtracking
+    along decreasing degree, up to a first-fit colouring's palette."""
+    n = g.n
+    if n == 0:
+        return 0
+    if g.m == 0:
+        return 1
+    omega = len(max_independent_set(g.complement()))
+    order = sorted(range(n), key=lambda v: -g.degree(v))
+    greedy = greedy_coloring(g, VertexOrdering(tuple(order)))
+    upper = greedy.palette_size
+    nbr_pos = [[order.index(u) for u in g.adj[v] if u in set(order[:i])]
+               for i, v in enumerate(order)]
+    # nbr_pos[i] = positions (earlier in `order`) adjacent to order[i]
+
+    def colorable(k: int) -> bool:
+        colors = [-1] * n
+
+        def place(i: int, used: int) -> bool:
+            if i == n:
+                return True
+            banned = {colors[j] for j in nbr_pos[i]}
+            cap = min(k, used + 1)  # new color only one step beyond the max used
+            for c in range(cap):
+                if c not in banned:
+                    colors[i] = c
+                    if place(i + 1, max(used, c + 1)):
+                        return True
+            colors[i] = -1
+            return False
+
+        return place(0, 0)
+
+    for k in range(omega, upper):
+        if colorable(k):
+            return k
+    return upper
+
+
+def induced_clique_chromatic(g: Graph) -> int:
+    """min over maximal cliques C of the chromatic number of the induced
+    subgraph g - C, each built as its own Graph."""
+    return min(backtrack_chromatic_number(g.induced(set(range(g.n)) - clique))
+               for clique in maximal_cliques(g))

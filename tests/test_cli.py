@@ -66,6 +66,25 @@ def test_decompose_treewidth_with_td_file(tmp_path):
     assert parse_decomposition((tmp_path / "d.txt").read_text()).size <= 4
 
 
+def test_decompose_treewidth_validates_its_tree_decomposition_once(tmp_path, monkeypatch):
+    import thdim.decompose
+    import thdim.treedecomp
+    calls = []
+    original = thdim.treedecomp.validate_tree_decomposition
+
+    def counting(td, g=None):
+        calls.append(td.n)
+        return original(td, g)
+
+    monkeypatch.setattr(thdim.decompose, "validate_tree_decomposition", counting)
+    monkeypatch.setattr(thdim.treedecomp, "validate_tree_decomposition", counting)
+    g = gen_gnm(30, 60, seed=4)
+    path = write_graph(tmp_path, "g.gr", g)
+    assert main(["decompose", path, "--method", "treewidth",
+                 "--out", str(tmp_path / "d.txt")]) == 0
+    assert calls == [g.n]
+
+
 def test_decompose_exact_2k3(tmp_path):
     path = write_graph(tmp_path, "2k3.gr", disjoint_cliques(3))
     out = tmp_path / "d.txt"
@@ -210,6 +229,40 @@ def test_experiment_spec_refusals(tmp_path, monkeypatch, line, code):
     monkeypatch.setattr(thdim.randgraphs, "gen_gnm", refuse)
     assert main(["experiment", str(spec), "--out", str(tmp_path / "t.csv")]) == code
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_parser_is_built_once_and_keeps_no_values(tmp_path, capsys):
+    import thdim.cli
+    path = write_graph(tmp_path, "c9.gr", cycle_graph(9))
+    circ = tmp_path / "c.txt"
+    assert main(["compile", path, "--out", str(circ)]) == 0
+    capsys.readouterr()
+    thdim.cli.build_parser.cache_clear()
+
+    def run(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    tw = tmp_path / "tw.txt"
+    assert run("decompose", path, "--method", "treewidth", "--out", str(tw))[:2] == (0, "")
+    assert tw.read_text().startswith("td-decomp treewidth ")
+    code, bare, err = run("decompose", path)
+    assert code == 0 and bare.startswith("td-decomp degeneracy ") and "method=degeneracy" in err
+    code, out, _ = run("report", path)
+    assert code == 0 and "exact-dimension" in out
+    assert run("decompose", path, "--method", "bogus")[0] == 2
+    assert run("verify", path, str(circ))[:2] == (0, "equal verify-mode=exact\n")
+    vc = tmp_path / "vc.txt"
+    assert run("decompose", path, "--method", "vc", "--seed", "5", "--out", str(vc))[:2] == (0, "")
+    assert run("decompose", path)[:2] == (0, bare)
+    rows = tmp_path / "rows.csv"
+    assert run("report", path, "--seed", "2", "--out", str(rows))[0] == 0
+    assert run("report")[0] == 2
+    assert run("verify", path, str(circ), "--verify", "sampled")[0] == 0
+    assert run("decompose", path)[:2] == (0, bare)
+    info = thdim.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 10)
 
 
 def test_usage_errors(tmp_path):

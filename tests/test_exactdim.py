@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
-from thdim import (ExactLimitError, ThresholdGraph, complete_graph,
+from thdim import (ExactLimitError, Graph, ThresholdGraph, complete_graph,
                    compute_report, cycle_graph, disjoint_cliques, empty_graph,
                    enumerate_threshold_supergraphs, exact_decomposition,
                    exact_dimension, lower_bound_clique_chromatic, path_graph,
@@ -10,8 +11,9 @@ from thdim import exactdim
 from thdim.cli import main
 from thdim.graphs import edge_mask, graph_from_mask
 
-from helpers import (all_graphs, brute_is_threshold, dfs_exact_cover,
-                     pendant_clique_complement, random_corpus)
+from helpers import (all_graphs, brute_is_threshold, clebsch_graph, crown_graph, dfs_exact_cover,
+                     induced_clique_chromatic, named_corpus, pendant_clique_complement,
+                     random_corpus, small_graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +143,25 @@ def test_clique_chromatic_named_values():
 def test_clique_chromatic_below_exact():
     for g in random_corpus(20, [(6, 8), (7, 11), (8, 13)], seed=23):
         assert lower_bound_clique_chromatic(g) <= exact_dimension(g)
+
+
+def test_clique_chromatic_matches_induced_subgraph_oracle():
+    corpus = [g for n in range(6) for g in all_graphs(n)] + list(named_corpus().values())
+    # removing the triangle leaves the crown graph (omega 2, chi 2, first fit
+    # 4), so deepening must start from the omega of what is left, not of g;
+    # every other maximal clique leaves the triangle. The Clebsch graph has
+    # 16 vertices, the default chi_limit.
+    corpus += [Graph(11, list(crown_graph(4).edges()) + [(8, 9), (8, 10), (9, 10)]),
+               clebsch_graph()]
+    for g in corpus:
+        assert lower_bound_clique_chromatic(g) == induced_clique_chromatic(g)
+    assert lower_bound_clique_chromatic(corpus[-2]) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(12))
+def test_clique_chromatic_matches_induced_subgraph_oracle_property(g):
+    assert lower_bound_clique_chromatic(g) == induced_clique_chromatic(g)
 
 
 def test_clique_chromatic_refusal():

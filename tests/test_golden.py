@@ -4,13 +4,15 @@ sequences and checked by mask verification. The exact-method hashes were
 recorded when the exact search moved to maximal covers of the complement;
 they pin the creation order recognize_threshold gives each factor. The
 treewidth hash at n = 120 was recorded before min-fill kept its fill costs
-up to date incrementally; it pins the elimination order."""
+up to date incrementally; it pins the elimination order. The report hashes
+(the CSV `thdim report --out` writes) were recorded before the
+clique-chromatic bound moved onto adjacency bitmasks."""
 
 import hashlib
 
 import pytest
 
-from thdim import (decompose_degeneracy, decompose_maxdeg, decompose_treewidth,
+from thdim import (compute_report, decompose_degeneracy, decompose_maxdeg, decompose_treewidth,
                    decompose_vertex_cover, exact_decomposition, format_decomposition, gen_gnm,
                    heuristic_tree_decomposition, max_independent_set)
 
@@ -50,3 +52,16 @@ def test_seeded_decomposition_is_byte_identical(case):
     d = build(*case)
     assert d.verified
     assert hashlib.sha256(format_decomposition(d).encode()).hexdigest() == GOLDEN[case]
+
+
+REPORT_GOLDEN = {
+    (8, 10, 1): "28882871043ab9d93fd642e50d0ecfa14227a26089b649923f2e909bbd7840ee",
+    (12, 20, 1): "c37ca04817641a2f8b0c6ab645755bc920d03784cf71f29371eabf4e6192978e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_seeded_report_is_byte_identical(case):
+    n, m, seed = case
+    rows = compute_report(gen_gnm(n, m, seed=seed), seed=seed).to_rows()
+    assert hashlib.sha256(rows.encode()).hexdigest() == REPORT_GOLDEN[case]

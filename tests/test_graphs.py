@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from thdim import (ExactLimitError, Graph, ParseError, VertexOrdering, complement,
                    complete_graph, cycle_graph, degeneracy_ordering, disjoint_cliques,
@@ -9,8 +10,9 @@ from thdim import (ExactLimitError, Graph, ParseError, VertexOrdering, complemen
                    write_edge_list)
 from thdim.graphs import MAX_VERTICES, max_independent_set, chromatic_number
 
-from helpers import (all_graphs, pendant_clique_complement, exhaustive_girth, random_corpus,
-                     rescan_degeneracy_ordering)
+from helpers import (all_graphs, backtrack_chromatic_number, clebsch_graph, crown_graph,
+                     named_corpus, pendant_clique_complement, exhaustive_girth, random_corpus,
+                     rescan_degeneracy_ordering, small_graphs)
 
 
 def test_graph_rejects_self_loops_and_bad_indices():
@@ -159,6 +161,23 @@ def test_chromatic_number_small_cases():
     assert chromatic_number(complete_graph(6)) == 6
     assert chromatic_number(cycle_graph(7)) == 3
     assert chromatic_number(petersen_graph()) == 3
+
+
+def test_chromatic_number_matches_backtracking_oracle():
+    corpus = [g for n in range(6) for g in all_graphs(n)] + list(named_corpus().values())
+    # first fit takes 5 colours on the crown graph, and deepening must stop
+    # at omega = 2; the 16-vertex Clebsch graph is triangle-free with chi 4,
+    # so deepening climbs from 2 to 4 at the default limit
+    corpus += [crown_graph(5), clebsch_graph()]
+    for g in corpus:
+        assert chromatic_number(g) == backtrack_chromatic_number(g)
+    assert [chromatic_number(g) for g in corpus[-2:]] == [2, 4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(12))
+def test_chromatic_number_matches_backtracking_oracle_property(g):
+    assert chromatic_number(g) == backtrack_chromatic_number(g)
 
 
 def test_greedy_coloring_bounds():

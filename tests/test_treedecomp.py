@@ -1,15 +1,14 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from thdim import treedecomp
-from thdim import (ExactLimitError, Graph, TreeDecomposition, TreeDecompositionError,
+from thdim import (ExactLimitError, TreeDecomposition, TreeDecompositionError,
                    complete_graph, cycle_graph, format_tree_decomposition,
                    heuristic_tree_decomposition, parse_tree_decomposition,
                    path_graph, petersen_graph, validate_tree_decomposition)
 
 from helpers import (all_graphs, named_corpus, pendant_complement_bags, pendant_clique_complement,
-                     random_corpus, rescan_min_fill_tree_decomposition)
+                     random_corpus, rescan_min_fill_tree_decomposition, small_graphs)
 
 
 def test_parse_single_bag_k3():
@@ -99,15 +98,8 @@ def test_min_fill_matches_rescan():
             _shape(rescan_min_fill_tree_decomposition(g))
 
 
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(0, 14))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph(n, [p for p in pairs if draw(st.booleans())])
-
-
 @settings(max_examples=300, deadline=None)
-@given(small_graphs())
+@given(small_graphs(14))
 def test_min_fill_matches_rescan_property(g):
     assert _shape(heuristic_tree_decomposition(g)) == \
         _shape(rescan_min_fill_tree_decomposition(g))
