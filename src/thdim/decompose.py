@@ -153,35 +153,27 @@ def decompose_vertex_cover(g: Graph, cover: Iterable[int]) -> Decomposition:
 class SeparatingColoringFamily:
     """Proper colorings such that every non-adjacent ordered pair (v_i, v_j)
     has a coloring giving v_j a color unused by v_i's forward neighbors
-    past v_j. Guides the per-color-class threshold completions."""
+    past v_j. `factors` are the per-color-class threshold completions."""
 
     colorings: tuple[ProperColoring, ...]
     order: VertexOrdering
+    factors: tuple[ThresholdGraph, ...] = field(default=(), compare=False, repr=False)
 
 
-def _uncovered_pairs(g: Graph, family: Sequence[ProperColoring],
-                     order: VertexOrdering) -> list[tuple[int, int]]:
-    pos = order.position()
-    seq = order.order
-    n = g.n
-    forward = [sorted((pos[u] for u in g.adj[v] if pos[u] > pos[v]))
-               for v in seq]  # forward[i] = positions of later neighbors of seq[i]
-    bad = []
-    for i in range(n):
-        vi = seq[i]
-        fwd = forward[i]
-        nbrs = g.adj[vi]
-        for j in range(i + 1, n):
-            vj = seq[j]
-            if vj in nbrs:
-                continue
-            for coloring in family:
-                cj = coloring.colors[vj]
-                if all(coloring.colors[seq[t]] != cj for t in fwd if t > j):
-                    break
-            else:
-                bad.append((vi, vj))
-    return bad
+def _class_completions(g: Graph, coloring: ProperColoring, pos: Sequence[int],
+                       pending: list[int]) -> list[ThresholdGraph]:
+    """The completion of each non-empty color class, ordered by position. Each
+    class vertex v clears from pending[v] its non-neighbours there; an earlier
+    u of another class is one iff u has no neighbour of v's color after v."""
+    factors = []
+    for cls in coloring.color_classes():
+        if cls:
+            factor = threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
+            nonadj = factor.nonadjacency_masks()
+            for v in cls:
+                pending[v] &= ~nonadj[v]
+            factors.append(factor)
+    return factors
 
 
 def _sample_coloring(g: Graph, k: int, order: VertexOrdering,
@@ -202,6 +194,10 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
                                seed: int = 0, retry_cap: int = 64) -> SeparatingColoringFamily:
     """Las Vegas construction of ceil(ln n) verified separating colorings.
 
+    Each coloring's class completions are built as it is drawn. The family
+    is accepted once every vertex v is, in the completion of v's class under
+    some coloring, non-adjacent to each non-neighbour earlier in the order;
+    its completions come back as `factors`.
     Resamples the whole family with an incremented seed up to `retry_cap`
     times, then grows the family one coloring at a time up to 3x its target
     size before giving up with statistics.
@@ -213,23 +209,32 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
     if len(order.order) != g.n:
         raise ValueError("ordering does not match graph")
     r = math.ceil(math.log(g.n))
-    attempts = 0
+    pos = order.position()
+    adjacent = g.adjacency_masks()
+    pairs, earlier = [0] * g.n, 0
+    for v in order.order:  # the pairs to separate: each vertex's earlier non-neighbours
+        pairs[v] = earlier & ~adjacent[v]
+        earlier |= 1 << v
     family: list[ProperColoring] = []
+    factors: list[ThresholdGraph] = []
+    pending = list(pairs)
     for attempt in range(retry_cap):
         rng = random.Random(split_seed(seed + attempt, "separating"))
         family = [_sample_coloring(g, k, order, rng) for _ in range(r)]
-        attempts = attempt + 1
-        if not _uncovered_pairs(g, family, order):
-            return SeparatingColoringFamily(tuple(family), order)
+        pending = list(pairs)
+        factors = [f for c in family for f in _class_completions(g, c, pos, pending)]
+        if not any(pending):
+            return SeparatingColoringFamily(tuple(family), order, tuple(factors))
     grow_rng = random.Random(split_seed(seed, "separating-grow"))
     while len(family) < 3 * r:
         family.append(_sample_coloring(g, k, order, grow_rng))
-        if not _uncovered_pairs(g, family, order):
-            return SeparatingColoringFamily(tuple(family), order)
-    bad = _uncovered_pairs(g, family, order)
+        factors += _class_completions(g, family[-1], pos, pending)
+        if not any(pending):
+            return SeparatingColoringFamily(tuple(family), order, tuple(factors))
     raise RandomizedSearchError(
         "separating coloring family not found",
-        {"resamples": attempts, "final_size": len(family), "uncovered_pairs": len(bad)})
+        {"resamples": max(retry_cap, 0), "final_size": len(family),
+         "uncovered_pairs": sum(mask.bit_count() for mask in pending)})
 
 
 def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
@@ -241,16 +246,8 @@ def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
     k, order = degeneracy_ordering(g)
     k = max(k, 1)  # palette 10k must be non-empty even for edgeless inputs
     family = build_separating_colorings(g, k, order, seed=seed)
-    pos = order.position()
-    factors = []
-    for coloring in family.colorings:
-        for cls in coloring.color_classes():
-            if not cls:
-                continue
-            cls_ordered = sorted(cls, key=lambda v: pos[v])
-            factors.append(threshold_supergraph(g, cls_ordered))
     bound = 10 * k * math.ceil(math.log(g.n))
-    return _finish(g, factors, "degeneracy", bound=bound)
+    return _finish(g, family.factors, "degeneracy", bound=bound)
 
 
 # ---------------------------------------------------------------------------

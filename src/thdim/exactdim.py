@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graphs import (ExactLimitError, Graph, _chromatic, complete_mask,
-                     degeneracy_ordering, edge_mask, graph_from_mask,
-                     max_independent_set, maximal_cliques, pair_index)
+from .graphs import (ExactLimitError, Graph, _chromatic, _clique_number, complete_mask,
+                     edge_mask, graph_from_mask, max_independent_set, maximal_cliques,
+                     pair_index)
 from .decompose import (Decomposition, _finish, decompose_degeneracy, decompose_treewidth,
                         decompose_vertex_cover)
 from .threshold import (DOMINATING, ISOLATED, ThresholdGraph, ForbiddenSubgraph,
@@ -226,9 +226,9 @@ def lower_bound_clique_chromatic(g: Graph, chi_limit: int = 16) -> int:
 
 
 def upper_bound_ramsey_style(g: Graph, ab_limit: int = 24) -> int:
-    """n - max(omega, alpha), floored at 1."""
+    """n - max(omega, alpha), floored at 1; omega from the complement masks."""
     alpha = len(max_independent_set(g, limit=ab_limit))
-    omega = len(max_independent_set(g.complement(), limit=ab_limit))
+    omega = _clique_number(g.adjacency_masks(), (1 << g.n) - 1)
     return max(g.n - max(alpha, omega), 1)
 
 
@@ -281,6 +281,7 @@ def compute_report(g: Graph, seed: int = 0, exact_cap: int = EXACT_DIMENSION_LIM
     lower: dict[str, int] = {}
     upper: dict[str, int] = {}
     counts: dict[str, int] = {}
+    decompositions: list[Decomposition] = []
 
     not_threshold = isinstance(recognize_threshold(g), ForbiddenSubgraph)
     lower["non-threshold"] = 2 if not_threshold else 1
@@ -295,15 +296,12 @@ def compute_report(g: Graph, seed: int = 0, exact_cap: int = EXACT_DIMENSION_LIM
     if g.n <= ab_limit:
         upper["ramsey-style"] = upper_bound_ramsey_style(g, ab_limit)
         cover = sorted(set(range(g.n)) - max_independent_set(g, limit=ab_limit))
-        upper["vertex-cover"] = max(len(cover), 1)
-        counts["vertex-cover"] = decompose_vertex_cover(g, cover).size
+        decompositions.append(decompose_vertex_cover(g, cover))
     if g.n >= 2:
-        k, _ = degeneracy_ordering(g)
-        upper["degeneracy"] = 10 * max(k, 1) * math.ceil(math.log(g.n))
-        counts["degeneracy"] = decompose_degeneracy(g, seed=seed).size
-        td = heuristic_tree_decomposition(g)
-        upper["treewidth"] = 2 * (td.width + 1)
-        counts["treewidth"] = decompose_treewidth(g, td).size
+        decompositions.append(decompose_degeneracy(g, seed=seed))
+        decompositions.append(decompose_treewidth(g, heuristic_tree_decomposition(g)))
+    for d in decompositions:  # each method's upper bound is the one it claims
+        upper[d.method], counts[d.method] = d.bound_claimed, d.size
     if include_maxdeg and g.max_degree() >= 2:
         from .maxdeg import decompose_maxdeg
         counts["maxdeg"] = decompose_maxdeg(g, seed=seed).size

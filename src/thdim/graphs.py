@@ -301,6 +301,12 @@ def max_independent_set(g: Graph, limit: int = 24) -> frozenset[int]:
     return frozenset(_bits(_max_independent(g.adjacency_masks(), (1 << g.n) - 1)))
 
 
+def _clique_number(nbr: list[int], within: int) -> int:
+    """Size of a largest clique in the vertex mask `within`, from the complement masks."""
+    return _max_independent([within & ~(m | 1 << v) for v, m in enumerate(nbr)],
+                            within).bit_count()
+
+
 def _max_independent(nbr: list[int], avail: int) -> int:
     """Mask of a maximum independent set among the vertices of `avail`,
     where nbr[v] is the neighbour mask of v."""
@@ -389,8 +395,7 @@ def _chromatic(nbr: list[int], within: int) -> int:
     upper = len(first_fit)
     if upper <= 2:
         return upper
-    co = [within & ~(m | 1 << v) for v, m in enumerate(nbr)]
-    omega = _max_independent(co, within).bit_count()
+    omega = _clique_number(nbr, within)
 
     def colorable(i: int, used: int) -> bool:
         if i == len(order):
@@ -422,7 +427,7 @@ class SmallGraphInvariants:
 def exact_small_invariants(g: Graph, ab_limit: int = 24, chi_limit: int = 16) -> SmallGraphInvariants:
     """Exact alpha/omega/beta/chi; refuses above the configured caps."""
     alpha = len(max_independent_set(g, limit=ab_limit))
-    omega = len(max_independent_set(g.complement(), limit=ab_limit))
+    omega = _clique_number(g.adjacency_masks(), (1 << g.n) - 1)
     chi = chromatic_number(g, limit=chi_limit)
     return SmallGraphInvariants(alpha=alpha, omega=omega, beta=g.n - alpha, chi=chi)
 

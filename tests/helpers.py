@@ -328,6 +328,33 @@ def full_scan_uncovered_pairs(ground: int, k: int, perms) -> list[tuple[tuple[in
     return bad
 
 
+def walk_uncovered_pairs(g: Graph, family, order: VertexOrdering) -> list[tuple[int, int]]:
+    """The non-adjacent pairs (v_i, v_j), v_i earlier in the order, that no
+    coloring of the family separates: every coloring gives v_j the color of
+    some forward neighbor of v_i past v_j. An O(n^2 r) walk over all pairs."""
+    pos = order.position()
+    seq = order.order
+    n = g.n
+    forward = [sorted((pos[u] for u in g.adj[v] if pos[u] > pos[v]))
+               for v in seq]  # forward[i] = positions of later neighbors of seq[i]
+    bad = []
+    for i in range(n):
+        vi = seq[i]
+        fwd = forward[i]
+        nbrs = g.adj[vi]
+        for j in range(i + 1, n):
+            vj = seq[j]
+            if vj in nbrs:
+                continue
+            for coloring in family:
+                cj = coloring.colors[vj]
+                if all(coloring.colors[seq[t]] != cj for t in fwd if t > j):
+                    break
+            else:
+                bad.append((vi, vj))
+    return bad
+
+
 def rescan_min_fill_tree_decomposition(g: Graph) -> TreeDecomposition:
     """The min-fill tree decomposition that recomputes the fill cost of every
     live vertex at every step, on Python sets.

@@ -1,18 +1,24 @@
+import hashlib
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from thdim import (Decomposition, ThresholdGraph, build_separating_colorings,
-                   complete_graph, cycle_graph, decompose_degeneracy,
-                   decompose_treewidth, decompose_vertex_cover,
+from thdim import (Decomposition, RandomizedSearchError, ThresholdGraph,
+                   build_separating_colorings, complete_graph, cycle_graph,
+                   decompose_degeneracy, decompose_treewidth, decompose_vertex_cover,
                    degeneracy_ordering, disjoint_cliques, empty_graph,
-                   exact_dimension, format_decomposition, heuristic_tree_decomposition,
+                   exact_dimension, format_decomposition, gen_gnm, heuristic_tree_decomposition,
                    parse_decomposition, path_graph, recognize_threshold, star_graph,
                    verify_decomposition)
-from thdim.decompose import treewidth_ordering
+from thdim.decompose import _class_completions, _sample_coloring, treewidth_ordering
+from thdim.seeding import split_seed
 from thdim.treedecomp import TreeDecomposition
 
-from helpers import all_graphs, pendant_complement_bags, pendant_clique_complement, random_corpus
+from helpers import (all_graphs, pendant_complement_bags, pendant_clique_complement,
+                     random_corpus, small_graphs, walk_uncovered_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +166,86 @@ def test_family_preconditions():
     with pytest.raises(ValueError):
         _, order = degeneracy_ordering(g)
         build_separating_colorings(g, 1, order, seed=0)
+
+
+def _forward_palette_ok(g, k, order):
+    """Palette 10k leaves a color for every vertex: more than its forward degree."""
+    pos = order.position()
+    return all(10 * k > sum(pos[u] > pos[v] for u in g.adj[v]) for v in range(g.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(14), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 16))
+def test_class_completions_leave_exactly_the_walks_uncovered_pairs(g, k, size, seed):
+    assume(g.n >= 2)
+    _, order = degeneracy_ordering(g)
+    assume(_forward_palette_ok(g, k, order))
+    rng = random.Random(seed)
+    family = [_sample_coloring(g, k, order, rng) for _ in range(size)]
+    pos = order.position()
+    pending = [sum(1 << u for u in order.order[:pos[v]] if not g.has_edge(u, v))
+               for v in range(g.n)]
+    for coloring in family:
+        _class_completions(g, coloring, pos, pending)
+    left = {(u, v) for v in range(g.n) for u in range(g.n) if pending[v] >> u & 1}
+    assert left == set(walk_uncovered_pairs(g, family, order))
+
+
+def _walked_family(g, k, order, seed, retry_cap):
+    """The family build_separating_colorings must return, found with the
+    pair walk from the same seeded draws, or the stats it must raise with."""
+    r = math.ceil(math.log(g.n))
+    family = []
+    for attempt in range(retry_cap):
+        rng = random.Random(split_seed(seed + attempt, "separating"))
+        family = [_sample_coloring(g, k, order, rng) for _ in range(r)]
+        if not walk_uncovered_pairs(g, family, order):
+            return tuple(family)
+    grow = random.Random(split_seed(seed, "separating-grow"))
+    while len(family) < 3 * r:
+        family.append(_sample_coloring(g, k, order, grow))
+        if not walk_uncovered_pairs(g, family, order):
+            return tuple(family)
+    return {"resamples": retry_cap, "final_size": len(family),
+            "uncovered_pairs": len(walk_uncovered_pairs(g, family, order))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(14), st.integers(1, 2), st.integers(0, 2), st.integers(0, 2 ** 16))
+def test_family_search_matches_the_pair_walk(g, k, retry_cap, seed):
+    assume(g.n >= 2)
+    _, order = degeneracy_ordering(g)
+    assume(_forward_palette_ok(g, k, order))
+    expected = _walked_family(g, k, order, seed, retry_cap)
+    try:
+        family = build_separating_colorings(g, k, order, seed=seed, retry_cap=retry_cap)
+    except RandomizedSearchError as err:
+        assert err.stats == expected
+    else:
+        assert family.colorings == expected
+        assert [frozenset(f.split_a) for f in family.factors] == [
+            frozenset(cls) for c in family.colorings for cls in c.color_classes() if cls]
+
+
+def test_family_accepted_after_a_retry_is_pinned():
+    # recorded before the family check moved onto the class completions
+    g = gen_gnm(10, 20, seed=29)
+    _, order = degeneracy_ordering(g)
+    family = build_separating_colorings(g, 1, order, seed=29)
+    first_only = build_separating_colorings(g, 1, order, seed=29, retry_cap=1)
+    assert first_only.colorings != family.colorings  # the first draw was not accepted
+    assert len(family.colorings) == math.ceil(math.log(10))
+    assert hashlib.sha256(repr(family.colorings).encode()).hexdigest() == (
+        "ea0ab380700ca4a690f345e589351d97b962823405cd4850fffdc88ec1db6eab")
+
+
+def test_family_search_error_stats_are_pinned():
+    # recorded before the family check moved onto the class completions
+    g = gen_gnm(16, 80, seed=32)
+    _, order = degeneracy_ordering(g)
+    with pytest.raises(RandomizedSearchError) as err:
+        build_separating_colorings(g, 1, order, seed=32, retry_cap=1)
+    assert err.value.stats == {"resamples": 1, "final_size": 9, "uncovered_pairs": 2}
 
 
 # ---------------------------------------------------------------------------

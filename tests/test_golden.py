@@ -4,15 +4,17 @@ sequences and checked by mask verification. The exact-method hashes were
 recorded when the exact search moved to maximal covers of the complement;
 they pin the creation order recognize_threshold gives each factor. The
 treewidth hash at n = 120 was recorded before min-fill kept its fill costs
-up to date incrementally; it pins the elimination order. The report hashes
-(the CSV `thdim report --out` writes) were recorded before the
+up to date incrementally; it pins the elimination order. The degeneracy hash
+at n = 400 was recorded before separating colorings were checked on their
+class completions instead of by a walk over all vertex pairs. The report
+hashes (the CSV `thdim report --out` writes) were recorded before the
 clique-chromatic bound moved onto adjacency bitmasks."""
 
 import hashlib
 
 import pytest
 
-from thdim import (compute_report, decompose_degeneracy, decompose_maxdeg, decompose_treewidth,
+from thdim import (Graph, compute_report, decompose_degeneracy, decompose_maxdeg, decompose_treewidth,
                    decompose_vertex_cover, exact_decomposition, format_decomposition, gen_gnm,
                    heuristic_tree_decomposition, max_independent_set)
 
@@ -25,6 +27,7 @@ GOLDEN = {
     ("treewidth", 20, 45, 2): "1b3b4644a1614ff065d8ecb463a876e3abb01e4b3acf6d0c6d95036772a7841b",
     ("degeneracy", 30, 60, 3): "d05b48c70e9cd5feb9e0706b259cbe8f8f3f0112e9a225ebb5df97029d24c169",
     ("treewidth", 30, 60, 3): "b35654d2407b999e2ad47d976666c22d58479aff2534bac7cf54d7a31b7ca9dc",
+    ("degeneracy", 400, 1200, 1): "f14aa889d602f67429a1d07704dc063bb9bc9489da128e1735c85b30738479d7",
     ("treewidth", 120, 360, 4): "140eeaf7d0827534e59e81e9f0b46a36e6b7d7480936336eb6b0c832aa82fa88",
     ("vertex-cover", 12, 20, 1): "61604f3b558f26a98a16e1fb2d1e16addcb13f6bf5e0c16c852144b4839ad2d9",
     ("maxdeg", 40, 50, 4): "d86868e9c4bcd3e54e79108ddbf87131a13e43a136f679f99107e03548aaa621",
@@ -65,3 +68,12 @@ def test_seeded_report_is_byte_identical(case):
     n, m, seed = case
     rows = compute_report(gen_gnm(n, m, seed=seed), seed=seed).to_rows()
     assert hashlib.sha256(rows.encode()).hexdigest() == REPORT_GOLDEN[case]
+
+
+def test_report_builds_no_complement(monkeypatch):
+    def refuse(self):
+        raise AssertionError("compute_report built a complement graph")
+
+    monkeypatch.setattr(Graph, "complement", refuse)
+    rows = compute_report(gen_gnm(8, 10, seed=1), seed=1).to_rows()
+    assert hashlib.sha256(rows.encode()).hexdigest() == REPORT_GOLDEN[(8, 10, 1)]
