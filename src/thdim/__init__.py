@@ -23,9 +23,8 @@ from .decompose import (Decomposition, RandomizedSearchError,
                         decompose_treewidth, decompose_vertex_cover,
                         format_decomposition, parse_decomposition,
                         verify_decomposition)
-from .maxdeg import (SplitExtension, SuitableFamily, bipartite_coloring_family,
-                     bounded_partition, build_suitable_family, decompose_maxdeg,
-                     decompose_split, uncovered_suitable_pairs)
+from .maxdeg import (SplitExtension, bipartite_coloring_family, bounded_partition,
+                     build_suitable_family, decompose_maxdeg, decompose_split)
 from .exactdim import (EXACT_DIMENSION_LIMIT, DimensionReport, compute_report,
                        enumerate_threshold_supergraphs, exact_decomposition,
                        exact_dimension, lower_bound_clique_chromatic,

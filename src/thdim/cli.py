@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success / positive recognition, 1 negative recognition or a
-size-cap refusal or a randomized-search failure, 2 usage or input-format
-error, 3 internal verification failure (a bug, never bad input).
+size-cap refusal or a randomized-search failure or running out of memory,
+2 usage or input-format error, 3 internal verification failure (a bug,
+never bad input).
 """
 
 from __future__ import annotations
@@ -202,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ExactLimitError, RandomizedSearchError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
+    except MemoryError:
+        print("refused: out of memory", file=sys.stderr)
         return EXIT_NEGATIVE
     except (ParseError, TreeDecompositionError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -88,8 +88,7 @@ def enumerate_threshold_supergraphs(g: Graph) -> list[ThresholdGraph]:
         raise ExactLimitError(
             f"supergraph enumeration refused for n={g.n} > {EXACT_DIMENSION_LIMIT}")
     creations = _supergraph_creations(g)
-    return [ThresholdGraph.from_creation(c)
-            for _, c in sorted(creations.items())]
+    return [ThresholdGraph(c) for _, c in sorted(creations.items())]
 
 
 def _maximal(masks) -> list[int]:

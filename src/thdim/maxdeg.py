@@ -2,9 +2,11 @@
 bounded-degree vertex partitions, split extensions G*[A,B] and their
 decomposition, and the top-level max-degree construction.
 
-Every randomized ingredient is verified before use (Las Vegas with explicit
-retry caps); correctness of the emitted decompositions is established by
-intersection checking, never by trusting the probabilistic argument.
+Every randomized ingredient is checked exactly before use (Las Vegas with
+explicit retry caps), and no check draws random inputs: a permutation
+family is checked on the block orders its split's cells use, not sampled.
+Correctness of the emitted decompositions is established by intersection
+checking, never by trusting the probabilistic argument.
 """
 
 from __future__ import annotations
@@ -13,98 +15,49 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .decompose import Decomposition, RandomizedSearchError, _finish
 from .graphs import Graph, VertexOrdering, degeneracy_ordering, greedy_coloring
 from .seeding import split_seed
 from .threshold import DOMINATING, ISOLATED, ThresholdGraph, threshold_supergraph
 
-VERIFY_EXHAUSTIVE_BUDGET = 10_000_000
-SAMPLED_PAIRS = 1_000_000
-
 
 # ---------------------------------------------------------------------------
 # suitable families of permutations
 
-@dataclass(frozen=True)
-class SuitableFamily:
-    """Permutations of range(ground) such that every element of every k-subset
-    comes last within that subset in some member permutation."""
+def build_suitable_family(ground: int, k: int,
+                          requirements: Iterable[tuple[tuple[int, ...], int]],
+                          seed: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Random permutations of range(ground), grown until every requirement
+    (subset, last) holds: some permutation puts `last` after the rest of
+    `subset`.
 
-    ground: int
-    k: int
-    perms: tuple[tuple[int, ...], ...]
-    exhaustive: bool  # False when only sampled verification was feasible
-
-
-def uncovered_suitable_pairs(ground: int, k: int,
-                             perms: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int]]:
-    """Exhaustively list (subset, element) pairs no permutation covers.
-
-    Subsets come in lexicographic order and each subset's uncovered elements
-    in ascending order. The scan of a subset stops as soon as each of its
-    elements has come last in some permutation.
-    """
-    positions = [{v: i for i, v in enumerate(p)} for p in perms]
-    bad = []
-    for subset in combinations(range(ground), k):
-        covered = set()
-        for pos in positions:
-            covered.add(max(subset, key=pos.__getitem__))
-            if len(covered) == k:
-                break
-        else:
-            bad.extend((subset, x) for x in subset if x not in covered)
-    return bad
-
-
-def build_suitable_family(ground: int, k: int, seed: int = 0) -> SuitableFamily:
-    """Random permutations grown until verified k-suitable.
-
-    Starts from ceil(k * 2^k * ln ln max(ground, 16)) permutations, adds one
-    at a time up to 4x that, and fails with statistics beyond the cap.
-    Verification is exhaustive while C(ground, k) * k stays within budget,
-    otherwise sampled over 10^6 random (subset, element) pairs and flagged.
+    Starts from ceil(k * 2^k * ln ln max(ground, 16)) permutations, the size
+    at which a family is likely k-suitable (every element of every k-subset
+    comes last in some member), adds one at a time up to 4x that, and fails
+    with statistics beyond the cap. The check is exact over the requirements
+    given and draws nothing from the stream, so the family is a prefix of
+    the permutations the seed yields.
     """
     if not (2 <= k <= ground):
         raise ValueError(f"need 2 <= k <= ground, got k={k}, ground={ground}")
     rng = random.Random(split_seed(seed, "suitable", ground, k))
     start = math.ceil(k * (2 ** k) * math.log(math.log(max(ground, 16))))
     cap = 4 * start
-
-    def fresh() -> tuple[int, ...]:
+    perms: list[tuple[int, ...]] = []
+    bad = list(requirements)
+    while len(perms) < start or (bad and len(perms) < cap):
         p = list(range(ground))
         rng.shuffle(p)
-        return tuple(p)
-
-    perms = [fresh() for _ in range(start)]
-    exhaustive = math.comb(ground, k) * k <= VERIFY_EXHAUSTIVE_BUDGET
-    if exhaustive:
-        bad = uncovered_suitable_pairs(ground, k, perms)
-    else:
-        bad = _sampled_uncovered(ground, k, perms, rng)
-    while bad and len(perms) < cap:
-        p = fresh()
+        perms.append(tuple(p))
         pos = {v: i for i, v in enumerate(p)}
-        perms.append(p)
         bad = [(s, x) for s, x in bad if max(s, key=pos.__getitem__) != x]
     if bad:
         raise RandomizedSearchError(
             "suitable family not found",
             {"ground": ground, "k": k, "size": len(perms), "uncovered": len(bad)})
-    return SuitableFamily(ground=ground, k=k, perms=tuple(perms), exhaustive=exhaustive)
-
-
-def _sampled_uncovered(ground, k, perms, rng):
-    positions = [{v: i for i, v in enumerate(p)} for p in perms]
-    bad = []
-    for _ in range(SAMPLED_PAIRS):
-        subset = tuple(sorted(rng.sample(range(ground), k)))
-        x = subset[rng.randrange(k)]
-        if all(max(subset, key=pos.__getitem__) != x for pos in positions):
-            bad.append((subset, x))
-    return bad
+    return tuple(perms)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +196,14 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
     One all-of-B-universal factor resolves every non-edge inside A; for the
     rest, B is sliced by which random coloring of A first spreads each
     vertex's neighborhood thinly (at most r per color), each (coloring,
-    color) cell gets a conflict-free ordering of its A-part from a suitable
+    color) cell gets a conflict-free ordering of its A-part from a
     permutation family over the conflict color classes (blocks): each
     permutation orders the blocks twice, once with every block ascending and
-    once with every block descending. A completion depends on a permutation
-    only through the order of the non-empty blocks, so each distinct
-    ordering of a cell is completed once, in the order the permutations
-    first give it.
+    once with every block descending. The family is grown until it meets
+    every block order the cells need (`_cell_requirements`). A completion
+    depends on a permutation only through the order of the non-empty
+    blocks, so each distinct ordering of a cell is completed once, in the
+    order the permutations first give it.
 
     Only factors whose degree vector is not in `seen` are returned, in order
     of first occurrence; their degree vectors are added to `seen`.
@@ -272,7 +226,7 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
             f"split |A|={len(a_side)} |B|={len(b_side)} d={d} delta={delta} "
             f"r={r} ell={ell} t={t}")
 
-    universal = ThresholdGraph.from_creation(
+    universal = ThresholdGraph(
         [(a, ISOLATED) for a in a_side] + [(b, DOMINATING) for b in b_side])
     factors: list[ThresholdGraph] = []
 
@@ -290,14 +244,6 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
             ext.base, a_side, b_side, r=r, t=t, ell=ell,
             seed=split_seed(seed, "colorings"))
         ground = r * delta + 1
-        family = build_suitable_family(ground, r + 1, seed=split_seed(seed, "suitable"))
-        budget += 2 * len(family.perms) * t * ell
-        if diagnostics is not None:
-            diagnostics.append(
-                f"  suitable family: ground={ground} k={r + 1} "
-                f"size={len(family.perms)} exhaustive={family.exhaustive}")
-            diagnostics.append(f"  bipartite colorings: {len(colorings)}")
-
         slices: list[list[int]] = [[] for _ in range(len(colorings))]
         for v in b_side:
             nbrs = [u for u in ext.base.adj[v] if u in ext.a_side]
@@ -311,28 +257,67 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
             else:
                 raise AssertionError("verified coloring family left a vertex uncovered")
 
+        cells: list[tuple[list[list[int]], list[int]]] = []  # (blocks, outside)
+        requirements: set[tuple[tuple[int, ...], int]] = set()
         for j, c in enumerate(colorings):
             b_part = slices[j]
             if not b_part:
                 continue
-            cells: dict[int, list[int]] = {}
+            by_color: dict[int, list[int]] = {}
             for a in a_side:
-                cells.setdefault(c[a], []).append(a)
+                by_color.setdefault(c[a], []).append(a)
             b_set = set(b_part)
-            for color, a_part in sorted(cells.items()):
+            for color, a_part in sorted(by_color.items()):
                 # the cell keeps the base edges between a_part and b_part;
                 # every vertex outside both sees all of a_part
                 a_set = set(a_part)
                 outside = [v for v in range(ext.base.n) if v not in a_set and v not in b_set]
                 blocks = _conflict_blocks(ext.base, a_part, b_part, ground)
-                projections = dict.fromkeys(
-                    tuple(ci for ci in perm if blocks[ci]) for perm in family.perms)
-                orderings = dict.fromkeys(
-                    tuple(v for ci in proj for v in blocks[ci][::step])
-                    for proj in projections for step in (1, -1))
-                for ordering in orderings:
-                    keep(threshold_supergraph(ext.base, ordering, saturated=outside))
+                cells.append((blocks, outside))
+                requirements.update(_cell_requirements(ext.base, blocks, b_part))
+
+        family = build_suitable_family(ground, r + 1, requirements,
+                                       seed=split_seed(seed, "suitable"))
+        budget += 2 * len(family) * t * ell
+        if diagnostics is not None:
+            diagnostics.append(
+                f"  suitable family: ground={ground} k={r + 1} size={len(family)}")
+            diagnostics.append(f"  bipartite colorings: {len(colorings)}")
+
+        for blocks, outside in cells:
+            projections = dict.fromkeys(
+                tuple(ci for ci in perm if blocks[ci]) for perm in family)
+            orderings = dict.fromkeys(
+                tuple(v for ci in proj for v in blocks[ci][::step])
+                for proj in projections for step in (1, -1))
+            for ordering in orderings:
+                keep(threshold_supergraph(ext.base, ordering, saturated=outside))
     return factors, budget
+
+
+def _cell_requirements(base: Graph, blocks: Sequence[Sequence[int]],
+                       b_part: Sequence[int]) -> set[tuple[tuple[int, ...], int]]:
+    """The (subset, last) block orders a cell's completions need.
+
+    A completion excludes the non-edge (a, b), a in the A-part and b in
+    b_part, iff a comes after every neighbour of b in the ordering. Those
+    neighbours lie in distinct blocks N_b, so with beta the block of a it
+    is enough that some permutation puts beta last among N_b | {beta}; when
+    beta is in N_b, the ascending or the descending pass puts a after b's
+    neighbour inside beta. A b with no neighbour in the cell sees none of
+    it in every completion.
+    """
+    block_of = {v: ci for ci, block in enumerate(blocks) for v in block}
+    needed = set()
+    for b in b_part:
+        nbr_blocks = {block_of[u] for u in base.adj[b] if u in block_of}
+        if not nbr_blocks:
+            continue
+        for ci, block in enumerate(blocks):
+            # b has at most one neighbour per block
+            if len(block) > (ci in nbr_blocks):
+                needed.add((tuple(sorted(nbr_blocks | {ci})), ci))
+    return needed
 
 
 def _conflict_blocks(base: Graph, a_part: Sequence[int], b_part: Sequence[int],

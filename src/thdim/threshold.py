@@ -80,11 +80,6 @@ class ThresholdGraph:
             placed.append(v)
         return Graph(self.n, edges)
 
-    @classmethod
-    def from_creation(cls, creation: Sequence[tuple[int, str]]) -> "ThresholdGraph":
-        """Wrap a creation sequence covering vertices 0..n-1 exactly once."""
-        return cls(creation)
-
     def degrees(self) -> tuple[int, ...]:
         """deg(v) for every vertex: the vertices placed before v if v is
         dominating, plus the dominating vertices placed after v. A labeled
@@ -586,4 +581,4 @@ def parse_threshold(line: str) -> ThresholdGraph:
         if tag not in (ISOLATED, DOMINATING):
             raise ValueError(f"bad creation token {tok!r}")
         creation.append((int(v_str), tag))
-    return ThresholdGraph.from_creation(creation)
+    return ThresholdGraph(creation)

@@ -130,6 +130,11 @@ def random_corpus(count: int, sizes: list[tuple[int, int]], seed: int) -> list[G
     return out
 
 
+def complete_bipartite(p: int, q: int) -> Graph:
+    """K_{p,q}: vertices 0..p-1 on one side, p..p+q-1 on the other."""
+    return Graph(p + q, [(a, p + b) for a in range(p) for b in range(q)])
+
+
 def bounded_degree_graph(n: int, m: int, dmax: int, seed: int) -> Graph:
     for attempt in range(500):
         g = gen_gnm(n, m, seed=split_seed(seed, "bounded", attempt))
@@ -192,7 +197,7 @@ def naive_completion_edges(g: Graph, a_order) -> set[tuple[int, int]]:
 def threshold_struct_ok(t) -> bool:
     """Check all ThresholdGraph invariants from scratch."""
     from thdim import ThresholdGraph
-    replay = ThresholdGraph.from_creation(t.creation)
+    replay = ThresholdGraph(t.creation)
     if replay.graph != t.graph:
         return False
     for u, v in combinations(sorted(t.split_a), 2):
@@ -326,6 +331,20 @@ def full_scan_uncovered_pairs(ground: int, k: int, perms) -> list[tuple[tuple[in
         covered = {max(subset, key=list(p).index) for p in perms}
         bad.extend((subset, x) for x in subset if x not in covered)
     return bad
+
+
+def all_suitable_pairs(ground: int, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every (k-subset, element) pair of range(ground): the requirements that
+    make a permutation family k-suitable."""
+    return [(subset, x) for subset in combinations(range(ground), k) for x in subset]
+
+
+def unmet_requirements(perms, requirements) -> list[tuple[tuple[int, ...], int]]:
+    """The (subset, last) requirements under which no permutation places
+    every other element of the subset before `last`."""
+    return [(subset, x) for subset, x in requirements
+            if not any(all(list(p).index(y) < list(p).index(x) for y in subset if y != x)
+                       for p in perms)]
 
 
 def walk_uncovered_pairs(g: Graph, family, order: VertexOrdering) -> list[tuple[int, int]]:

@@ -13,9 +13,8 @@ from thdim import (GraphicFunction, ThresholdGraph, compile_circuit,
                    exact_small_invariants, girth_degeneracy_check,
                    heuristic_tree_decomposition, lower_bound_clique_chromatic,
                    ltfs_to_graph, petersen_graph, recognize_threshold,
-                   render_table, run_experiment, uncovered_suitable_pairs,
-                   validate_tree_decomposition, verify_circuit,
-                   verify_decomposition)
+                   render_table, run_experiment, validate_tree_decomposition,
+                   verify_circuit, verify_decomposition)
 from thdim.exactdim import _supergraph_creations
 from thdim.graphs import empty_graph, max_independent_set
 from thdim.seeding import split_seed
@@ -24,7 +23,7 @@ from thdim.treedecomp import TreeDecomposition
 
 from helpers import (all_graphs, bounded_degree_graph, brute_is_threshold,
                      pendant_complement_bags, pendant_clique_complement, named_corpus, random_corpus,
-                     representatives)
+                     representatives, unmet_requirements)
 
 
 @contextmanager
@@ -125,7 +124,7 @@ def test_criterion_5_ltf_witness_soundness():
         total = 0
         for n in range(1, 8):
             for creation in _supergraph_creations(empty_graph(n)).values():
-                t = ThresholdGraph.from_creation(creation)
+                t = ThresholdGraph(creation)
                 extract_ltf(t)  # verifies exhaustively, raises on failure
                 total += 1
         assert total == 1 + 2 + 8 + 46 + 332 + 2874 + 29024
@@ -144,9 +143,10 @@ def test_criterion_7_maxdeg_pipeline(monkeypatch):
         families = []
         original = thdim.maxdeg.build_suitable_family
 
-        def recording(ground, k, seed=0):
-            fam = original(ground, k, seed=seed)
-            families.append(fam)
+        def recording(ground, k, requirements, seed=0):
+            requirements = list(requirements)
+            fam = original(ground, k, requirements, seed=seed)
+            families.append((fam, requirements))
             return fam
 
         monkeypatch.setattr(thdim.maxdeg, "build_suitable_family", recording)
@@ -159,9 +159,8 @@ def test_criterion_7_maxdeg_pipeline(monkeypatch):
             d = decompose_maxdeg(g, seed=idx)
             assert d.verified and verify_decomposition(g, d).ok
         assert families, "pipeline never built a suitable family"
-        for fam in families:
-            assert fam.exhaustive
-            assert uncovered_suitable_pairs(fam.ground, fam.k, fam.perms) == []
+        for fam, requirements in families:
+            assert unmet_requirements(fam, requirements) == []
 
 
 def test_criterion_8_random_graph_experiment():

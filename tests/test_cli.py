@@ -186,6 +186,19 @@ def test_verify_corrupted_circuit(tmp_path, capsys):
     assert "counterexample" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["recognize"], ["decompose"], ["report"], ["compile"],
+                                  ["verify", "c.circ"]])
+def test_out_of_memory_is_a_refusal(tmp_path, monkeypatch, capsys, argv):
+    import thdim.cli
+
+    def exhaust(_path):
+        raise MemoryError
+
+    monkeypatch.setattr(thdim.cli, "_read_graph", exhaust)
+    assert main([argv[0], str(tmp_path / "g.gr"), *argv[1:]]) == 1
+    assert capsys.readouterr().err == "refused: out of memory\n"
+
+
 def test_hostile_vertex_counts_are_refused(tmp_path, monkeypatch, capsys):
     import thdim.graphs
     import thdim.treedecomp

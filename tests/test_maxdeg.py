@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,11 +8,13 @@ from thdim import (Graph, RandomizedSearchError, SplitExtension, ThresholdGraph,
                    bipartite_coloring_family, bounded_partition,
                    build_suitable_family, complete_graph, cycle_graph,
                    decompose_maxdeg, decompose_split, path_graph, petersen_graph,
-                   recognize_threshold, star_graph, uncovered_suitable_pairs,
+                   recognize_threshold, star_graph, threshold_supergraph,
                    verify_decomposition)
 from thdim.graphs import edge_mask
+from thdim.maxdeg import _cell_requirements, _conflict_blocks
 
-from helpers import bounded_degree_graph, full_scan_uncovered_pairs, random_corpus
+from helpers import (all_suitable_pairs, bounded_degree_graph, complete_bipartite,
+                     full_scan_uncovered_pairs, random_corpus, unmet_requirements)
 
 
 # ---------------------------------------------------------------------------
@@ -18,56 +22,54 @@ from helpers import bounded_degree_graph, full_scan_uncovered_pairs, random_corp
 
 def test_identity_plus_reverse_is_2_suitable():
     perms = [(0, 1, 2), (2, 1, 0)]
-    assert uncovered_suitable_pairs(3, 2, perms) == []
+    assert full_scan_uncovered_pairs(3, 2, perms) == []
 
 
 def test_identity_alone_is_not_2_suitable():
-    assert uncovered_suitable_pairs(3, 2, [(0, 1, 2)]) != []
-
-
-@st.composite
-def permutation_families(draw):
-    ground = draw(st.integers(2, 9))
-    k = draw(st.integers(2, min(4, ground)))
-    perms = draw(st.lists(st.permutations(range(ground)), min_size=1, max_size=12))
-    return ground, k, perms
-
-
-@settings(max_examples=200, deadline=None)
-@given(permutation_families())
-def test_uncovered_pairs_match_full_scan(family):
-    ground, k, perms = family
-    assert uncovered_suitable_pairs(ground, k, perms) == \
-        full_scan_uncovered_pairs(ground, k, perms)
+    assert full_scan_uncovered_pairs(3, 2, [(0, 1, 2)]) != []
 
 
 def test_build_small_family():
-    fam = build_suitable_family(3, 2, seed=0)
-    assert fam.exhaustive
-    assert uncovered_suitable_pairs(3, 2, fam.perms) == []
+    fam = build_suitable_family(3, 2, all_suitable_pairs(3, 2), seed=0)
+    assert full_scan_uncovered_pairs(3, 2, fam) == []
 
 
 def test_build_family_n_equals_k():
-    fam = build_suitable_family(2, 2, seed=0)
-    assert len(fam.perms) >= 2
-    assert uncovered_suitable_pairs(2, 2, fam.perms) == []
+    fam = build_suitable_family(2, 2, all_suitable_pairs(2, 2), seed=0)
+    assert len(fam) >= 2
+    assert full_scan_uncovered_pairs(2, 2, fam) == []
 
 
 def test_build_family_n8_k3():
-    fam = build_suitable_family(8, 3, seed=1)
-    assert fam.exhaustive
-    assert uncovered_suitable_pairs(8, 3, fam.perms) == []
+    fam = build_suitable_family(8, 3, all_suitable_pairs(8, 3), seed=1)
+    assert full_scan_uncovered_pairs(8, 3, fam) == []
 
 
 def test_build_family_deterministic():
-    assert build_suitable_family(6, 2, seed=9) == build_suitable_family(6, 2, seed=9)
+    pairs = all_suitable_pairs(6, 2)
+    assert build_suitable_family(6, 2, pairs, seed=9) == build_suitable_family(6, 2, pairs, seed=9)
+
+
+def test_build_family_grows_a_prefix_of_its_stream():
+    # the check draws nothing, so more requirements only extend the family
+    bare = build_suitable_family(40, 2, [], seed=3)
+    full = build_suitable_family(40, 2, all_suitable_pairs(40, 2), seed=3)
+    assert len(full) > len(bare)
+    assert full[:len(bare)] == bare
+    assert full_scan_uncovered_pairs(40, 2, full) == []
+    assert full_scan_uncovered_pairs(40, 2, bare) != []
+
+
+def test_build_family_refuses_unmeetable_requirement():
+    with pytest.raises(RandomizedSearchError, match="suitable family not found"):
+        build_suitable_family(4, 2, [((0, 1), 2)], seed=0)
 
 
 def test_build_family_preconditions():
     with pytest.raises(ValueError):
-        build_suitable_family(3, 1, seed=0)
+        build_suitable_family(3, 1, [], seed=0)
     with pytest.raises(ValueError):
-        build_suitable_family(2, 3, seed=0)
+        build_suitable_family(2, 3, [], seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +236,36 @@ def test_maxdeg_bounded_randoms():
         g = bounded_degree_graph(14 + 4 * i, round(1.3 * (14 + 4 * i)), 6, seed=i)
         d = decompose_maxdeg(g, seed=i)
         assert d.verified
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 4), st.data())
+def test_cell_requirements_are_what_a_permutation_needs(p, q, data):
+    # cell A = 0..p-1, B = p..p+q-1: a permutation of the blocks meets every
+    # requirement iff its ascending and descending orderings together
+    # exclude every A-B non-edge
+    pairs = [(a, b) for a in range(p) for b in range(p, p + q)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    g = Graph(p + q, edges)
+    b_part = range(p, p + q)
+    blocks = _conflict_blocks(g, range(p), b_part, p)
+    needed = _cell_requirements(g, blocks, b_part)
+    non_edges = set(pairs) - set(edges)
+    for perm in permutations(range(p)):
+        excluded = set()
+        for step in (1, -1):
+            t = threshold_supergraph(g, [v for ci in perm for v in blocks[ci][::step]])
+            excluded |= {(a, b) for a, b in non_edges if not t.graph.has_edge(a, b)}
+        assert (unmet_requirements([perm], needed) == []) == (excluded == non_edges)
+
+
+def test_maxdeg_k55_55():
+    # d = 55 gives r = 3 and a ground of 166 blocks, where C(166, 4) subsets
+    # are far too many to check each; the cells need only a few of them
+    g = complete_bipartite(55, 55)
+    d = decompose_maxdeg(g, seed=1)
+    assert d.verified and d.size == 12
+    assert verify_decomposition(g, d).ok
 
 
 def test_maxdeg_verifies_only_the_union(monkeypatch):

@@ -171,7 +171,7 @@ def test_all_threshold_graphs_n6_have_valid_witnesses():
     from thdim.exactdim import _supergraph_creations
     for n in range(1, 7):
         for creation in _supergraph_creations(empty_graph(n)).values():
-            t = ThresholdGraph.from_creation(creation)
+            t = ThresholdGraph(creation)
             extract_ltf(t)  # raises InternalVerificationError on any failure
 
 
@@ -210,6 +210,6 @@ def test_threshold_line_errors(line):
 
 def test_creation_replay_validation():
     with pytest.raises(ValueError):
-        ThresholdGraph.from_creation([(0, ISOLATED), (0, DOMINATING)])
+        ThresholdGraph([(0, ISOLATED), (0, DOMINATING)])
     with pytest.raises(ValueError):
-        ThresholdGraph.from_creation([(0, "x")])
+        ThresholdGraph([(0, "x")])
