@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 from .graphs import Graph, ProperColoring, VertexOrdering, degeneracy_ordering
 from .seeding import split_seed
-from .threshold import ThresholdGraph, format_threshold, parse_threshold, threshold_supergraph
+from .threshold import (ThresholdGraph, format_threshold, intersection_mismatch, parse_threshold,
+                        threshold_supergraph)
 from .treedecomp import TreeDecomposition, validate_tree_decomposition
 
 METHODS = ("vertex-cover", "degeneracy", "treewidth", "maxdeg", "exact", "manual")
@@ -66,44 +67,22 @@ class VerificationResult:
 
 
 def verify_decomposition(g: Graph, d: Decomposition) -> VerificationResult:
-    """Check that every factor contains g and their edge intersection equals g.
+    """Check that every factor contains g and their edge intersection equals g,
+    by `intersection_mismatch`, the same check `thdim verify` runs on the
+    pair graphs of a circuit's gates.
 
-    Works on per-vertex bitmasks: a factor contains g iff no vertex has a
-    g-neighbour among its non-neighbours in the factor, and the intersection
-    equals g iff every non-edge of g is a non-adjacency of some factor.
-    On failure reports the first offending pair in lexicographic order:
-    either an edge of g missing from some factor (with its index), or a
+    On failure reports the pair it names: an edge of g dropped by the
+    earliest factor that drops one (with that factor's index), else a
     non-edge of g present in every factor (factor_index None).
     """
-    for idx, f in enumerate(d.factors):
-        if f.n != g.n:
-            raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {g.n}")
-    adjacent = g.adjacency_masks()
-    excluded = [0] * g.n  # non-adjacencies of some factor
-    for idx, f in enumerate(d.factors):
-        nonadj = f.nonadjacency_masks()
-        missing = [nonadj[v] & adjacent[v] for v in range(g.n)]
-        pair = _first_pair(missing)
-        if pair is not None:
-            return VerificationResult(False, "factor drops an edge of the graph",
-                                      pair=pair, factor_index=idx)
-        for v in range(g.n):
-            excluded[v] |= nonadj[v]
-    full = (1 << g.n) - 1
-    surviving = [full & ~adjacent[v] & ~excluded[v] & ~(1 << v) for v in range(g.n)]
-    pair = _first_pair(surviving)
-    if pair is not None:
+    mismatch = intersection_mismatch(g, d.factors)
+    if mismatch is None:
+        return VerificationResult(True)
+    pair, idx = mismatch
+    if idx is None:
         return VerificationResult(False, "a non-edge survives every factor", pair=pair)
-    return VerificationResult(True)
-
-
-def _first_pair(masks: Sequence[int]) -> tuple[int, int] | None:
-    """The lexicographically first pair (u, w), u < w, with w in masks[u], for
-    symmetric masks: the smallest u whose mask is non-empty, and its lowest bit."""
-    for u, mask in enumerate(masks):
-        if mask:
-            return (u, (mask & -mask).bit_length() - 1)
-    return None
+    return VerificationResult(False, "factor drops an edge of the graph",
+                              pair=pair, factor_index=idx)
 
 
 def _finish(g: Graph, factors: Sequence[ThresholdGraph], method: str,

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graphs import (ExactLimitError, Graph, _chromatic, _clique_number, complete_mask,
-                     edge_mask, graph_from_mask, max_independent_set, maximal_cliques,
-                     pair_index)
+from .graphs import (CHROMATIC_LIMIT, INDEPENDENT_SET_LIMIT, ExactLimitError, Graph, _chromatic,
+                     _clique_number, complete_mask, edge_mask, graph_from_mask,
+                     max_independent_set, maximal_cliques, pair_index)
 from .decompose import (Decomposition, _finish, decompose_degeneracy, decompose_treewidth,
                         decompose_vertex_cover)
 from .threshold import (DOMINATING, ISOLATED, ThresholdGraph, ForbiddenSubgraph,
@@ -209,24 +209,24 @@ def _exact_cover(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 # bounds
 
-def lower_bound_clique_chromatic(g: Graph, chi_limit: int = 16) -> int:
+def lower_bound_clique_chromatic(g: Graph) -> int:
     """min over cliques C of chi(g - C); a lower bound on the dimension.
 
     Removing a larger clique can only lower chi, so the minimum over maximal
     cliques equals the minimum over all cliques (the empty clique included).
     Each chi is taken on g's own adjacency masks with the clique's vertices
-    left out, so no subgraph is built.
+    left out, so no subgraph is built. Refuses n > CHROMATIC_LIMIT.
     """
-    if g.n > chi_limit:
-        raise ExactLimitError(f"clique-chromatic bound refused for n={g.n} > {chi_limit}")
+    if g.n > CHROMATIC_LIMIT:
+        raise ExactLimitError(f"clique-chromatic bound refused for n={g.n} > {CHROMATIC_LIMIT}")
     nbr = g.adjacency_masks()
     full = (1 << g.n) - 1
     return min(_chromatic(nbr, full & ~clique) for clique in maximal_cliques(g))
 
 
-def upper_bound_ramsey_style(g: Graph, ab_limit: int = 24) -> int:
+def upper_bound_ramsey_style(g: Graph) -> int:
     """n - max(omega, alpha), floored at 1; omega from the complement masks."""
-    alpha = len(max_independent_set(g, limit=ab_limit))
+    alpha = len(max_independent_set(g))
     omega = _clique_number(g.adjacency_masks(), (1 << g.n) - 1)
     return max(g.n - max(alpha, omega), 1)
 
@@ -273,9 +273,8 @@ class DimensionReport:
         return "\n".join(lines) + "\n"
 
 
-def compute_report(g: Graph, seed: int = 0, exact_cap: int = EXACT_DIMENSION_LIMIT,
-                   chi_limit: int = 16, ab_limit: int = 24,
-                   include_maxdeg: bool = False) -> DimensionReport:
+def compute_report(g: Graph, seed: int = 0,
+                   exact_cap: int = EXACT_DIMENSION_LIMIT) -> DimensionReport:
     """Run every bound and method that applies at this size."""
     lower: dict[str, int] = {}
     upper: dict[str, int] = {}
@@ -284,26 +283,23 @@ def compute_report(g: Graph, seed: int = 0, exact_cap: int = EXACT_DIMENSION_LIM
 
     not_threshold = isinstance(recognize_threshold(g), ForbiddenSubgraph)
     lower["non-threshold"] = 2 if not_threshold else 1
-    if g.n <= chi_limit:
-        lower["clique-chromatic"] = lower_bound_clique_chromatic(g, chi_limit)
+    if g.n <= CHROMATIC_LIMIT:
+        lower["clique-chromatic"] = lower_bound_clique_chromatic(g)
 
     exact = None
     if g.n <= min(exact_cap, EXACT_DIMENSION_LIMIT):
         exact = exact_dimension(g)
         counts["exact"] = exact
 
-    if g.n <= ab_limit:
-        upper["ramsey-style"] = upper_bound_ramsey_style(g, ab_limit)
-        cover = sorted(set(range(g.n)) - max_independent_set(g, limit=ab_limit))
+    if g.n <= INDEPENDENT_SET_LIMIT:
+        upper["ramsey-style"] = upper_bound_ramsey_style(g)
+        cover = sorted(set(range(g.n)) - max_independent_set(g))
         decompositions.append(decompose_vertex_cover(g, cover))
     if g.n >= 2:
         decompositions.append(decompose_degeneracy(g, seed=seed))
         decompositions.append(decompose_treewidth(g, heuristic_tree_decomposition(g)))
     for d in decompositions:  # each method's upper bound is the one it claims
         upper[d.method], counts[d.method] = d.bound_claimed, d.size
-    if include_maxdeg and g.max_degree() >= 2:
-        from .maxdeg import decompose_maxdeg
-        counts["maxdeg"] = decompose_maxdeg(g, seed=seed).size
 
     report = DimensionReport(n=g.n, m=g.m, exact=exact, lower_bounds=lower,
                              upper_bounds=upper, factor_counts=counts)

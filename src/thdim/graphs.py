@@ -34,6 +34,11 @@ class ExactLimitError(ValueError):
 MAX_VERTICES = 100_000
 
 
+# The most vertices the exact chromatic number and independent set take.
+CHROMATIC_LIMIT = 16
+INDEPENDENT_SET_LIMIT = 24
+
+
 def check_vertex_count(n: int) -> None:
     if n > MAX_VERTICES:
         raise ExactLimitError(f"{n} vertices exceed the cap MAX_VERTICES = {MAX_VERTICES}")
@@ -294,7 +299,7 @@ def girth(g: Graph) -> int | float:
 # ---------------------------------------------------------------------------
 # exact invariants at desk scale
 
-def max_independent_set(g: Graph, limit: int = 24) -> frozenset[int]:
+def max_independent_set(g: Graph, limit: int = INDEPENDENT_SET_LIMIT) -> frozenset[int]:
     """Exact maximum independent set by branch and bound over bitmasks."""
     if g.n > limit:
         raise ExactLimitError(f"exact independent set refused for n={g.n} > {limit}")
@@ -365,10 +370,10 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def chromatic_number(g: Graph, limit: int = 16) -> int:
-    """Exact chromatic number (0 for the empty graph); refuses n > limit."""
-    if g.n > limit:
-        raise ExactLimitError(f"exact chromatic number refused for n={g.n} > {limit}")
+def chromatic_number(g: Graph) -> int:
+    """Exact chromatic number (0 for the empty graph); refuses n > CHROMATIC_LIMIT."""
+    if g.n > CHROMATIC_LIMIT:
+        raise ExactLimitError(f"exact chromatic number refused for n={g.n} > {CHROMATIC_LIMIT}")
     return _chromatic(g.adjacency_masks(), (1 << g.n) - 1)
 
 
@@ -424,11 +429,11 @@ class SmallGraphInvariants:
     chi: int    # chromatic number
 
 
-def exact_small_invariants(g: Graph, ab_limit: int = 24, chi_limit: int = 16) -> SmallGraphInvariants:
-    """Exact alpha/omega/beta/chi; refuses above the configured caps."""
-    alpha = len(max_independent_set(g, limit=ab_limit))
+def exact_small_invariants(g: Graph) -> SmallGraphInvariants:
+    """Exact alpha/omega/beta/chi; refuses above the size caps."""
+    alpha = len(max_independent_set(g))
     omega = _clique_number(g.adjacency_masks(), (1 << g.n) - 1)
-    chi = chromatic_number(g, limit=chi_limit)
+    chi = chromatic_number(g)
     return SmallGraphInvariants(alpha=alpha, omega=omega, beta=g.n - alpha, chi=chi)
 
 

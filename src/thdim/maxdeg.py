@@ -22,6 +22,8 @@ from .graphs import Graph, VertexOrdering, degeneracy_ordering, greedy_coloring
 from .seeding import split_seed
 from .threshold import DOMINATING, ISOLATED, ThresholdGraph, threshold_supergraph
 
+PARTITION_RESTARTS = 16  # fresh random assignments before bounded_partition gives up
+
 
 # ---------------------------------------------------------------------------
 # suitable families of permutations
@@ -63,21 +65,21 @@ def build_suitable_family(ground: int, k: int,
 # ---------------------------------------------------------------------------
 # bounded-degree partition
 
-def bounded_partition(g: Graph, d: int, parts: int, seed: int = 0,
-                      repair_cap: int | None = None,
-                      restarts: int = 16) -> tuple[frozenset[int], ...]:
+def bounded_partition(g: Graph, d: int, parts: int,
+                      seed: int = 0) -> tuple[frozenset[int], ...]:
     """Partition V so every vertex has at most d neighbors inside every part.
 
     Random assignment plus randomized local repair: while some vertex sees
     more than d neighbors in a part, one of those neighbors (picked at
-    random) moves to a part where the vertex has fewest. Fresh restarts
-    follow a stuck repair; exhausting them fails with the worst violation.
+    random) moves to a part where the vertex has fewest. A repair stuck
+    after max(1000, 50 * n * parts) moves is followed by a fresh restart;
+    exhausting PARTITION_RESTARTS of them fails with the worst violation.
     """
     if parts < 1 or d < 1:
         raise ValueError("need parts >= 1 and d >= 1")
-    cap = repair_cap if repair_cap is not None else max(1000, 50 * g.n * parts)
+    cap = max(1000, 50 * g.n * parts)
     worst_seen = 0
-    for attempt in range(restarts):
+    for attempt in range(PARTITION_RESTARTS):
         rng = random.Random(split_seed(seed, "partition", attempt))
         part_of = [rng.randrange(parts) for _ in range(g.n)]
         counts = [[0] * parts for _ in range(g.n)]  # counts[v][i] = |N(v) & V_i|
@@ -125,32 +127,32 @@ def bipartite_coloring_family(g: Graph, a_side: Sequence[int], b_side: Sequence[
     b_side = sorted(b_side)
     rng = random.Random(split_seed(seed, "bipartite-colorings"))
     colorings: list[dict[int, int]] = []
-
-    def covered(v: int) -> bool:
-        nbrs = [u for u in g.adj[v] if u in a_set]
-        for c in colorings:
-            tally: dict[int, int] = {}
-            ok = True
-            for u in nbrs:
-                tally[c[u]] = tally.get(c[u], 0) + 1
-                if tally[c[u]] > r:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
     a_set = set(a_side)
     while len(colorings) < 3 * t:
         colorings.append({a: rng.randrange(ell) for a in a_side})
         if len(colorings) < t:
             continue
-        uncovered = [v for v in b_side if not covered(v)]
+        uncovered = [v for v in b_side
+                     if _first_thin([u for u in g.adj[v] if u in a_set], colorings, r) is None]
         if not uncovered:
             return colorings
     raise RandomizedSearchError(
         "bipartite coloring family not found",
         {"t": t, "grew_to": len(colorings), "uncovered_b_vertices": uncovered})
+
+
+def _first_thin(nbrs: Sequence[int], colorings: Sequence[dict[int, int]], r: int) -> int | None:
+    """The index of the first coloring that gives each color to at most r of
+    `nbrs`, or None."""
+    for j, c in enumerate(colorings):
+        tally: dict[int, int] = {}
+        for u in nbrs:
+            tally[c[u]] = tally.get(c[u], 0) + 1
+            if tally[c[u]] > r:
+                break
+        else:
+            return j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +248,10 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
         ground = r * delta + 1
         slices: list[list[int]] = [[] for _ in range(len(colorings))]
         for v in b_side:
-            nbrs = [u for u in ext.base.adj[v] if u in ext.a_side]
-            for j, c in enumerate(colorings):
-                tally: dict[int, int] = {}
-                for u in nbrs:
-                    tally[c[u]] = tally.get(c[u], 0) + 1
-                if all(cnt <= r for cnt in tally.values()):
-                    slices[j].append(v)
-                    break
-            else:
+            j = _first_thin([u for u in ext.base.adj[v] if u in ext.a_side], colorings, r)
+            if j is None:
                 raise AssertionError("verified coloring family left a vertex uncovered")
+            slices[j].append(v)
 
         cells: list[tuple[list[list[int]], list[int]]] = []  # (blocks, outside)
         requirements: set[tuple[tuple[int, ...], int]] = set()

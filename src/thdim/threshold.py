@@ -8,7 +8,7 @@ its cliques are exactly the 0-1 solutions of one linear inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -34,29 +34,21 @@ class ThresholdGraph:
     adjacent iff the later of the two is dominating. `split_a` is the
     independent side in creation order, which nests neighborhoods
     decreasingly (N(a_1) >= N(a_2) >= ...); `split_b` is the clique side.
-    `rank[v]` is v's position in `creation` and `tag[v]` its tag. The
-    adjacency `graph` is only built when asked for.
+    The adjacency `graph` is only built when asked for.
     """
 
     creation: tuple[tuple[int, str], ...]
-    rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    tag: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         creation = tuple(self.creation)
-        n = len(creation)
-        rank = [-1] * n
-        tag = [ISOLATED] * n
-        for i, (v, t) in enumerate(creation):
-            if not (0 <= v < n) or rank[v] >= 0:
+        seen = [False] * len(creation)
+        for v, t in creation:
+            if not (0 <= v < len(creation)) or seen[v]:
                 raise ValueError("creation sequence must mention each vertex exactly once")
             if t != ISOLATED and t != DOMINATING:
                 raise ValueError(f"unknown creation tag {t!r}")
-            rank[v] = i
-            tag[v] = t
+            seen[v] = True
         object.__setattr__(self, "creation", creation)
-        object.__setattr__(self, "rank", tuple(rank))
-        object.__setattr__(self, "tag", tuple(tag))
 
     @property
     def n(self) -> int:
@@ -167,22 +159,17 @@ def recognize_threshold(g: Graph) -> ThresholdGraph | ForbiddenSubgraph:
 
 
 def _forbidden_witness(g: Graph, remaining: set[int]) -> ForbiddenSubgraph:
-    if g.n <= 12:
-        for quad in combinations(range(g.n), 4):
-            kind = classify_forbidden(g, quad)
-            if kind is not None:
-                return ForbiddenSubgraph(vertices=tuple(quad), kind=kind)
-        raise InternalVerificationError("peeling stalled but no forbidden 4-subset found")
-    # vicinal incomparability inside the stuck remainder: u~x, v~y with
-    # x not adjacent to v and y not adjacent to u always spans a witness
+    """A forbidden 4-set inside the remainder on which peeling got stuck,
+    where every one of g's lies (a 2K_2, P_4 or C_4 has no vertex isolated
+    or dominating in it). The remainder is not threshold, so it has u~x,
+    v~y with x not adjacent to v and y not adjacent to u: a witness."""
     live = sorted(remaining)
-    live_set = remaining
     for u in live:
-        nu = g.adj[u] & live_set
+        nu = g.adj[u] & remaining
         for v in live:
             if v == u:
                 continue
-            nv = g.adj[v] & live_set
+            nv = g.adj[v] & remaining
             only_u = nu - nv - {v}
             only_v = nv - nu - {u}
             if only_u and only_v:
@@ -246,6 +233,37 @@ def is_supergraph(big: Graph, small: Graph) -> bool:
     if big.n != small.n:
         return False
     return all(small.adj[v] <= big.adj[v] for v in range(small.n))
+
+
+# ---------------------------------------------------------------------------
+# intersections of threshold graphs
+
+def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]
+                          ) -> tuple[tuple[int, int], int | None] | None:
+    """The first pair (u, w), u < w, on which the intersection of the
+    factors differs from g, with the index of the factor at fault, or None.
+
+    First the smallest edge of g that the earliest factor dropping one
+    drops, with that factor's index; else the smallest non-edge of g that
+    every factor keeps, with index None. O(k*n) operations on per-vertex
+    bitmasks."""
+    for idx, f in enumerate(factors):
+        if f.n != g.n:
+            raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {g.n}")
+    adjacent = g.adjacency_masks()
+    excluded = [0] * g.n  # non-adjacencies of some factor
+    for idx, f in enumerate(factors):
+        for u, nonadj in enumerate(f.nonadjacency_masks()):
+            dropped = nonadj & adjacent[u]  # symmetric: the lowest bit is above u
+            if dropped:
+                return (u, (dropped & -dropped).bit_length() - 1), idx
+            excluded[u] |= nonadj
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        kept = full & ~adjacent[u] & ~excluded[u] & ~(1 << u)
+        if kept:
+            return (u, (kept & -kept).bit_length() - 1), None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +413,9 @@ def _circuit_counterexample(g: Graph, witnesses: Sequence[LtfWitness],
 
     (a) each gate is certified against its pair graph H_i by
         `_ltf_counterexample`;
-    (b) the AND accepts a pair iff every H_i has it, so a pair on which the
-        intersection of the H_i and g differ is a counterexample. This is
-        the per-vertex mask check of `verify_decomposition`, O(k*n)
-        big-integer operations;
+    (b) the AND accepts a pair iff every H_i has it, so the pair that
+        `intersection_mismatch` names, as `verify_decomposition` does for a
+        decomposition's factors, is a counterexample;
     (c) otherwise the AND accepts only cliques of g, and a gate exact on its
         H_i accepts them all. A gate that rejects a clique S of its H_i is
         wrong iff it rejects a clique of g: S itself if S is one, else the
@@ -413,23 +430,18 @@ def _circuit_counterexample(g: Graph, witnesses: Sequence[LtfWitness],
             raise ExactLimitError(f"a gate has a negative weight: its circuit is only "
                                   f"checked up to {walk_limit} inputs, not {n}")
         return _gray_counterexample(g, witnesses)
-    adjacent = g.adjacency_masks()
-    excluded = [0] * n  # non-adjacencies of some H_i
-    rejecting = []  # (gate, a clique of its H_i that it rejects)
-    for witness in witnesses:
-        h = _pair_graph(witness)
+    pair_graphs = [_pair_graph(witness) for witness in witnesses]
+    mismatch = intersection_mismatch(g, pair_graphs)
+    if mismatch is not None:
+        (u, w), _ = mismatch
+        return 1 << u | 1 << w
+    adjacent = order = None
+    for witness, h in zip(witnesses, pair_graphs):
         bad = _ltf_counterexample(h, witness)
-        if bad is not None:
-            rejecting.append((witness, sum(1 << v for v in bad)))
-        for v, mask in enumerate(h.nonadjacency_masks()):
-            excluded[v] |= mask
-    full = (1 << n) - 1
-    for u in range(n):
-        differ = (adjacent[u] & excluded[u]) | (full & ~adjacent[u] & ~excluded[u] & ~(1 << u))
-        if differ:
-            return (1 << u) | (differ & -differ)
-    order = None
-    for witness, clique in rejecting:
+        if bad is None:
+            continue
+        adjacent = adjacent or g.adjacency_masks()
+        clique = sum(1 << v for v in bad)
         if all(clique & ~adjacent[v] == 1 << v for v in _bits(clique)):
             return clique
         order = order or degeneracy_ordering(g)[1].order

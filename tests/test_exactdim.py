@@ -150,7 +150,7 @@ def test_clique_chromatic_matches_induced_subgraph_oracle():
     # removing the triangle leaves the crown graph (omega 2, chi 2, first fit
     # 4), so deepening must start from the omega of what is left, not of g;
     # every other maximal clique leaves the triangle. The Clebsch graph has
-    # 16 vertices, the default chi_limit.
+    # 16 vertices, CHROMATIC_LIMIT.
     corpus += [Graph(11, list(crown_graph(4).edges()) + [(8, 9), (8, 10), (9, 10)]),
                clebsch_graph()]
     for g in corpus:

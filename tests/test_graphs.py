@@ -167,7 +167,7 @@ def test_chromatic_number_matches_backtracking_oracle():
     corpus = [g for n in range(6) for g in all_graphs(n)] + list(named_corpus().values())
     # first fit takes 5 colours on the crown graph, and deepening must stop
     # at omega = 2; the 16-vertex Clebsch graph is triangle-free with chi 4,
-    # so deepening climbs from 2 to 4 at the default limit
+    # so deepening climbs from 2 to 4 at CHROMATIC_LIMIT
     corpus += [crown_graph(5), clebsch_graph()]
     for g in corpus:
         assert chromatic_number(g) == backtrack_chromatic_number(g)

@@ -5,7 +5,7 @@ from thdim import (ForbiddenSubgraph, LtfWitness, ThresholdGraph, complement,
                    format_threshold, parse_threshold, path_graph,
                    recognize_threshold, star_graph, threshold_supergraph,
                    verify_ltf)
-from thdim.threshold import DOMINATING, ISOLATED
+from thdim.threshold import DOMINATING, ISOLATED, classify_forbidden
 
 from helpers import (all_graphs, brute_is_threshold, naive_completion_edges,
                      random_corpus, threshold_struct_ok)
@@ -40,8 +40,11 @@ def test_c4_and_2k2_refused():
 
 def test_recognition_matches_brute_force_n5():
     for g in all_graphs(5):
-        accepted = isinstance(recognize_threshold(g), ThresholdGraph)
+        w = recognize_threshold(g)
+        accepted = isinstance(w, ThresholdGraph)
         assert accepted == brute_is_threshold(g)
+        if not accepted:
+            assert classify_forbidden(g, w.vertices) == w.kind
 
 
 def test_recognition_randoms_and_witness_induced():
@@ -60,7 +63,8 @@ def test_recognition_randoms_and_witness_induced():
 
 
 def test_targeted_witness_beyond_scan_limit():
-    # 13 vertices forces the incomparability search instead of the 4-subset scan
+    # no vertex of a 13-vertex path is isolated or dominating, so peeling
+    # stalls at once and the incomparability search runs on all of it
     g = Graph_with_p4_tail()
     w = recognize_threshold(g)
     assert isinstance(w, ForbiddenSubgraph)

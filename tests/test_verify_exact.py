@@ -15,7 +15,7 @@ from thdim import threshold
 from thdim.cli import main
 from thdim.threshold import _circuit_counterexample, _ltf_counterexample, _pair_graph
 
-from helpers import walk_counterexample
+from helpers import edge_mask_verify, walk_counterexample
 
 
 def gates_of(draw, n, count, lowest=0):
@@ -100,18 +100,31 @@ def test_exact_check_agrees_with_walk_on_perturbed_compiled_circuits(case):
 
 
 @st.composite
-def gates_with_negative_weights(draw):
-    """Gates whose weights may be negative, against a random graph."""
-    n = draw(st.integers(0, 8))
+def graph_and_gates(draw, max_n, lowest):
+    """One to three gates with weights from `lowest` up, against a random
+    graph on at most max_n vertices."""
+    n = draw(st.integers(0, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = Graph(n, [pair for pair in pairs if draw(st.booleans())])
-    return g, gates_of(draw, n, draw(st.integers(1, 3)), lowest=-3)
+    return g, gates_of(draw, n, draw(st.integers(1, 3)), lowest=lowest)
 
 
 @settings(max_examples=100, deadline=None)
-@given(gates_with_negative_weights())
+@given(graph_and_gates(8, lowest=-3))
 def test_walk_for_negative_weights_agrees_with_oracle(case):
     assert_agrees_with_walk(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_gates(7, lowest=0))
+def test_pair_check_names_the_pair_a_decomposition_check_names(case):
+    # the circuit's pair check and verify_decomposition report the same
+    # first pair when the gates' pair graphs do not intersect to g
+    g, gates = case
+    ok, _, pair, _ = edge_mask_verify(g, [_pair_graph(gate) for gate in gates])
+    if not ok:
+        u, v = pair
+        assert _circuit_counterexample(g, gates) == 1 << u | 1 << v
 
 
 def test_zero_gates_accept_everything():
