@@ -18,15 +18,13 @@ import math
 from thdim import (cycle_graph, decompose_degeneracy, decompose_treewidth,
                    decompose_vertex_cover, degeneracy_ordering,
                    heuristic_tree_decomposition, petersen_graph)
-from thdim.graphs import max_independent_set
 
 g = petersen_graph()
 print(f"Petersen graph: n={g.n}, m={g.m}, max degree {g.max_degree()}")
 print()
 
-cover = sorted(set(range(g.n)) - max_independent_set(g))
-d_vc = decompose_vertex_cover(g, cover)
-print(f"vertex cover of size {len(cover)}  -> {d_vc.size} factors "
+d_vc = decompose_vertex_cover(g)  # a minimum cover: Petersen has 10 <= 24 vertices
+print(f"vertex cover of size {d_vc.bound_claimed}  -> {d_vc.size} factors "
       f"(bound {d_vc.bound_claimed}), verified={d_vc.verified}")
 
 k, _ = degeneracy_ordering(g)

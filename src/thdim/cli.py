@@ -20,7 +20,7 @@ from .decompose import (Decomposition, RandomizedSearchError, decompose_degenera
                         decompose_treewidth, decompose_vertex_cover,
                         format_decomposition)
 from .exactdim import compute_report, exact_decomposition
-from .graphs import ExactLimitError, Graph, ParseError, max_independent_set, parse_edge_list
+from .graphs import ExactLimitError, Graph, ParseError, parse_edge_list
 from .maxdeg import decompose_maxdeg
 from .randgraphs import parse_experiment_spec, render_table, run_experiment
 from .threshold import ForbiddenSubgraph, format_threshold, recognize_threshold
@@ -44,21 +44,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _greedy_cover(g: Graph) -> list[int]:
-    """Maximal-matching 2-approximation, for graphs beyond the exact cap."""
-    cover: set[int] = set()
-    for u, v in g.edges():
-        if u not in cover and v not in cover:
-            cover.update((u, v))
-    return sorted(cover)
-
-
-def _choose_cover(g: Graph, exact_cap: int) -> list[int]:
-    if g.n <= exact_cap:
-        return sorted(set(range(g.n)) - max_independent_set(g, limit=exact_cap))
-    return _greedy_cover(g)
-
-
 def cmd_recognize(args) -> int:
     g = _read_graph(args.path)
     result = recognize_threshold(g)
@@ -72,7 +57,7 @@ def cmd_recognize(args) -> int:
 
 def _run_method(g: Graph, args) -> Decomposition:
     if args.method == "vc":
-        return decompose_vertex_cover(g, _choose_cover(g, args.exact_cap))
+        return decompose_vertex_cover(g)
     if args.method == "degeneracy":
         return decompose_degeneracy(g, seed=args.seed)
     if args.method == "treewidth":
@@ -103,7 +88,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_report(args) -> int:
     g = _read_graph(args.path)
-    report = compute_report(g, seed=args.seed, exact_cap=args.exact_cap)
+    report = compute_report(g, seed=args.seed)
     sys.stdout.write(report.to_text())
     if args.out:
         Path(args.out).write_text(report.to_rows())
@@ -144,7 +129,6 @@ def cmd_experiment(args) -> int:
 OPTIONS = {
     "--seed": dict(type=int, default=0),
     "--out": dict(default=None),
-    "--exact-cap": dict(dest="exact_cap", type=int, default=24),
     "--method": dict(choices=["vc", "degeneracy", "treewidth", "maxdeg", "exact"],
                      default="degeneracy"),
     "--td": dict(default=None, help="tree decomposition file"),
@@ -154,7 +138,7 @@ OPTIONS = {
     "--diag": dict(default=None, help="write maxdeg intermediate artifacts (partition, "
                                       "families) to this file"),
 }
-METHOD_OPTIONS = ("--seed", "--out", "--exact-cap", "--method", "--td", "--diag")
+METHOD_OPTIONS = ("--seed", "--out", "--method", "--td", "--diag")
 
 
 @functools.cache
@@ -178,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("decompose", cmd_decompose, "emit a verified decomposition",
             ["path"], METHOD_OPTIONS)
     command("report", cmd_report, "dimension bounds and factor counts",
-            ["path"], ["--seed", "--out", "--exact-cap"])
+            ["path"], ["--seed", "--out"])
     command("compile", cmd_compile, "compile a decomposition into a circuit",
             ["path"], METHOD_OPTIONS)
     command("verify", cmd_verify, "compare a circuit against a graph",

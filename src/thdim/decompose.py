@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .graphs import Graph, ProperColoring, VertexOrdering, degeneracy_ordering
+from .graphs import (INDEPENDENT_SET_LIMIT, Graph, ProperColoring, VertexOrdering,
+                     degeneracy_ordering, max_independent_set)
 from .seeding import split_seed
 from .threshold import (ThresholdGraph, format_threshold, intersection_mismatch, parse_threshold,
                         threshold_supergraph)
@@ -98,24 +99,34 @@ def _finish(g: Graph, factors: Sequence[ThresholdGraph], method: str,
 # ---------------------------------------------------------------------------
 # vertex cover method
 
-def decompose_vertex_cover(g: Graph, cover: Iterable[int]) -> Decomposition:
+def decompose_vertex_cover(g: Graph, cover: Iterable[int] | None = None) -> Decomposition:
     """At most |cover| factors: one per cover vertex.
 
+    Without a `cover`, a minimum one (the complement of a maximum
+    independent set) is used up to INDEPENDENT_SET_LIMIT vertices, and the
+    endpoints of a greedy maximal matching, at most twice the minimum, beyond.
     The first b-1 cover vertices each guide a completion with themselves as
     the singleton independent side; the last one uses the whole independent
     remainder, ordered with its neighbors first so exactly they survive.
     An edgeless graph yields the single factor guided by all of V.
     """
-    cover = sorted(set(cover))
+    if cover is None and g.n <= INDEPENDENT_SET_LIMIT:
+        cover = set(range(g.n)) - max_independent_set(g)
+    elif cover is None:
+        cover = set()
+        for u, v in g.edges():
+            if u not in cover and v not in cover:
+                cover.update((u, v))
+    cover_set = set(cover)
+    cover = sorted(cover_set)
     for u, v in g.edges():
-        if u not in cover and v not in cover:
+        if u not in cover_set and v not in cover_set:
             raise ValueError(f"not a vertex cover: edge ({u},{v}) uncovered")
     if g.m == 0:
         factor = threshold_supergraph(g, list(range(g.n)))
         return _finish(g, [factor], "vertex-cover", bound=1)
     if not cover:
         raise ValueError("a graph with edges needs a non-empty cover")
-    cover_set = set(cover)
     rest = [v for v in range(g.n) if v not in cover_set]
     factors = [threshold_supergraph(g, [v]) for v in cover[:-1]]
     last = cover[-1]
@@ -232,10 +243,9 @@ def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
 # ---------------------------------------------------------------------------
 # treewidth method
 
-def _rooted(td: TreeDecomposition) -> tuple[dict[int, int], dict[int, int], list[int]]:
-    """BFS from the root: (depth, parent, preorder list with sorted children)."""
+def _rooted(td: TreeDecomposition) -> tuple[dict[int, int], list[int]]:
+    """Depth-first from the root: (depth, preorder list with sorted children)."""
     depth = {td.root: 0}
-    parent = {td.root: -1}
     preorder = []
     stack = [td.root]
     while stack:
@@ -244,9 +254,8 @@ def _rooted(td: TreeDecomposition) -> tuple[dict[int, int], dict[int, int], list
         for j in sorted(td.tree[i], reverse=True):
             if j not in depth:
                 depth[j] = depth[i] + 1
-                parent[j] = i
                 stack.append(j)
-    return depth, parent, preorder
+    return depth, preorder
 
 
 def _anchor_bags(td: TreeDecomposition, depth: dict[int, int]) -> list[int]:
@@ -286,7 +295,7 @@ def _bag_distinct_coloring(td: TreeDecomposition, preorder: list[int],
 def treewidth_ordering(g: Graph, td: TreeDecomposition) -> tuple[VertexOrdering, list[int]]:
     """The vertex ordering by anchor-bag preorder (ties by index) and the
     bag-distinct coloring, as used by the treewidth decomposition."""
-    depth, _, preorder = _rooted(td)
+    depth, preorder = _rooted(td)
     anchor = _anchor_bags(td, depth)
     colors = _bag_distinct_coloring(td, preorder, anchor)
     for i, bag in td.bags.items():
@@ -295,7 +304,7 @@ def treewidth_ordering(g: Graph, td: TreeDecomposition) -> tuple[VertexOrdering,
             raise AssertionError("bag coloring failed to separate a bag")
     pre_pos = {i: p for p, i in enumerate(preorder)}
     order = sorted(range(g.n), key=lambda v: (pre_pos[anchor[v]], v))
-    return VertexOrdering(tuple(order), "preorder-derived"), colors
+    return VertexOrdering(tuple(order)), colors
 
 
 def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:

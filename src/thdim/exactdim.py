@@ -273,9 +273,11 @@ class DimensionReport:
         return "\n".join(lines) + "\n"
 
 
-def compute_report(g: Graph, seed: int = 0,
-                   exact_cap: int = EXACT_DIMENSION_LIMIT) -> DimensionReport:
-    """Run every bound and method that applies at this size."""
+def compute_report(g: Graph, seed: int = 0) -> DimensionReport:
+    """Run every bound and method that applies at this size: the exact
+    dimension up to EXACT_DIMENSION_LIMIT vertices, the clique-chromatic
+    bound up to CHROMATIC_LIMIT, the Ramsey-style bound and the minimum
+    vertex cover decomposition up to INDEPENDENT_SET_LIMIT."""
     lower: dict[str, int] = {}
     upper: dict[str, int] = {}
     counts: dict[str, int] = {}
@@ -287,14 +289,13 @@ def compute_report(g: Graph, seed: int = 0,
         lower["clique-chromatic"] = lower_bound_clique_chromatic(g)
 
     exact = None
-    if g.n <= min(exact_cap, EXACT_DIMENSION_LIMIT):
+    if g.n <= EXACT_DIMENSION_LIMIT:
         exact = exact_dimension(g)
         counts["exact"] = exact
 
     if g.n <= INDEPENDENT_SET_LIMIT:
         upper["ramsey-style"] = upper_bound_ramsey_style(g)
-        cover = sorted(set(range(g.n)) - max_independent_set(g))
-        decompositions.append(decompose_vertex_cover(g, cover))
+        decompositions.append(decompose_vertex_cover(g))
     if g.n >= 2:
         decompositions.append(decompose_degeneracy(g, seed=seed))
         decompositions.append(decompose_treewidth(g, heuristic_tree_decomposition(g)))

@@ -111,10 +111,9 @@ class Graph:
 
 @dataclass(frozen=True)
 class VertexOrdering:
-    """A permutation of the vertices with a tag saying where it came from."""
+    """A permutation of the vertices."""
 
     order: tuple[int, ...]
-    kind: str = "arbitrary"  # degeneracy | preorder-derived | arbitrary
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.order))):
@@ -264,7 +263,7 @@ def degeneracy_ordering(g: Graph) -> tuple[int, VertexOrdering]:
             if alive[w]:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))
-    return k, VertexOrdering(tuple(order), "degeneracy")
+    return k, VertexOrdering(tuple(order))
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +298,12 @@ def girth(g: Graph) -> int | float:
 # ---------------------------------------------------------------------------
 # exact invariants at desk scale
 
-def max_independent_set(g: Graph, limit: int = INDEPENDENT_SET_LIMIT) -> frozenset[int]:
-    """Exact maximum independent set by branch and bound over bitmasks."""
-    if g.n > limit:
-        raise ExactLimitError(f"exact independent set refused for n={g.n} > {limit}")
+def max_independent_set(g: Graph) -> frozenset[int]:
+    """Exact maximum independent set by branch and bound over bitmasks;
+    refuses n > INDEPENDENT_SET_LIMIT."""
+    if g.n > INDEPENDENT_SET_LIMIT:
+        raise ExactLimitError(
+            f"exact independent set refused for n={g.n} > {INDEPENDENT_SET_LIMIT}")
     return frozenset(_bits(_max_independent(g.adjacency_masks(), (1 << g.n) - 1)))
 
 

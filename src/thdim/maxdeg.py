@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .decompose import Decomposition, RandomizedSearchError, _finish
 from .graphs import Graph, VertexOrdering, degeneracy_ordering, greedy_coloring
 from .seeding import split_seed
-from .threshold import DOMINATING, ISOLATED, ThresholdGraph, threshold_supergraph
+from .threshold import ThresholdGraph, threshold_supergraph
 
 PARTITION_RESTARTS = 16  # fresh random assignments before bounded_partition gives up
 
@@ -114,45 +114,45 @@ def bounded_partition(g: Graph, d: int, parts: int,
 # bipartite coloring families
 
 def bipartite_coloring_family(g: Graph, a_side: Sequence[int], b_side: Sequence[int],
-                              r: int, t: int, ell: int, seed: int = 0) -> list[dict[int, int]]:
+                              r: int, t: int, ell: int,
+                              seed: int = 0) -> tuple[list[dict[int, int]], dict[int, int]]:
     """t random colorings of A with ell colors such that every vertex of B has
-    one coloring giving each color to at most r of its A-neighbors.
+    one coloring giving each color to at most r of its A-neighbors, and
+    `first`, mapping each B-vertex to the index of its first such coloring.
 
-    Colorings are independent and uniform; if verification fails the family
-    grows up to 3t before failing with the uncovered B-vertices.
+    Colorings are independent and uniform, and each is tested only on the
+    B-vertices no earlier one covers; if some stay uncovered the family
+    grows up to 3t before failing with them.
     """
     if r < 1 or t < 1 or ell < 1:
         raise ValueError("need r, t, ell >= 1")
     a_side = sorted(a_side)
-    b_side = sorted(b_side)
     rng = random.Random(split_seed(seed, "bipartite-colorings"))
     colorings: list[dict[int, int]] = []
+    first: dict[int, int] = {}
     a_set = set(a_side)
+    uncovered = {v: [u for u in g.adj[v] if u in a_set] for v in sorted(b_side)}
     while len(colorings) < 3 * t:
-        colorings.append({a: rng.randrange(ell) for a in a_side})
-        if len(colorings) < t:
-            continue
-        uncovered = [v for v in b_side
-                     if _first_thin([u for u in g.adj[v] if u in a_set], colorings, r) is None]
-        if not uncovered:
-            return colorings
+        c = {a: rng.randrange(ell) for a in a_side}
+        for v in [v for v, nbrs in uncovered.items() if _thin(nbrs, c, r)]:
+            first[v] = len(colorings)
+            del uncovered[v]
+        colorings.append(c)
+        if len(colorings) >= t and not uncovered:
+            return colorings, first
     raise RandomizedSearchError(
         "bipartite coloring family not found",
-        {"t": t, "grew_to": len(colorings), "uncovered_b_vertices": uncovered})
+        {"t": t, "grew_to": len(colorings), "uncovered_b_vertices": list(uncovered)})
 
 
-def _first_thin(nbrs: Sequence[int], colorings: Sequence[dict[int, int]], r: int) -> int | None:
-    """The index of the first coloring that gives each color to at most r of
-    `nbrs`, or None."""
-    for j, c in enumerate(colorings):
-        tally: dict[int, int] = {}
-        for u in nbrs:
-            tally[c[u]] = tally.get(c[u], 0) + 1
-            if tally[c[u]] > r:
-                break
-        else:
-            return j
-    return None
+def _thin(nbrs: Sequence[int], coloring: dict[int, int], r: int) -> bool:
+    """Whether `coloring` gives each color to at most r of `nbrs`."""
+    tally: dict[int, int] = {}
+    for u in nbrs:
+        tally[coloring[u]] = tally.get(coloring[u], 0) + 1
+        if tally[coloring[u]] > r:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +184,9 @@ class SplitExtension:
         return Graph(self.base.n, edges)
 
 
-def decompose_split(ext: SplitExtension, seed: int = 0,
-                    diagnostics: list[str] | None = None) -> Decomposition:
+def decompose_split(ext: SplitExtension, seed: int = 0) -> Decomposition:
     """Decompose G*[A,B] into threshold factors, verified against G*[A,B]."""
-    factors, budget = _split_factors(ext, seed, diagnostics, set())
+    factors, budget = _split_factors(ext, seed, None, set())
     return _finish(ext.as_graph(), factors, "maxdeg", budget)
 
 
@@ -228,8 +227,7 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
             f"split |A|={len(a_side)} |B|={len(b_side)} d={d} delta={delta} "
             f"r={r} ell={ell} t={t}")
 
-    universal = ThresholdGraph(
-        [(a, ISOLATED) for a in a_side] + [(b, DOMINATING) for b in b_side])
+    universal = threshold_supergraph(ext.base, a_side, saturated=b_side)
     factors: list[ThresholdGraph] = []
 
     def keep(f: ThresholdGraph) -> None:
@@ -242,16 +240,13 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
     budget = 1
 
     if a_side and b_side:
-        colorings = bipartite_coloring_family(
+        colorings, first = bipartite_coloring_family(
             ext.base, a_side, b_side, r=r, t=t, ell=ell,
             seed=split_seed(seed, "colorings"))
         ground = r * delta + 1
         slices: list[list[int]] = [[] for _ in range(len(colorings))]
         for v in b_side:
-            j = _first_thin([u for u in ext.base.adj[v] if u in ext.a_side], colorings, r)
-            if j is None:
-                raise AssertionError("verified coloring family left a vertex uncovered")
-            slices[j].append(v)
+            slices[first[v]].append(v)
 
         cells: list[tuple[list[list[int]], list[int]]] = []  # (blocks, outside)
         requirements: set[tuple[tuple[int, ...], int]] = set()

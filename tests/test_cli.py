@@ -1,9 +1,13 @@
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 from thdim import (GraphicFunction, complete_graph, cycle_graph, disjoint_cliques, gen_gnm,
                    ltfs_to_graph, parse_circuit, parse_decomposition, path_graph,
                    star_graph, verify_circuit, verify_decomposition, write_edge_list)
-from thdim.cli import main
+from thdim.cli import build_parser, main
 
 
 def write_graph(tmp_path, name, g):
@@ -38,6 +42,18 @@ def test_decompose_vc_star(tmp_path):
     d = parse_decomposition(out.read_text())
     assert d.size == 1
     assert verify_decomposition(star_graph(5), d).ok
+
+
+def test_decompose_vc_beyond_independent_set_limit(tmp_path, monkeypatch):
+    def refuse(g):
+        raise AssertionError("no exact independent set beyond the limit")
+
+    monkeypatch.setattr("thdim.decompose.max_independent_set", refuse)
+    g = gen_gnm(30, 60, seed=5)
+    path = write_graph(tmp_path, "g30.gr", g)
+    out = tmp_path / "d.txt"
+    assert main(["decompose", path, "--method", "vc", "--out", str(out)]) == 0
+    assert verify_decomposition(g, parse_decomposition(out.read_text())).ok
 
 
 def test_decompose_degeneracy_c10(tmp_path):
@@ -301,6 +317,7 @@ def test_bad_td_file_is_usage_error(tmp_path, text):
     "verify --out x", "verify --exact-cap 8", "verify --method vc", "verify --td x",
     "verify --diag x", "verify --seed 1",
     "experiment --exact-cap 8",
+    "decompose --exact-cap 8", "compile --exact-cap 8", "report --exact-cap 8",
 ])
 def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, argv_tail):
     command, *option = argv_tail.split()
@@ -311,7 +328,21 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, argv_tail
     spec.write_text("6 6 1\n")
     argv = {"recognize": ["recognize", path], "decompose": ["decompose", path],
             "compile": ["compile", path, "--out", str(tmp_path / "c2.txt")],
-            "verify": ["verify", path, str(circ)],
+            "verify": ["verify", path, str(circ)], "report": ["report", path],
             "experiment": ["experiment", str(spec), "--out", str(tmp_path / "t.csv")]}[command]
     assert main(argv) == 0
     assert main(argv + option) == 2
+
+
+def test_readme_options_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {}
+    for name, cell in re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.MULTILINE):
+        table[name] = set(re.findall(r"`(--[\w-]+)`", cell))
+    for name, cell in re.findall(r"^\| `(\w+)` \| those of `(\w+)` \|$", readme, re.MULTILINE):
+        table[name] = table[cell]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {s for a in p._actions for s in a.option_strings
+                       if s.startswith("--") and s != "--help"}
+                for name, p in sub.choices.items()}
+    assert table == declared

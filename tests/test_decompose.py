@@ -110,6 +110,27 @@ def test_vc_factor_count_matches_cover():
         assert d.size <= d.bound_claimed
 
 
+def test_vc_default_cover_is_minimum_up_to_independent_set_limit():
+    from thdim.graphs import INDEPENDENT_SET_LIMIT, max_independent_set
+    graphs = [empty_graph(3), star_graph(6)] + random_corpus(
+        12, [(8, 12), (16, 30), (INDEPENDENT_SET_LIMIT, 50)], seed=43)
+    for g in graphs:
+        cover = sorted(set(range(g.n)) - max_independent_set(g))
+        assert (format_decomposition(decompose_vertex_cover(g))
+                == format_decomposition(decompose_vertex_cover(g, cover)))
+
+
+def test_vc_default_cover_beyond_limit_is_a_matching_cover(monkeypatch):
+    def refuse(g):
+        raise AssertionError("no exact independent set beyond the limit")
+
+    monkeypatch.setattr("thdim.decompose.max_independent_set", refuse)
+    g = gen_gnm(30, 60, seed=5)
+    d = decompose_vertex_cover(g)
+    assert d.verified and d.bound_claimed == d.size
+    assert d.size % 2 == 0  # both ends of each matched edge
+
+
 # ---------------------------------------------------------------------------
 # separating coloring families
 
@@ -322,7 +343,7 @@ def test_treewidth_ordering_respects_preorder_and_bags():
     assert max(colors) + 1 <= td.width + 1
     # sigma respects the preorder of anchor bags: anchors never move backward
     from thdim.decompose import _anchor_bags, _rooted
-    depth, _, preorder = _rooted(td)
+    depth, preorder = _rooted(td)
     anchor = _anchor_bags(td, depth)
     pre_pos = {node: i for i, node in enumerate(preorder)}
     positions = [pre_pos[anchor[v]] for v in order.order]

@@ -16,7 +16,7 @@ import pytest
 
 from thdim import (Graph, compute_report, decompose_degeneracy, decompose_maxdeg, decompose_treewidth,
                    decompose_vertex_cover, exact_decomposition, format_decomposition, gen_gnm,
-                   heuristic_tree_decomposition, max_independent_set)
+                   heuristic_tree_decomposition)
 
 from helpers import bounded_degree_graph
 
@@ -47,7 +47,7 @@ def build(method, n, m, seed):
         return decompose_treewidth(g, heuristic_tree_decomposition(g))
     if method == "exact":
         return exact_decomposition(g)
-    return decompose_vertex_cover(g, sorted(set(range(g.n)) - max_independent_set(g)))
+    return decompose_vertex_cover(g)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))

@@ -123,28 +123,28 @@ def test_partition_preconditions():
 
 def test_colorings_trivial_when_degrees_small():
     g = star_graph(5)  # center 0 in A, leaves in B have degree 1
-    fam = bipartite_coloring_family(g, [0], [1, 2, 3, 4], r=1, t=1, ell=2, seed=0)
+    fam, first = bipartite_coloring_family(g, [0], [1, 2, 3, 4], r=1, t=1, ell=2, seed=0)
     assert len(fam) >= 1
+    assert first == {1: 0, 2: 0, 3: 0, 4: 0}
 
 
 def test_colorings_star_center_in_b():
     # center 4 sees 4 leaves; with r=2 and 2 colors a coloring must balance
     g = Graph(5, [(4, i) for i in range(4)])
-    fam = bipartite_coloring_family(g, [0, 1, 2, 3], [4], r=2, t=3, ell=2, seed=0)
-    ok = False
+    fam, first = bipartite_coloring_family(g, [0, 1, 2, 3], [4], r=2, t=3, ell=2, seed=0)
+    thin = []
     for c in fam:
         tally = {}
         for leaf in range(4):
             tally[c[leaf]] = tally.get(c[leaf], 0) + 1
-        if all(x <= 2 for x in tally.values()):
-            ok = True
-    assert ok
+        thin.append(all(x <= 2 for x in tally.values()))
+    assert first == {4: thin.index(True)}
 
 
 def test_colorings_always_verify_when_r_covers_degree():
     g = cycle_graph(6)
-    fam = bipartite_coloring_family(g, [0, 2, 4], [1, 3, 5], r=2, t=1, ell=1, seed=0)
-    assert len(fam) == 1
+    fam, first = bipartite_coloring_family(g, [0, 2, 4], [1, 3, 5], r=2, t=1, ell=1, seed=0)
+    assert len(fam) == 1 and first == {1: 0, 3: 0, 5: 0}
 
 
 def test_colorings_preconditions():
