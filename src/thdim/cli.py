@@ -25,7 +25,7 @@ from .maxdeg import decompose_maxdeg
 from .randgraphs import parse_experiment_spec, render_table, run_experiment
 from .threshold import ForbiddenSubgraph, format_threshold, recognize_threshold
 from .treedecomp import (TreeDecompositionError, heuristic_tree_decomposition,
-                         parse_tree_decomposition)
+                         read_tree_decomposition)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -62,7 +62,7 @@ def _run_method(g: Graph, args) -> Decomposition:
         return decompose_degeneracy(g, seed=args.seed)
     if args.method == "treewidth":
         if args.td:
-            td = parse_tree_decomposition(Path(args.td).read_text(), g)
+            td = read_tree_decomposition(Path(args.td).read_text())
         else:
             td = heuristic_tree_decomposition(g)
         return decompose_treewidth(g, td)

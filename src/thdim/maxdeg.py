@@ -275,9 +275,12 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
                 f"  suitable family: ground={ground} k={r + 1} size={len(family)}")
             diagnostics.append(f"  bipartite colorings: {len(colorings)}")
 
+        # position of each block id in each permutation
+        inverses = [{ci: i for i, ci in enumerate(perm)} for perm in family]
         for blocks, outside in cells:
+            used = [ci for ci, block in enumerate(blocks) if block]
             projections = dict.fromkeys(
-                tuple(ci for ci in perm if blocks[ci]) for perm in family)
+                tuple(sorted(used, key=inverse.__getitem__)) for inverse in inverses)
             orderings = dict.fromkeys(
                 tuple(v for ci in proj for v in blocks[ci][::step])
                 for proj in projections for step in (1, -1))

@@ -131,30 +131,30 @@ def recognize_threshold(g: Graph) -> ThresholdGraph | ForbiddenSubgraph:
     Acceptance returns the ThresholdGraph with its creation sequence (ties
     broken toward the smallest index, universal preferred over isolated);
     refusal returns an induced forbidden 4-vertex subgraph.
+
+    Removing a universal vertex lowers every live degree by one, and
+    removing an isolated one lowers none, so a live vertex's degree is its
+    degree in g minus the number of universal vertices removed so far. The
+    peel therefore buckets the vertices once by their degree in g: the
+    universal ones are a bucket, the isolated ones another, and each bucket
+    gives up its vertices smallest first. O(n) beyond the witness.
     """
-    remaining = set(range(g.n))
-    deg = {v: g.degree(v) for v in remaining}
+    n = g.n
+    by_degree: list[list[int]] = [[] for _ in range(n)]
+    for v in reversed(range(n)):
+        by_degree[len(g.adj[v])].append(v)  # descending, so pop() is the smallest
+    universal_removed = 0
     removals: list[tuple[int, str]] = []
-    while remaining:
-        target = len(remaining) - 1
-        pick = None
-        tag = None
-        for v in sorted(remaining):
-            if deg[v] == target:
-                pick, tag = v, DOMINATING
-                break
-        if pick is None:
-            for v in sorted(remaining):
-                if deg[v] == 0:
-                    pick, tag = v, ISOLATED
-                    break
-        if pick is None:
-            return _forbidden_witness(g, remaining)
-        remaining.discard(pick)
-        for u in g.adj[pick]:
-            if u in remaining:
-                deg[u] -= 1
-        removals.append((pick, tag))
+    for live in range(n, 0, -1):
+        universal = by_degree[live - 1 + universal_removed]
+        isolated = by_degree[universal_removed]
+        if universal:
+            removals.append((universal.pop(), DOMINATING))
+            universal_removed += 1
+        elif isolated:
+            removals.append((isolated.pop(), ISOLATED))
+        else:
+            return _forbidden_witness(g, set().union(*by_degree))
     return ThresholdGraph(tuple(reversed(removals)))
 
 

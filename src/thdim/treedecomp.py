@@ -114,13 +114,24 @@ def validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = None) -
 
 
 def parse_tree_decomposition(text: str, g: Graph | None = None) -> TreeDecomposition:
-    """Parse the PACE-style format.
+    """Read the PACE-style format; the result passes
+    `validate_tree_decomposition(td, g)`, which checks edge coverage only
+    when the graph is supplied."""
+    td = read_tree_decomposition(text)
+    validate_tree_decomposition(td, g)
+    return td
+
+
+def read_tree_decomposition(text: str) -> TreeDecomposition:
+    """Read the PACE-style format without validating the decomposition.
 
     Header "s td <#bags> <maxbagsize> <n>", bag lines "b <id> <v...>" with
     0-based vertices, then bag-tree edges "<id> <id>". Root is bag 1.
-    The result passes `validate_tree_decomposition(td, g)`, which checks
-    edge coverage only when the graph is supplied. A header with more than
-    MAX_VERTICES vertices is refused with ExactLimitError.
+    Malformed lines, counts that disagree with the header and tree edges at
+    unknown bags raise TreeDecompositionError; a header with more than
+    MAX_VERTICES vertices is refused with ExactLimitError. The tree and bag
+    conditions are left to `validate_tree_decomposition`, which
+    `decompose_treewidth` runs on every decomposition it is given.
     """
     header = None
     bags: dict[int, frozenset[int]] = {}
@@ -162,14 +173,12 @@ def parse_tree_decomposition(text: str, g: Graph | None = None) -> TreeDecomposi
             raise TreeDecompositionError(0, f"tree edge ({i},{j}) uses unknown bag")
         tree[i].add(j)
         tree[j].add(i)
-    td = TreeDecomposition(
+    return TreeDecomposition(
         bags=bags,
         tree={i: tuple(sorted(s)) for i, s in tree.items()},
         root=1,
         n=n,
     )
-    validate_tree_decomposition(td, g)
-    return td
 
 
 def format_tree_decomposition(td: TreeDecomposition) -> str:
@@ -190,11 +199,13 @@ def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
 
     Each step eliminates the live vertex of least (fill, index), where fill
     counts the non-adjacent pairs among its neighbors in the fill graph.
-    The fill graph is held as per-vertex neighbor bitmasks, and each fill
-    count is kept up to date as vertices are eliminated: eliminating v only
-    adds edges inside N(v), so each neighbor of v gets its count recomputed
-    and any other vertex loses the new edges that fall inside its own
-    neighborhood.
+    The fill graph is held as per-vertex neighbor bitmasks, and beside each
+    fill count is the number of edges among the vertex's neighbors, so that
+    fill = C(deg, 2) - inside. Eliminating v only adds edges inside N(v),
+    and the counts are updated from those fill edges, never recounted: a
+    vertex outside N[v] gains the fill edges inside its own neighborhood,
+    and a neighbor a of v loses v and its edges, gains the fill edges
+    among N(v) - a, and gains the edges of its new neighbors.
 
     Bag i holds the i-th eliminated vertex plus its not-yet-eliminated
     neighbors in the fill graph; each bag hangs under the bag of its
@@ -209,14 +220,10 @@ def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
     if n == 0:
         return TreeDecomposition(bags={1: frozenset()}, tree={1: ()}, root=1, n=0)
     adj = g.adjacency_masks()
-
-    def fill_cost(v: int) -> int:
-        nb = adj[v]
-        d = nb.bit_count()
-        inside = sum((adj[a] & nb).bit_count() for a in _bits(nb)) // 2
-        return d * (d - 1) // 2 - inside
-
-    cost = [fill_cost(v) for v in range(n)]
+    # inside[v]: edges among v's neighbors; cost[v] = C(deg v, 2) - inside[v]
+    inside = [sum((adj[a] & nb).bit_count() for a in _bits(nb)) // 2 for nb in adj]
+    cost = [nb.bit_count() * (nb.bit_count() - 1) // 2 - inside[v]
+            for v, nb in enumerate(adj)]
     alive = set(range(n))
     elim_order: list[int] = []
     later_nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -224,22 +231,41 @@ def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
     for _ in range(n):
         v = min(alive, key=lambda u: (cost[u], u))
         nb = adj[v]
+        fill = cost[v]
         later = list(_bits(nb))
         later_nbrs[v] = set(later)
         new = {a: nb & ~adj[a] & ~(1 << a) for a in later}
-        touched = 0
+        # a vertex w outside N[v] gains the fill edges among the vertices it
+        # sees; only the ends of fill edges and their neighbors can gain any
+        filling = touched = 0
         for a, fresh in new.items():
             if fresh:
+                filling |= 1 << a
                 touched |= adj[a]
         for w in _bits(touched & ~nb & ~(1 << v)):
-            inside = adj[w] & nb
-            if inside & (inside - 1):  # w sees at least two vertices of N(v)
-                cost[w] -= sum((new[a] & inside).bit_count() for a in _bits(inside)) // 2
+            seen = adj[w] & filling
+            if seen & (seen - 1):  # w sees at least two ends of fill edges
+                gained = sum((new[a] & seen).bit_count() for a in _bits(seen)) // 2
+                inside[w] += gained
+                cost[w] -= gained
+        # each a in N(v) becomes adjacent to x = N(a) + F - v, F = new[a]; on
+        # the old adjacency, edges among x are those among N(a) - v, the fill
+        # edges not at a, and the old edges at F, those inside F counted twice
         keep = ~(1 << v)
-        for a in later:
-            adj[a] = (adj[a] | new[a]) & keep
-        for a in later:
-            cost[a] = fill_cost(a)
+        grown = {}
+        for a, fresh in new.items():
+            x = (adj[a] | fresh) & keep
+            at_fresh = within_fresh = 0
+            for b in _bits(fresh):
+                at_fresh += (adj[b] & x).bit_count()
+                within_fresh += (adj[b] & fresh).bit_count()
+            inside[a] += (fill - fresh.bit_count() - (adj[a] & nb).bit_count()
+                          + at_fresh - within_fresh // 2)
+            grown[a] = x
+        for a, x in grown.items():
+            adj[a] = x
+            d = x.bit_count()
+            cost[a] = d * (d - 1) // 2 - inside[a]
         alive.discard(v)
         elim_order.append(v)
 

@@ -14,13 +14,14 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from thdim import (Graph, TreeDecomposition, complete_graph, cycle_graph, disjoint_cliques,
-                   empty_graph, enumerate_threshold_supergraphs, gen_gnm,
+from thdim import (Graph, ThresholdGraph, TreeDecomposition, complete_graph, cycle_graph,
+                   disjoint_cliques, empty_graph, enumerate_threshold_supergraphs, gen_gnm,
                    path_graph, petersen_graph, star_graph, validate_tree_decomposition)
 from thdim.exactdim import _min_cover
 from thdim.graphs import (VertexOrdering, complete_mask, edge_mask, graph_from_mask,
                           greedy_coloring, max_independent_set, pair_index)
 from thdim.seeding import split_seed
+from thdim.threshold import DOMINATING, ISOLATED, _forbidden_witness
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +309,36 @@ def rescan_degeneracy_ordering(g: Graph) -> tuple[int, tuple[int, ...]]:
             if alive[w]:
                 deg[w] -= 1
     return k, tuple(order)
+
+
+def sorting_recognize_threshold(g: Graph):
+    """The peel that sorts the live vertices twice per step: the smallest
+    dominating one, else the smallest isolated one; the forbidden witness
+    comes from the same remainder when neither exists."""
+    remaining = set(range(g.n))
+    deg = {v: g.degree(v) for v in remaining}
+    removals: list[tuple[int, str]] = []
+    while remaining:
+        target = len(remaining) - 1
+        pick = None
+        tag = None
+        for v in sorted(remaining):
+            if deg[v] == target:
+                pick, tag = v, DOMINATING
+                break
+        if pick is None:
+            for v in sorted(remaining):
+                if deg[v] == 0:
+                    pick, tag = v, ISOLATED
+                    break
+        if pick is None:
+            return _forbidden_witness(g, remaining)
+        remaining.discard(pick)
+        for u in g.adj[pick]:
+            if u in remaining:
+                deg[u] -= 1
+        removals.append((pick, tag))
+    return ThresholdGraph(tuple(reversed(removals)))
 
 
 def listed_gen_gnm(n: int, m: int, seed: int = 0) -> Graph:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from thdim import (GraphicFunction, complete_graph, cycle_graph, disjoint_cliques, gen_gnm,
+from thdim import (GraphicFunction, complete_graph, cycle_graph, disjoint_cliques,
+                   format_tree_decomposition, gen_gnm, heuristic_tree_decomposition,
                    ltfs_to_graph, parse_circuit, parse_decomposition, path_graph,
                    star_graph, verify_circuit, verify_decomposition, write_edge_list)
 from thdim.cli import build_parser, main
@@ -89,7 +90,7 @@ def test_decompose_treewidth_validates_its_tree_decomposition_once(tmp_path, mon
     original = thdim.treedecomp.validate_tree_decomposition
 
     def counting(td, g=None):
-        calls.append(td.n)
+        calls.append((td.n, g is not None))
         return original(td, g)
 
     monkeypatch.setattr(thdim.decompose, "validate_tree_decomposition", counting)
@@ -98,7 +99,12 @@ def test_decompose_treewidth_validates_its_tree_decomposition_once(tmp_path, mon
     path = write_graph(tmp_path, "g.gr", g)
     assert main(["decompose", path, "--method", "treewidth",
                  "--out", str(tmp_path / "d.txt")]) == 0
-    assert calls == [g.n]
+    # a --td file is read, then validated with the graph once
+    td = tmp_path / "g.td"
+    td.write_text(format_tree_decomposition(heuristic_tree_decomposition(g)))
+    assert main(["decompose", path, "--method", "treewidth", "--td", str(td),
+                 "--out", str(tmp_path / "d.txt")]) == 0
+    assert calls == [(g.n, True)] * 2
 
 
 def test_decompose_exact_2k3(tmp_path):
@@ -303,12 +309,23 @@ def test_usage_errors(tmp_path):
     assert main(["bogus-command"]) == 2
 
 
-@pytest.mark.parametrize("text", ["s td 1 1 4\nb 1 0\n", "s td 1 3 3\nb\n"])
-def test_bad_td_file_is_usage_error(tmp_path, text):
+# a bad --td file -> its message, the same whether the file is parsed alone
+# or validated against the graph
+BAD_TD = {
+    "s td 1 1 4\nb 1 0\n": "vertices [1, 2, 3] appear in no bag",
+    "s td 1 3 3\nb\n": "line 2: expected 'b <id> <v...>'",
+    "s td 1 3 3\nb 1 0 1 2\n": "decomposition is for n=3, graph has n=4",
+    "s td 2 2 4\nb 1 0 1\nb 2 2 3\n1 2\n": "edge (1,2) is inside no bag",
+}
+
+
+@pytest.mark.parametrize("text", list(BAD_TD))
+def test_bad_td_file_is_usage_error(tmp_path, capsys, text):
     path = write_graph(tmp_path, "p4.gr", path_graph(4))
     td = tmp_path / "bad.td"
     td.write_text(text)
     assert main(["decompose", path, "--method", "treewidth", "--td", str(td)]) == 2
+    assert capsys.readouterr().err == f"error: {BAD_TD[text]}\n"
 
 
 @pytest.mark.parametrize("argv_tail", [

@@ -8,7 +8,10 @@ up to date incrementally; it pins the elimination order. The degeneracy hash
 at n = 400 was recorded before separating colorings were checked on their
 class completions instead of by a walk over all vertex pairs. The report
 hashes (the CSV `thdim report --out` writes) were recorded before the
-clique-chromatic bound moved onto adjacency bitmasks."""
+clique-chromatic bound moved onto adjacency bitmasks. The treewidth hash at
+n = 400 was recorded before min-fill updated each neighbour's fill count
+from the new fill edges instead of recounting it; its bags reach 135
+vertices, so it pins the update on large neighbourhoods."""
 
 import hashlib
 
@@ -29,6 +32,7 @@ GOLDEN = {
     ("treewidth", 30, 60, 3): "b35654d2407b999e2ad47d976666c22d58479aff2534bac7cf54d7a31b7ca9dc",
     ("degeneracy", 400, 1200, 1): "f14aa889d602f67429a1d07704dc063bb9bc9489da128e1735c85b30738479d7",
     ("treewidth", 120, 360, 4): "140eeaf7d0827534e59e81e9f0b46a36e6b7d7480936336eb6b0c832aa82fa88",
+    ("treewidth", 400, 1200, 1): "315919331491cdd651ce18bb917c60a7b6f2afd321b5f1ae1c23a53a9fd4bdc4",
     ("vertex-cover", 12, 20, 1): "61604f3b558f26a98a16e1fb2d1e16addcb13f6bf5e0c16c852144b4839ad2d9",
     ("maxdeg", 40, 50, 4): "d86868e9c4bcd3e54e79108ddbf87131a13e43a136f679f99107e03548aaa621",
     ("maxdeg", 40, 50, 5): "05183d3884fe6e8c1341678ad3af540fdd755330d70036c584e0cf1da2e4fb9f",

@@ -1,14 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thdim import (ForbiddenSubgraph, LtfWitness, ThresholdGraph, complement,
+from thdim import (ForbiddenSubgraph, Graph, LtfWitness, ThresholdGraph, complement,
                    complete_graph, cycle_graph, empty_graph, extract_ltf,
                    format_threshold, parse_threshold, path_graph,
                    recognize_threshold, star_graph, threshold_supergraph,
                    verify_ltf)
 from thdim.threshold import DOMINATING, ISOLATED, classify_forbidden
 
-from helpers import (all_graphs, brute_is_threshold, naive_completion_edges,
-                     random_corpus, threshold_struct_ok)
+from helpers import (all_graphs, brute_is_threshold, named_corpus, naive_completion_edges,
+                     random_corpus, small_graphs, sorting_recognize_threshold,
+                     threshold_struct_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +48,34 @@ def test_recognition_matches_brute_force_n5():
         assert accepted == brute_is_threshold(g)
         if not accepted:
             assert classify_forbidden(g, w.vertices) == w.kind
+
+
+def test_bucket_peel_matches_sorting_peel():
+    # same creation sequence or same witness, on every labelled graph n <= 5
+    corpus = [g for n in range(6) for g in all_graphs(n)] + list(named_corpus().values())
+    for g in corpus:
+        assert recognize_threshold(g) == sorting_recognize_threshold(g)
+
+
+@st.composite
+def near_threshold_graphs(draw, max_n: int):
+    """A threshold graph from a random creation sequence, with one vertex
+    pair flipped half the time, so the peel runs long before it accepts or
+    sticks."""
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(n)))
+    tags = [draw(st.sampled_from((ISOLATED, DOMINATING))) for _ in range(n)]
+    edges = set(ThresholdGraph(tuple(zip(order, tags))).graph.edges())
+    if n >= 2 and draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges ^= {(min(u, v), max(u, v))}
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graphs(16), near_threshold_graphs(24)))
+def test_bucket_peel_matches_sorting_peel_property(g):
+    assert recognize_threshold(g) == sorting_recognize_threshold(g)
 
 
 def test_recognition_randoms_and_witness_induced():

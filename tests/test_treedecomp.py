@@ -93,6 +93,9 @@ def _shape(td):
 def test_min_fill_matches_rescan():
     corpus = [g for n in range(6) for g in all_graphs(n)] + list(named_corpus().values())
     corpus += random_corpus(10, [(15, 30), (25, 40), (40, 120), (60, 180), (120, 360)], seed=8)
+    # denser graphs add many fill edges per step, so the neighbour updates
+    # carry most of the counts
+    corpus += random_corpus(12, [(20, 60), (40, 200), (80, 400)], seed=14)
     for g in corpus:
         assert _shape(heuristic_tree_decomposition(g)) == \
             _shape(rescan_min_fill_tree_decomposition(g))
