@@ -5,18 +5,17 @@ for clique-indicator Boolean functions."""
 __version__ = "0.1.0"
 
 from .graphs import (ExactLimitError, Graph, ParseError, ProperColoring,
-                     SmallGraphInvariants, VertexOrdering, complement,
-                     complete_graph, cycle_graph, degeneracy_ordering,
-                     disjoint_cliques, empty_graph, exact_small_invariants,
-                     girth, greedy_coloring, max_independent_set,
-                     parse_edge_list, path_graph, petersen_graph, star_graph,
-                     write_edge_list)
+                     SmallGraphInvariants, VertexOrdering, complete_graph,
+                     cycle_graph, degeneracy_ordering, disjoint_cliques,
+                     empty_graph, exact_small_invariants, girth, greedy_coloring,
+                     max_independent_set, parse_edge_list, path_graph,
+                     petersen_graph, star_graph, write_edge_list)
 from .threshold import (ForbiddenSubgraph, LtfWitness, ThresholdGraph,
                         extract_ltf, format_threshold, parse_threshold,
                         recognize_threshold, threshold_supergraph, verify_ltf)
 from .treedecomp import (TreeDecomposition, TreeDecompositionError,
                          format_tree_decomposition, heuristic_tree_decomposition,
-                         parse_tree_decomposition, validate_tree_decomposition)
+                         validate_tree_decomposition)
 from .decompose import (Decomposition, RandomizedSearchError,
                         SeparatingColoringFamily, VerificationResult,
                         build_separating_colorings, decompose_degeneracy,
@@ -26,9 +25,9 @@ from .decompose import (Decomposition, RandomizedSearchError,
 from .maxdeg import (SplitExtension, bipartite_coloring_family, bounded_partition,
                      build_suitable_family, decompose_maxdeg, decompose_split)
 from .exactdim import (EXACT_DIMENSION_LIMIT, DimensionReport, compute_report,
-                       enumerate_threshold_supergraphs, exact_decomposition,
-                       exact_dimension, lower_bound_clique_chromatic,
-                       threshold_cover_number, upper_bound_ramsey_style)
+                       exact_decomposition, exact_dimension,
+                       lower_bound_clique_chromatic, threshold_cover_number,
+                       upper_bound_ramsey_style)
 from .circuits import (GraphicFunction, MajorityCircuit, compile_circuit,
                        format_circuit, from_2cnf, ltfs_to_graph, parse_circuit,
                        to_2cnf, verify_circuit)

@@ -73,13 +73,6 @@ def from_2cnf(clauses: Sequence[Clause], n: int) -> Graph:
     return Graph(n, edges)
 
 
-def eval_2cnf(clauses: Sequence[Clause], x: Sequence[int]) -> int:
-    for (i, _), (j, _) in clauses:
-        if x[i] and x[j]:
-            return 0
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # depth-2 circuits
 

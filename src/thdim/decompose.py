@@ -243,67 +243,37 @@ def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
 # ---------------------------------------------------------------------------
 # treewidth method
 
-def _rooted(td: TreeDecomposition) -> tuple[dict[int, int], list[int]]:
-    """Depth-first from the root: (depth, preorder list with sorted children)."""
-    depth = {td.root: 0}
-    preorder = []
-    stack = [td.root]
-    while stack:
-        i = stack.pop()
-        preorder.append(i)
-        for j in sorted(td.tree[i], reverse=True):
-            if j not in depth:
-                depth[j] = depth[i] + 1
-                stack.append(j)
-    return depth, preorder
+def treewidth_ordering(g: Graph, td: TreeDecomposition) -> tuple[VertexOrdering, list[int]]:
+    """The vertex ordering and bag-distinct coloring (at most width+1 colors)
+    from one depth-first walk of the bags, children in ascending order.
 
-
-def _anchor_bags(td: TreeDecomposition, depth: dict[int, int]) -> list[int]:
-    """anchor[v] = the unique bag containing v that is closest to the root."""
-    anchor = [-1] * td.n
-    best = [math.inf] * td.n
-    for i, bag in td.bags.items():
-        for v in bag:
-            if depth[i] < best[v]:
-                best[v] = depth[i]
-                anchor[v] = i
-    return anchor
-
-
-def _bag_distinct_coloring(td: TreeDecomposition, preorder: list[int],
-                           anchor: list[int]) -> list[int]:
-    """Colors distinct inside every bag, at most width+1 of them.
-
-    Walking bags root-first, a vertex is colored at its anchor bag; every
-    already-colored co-inhabitant of that bag also lives in all bags between
-    its own anchor and here, so greedy avoidance stays consistent globally.
+    A vertex's bags form a subtree, so the first bag of the preorder that
+    holds it is its anchor, the one nearest the root. There the vertex joins
+    the ordering (a bag's newcomers in ascending order) and takes the least
+    color unused in the bag; its colored co-inhabitants live in every bag
+    between their anchors and here, so every bag's colors stay distinct.
     """
     colors = [-1] * td.n
-    for i in preorder:
+    order, stack, seen = [], [td.root], {td.root}
+    while stack:
+        i = stack.pop()
         bag = sorted(td.bags[i])
-        used = {colors[v] for v in bag if colors[v] >= 0}
+        colored = [colors[v] for v in bag if colors[v] >= 0]
+        used = set(colored)
+        if len(used) != len(colored):
+            raise AssertionError("bag coloring failed to separate a bag")
         for v in bag:
-            if colors[v] < 0 and anchor[v] == i:
+            if colors[v] < 0:
                 c = 0
                 while c in used:
                     c += 1
                 colors[v] = c
                 used.add(c)
-    return colors
-
-
-def treewidth_ordering(g: Graph, td: TreeDecomposition) -> tuple[VertexOrdering, list[int]]:
-    """The vertex ordering by anchor-bag preorder (ties by index) and the
-    bag-distinct coloring, as used by the treewidth decomposition."""
-    depth, preorder = _rooted(td)
-    anchor = _anchor_bags(td, depth)
-    colors = _bag_distinct_coloring(td, preorder, anchor)
-    for i, bag in td.bags.items():
-        inside = [colors[v] for v in bag]
-        if len(set(inside)) != len(inside):
-            raise AssertionError("bag coloring failed to separate a bag")
-    pre_pos = {i: p for p, i in enumerate(preorder)}
-    order = sorted(range(g.n), key=lambda v: (pre_pos[anchor[v]], v))
+                order.append(v)
+        for j in sorted(td.tree[i], reverse=True):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
     return VertexOrdering(tuple(order)), colors
 
 
@@ -311,6 +281,8 @@ def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
     """Two factors per color class of the bag-distinct coloring, one along
     the preorder-derived ordering and one along its reverse; at most
     2*(width+1) factors in total."""
+    if g.n == 0:
+        raise ValueError("treewidth decomposition needs at least 1 vertex")
     validate_tree_decomposition(td, g)
     order, colors = treewidth_ordering(g, td)
     classes: dict[int, list[int]] = {}

@@ -17,78 +17,10 @@ from .graphs import (CHROMATIC_LIMIT, INDEPENDENT_SET_LIMIT, ExactLimitError, Gr
                      max_independent_set, maximal_cliques, pair_index)
 from .decompose import (Decomposition, _finish, decompose_degeneracy, decompose_treewidth,
                         decompose_vertex_cover)
-from .threshold import (DOMINATING, ISOLATED, ThresholdGraph, ForbiddenSubgraph,
-                        recognize_threshold)
+from .threshold import ThresholdGraph, ForbiddenSubgraph, recognize_threshold
 from .treedecomp import heuristic_tree_decomposition
 
 EXACT_DIMENSION_LIMIT = 8
-
-
-def _supergraph_creations(g: Graph) -> dict[int, tuple[tuple[int, str], ...]]:
-    """All distinct labeled threshold supergraphs of g, keyed by edge mask.
-
-    DFS over creation sequences in a canonical form (vertices ascend inside
-    each run of equal tags, and the first vertex precedes the second), so
-    each threshold graph is built essentially once; a vertex may enter
-    isolated only while none of its g-neighbors are present, since nothing
-    later could supply the missing edge. Values are witnessing sequences.
-    """
-    n = g.n
-    found: dict[int, tuple[tuple[int, str], ...]] = {}
-    if n == 0:
-        found[0] = ()
-        return found
-    nbr = g.adjacency_masks()
-    pairbit = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                pairbit[u][v] = 1 << pair_index(n, u, v)
-    full = (1 << n) - 1
-    seq: list[tuple[int, str]] = []
-
-    def extend(placed: int, emask: int, last_v: int, last_tag: str) -> None:
-        if placed == full:
-            if emask not in found:
-                found[emask] = tuple(seq)
-            return
-        avail = full & ~placed
-        m = avail
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if last_tag != DOMINATING or v > last_v:
-                add = 0
-                p = placed
-                while p:
-                    lowp = p & -p
-                    add |= pairbit[v][lowp.bit_length() - 1]
-                    p ^= lowp
-                seq.append((v, DOMINATING))
-                extend(placed | low, emask | add, v, DOMINATING)
-                seq.pop()
-            if nbr[v] & placed == 0 and (last_tag != ISOLATED or v > last_v):
-                seq.append((v, ISOLATED))
-                extend(placed | low, emask, v, ISOLATED)
-                seq.pop()
-
-    for first in range(n):
-        seq.append((first, ISOLATED))
-        # the first vertex commutes with the second whatever the tags, so
-        # force it to be the smaller: both branches below require v > first
-        extend(1 << first, 0, first, "*")
-        seq.pop()
-    return found
-
-
-def enumerate_threshold_supergraphs(g: Graph) -> list[ThresholdGraph]:
-    """All distinct labeled threshold supergraphs of g (n <= 8 only)."""
-    if g.n > EXACT_DIMENSION_LIMIT:
-        raise ExactLimitError(
-            f"supergraph enumeration refused for n={g.n} > {EXACT_DIMENSION_LIMIT}")
-    creations = _supergraph_creations(g)
-    return [ThresholdGraph(c) for _, c in sorted(creations.items())]
 
 
 def _maximal(masks) -> list[int]:

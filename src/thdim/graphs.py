@@ -203,12 +203,8 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def complement(g: Graph) -> Graph:
-    return g.complement()
-
-
 # ---------------------------------------------------------------------------
-# pair-index bitmask helpers (shared by the verifiers and the exact oracle)
+# pair-index bitmask helpers (the exact dimension's cover search)
 
 def pair_index(n: int, u: int, v: int) -> int:
     """Index of unordered pair (u, v) in the lexicographic list of all pairs."""

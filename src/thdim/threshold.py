@@ -229,12 +229,6 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
     return ThresholdGraph(tuple(creation))
 
 
-def is_supergraph(big: Graph, small: Graph) -> bool:
-    if big.n != small.n:
-        return False
-    return all(small.adj[v] <= big.adj[v] for v in range(small.n))
-
-
 # ---------------------------------------------------------------------------
 # intersections of threshold graphs
 

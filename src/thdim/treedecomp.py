@@ -113,15 +113,6 @@ def validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = None) -
     _check_traces(td, holders)
 
 
-def parse_tree_decomposition(text: str, g: Graph | None = None) -> TreeDecomposition:
-    """Read the PACE-style format; the result passes
-    `validate_tree_decomposition(td, g)`, which checks edge coverage only
-    when the graph is supplied."""
-    td = read_tree_decomposition(text)
-    validate_tree_decomposition(td, g)
-    return td
-
-
 def read_tree_decomposition(text: str) -> TreeDecomposition:
     """Read the PACE-style format without validating the decomposition.
 

@@ -11,12 +11,16 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations, permutations
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from thdim import (Graph, ThresholdGraph, TreeDecomposition, complete_graph, cycle_graph,
-                   disjoint_cliques, empty_graph, enumerate_threshold_supergraphs, gen_gnm,
-                   path_graph, petersen_graph, star_graph, validate_tree_decomposition)
+from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, ThresholdGraph,
+                   TreeDecomposition, complete_graph, cycle_graph, disjoint_cliques,
+                   empty_graph, gen_gnm, path_graph, petersen_graph, star_graph,
+                   validate_tree_decomposition)
+from thdim import treedecomp
+from thdim.circuits import Clause
 from thdim.exactdim import _min_cover
 from thdim.graphs import (VertexOrdering, complete_mask, edge_mask, graph_from_mask,
                           greedy_coloring, max_independent_set, pair_index)
@@ -256,6 +260,148 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 
     extend(set(), set(range(g.n)), set())
     return found
+
+
+# ---------------------------------------------------------------------------
+# reference code: every labeled threshold supergraph (the exact dimension
+# searches only the maximal covers), supergraph and 2-CNF evaluation, and
+# the treewidth ordering in three passes over the bags
+
+def _supergraph_creations(g: Graph) -> dict[int, tuple[tuple[int, str], ...]]:
+    """All distinct labeled threshold supergraphs of g, keyed by edge mask.
+
+    DFS over creation sequences in a canonical form (vertices ascend inside
+    each run of equal tags, and the first vertex precedes the second), so
+    each threshold graph is built essentially once; a vertex may enter
+    isolated only while none of its g-neighbors are present, since nothing
+    later could supply the missing edge. Values are witnessing sequences.
+    """
+    n = g.n
+    found: dict[int, tuple[tuple[int, str], ...]] = {}
+    if n == 0:
+        found[0] = ()
+        return found
+    nbr = g.adjacency_masks()
+    pairbit = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                pairbit[u][v] = 1 << pair_index(n, u, v)
+    full = (1 << n) - 1
+    seq: list[tuple[int, str]] = []
+
+    def extend(placed: int, emask: int, last_v: int, last_tag: str) -> None:
+        if placed == full:
+            if emask not in found:
+                found[emask] = tuple(seq)
+            return
+        avail = full & ~placed
+        m = avail
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            if last_tag != DOMINATING or v > last_v:
+                add = 0
+                p = placed
+                while p:
+                    lowp = p & -p
+                    add |= pairbit[v][lowp.bit_length() - 1]
+                    p ^= lowp
+                seq.append((v, DOMINATING))
+                extend(placed | low, emask | add, v, DOMINATING)
+                seq.pop()
+            if nbr[v] & placed == 0 and (last_tag != ISOLATED or v > last_v):
+                seq.append((v, ISOLATED))
+                extend(placed | low, emask, v, ISOLATED)
+                seq.pop()
+
+    for first in range(n):
+        seq.append((first, ISOLATED))
+        # the first vertex commutes with the second whatever the tags, so
+        # force it to be the smaller: both branches below require v > first
+        extend(1 << first, 0, first, "*")
+        seq.pop()
+    return found
+
+
+def enumerate_threshold_supergraphs(g: Graph) -> list[ThresholdGraph]:
+    """All distinct labeled threshold supergraphs of g (n <= 8 only)."""
+    if g.n > EXACT_DIMENSION_LIMIT:
+        raise ExactLimitError(
+            f"supergraph enumeration refused for n={g.n} > {EXACT_DIMENSION_LIMIT}")
+    creations = _supergraph_creations(g)
+    return [ThresholdGraph(c) for _, c in sorted(creations.items())]
+
+
+def is_supergraph(big: Graph, small: Graph) -> bool:
+    if big.n != small.n:
+        return False
+    return all(small.adj[v] <= big.adj[v] for v in range(small.n))
+
+
+def eval_2cnf(clauses: Sequence[Clause], x: Sequence[int]) -> int:
+    for (i, _), (j, _) in clauses:
+        if x[i] and x[j]:
+            return 0
+    return 1
+
+
+def _rooted(td: TreeDecomposition) -> tuple[dict[int, int], list[int]]:
+    """Depth-first from the root: (depth, preorder list with sorted children)."""
+    depth = {td.root: 0}
+    preorder = []
+    stack = [td.root]
+    while stack:
+        i = stack.pop()
+        preorder.append(i)
+        for j in sorted(td.tree[i], reverse=True):
+            if j not in depth:
+                depth[j] = depth[i] + 1
+                stack.append(j)
+    return depth, preorder
+
+
+def _anchor_bags(td: TreeDecomposition, depth: dict[int, int]) -> list[int]:
+    """anchor[v] = the unique bag containing v that is closest to the root."""
+    anchor = [-1] * td.n
+    best = [math.inf] * td.n
+    for i, bag in td.bags.items():
+        for v in bag:
+            if depth[i] < best[v]:
+                best[v] = depth[i]
+                anchor[v] = i
+    return anchor
+
+
+def anchor_bag_ordering(g: Graph, td: TreeDecomposition) -> tuple[tuple[int, ...], list[int]]:
+    """The treewidth ordering and coloring in three passes: bag depths and
+    the preorder, each vertex's anchor (its bag of least depth), then the
+    vertices sorted by (preorder position of anchor, index), each colored
+    at its anchor with the least color unused in that bag."""
+    depth, preorder = _rooted(td)
+    anchor = _anchor_bags(td, depth)
+    colors = [-1] * td.n
+    for i in preorder:
+        bag = sorted(td.bags[i])
+        used = {colors[v] for v in bag if colors[v] >= 0}
+        for v in bag:
+            if colors[v] < 0 and anchor[v] == i:
+                c = 0
+                while c in used:
+                    c += 1
+                colors[v] = c
+                used.add(c)
+    pre_pos = {i: p for p, i in enumerate(preorder)}
+    return tuple(sorted(range(g.n), key=lambda v: (pre_pos[anchor[v]], v))), colors
+
+
+def read_valid(text: str, g: Graph | None = None) -> TreeDecomposition:
+    """Read a tree decomposition, then validate it (against g when given),
+    through the module attributes so that a test can patch either step."""
+    td = treedecomp.read_tree_decomposition(text)
+    treedecomp.validate_tree_decomposition(td, g)
+    return td
 
 
 def dfs_exact_cover(g: Graph):

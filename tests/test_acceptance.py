@@ -15,13 +15,12 @@ from thdim import (GraphicFunction, ThresholdGraph, compile_circuit,
                    ltfs_to_graph, petersen_graph, recognize_threshold,
                    render_table, run_experiment, validate_tree_decomposition,
                    verify_circuit, verify_decomposition)
-from thdim.exactdim import _supergraph_creations
 from thdim.graphs import empty_graph, max_independent_set
 from thdim.seeding import split_seed
 from thdim.threshold import extract_ltf
 from thdim.treedecomp import TreeDecomposition
 
-from helpers import (all_graphs, bounded_degree_graph, brute_is_threshold,
+from helpers import (_supergraph_creations, all_graphs, bounded_degree_graph, brute_is_threshold,
                      pendant_complement_bags, pendant_clique_complement, named_corpus, random_corpus,
                      representatives, unmet_requirements)
 

@@ -7,10 +7,9 @@ from thdim import (Decomposition, GraphicFunction, LtfWitness, MajorityCircuit,
                    exact_decomposition, format_circuit, from_2cnf, gen_gnm,
                    ltfs_to_graph, parse_circuit, path_graph, star_graph,
                    to_2cnf, verify_circuit)
-from thdim.circuits import eval_2cnf
 from thdim.graphs import max_independent_set
 
-from helpers import random_corpus
+from helpers import eval_2cnf, random_corpus
 
 
 # ---------------------------------------------------------------------------

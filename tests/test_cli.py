@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from thdim import (GraphicFunction, complete_graph, cycle_graph, disjoint_cliques,
+from thdim import (Graph, GraphicFunction, complete_graph, cycle_graph, disjoint_cliques,
                    format_tree_decomposition, gen_gnm, heuristic_tree_decomposition,
                    ltfs_to_graph, parse_circuit, parse_decomposition, path_graph,
                    star_graph, verify_circuit, verify_decomposition, write_edge_list)
@@ -81,6 +81,14 @@ def test_decompose_treewidth_with_td_file(tmp_path):
     assert main(["decompose", path, "--method", "treewidth", "--td", str(td),
                  "--out", str(tmp_path / "d.txt")]) == 0
     assert parse_decomposition((tmp_path / "d.txt").read_text()).size <= 4
+
+
+@pytest.mark.parametrize("command", ["decompose", "compile"])
+def test_treewidth_refuses_the_empty_graph(tmp_path, capsys, command):
+    path = write_graph(tmp_path, "empty.gr", Graph(0))
+    assert main([command, path, "--method", "treewidth"]) == 2
+    assert capsys.readouterr().err == (
+        "error: treewidth decomposition needs at least 1 vertex\n")
 
 
 def test_decompose_treewidth_validates_its_tree_decomposition_once(tmp_path, monkeypatch):

@@ -17,8 +17,9 @@ from thdim.decompose import _class_completions, _sample_coloring, treewidth_orde
 from thdim.seeding import split_seed
 from thdim.treedecomp import TreeDecomposition
 
-from helpers import (all_graphs, pendant_complement_bags, pendant_clique_complement,
-                     random_corpus, small_graphs, walk_uncovered_pairs)
+from helpers import (all_graphs, anchor_bag_ordering, pendant_complement_bags,
+                     pendant_clique_complement, random_corpus, small_graphs,
+                     walk_uncovered_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +334,22 @@ def test_treewidth_handmade_star_bags():
 
 
 def test_treewidth_ordering_respects_preorder_and_bags():
-    g = disjoint_cliques(3)
-    td = heuristic_tree_decomposition(g)
-    order, colors = treewidth_ordering(g, td)
-    # within every bag all colors differ
-    for bag in td.bags.values():
-        inside = [colors[v] for v in bag]
-        assert len(set(inside)) == len(inside)
-    assert max(colors) + 1 <= td.width + 1
-    # sigma respects the preorder of anchor bags: anchors never move backward
-    from thdim.decompose import _anchor_bags, _rooted
-    depth, preorder = _rooted(td)
-    anchor = _anchor_bags(td, depth)
-    pre_pos = {node: i for i, node in enumerate(preorder)}
-    positions = [pre_pos[anchor[v]] for v in order.order]
-    assert positions == sorted(positions)
+    # the one-walk ordering and coloring equal the anchor-bag oracle's on
+    # every rooting of heuristic and hand-made tree decompositions
+    cases = [(g, heuristic_tree_decomposition(g))
+             for g in random_corpus(24, [(6, 5), (10, 18), (14, 30), (20, 45)], seed=83)]
+    star = {1: tuple(range(2, 6)), **{i: (1,) for i in range(2, 6)}}
+    cases.append((pendant_clique_complement(4),
+                  TreeDecomposition(bags=pendant_complement_bags(4), tree=star, root=1, n=8)))
+    for g, td in cases:
+        for root in td.bags:
+            rooted = TreeDecomposition(bags=td.bags, tree=td.tree, root=root, n=td.n)
+            order, colors = treewidth_ordering(g, rooted)
+            assert (order.order, colors) == anchor_bag_ordering(g, rooted)
+            for bag in td.bags.values():
+                inside = [colors[v] for v in bag]
+                assert len(set(inside)) == len(inside)
+            assert max(colors) + 1 <= td.width + 1
 
 
 def test_treewidth_rejects_invalid_td():

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from thdim import (ExactLimitError, Graph, ParseError, VertexOrdering, complement,
+from thdim import (ExactLimitError, Graph, ParseError, VertexOrdering,
                    complete_graph, cycle_graph, degeneracy_ordering, disjoint_cliques,
                    empty_graph, exact_small_invariants, girth,
                    greedy_coloring, parse_edge_list, path_graph, petersen_graph,
@@ -72,10 +72,10 @@ def test_edge_list_round_trip():
 
 
 def test_complement_k3_and_involution():
-    assert complement(complete_graph(3)) == empty_graph(3)
-    assert complement(complement(path_graph(4))) == path_graph(4)
+    assert complete_graph(3).complement() == empty_graph(3)
+    assert path_graph(4).complement().complement() == path_graph(4)
     for g in random_corpus(10, [(7, 10), (8, 14)], seed=5):
-        assert complement(complement(g)) == g
+        assert g.complement().complement() == g
 
 
 def test_complement_of_clique_with_pendants():

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thdim import (path_graph, parse_circuit, parse_decomposition, parse_edge_list,
-                   parse_experiment_spec, parse_threshold, parse_tree_decomposition)
+                   parse_experiment_spec, parse_threshold)
 from thdim.decompose import METHODS
+
+from helpers import read_valid
 
 SMALL = st.integers(-3, 50)
 TOKEN = st.one_of(SMALL.map(str), st.sampled_from(
@@ -33,7 +35,7 @@ def texts(draw, header, keyword):
 
 
 def _td_with_graph(text):
-    return parse_tree_decomposition(text, path_graph(4))
+    return read_valid(text, path_graph(4))
 
 
 # parser -> its header line, with {} for each integer field, its line
@@ -41,7 +43,7 @@ def _td_with_graph(text):
 # random draws seldom make several header fields and a line agree at once
 PARSERS = {
     "edge-list": (parse_edge_list, "p {} {}", "0", ()),
-    "tree-decomposition": (parse_tree_decomposition, "s td {} {} {}", "b",
+    "tree-decomposition": (read_valid, "s td {} {} {}", "b",
                            ("s td 1 3 3\nb\n",)),
     "tree-decomposition-with-graph": (_td_with_graph, "s td {} {} {}", "b",
                                       ("s td 1 3 3\nb\n",)),

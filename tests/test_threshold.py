@@ -2,16 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thdim import (ForbiddenSubgraph, Graph, LtfWitness, ThresholdGraph, complement,
+from thdim import (ForbiddenSubgraph, Graph, LtfWitness, ThresholdGraph,
                    complete_graph, cycle_graph, empty_graph, extract_ltf,
                    format_threshold, parse_threshold, path_graph,
                    recognize_threshold, star_graph, threshold_supergraph,
                    verify_ltf)
 from thdim.threshold import DOMINATING, ISOLATED, classify_forbidden
 
-from helpers import (all_graphs, brute_is_threshold, named_corpus, naive_completion_edges,
-                     random_corpus, small_graphs, sorting_recognize_threshold,
-                     threshold_struct_ok)
+from helpers import (_supergraph_creations, all_graphs, brute_is_threshold, is_supergraph,
+                     named_corpus, naive_completion_edges, random_corpus, small_graphs,
+                     sorting_recognize_threshold, threshold_struct_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def Graph_with_p4_tail():
 def test_complement_closure():
     for g in random_corpus(20, [(6, 8), (7, 12)], seed=7):
         a = isinstance(recognize_threshold(g), ThresholdGraph)
-        b = isinstance(recognize_threshold(complement(g)), ThresholdGraph)
+        b = isinstance(recognize_threshold(g.complement()), ThresholdGraph)
         assert a == b
 
 
@@ -148,7 +148,6 @@ def test_completion_contract_violations():
 
 
 def test_completion_is_threshold_supergraph_of_input():
-    from thdim.threshold import is_supergraph
     for g in random_corpus(20, [(7, 9), (8, 12)], seed=13):
         ind = max_independent_like(g)
         t = threshold_supergraph(g, ind)
@@ -203,7 +202,6 @@ def test_p3_scheme_passes_exhaustively():
 
 
 def test_all_threshold_graphs_n6_have_valid_witnesses():
-    from thdim.exactdim import _supergraph_creations
     for n in range(1, 7):
         for creation in _supergraph_creations(empty_graph(n)).values():
             t = ThresholdGraph(creation)

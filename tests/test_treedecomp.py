@@ -4,21 +4,22 @@ from hypothesis import given, settings
 from thdim import treedecomp
 from thdim import (ExactLimitError, TreeDecomposition, TreeDecompositionError,
                    complete_graph, cycle_graph, format_tree_decomposition,
-                   heuristic_tree_decomposition, parse_tree_decomposition,
-                   path_graph, petersen_graph, validate_tree_decomposition)
+                   heuristic_tree_decomposition, path_graph, petersen_graph,
+                   validate_tree_decomposition)
 
 from helpers import (all_graphs, named_corpus, pendant_complement_bags, pendant_clique_complement,
-                     random_corpus, rescan_min_fill_tree_decomposition, small_graphs)
+                     random_corpus, read_valid, rescan_min_fill_tree_decomposition,
+                     small_graphs)
 
 
 def test_parse_single_bag_k3():
-    td = parse_tree_decomposition("s td 1 3 3\nb 1 0 1 2\n", complete_graph(3))
+    td = read_valid("s td 1 3 3\nb 1 0 1 2\n", complete_graph(3))
     assert td.width == 2 and td.root == 1
 
 
 def test_parse_path_of_bags_for_p4():
     text = "s td 3 2 4\nb 1 0 1\nb 2 1 2\nb 3 2 3\n1 2\n2 3\n"
-    td = parse_tree_decomposition(text, path_graph(4))
+    td = read_valid(text, path_graph(4))
     assert td.width == 1
 
 
@@ -29,28 +30,28 @@ def test_vertex_count_above_the_cap_is_refused_before_validation(monkeypatch):
 
     monkeypatch.setattr(treedecomp, "validate_tree_decomposition", refuse)
     with pytest.raises(ExactLimitError):
-        parse_tree_decomposition(f"s td 1 1 {10 ** 12}\nb 1 0\n")
+        read_valid(f"s td 1 1 {10 ** 12}\nb 1 0\n")
 
 
 def test_parse_rejects_disconnected_trace():
     # vertex 1 sits in bags 1 and 3 but not in the middle bag
     text = "s td 3 2 4\nb 1 0 1\nb 2 2 3\nb 3 1 2\n1 2\n2 3\n"
     with pytest.raises(TreeDecompositionError) as err:
-        parse_tree_decomposition(text)
+        read_valid(text)
     assert err.value.condition == 3
 
 
 def test_parse_rejects_missing_vertex():
     text = "s td 1 2 3\nb 1 0 1\n"
     with pytest.raises(TreeDecompositionError) as err:
-        parse_tree_decomposition(text)
+        read_valid(text)
     assert err.value.condition == 1
 
 
 def test_validate_rejects_uncovered_edge():
     text = "s td 2 2 4\nb 1 0 1\nb 2 2 3\n1 2\n"
     with pytest.raises(TreeDecompositionError) as err:
-        parse_tree_decomposition(text, path_graph(4))
+        read_valid(text, path_graph(4))
     assert err.value.condition == 2
 
 
@@ -63,7 +64,7 @@ def test_validate_rejects_uncovered_edge():
 ])
 def test_parse_structural_errors(text):
     with pytest.raises(TreeDecompositionError) as err:
-        parse_tree_decomposition(text)
+        read_valid(text)
     assert err.value.condition in (0, 1)
 
 
@@ -133,7 +134,7 @@ def test_handmade_star_bags_validate():
 def test_format_round_trip():
     g = cycle_graph(6)
     td = heuristic_tree_decomposition(g)
-    back = parse_tree_decomposition(format_tree_decomposition(td), g)
+    back = read_valid(format_tree_decomposition(td), g)
     assert back.width == td.width
     assert set(map(frozenset, back.bags.values())) == set(map(frozenset, td.bags.values()))
 
