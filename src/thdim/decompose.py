@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 from .graphs import (INDEPENDENT_SET_LIMIT, Graph, ProperColoring, VertexOrdering,
                      degeneracy_ordering, max_independent_set)
 from .seeding import split_seed
-from .threshold import (ThresholdGraph, format_threshold, intersection_mismatch, parse_threshold,
-                        threshold_supergraph)
+from .threshold import (ThresholdGraph, _isolated_prefixes, format_threshold,
+                        intersection_mismatch, parse_threshold, threshold_supergraph)
 from .treedecomp import TreeDecomposition, validate_tree_decomposition
 
 METHODS = ("vertex-cover", "degeneracy", "treewidth", "maxdeg", "exact", "manual")
@@ -152,16 +152,18 @@ class SeparatingColoringFamily:
 
 def _class_completions(g: Graph, coloring: ProperColoring, pos: Sequence[int],
                        pending: list[int]) -> list[ThresholdGraph]:
-    """The completion of each non-empty color class, ordered by position. Each
-    class vertex v clears from pending[v] its non-neighbours there; an earlier
-    u of another class is one iff u has no neighbour of v's color after v."""
+    """The completion of each non-empty color class, ordered by position. The
+    class vertices are the completion's isolated ones, and each class vertex
+    v clears its prefix there from pending[v]: an earlier u of another class
+    is in it iff u has no neighbour of v's color after v. v's other
+    non-neighbours in the completion are class vertices after v by
+    position, which pending[v] never holds."""
     factors = []
     for cls in coloring.color_classes():
         if cls:
             factor = threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
-            nonadj = factor.nonadjacency_masks()
-            for v in cls:
-                pending[v] &= ~nonadj[v]
+            for v, prefix in _isolated_prefixes(factor):
+                pending[v] &= ~prefix
             factors.append(factor)
     return factors
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import ExactLimitError, Graph, _bits, degeneracy_ordering
 
@@ -85,22 +85,16 @@ class ThresholdGraph:
                 later_dominating += 1
         return tuple(deg)
 
-    def nonadjacency_masks(self) -> list[int]:
-        """Bitmask of the non-neighbours of every vertex (v itself excluded):
-        the vertices placed before v if v is isolated, OR the isolated
-        vertices placed after v. One suffix and one prefix sweep."""
-        masks = [0] * self.n
-        isolated_after = 0
-        for v, t in reversed(self.creation):
-            masks[v] = isolated_after
-            if t == ISOLATED:
-                isolated_after |= 1 << v
-        placed = 0
-        for v, t in self.creation:
-            if t == ISOLATED:
-                masks[v] |= placed
-            placed |= 1 << v
-        return masks
+
+def _isolated_prefixes(t: ThresholdGraph) -> Iterator[tuple[int, int]]:
+    """(w, mask of the vertices placed before w) for each isolated w, in
+    creation order. The later of two vertices decides their adjacency, so
+    t's non-edges are exactly the pairs {w} x prefix(w). One forward pass."""
+    placed = 0
+    for v, tag in t.creation:
+        if tag == ISOLATED:
+            yield v, placed
+        placed |= 1 << v
 
 
 @dataclass(frozen=True)
@@ -239,24 +233,53 @@ def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]
 
     First the smallest edge of g that the earliest factor dropping one
     drops, with that factor's index; else the smallest non-edge of g that
-    every factor keeps, with index None. O(k*n) operations on per-vertex
-    bitmasks."""
+    every factor keeps, with index None.
+
+    Walks only each factor's isolated vertices (`_isolated_prefixes`): a
+    factor drops an edge iff an isolated w has a g-neighbour in prefix(w),
+    and it excludes the pairs {w} x prefix(w), recorded at w: one AND and
+    one OR per isolated vertex. A non-edge (u, w), u < w, not excluded in
+    u's row costs a test of bit u in w's row. If those tests would outnumber
+    the factors' vertices, as for an all-isolated factor in ascending order,
+    a backward sweep per factor first records each pair at its
+    earlier-placed end too.
+    """
     for idx, f in enumerate(factors):
         if f.n != g.n:
             raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {g.n}")
     adjacent = g.adjacency_masks()
-    excluded = [0] * g.n  # non-adjacencies of some factor
+    excluded = [0] * g.n  # each pair some factor excludes is held at one end at least
     for idx, f in enumerate(factors):
-        for u, nonadj in enumerate(f.nonadjacency_masks()):
-            dropped = nonadj & adjacent[u]  # symmetric: the lowest bit is above u
+        first = None
+        for w, prefix in _isolated_prefixes(f):
+            dropped = prefix & adjacent[w]
             if dropped:
-                return (u, (dropped & -dropped).bit_length() - 1), idx
-            excluded[u] |= nonadj
+                x = (dropped & -dropped).bit_length() - 1
+                pair = (x, w) if x < w else (w, x)
+                first = pair if first is None else min(first, pair)
+            excluded[w] |= prefix
+        if first is not None:
+            return first, idx
     full = (1 << g.n) - 1
+
+    def candidates(u: int) -> int:  # the non-neighbours w > u not excluded at u, as bits w-u-1
+        return (full & ~(adjacent[u] | excluded[u])) >> u + 1
+
+    if sum(candidates(u).bit_count() for u in range(g.n)) > sum(f.n for f in factors):
+        for f in factors:
+            isolated_after = 0
+            for v, tag in reversed(f.creation):
+                excluded[v] |= isolated_after
+                if tag == ISOLATED:
+                    isolated_after |= 1 << v
     for u in range(g.n):
-        kept = full & ~adjacent[u] & ~excluded[u] & ~(1 << u)
-        if kept:
-            return (u, (kept & -kept).bit_length() - 1), None
+        rest = candidates(u)
+        while rest:
+            low = rest & -rest
+            w = u + low.bit_length()
+            if not excluded[w] >> u & 1:
+                return (u, w), None
+            rest ^= low
     return None
 
 

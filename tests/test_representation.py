@@ -1,14 +1,16 @@
-"""Property tests for factors held as creation sequences: the compact
-per-vertex views agree with the materialized graph, degree vectors identify
-labeled threshold graphs, and the mask-based decomposition check agrees with
-the edge-mask oracle in helpers.py."""
+"""Property tests for factors held as creation sequences: the isolated
+vertices' prefixes and the degree vector agree with the materialized graph,
+degree vectors identify labeled threshold graphs, and the prefix-based
+decomposition check agrees with the edge-mask oracle in helpers.py."""
+
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thdim import (Decomposition, Graph, ThresholdGraph, recognize_threshold,
                    threshold_supergraph, verify_decomposition)
-from thdim.threshold import DOMINATING, ISOLATED
+from thdim.threshold import DOMINATING, ISOLATED, _isolated_prefixes
 
 from helpers import edge_mask_verify
 
@@ -53,11 +55,15 @@ def factor_lists(draw, g):
 def test_compact_views_match_materialized_graph(creation):
     t = ThresholdGraph(creation)
     g = t.graph
-    full = (1 << t.n) - 1
-    masks = t.nonadjacency_masks()
-    for v in range(t.n):
-        adjacent = sum(1 << u for u in g.adj[v])
-        assert masks[v] == full & ~adjacent & ~(1 << v)
+    placed = [v for v, _ in t.creation]
+    prefixes = list(_isolated_prefixes(t))
+    assert [w for w, _ in prefixes] == list(t.split_a)
+    held = []
+    for w, prefix in prefixes:
+        assert prefix == sum(1 << u for u in placed[:placed.index(w)])
+        held += [frozenset((u, w)) for u in range(t.n) if prefix >> u & 1]
+    non_edges = [frozenset(p) for p in combinations(range(t.n), 2) if not g.has_edge(*p)]
+    assert sorted(held, key=sorted) == sorted(non_edges, key=sorted)  # each non-edge once
     assert t.degrees() == tuple(g.degree(v) for v in range(t.n))
 
 
@@ -85,3 +91,54 @@ def test_mask_verification_matches_edge_mask_oracle(data):
     d = Decomposition(factors=tuple(factors), method="manual", bound_claimed=len(factors))
     r = verify_decomposition(g, d)
     assert (r.ok, r.reason, r.pair, r.factor_index) == edge_mask_verify(g, factors)
+
+
+# C4 = 0-2-1-3-0, with non-edges {0, 1} and {2, 3}. The first factor places 0
+# isolated after 1, so it holds {0, 1} at the smaller end 0; the second places
+# 3 isolated after 2, so it holds {2, 3} at the larger end 3 only, which the
+# scan for kept pairs reaches by testing a bit of 3's row.
+C4 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+HELD_AT_SMALLER = ThresholdGraph(((1, ISOLATED), (0, ISOLATED), (2, DOMINATING), (3, DOMINATING)))
+HELD_AT_LARGER = ThresholdGraph(((2, ISOLATED), (3, ISOLATED), (0, DOMINATING), (1, DOMINATING)))
+
+
+def _check(g, factors):
+    d = Decomposition(factors=tuple(factors), method="manual", bound_claimed=len(factors))
+    r = verify_decomposition(g, d)
+    result = (r.ok, r.reason, r.pair, r.factor_index)
+    assert result == edge_mask_verify(g, factors)
+    return result
+
+
+def test_non_edge_held_at_either_end_verifies():
+    assert _check(C4, [HELD_AT_SMALLER, HELD_AT_LARGER])[0]
+    assert _check(C4, [HELD_AT_LARGER, HELD_AT_SMALLER])[0]
+
+
+def test_non_edge_kept_without_its_only_factor_is_reported():
+    assert _check(C4, [HELD_AT_LARGER])[2:] == ((0, 1), None)
+    assert _check(C4, [HELD_AT_SMALLER])[2:] == ((2, 3), None)
+
+
+def test_smallest_dropped_edge_is_reported_whichever_end_is_isolated():
+    # 3 enters isolated after 1 and 2 (dropping the edge (1, 3)), then 0
+    # after 1, 2 and 3 (dropping (0, 2) and (0, 3)): the smallest is (0, 2),
+    # at its isolated end 0
+    bad = ThresholdGraph(((1, DOMINATING), (2, DOMINATING), (3, ISOLATED), (0, ISOLATED)))
+    assert _check(C4, [HELD_AT_SMALLER, bad])[2:] == ((0, 2), 1)
+    # 2 enters isolated after 0 and 1: the smallest is (0, 2), at its
+    # isolated end 2
+    mirror = ThresholdGraph(((0, DOMINATING), (1, DOMINATING), (2, ISOLATED), (3, DOMINATING)))
+    assert _check(C4, [mirror])[2:] == ((0, 2), 0)
+
+
+def test_pairs_held_at_their_larger_ends_only():
+    # an all-isolated factor in ascending order holds every pair at its
+    # larger end: far more bit tests than vertices, so the check also
+    # records each pair at its earlier-placed end
+    n = 8
+    ascending = ThresholdGraph(tuple((v, ISOLATED) for v in range(n)))
+    assert _check(Graph(n, []), [ascending])[0]
+    one_dominating = ThresholdGraph(tuple((v, DOMINATING if v == 5 else ISOLATED)
+                                          for v in range(n)))
+    assert _check(Graph(n, []), [one_dominating])[2:] == ((0, 5), None)
