@@ -8,9 +8,11 @@ its cliques are exactly the 0-1 solutions of one linear inequality.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations, compress
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import ExactLimitError, Graph, _bits, degeneracy_ordering
@@ -25,76 +27,143 @@ class InternalVerificationError(AssertionError):
     """A construction failed its own verification; indicates a bug, never input error."""
 
 
-@dataclass(frozen=True)
 class ThresholdGraph:
-    """A threshold graph held as its creation sequence.
+    """A threshold graph held as its creation sequence, packed into two arrays.
 
-    `creation` is the build order: each vertex enters either isolated or
-    dominating (adjacent to everything already present), so u and v are
-    adjacent iff the later of the two is dominating. `split_a` is the
-    independent side in creation order, which nests neighborhoods
-    decreasingly (N(a_1) >= N(a_2) >= ...); `split_b` is the clique side.
-    The adjacency `graph` is only built when asked for.
+    Each vertex enters either isolated or dominating (adjacent to everything
+    already present), so u and v are adjacent iff the later of the two is
+    dominating. `order` is the creation order and `cuts` the ascending
+    positions in it of the vertices that enter isolated, both `array('I')`:
+    between two cuts lies a run of dominating vertices, and the passes over
+    a factor take a run at a time. `split_a` is the independent side in
+    creation order, which nests neighborhoods decreasingly
+    (N(a_1) >= N(a_2) >= ...); `split_b` is the clique side. The
+    constructor takes the sequence as (vertex, tag) pairs, which `creation`
+    gives back. The adjacency `graph` is only built when asked for.
     """
 
-    creation: tuple[tuple[int, str], ...]
+    __slots__ = ("order", "cuts", "_graph")
 
-    def __post_init__(self):
-        creation = tuple(self.creation)
-        seen = [False] * len(creation)
-        for v, t in creation:
-            if not (0 <= v < len(creation)) or seen[v]:
-                raise ValueError("creation sequence must mention each vertex exactly once")
-            if t != ISOLATED and t != DOMINATING:
-                raise ValueError(f"unknown creation tag {t!r}")
-            seen[v] = True
-        object.__setattr__(self, "creation", creation)
+    def __init__(self, creation: Iterable[tuple[int, str]]):
+        creation = tuple(creation)
+        tags = [tag for _, tag in creation]
+        cuts = [i for i, tag in enumerate(tags) if tag == ISOLATED]
+        if len(cuts) + tags.count(DOMINATING) != len(tags):
+            bad = next(tag for tag in tags if tag != ISOLATED and tag != DOMINATING)
+            raise ValueError(f"unknown creation tag {bad!r}")
+        self._pack([v for v, _ in creation], cuts)
+
+    @classmethod
+    def _packed(cls, order: list[int], cuts: list[int]) -> ThresholdGraph:
+        """The builders' constructor: `cuts` must ascend and lie below len(order)."""
+        t = cls.__new__(cls)
+        t._pack(order, cuts)
+        return t
+
+    def _pack(self, order: list[int], cuts: list[int]) -> None:
+        # checked on the list: array('I') would overflow on a negative or huge vertex
+        if set(order) != _vertex_set(len(order)):
+            raise ValueError("creation sequence must mention each vertex exactly once")
+        self.order = array("I", order)
+        self.cuts = array("I", cuts)
+        self._graph: Graph | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ThresholdGraph):
+            return NotImplemented
+        return self.order == other.order and self.cuts == other.cuts
+
+    def __hash__(self) -> int:
+        return hash((self.order.tobytes(), self.cuts.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"<ThresholdGraph {format_threshold(self)}>"
 
     @property
     def n(self) -> int:
-        return len(self.creation)
+        return len(self.order)
 
-    @cached_property
+    @property
+    def creation(self) -> tuple[tuple[int, str], ...]:
+        """The creation sequence as (vertex, tag) pairs, built on each call."""
+        tags = [DOMINATING] * self.n
+        for c in self.cuts:
+            tags[c] = ISOLATED
+        return tuple(zip(self.order, tags))
+
+    @property
     def split_a(self) -> tuple[int, ...]:
-        return tuple(v for v, t in self.creation if t == ISOLATED)
+        return tuple(map(self.order.__getitem__, self.cuts))
 
-    @cached_property
+    @property
     def split_b(self) -> frozenset[int]:
-        return frozenset(v for v, t in self.creation if t == DOMINATING)
+        return frozenset(self.order).difference(self.split_a)
 
-    @cached_property
+    @property
     def graph(self) -> Graph:
-        edges = []
-        placed: list[int] = []
-        for v, t in self.creation:
-            if t == DOMINATING:
-                edges.extend((v, u) for u in placed)
-            placed.append(v)
-        return Graph(self.n, edges)
+        if self._graph is None:
+            order, isolated = self.order, set(self.cuts)
+            self._graph = Graph(self.n, [(v, u) for p, v in enumerate(order)
+                                         if p not in isolated for u in order[:p]])
+        return self._graph
 
     def degrees(self) -> tuple[int, ...]:
         """deg(v) for every vertex: the vertices placed before v if v is
-        dominating, plus the dominating vertices placed after v. A labeled
-        threshold graph is determined by its degree vector."""
-        deg = [0] * self.n
-        later_dominating = 0
-        for i in range(self.n - 1, -1, -1):
-            v, t = self.creation[i]
-            deg[v] = later_dominating + (i if t == DOMINATING else 0)
-            if t == DOMINATING:
-                later_dominating += 1
+        dominating, plus the dominating vertices placed after v. So the
+        dominating vertices of one run all miss exactly the isolated
+        vertices placed after them. A labeled threshold graph is determined
+        by its degree vector."""
+        order, n = self.order, self.n
+        deg = [0] * n
+        isolated_after = len(self.cuts)
+        start = 0
+        for c in chain(self.cuts, (n,)):
+            for v in order[start:c]:
+                deg[v] = n - 1 - isolated_after
+            if c < n:
+                isolated_after -= 1
+                deg[order[c]] = n - 1 - c - isolated_after
+            start = c + 1
         return tuple(deg)
+
+
+@lru_cache(maxsize=1)
+def _vertex_set(n: int) -> frozenset[int]:
+    """{0, ..., n-1}, kept for the last n only: the factors of one
+    decomposition share it."""
+    return frozenset(range(n))
+
+
+def _digits_mask(vertices: Sequence[int], n: int) -> int:
+    """The bitmask of `vertices`, all below n, written out as n binary
+    digits and parsed once."""
+    digits = bytearray(b"0") * n
+    one = ord("1")
+    for v in vertices:
+        digits[v] = one
+    digits.reverse()  # the last digit is bit 0
+    return int(digits, 2)
 
 
 def _isolated_prefixes(t: ThresholdGraph) -> Iterator[tuple[int, int]]:
     """(w, mask of the vertices placed before w) for each isolated w, in
     creation order. The later of two vertices decides their adjacency, so
-    t's non-edges are exactly the pairs {w} x prefix(w). One forward pass."""
-    placed = 0
-    for v, tag in t.creation:
-        if tag == ISOLATED:
-            yield v, placed
-        placed |= 1 << v
+    t's non-edges are exactly the pairs {w} x prefix(w). Each prefix is the
+    one before it plus the previous isolated vertex and the run after it.
+    ORing in `1 << v` costs O(n) per vertex once the mask is long, so a run
+    longer than max(16, sqrt(2n)) vertices, about where the two ways took
+    the same time from n = 60 to 10^5, goes through `_digits_mask`."""
+    order, n = t.order, t.n
+    long_run = max(16, isqrt(2 * n))
+    placed = start = 0
+    for c in t.cuts:
+        if c - start > long_run:
+            placed |= _digits_mask(order[start:c], n)
+        else:
+            for v in order[start:c]:
+                placed |= 1 << v
+        yield order[c], placed
+        start = c
 
 
 @dataclass(frozen=True)
@@ -138,18 +207,27 @@ def recognize_threshold(g: Graph) -> ThresholdGraph | ForbiddenSubgraph:
     for v in reversed(range(n)):
         by_degree[len(g.adj[v])].append(v)  # descending, so pop() is the smallest
     universal_removed = 0
-    removals: list[tuple[int, str]] = []
+    removed: list[int] = []
+    isolated_at: list[int] = []  # indices into `removed`
     for live in range(n, 0, -1):
         universal = by_degree[live - 1 + universal_removed]
         isolated = by_degree[universal_removed]
         if universal:
-            removals.append((universal.pop(), DOMINATING))
+            removed.append(universal.pop())
             universal_removed += 1
         elif isolated:
-            removals.append((isolated.pop(), ISOLATED))
+            isolated_at.append(len(removed))
+            removed.append(isolated.pop())
         else:
             return _forbidden_witness(g, set().union(*by_degree))
-    return ThresholdGraph(tuple(reversed(removals)))
+    return _reversed_removals(removed, isolated_at)
+
+
+def _reversed_removals(removed: list[int], isolated_at: list[int]) -> ThresholdGraph:
+    """The threshold graph built by adding back, last removed first, the
+    vertices a peel removed, those at the indices `isolated_at` isolated."""
+    last = len(removed) - 1
+    return ThresholdGraph._packed(removed[::-1], [last - i for i in reversed(isolated_at)])
 
 
 def _forbidden_witness(g: Graph, remaining: set[int]) -> ForbiddenSubgraph:
@@ -190,37 +268,44 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
     see all of A, as if g joined them to it. The output always contains g.
     """
     a_order = tuple(a_order)
-    position = {u: i for i, u in enumerate(a_order, start=1)}
-    if len(position) != len(a_order):
+    k = len(a_order)
+    position = dict(zip(a_order, range(1, k + 1)))
+    if len(position) != k:
         raise ValueError("a_order contains duplicates")
-    if any(not (0 <= u < g.n) for u in a_order):
+    if k and (min(a_order) < 0 or max(a_order) >= g.n):
         raise ValueError("a_order vertex out of range")
     # s(v) by a sweep over A's neighborhoods: positions ascend, so the last
     # write is the largest; an edge inside A shows up at its earlier end
-    prefix = [0] * g.n
+    level: dict[int, int] = {}  # s(v) for the B-vertices with s(v) > 0
     for i, u in enumerate(a_order, start=1):
-        inside = [position[v] for v in g.adj[u] if v in position]
-        if inside:
-            v = a_order[min(inside) - 1]
+        hood = g.adj[u]
+        if not position.keys().isdisjoint(hood):  # walks the smaller of the two
+            v = min(position.keys() & hood, key=position.__getitem__)
             raise ValueError(f"a_order is not independent: edge ({u},{v})")
-        for v in g.adj[u]:
-            prefix[v] = i
-    k = len(a_order)
+        for v in hood:
+            level[v] = i
     for v in saturated:
         if v in position:
             raise ValueError(f"saturated vertex {v} lies in a_order")
-        prefix[v] = k
-    # creation: B grouped by prefix length ascending, each u_j entering
-    # isolated right after the B-vertices it must not see
-    by_level: list[list[int]] = [[] for _ in range(k + 1)]
-    for v in range(g.n):
-        if v not in position:
-            by_level[prefix[v]].append(v)
-    creation: list[tuple[int, str]] = [(v, DOMINATING) for v in by_level[0]]
-    for j, u in enumerate(a_order, start=1):
-        creation.append((u, ISOLATED))
-        creation.extend((v, DOMINATING) for v in by_level[j])
-    return ThresholdGraph(tuple(creation))
+        if k:
+            level[v] = k
+    # order: B grouped by s(v) ascending, vertices ascending inside a
+    # group, each u_j entering isolated right after the B-vertices it must
+    # not see. Group 0, the B-vertices that see none of A, is usually most
+    # of the graph, so it is read off flags rather than sorted.
+    runs: list[list[int]] = [[] for _ in range(k + 1)]
+    for v in sorted(level):
+        runs[level[v]].append(v)
+    unseen = bytearray(b"\x01") * g.n
+    for v in chain(a_order, level):
+        unseen[v] = 0
+    order = list(compress(range(g.n), unseen))
+    cuts = []
+    for u, run in zip(a_order, runs[1:]):
+        cuts.append(len(order))
+        order.append(u)
+        order += run
+    return ThresholdGraph._packed(order, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +352,14 @@ def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]
 
     if sum(candidates(u).bit_count() for u in range(g.n)) > sum(f.n for f in factors):
         for f in factors:
-            isolated_after = 0
-            for v, tag in reversed(f.creation):
+            order, isolated_after, end = f.order, 0, g.n
+            for c in reversed(f.cuts):
+                for v in order[c:end]:  # the isolated vertex at c and the run after it
+                    excluded[v] |= isolated_after
+                isolated_after |= 1 << order[c]
+                end = c
+            for v in order[:end]:
                 excluded[v] |= isolated_after
-                if tag == ISOLATED:
-                    isolated_after |= 1 << v
     for u in range(g.n):
         rest = candidates(u)
         while rest:
@@ -323,17 +411,20 @@ def extract_ltf(t: ThresholdGraph) -> LtfWitness:
     Weights grow like (n+1)^O(k): arbitrary precision is required.
     The witness is certified exactly before being returned.
     """
-    k = len(t.split_a)
-    base = t.n + 1
+    order, cuts = t.order, t.cuts
+    n, k = len(order), len(cuts)
+    base = n + 1
     bound = 2 * base ** (k + 1) - 1
-    weights = [0] * t.n
+    weights = [0] * n
     level = base ** k  # (n+1)^(k - s) once s independent vertices are placed
-    for v, tag in t.creation:
-        if tag == ISOLATED:
-            weights[v] = bound - (level - 1)
-            level //= base
-        else:
+    start = 0
+    for c in chain(cuts, (n,)):
+        for v in order[start:c]:
             weights[v] = level
+        if c < n:
+            weights[order[c]] = bound - (level - 1)
+            level //= base
+        start = c + 1
     witness = LtfWitness(weights=tuple(weights), bound=bound)
     bad = _ltf_counterexample(t, witness)
     if bad is not None:
@@ -352,23 +443,30 @@ def _ltf_counterexample(t: ThresholdGraph, witness: LtfWitness) -> frozenset[int
     placed before it. O(n) big-integer operations.
     """
     w, b = witness.weights, witness.bound
-    if witness.arity != t.n or any(a < 0 for a in w):
+    order, cuts = t.order, t.cuts
+    if witness.arity != len(order) or min(w, default=0) < 0:
         raise ValueError("certificate needs one non-negative weight per vertex")
+    placed = list(map(w.__getitem__, order))  # the weights in creation order
     later_dominating = 0
-    for i in range(t.n - 1, -1, -1):
-        v, tag = t.creation[i]
-        if tag == DOMINATING:
-            later_dominating += w[v]
-        elif w[v] + later_dominating > b:
-            return frozenset([v] + [u for u, s in t.creation[i + 1:] if s == DOMINATING])
-    if later_dominating > b:
+    end = len(order)
+    for j in range(len(cuts) - 1, -1, -1):
+        c = cuts[j]
+        later_dominating += sum(placed[c + 1:end])
+        if placed[c] + later_dominating > b:
+            return frozenset(order[c:]).difference(map(order.__getitem__, cuts[j + 1:]))
+        end = c
+    if later_dominating + sum(placed[:end]) > b:
         return t.split_b
-    lightest = None
-    for v, tag in t.creation:
-        if tag == ISOLATED and lightest is not None and w[v] + w[lightest] <= b:
-            return frozenset((v, lightest))
-        if lightest is None or w[v] < w[lightest]:
-            lightest = v
+    lightest = None  # the position of the first of the lightest vertices so far
+    start = 0
+    for c in cuts:
+        if c > start:  # the isolated vertex before c, if any, and the run up to c
+            low = min(placed[start:c])
+            if lightest is None or low < placed[lightest]:
+                lightest = placed.index(low, start, c)
+        if lightest is not None and placed[c] + placed[lightest] <= b:
+            return frozenset((order[c], order[lightest]))
+        start = c
     return None
 
 
@@ -410,16 +508,18 @@ def _pair_graph(witness: LtfWitness) -> ThresholdGraph:
     w, b = witness.weights, witness.bound
     by_weight = sorted(range(witness.arity), key=w.__getitem__)
     lo, hi = 0, witness.arity - 1
-    removals = []
+    removed: list[int] = []
+    isolated_at: list[int] = []
     while lo <= hi:
         light, heavy = by_weight[lo], by_weight[hi]
         if w[light] + w[heavy] > b:
-            removals.append((heavy, ISOLATED))
+            isolated_at.append(len(removed))
+            removed.append(heavy)
             hi -= 1
         else:
-            removals.append((light, DOMINATING))
+            removed.append(light)
             lo += 1
-    return ThresholdGraph(tuple(reversed(removals)))
+    return _reversed_removals(removed, isolated_at)
 
 
 def _circuit_counterexample(g: Graph, witnesses: Sequence[LtfWitness],
@@ -588,9 +688,18 @@ def and_of_gates_counterexample(g: Graph, witnesses: Sequence[LtfWitness],
 # ---------------------------------------------------------------------------
 # creation-sequence line format: "ts <n> <v:tag> ... <v:tag>"
 
+@lru_cache(maxsize=1)
+def _dominating_tokens(n: int) -> tuple[str, ...]:
+    """The token "v:d" of every vertex v < n, kept for the last n only:
+    the factors of one decomposition share it."""
+    return tuple(f"{v}:{DOMINATING}" for v in range(n))
+
+
 def format_threshold(t: ThresholdGraph) -> str:
-    tokens = " ".join(f"{v}:{tag}" for v, tag in t.creation)
-    return f"ts {t.n} {tokens}".rstrip()
+    tokens = list(map(_dominating_tokens(t.n).__getitem__, t.order))
+    for c in t.cuts:
+        tokens[c] = f"{t.order[c]}:{ISOLATED}"
+    return " ".join(["ts", str(t.n), *tokens])
 
 
 def parse_threshold(line: str) -> ThresholdGraph:

@@ -263,6 +263,88 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
+# reference code: the passes over a factor as one step per (vertex, tag)
+# pair of its creation sequence, as the library made them before factors
+# were packed into order/cuts arrays
+
+def pair_walk_graph(creation) -> Graph:
+    edges = []
+    placed: list[int] = []
+    for v, t in creation:
+        if t == DOMINATING:
+            edges.extend((v, u) for u in placed)
+        placed.append(v)
+    return Graph(len(creation), edges)
+
+
+def pair_walk_isolated_prefixes(creation) -> list[tuple[int, int]]:
+    placed = 0
+    prefixes = []
+    for v, tag in creation:
+        if tag == ISOLATED:
+            prefixes.append((v, placed))
+        placed |= 1 << v
+    return prefixes
+
+
+def pair_walk_degrees(creation) -> tuple[int, ...]:
+    n = len(creation)
+    deg = [0] * n
+    later_dominating = 0
+    for i in range(n - 1, -1, -1):
+        v, t = creation[i]
+        deg[v] = later_dominating + (i if t == DOMINATING else 0)
+        if t == DOMINATING:
+            later_dominating += 1
+    return tuple(deg)
+
+
+def pair_walk_format(creation) -> str:
+    tokens = " ".join(f"{v}:{tag}" for v, tag in creation)
+    return f"ts {len(creation)} {tokens}".rstrip()
+
+
+def pair_walk_ltf(creation) -> tuple[tuple[int, ...], int]:
+    """The base-(n+1) weights and bound of `extract_ltf`."""
+    n = len(creation)
+    k = sum(1 for _, tag in creation if tag == ISOLATED)
+    base = n + 1
+    bound = 2 * base ** (k + 1) - 1
+    weights = [0] * n
+    level = base ** k
+    for v, tag in creation:
+        if tag == ISOLATED:
+            weights[v] = bound - (level - 1)
+            level //= base
+        else:
+            weights[v] = level
+    return tuple(weights), bound
+
+
+def pair_walk_ltf_counterexample(creation, witness) -> frozenset[int] | None:
+    """`_ltf_counterexample`: each isolated vertex with the dominating
+    vertices after it, the clique side, then each isolated vertex with the
+    lightest vertex before it."""
+    w, b = witness.weights, witness.bound
+    later_dominating = 0
+    for i in range(len(creation) - 1, -1, -1):
+        v, tag = creation[i]
+        if tag == DOMINATING:
+            later_dominating += w[v]
+        elif w[v] + later_dominating > b:
+            return frozenset([v] + [u for u, s in creation[i + 1:] if s == DOMINATING])
+    if later_dominating > b:
+        return frozenset(v for v, tag in creation if tag == DOMINATING)
+    lightest = None
+    for v, tag in creation:
+        if tag == ISOLATED and lightest is not None and w[v] + w[lightest] <= b:
+            return frozenset((v, lightest))
+        if lightest is None or w[v] < w[lightest]:
+            lightest = v
+    return None
+
+
+# ---------------------------------------------------------------------------
 # reference code: every labeled threshold supergraph (the exact dimension
 # searches only the maximal covers), supergraph and 2-CNF evaluation, and
 # the treewidth ordering in three passes over the bags

@@ -1,18 +1,24 @@
-"""Property tests for factors held as creation sequences: the isolated
-vertices' prefixes and the degree vector agree with the materialized graph,
-degree vectors identify labeled threshold graphs, and the prefix-based
-decomposition check agrees with the edge-mask oracle in helpers.py."""
+"""Property tests for factors held as creation sequences packed into
+order/cuts arrays: the packed passes agree with the pair walks in
+helpers.py, the isolated vertices' prefixes and the degree vector agree
+with the materialized graph, degree vectors identify labeled threshold
+graphs, the prefix-based decomposition check agrees with the edge-mask
+oracle in helpers.py, and malformed sequences are refused with ValueError."""
 
+import random
 from itertools import combinations
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thdim import (Decomposition, Graph, ThresholdGraph, recognize_threshold,
+from thdim import (Decomposition, Graph, LtfWitness, ThresholdGraph, extract_ltf,
+                   format_threshold, parse_decomposition, parse_threshold, recognize_threshold,
                    threshold_supergraph, verify_decomposition)
-from thdim.threshold import DOMINATING, ISOLATED, _isolated_prefixes
+from thdim.threshold import DOMINATING, ISOLATED, _isolated_prefixes, _ltf_counterexample
 
-from helpers import edge_mask_verify
+from helpers import (edge_mask_verify, pair_walk_degrees, pair_walk_format, pair_walk_graph,
+                     pair_walk_isolated_prefixes, pair_walk_ltf, pair_walk_ltf_counterexample)
 
 
 @st.composite
@@ -48,6 +54,94 @@ def factor_lists(draw, g):
         else:
             factors.append(ThresholdGraph(draw(creations(n=g.n))))
     return factors
+
+
+def _agrees_with_pair_walks(creation):
+    t = ThresholdGraph(creation)
+    assert t.creation == tuple(creation)
+    assert t.graph == pair_walk_graph(creation)
+    assert list(_isolated_prefixes(t)) == pair_walk_isolated_prefixes(creation)
+    assert t.degrees() == pair_walk_degrees(creation)
+    line = format_threshold(t)
+    assert line == pair_walk_format(creation)
+    assert parse_threshold(line) == t
+    witness = extract_ltf(t)
+    assert (witness.weights, witness.bound) == pair_walk_ltf(creation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(creations())
+@example(())
+@example(((0, ISOLATED),))
+@example(((0, DOMINATING),))
+@example(tuple((v, ISOLATED) for v in (3, 0, 5, 1, 4, 2)))
+@example(tuple((v, DOMINATING) for v in (3, 0, 5, 1, 4, 2)))
+def test_packed_passes_match_pair_walks(creation):
+    _agrees_with_pair_walks(creation)
+
+
+def test_packed_passes_match_pair_walks_on_long_runs():
+    # runs of a few dozen vertices take the binary-digit path of `_isolated_prefixes`
+    rng = random.Random(7)
+    for n, isolated_share in ((300, 0.02), (300, 0.5), (1000, 0.01)):
+        order = list(range(n))
+        rng.shuffle(order)
+        _agrees_with_pair_walks([(v, ISOLATED if rng.random() < isolated_share else DOMINATING)
+                                 for v in order])
+
+
+@settings(max_examples=500, deadline=None)
+@given(creations(min_n=1, max_n=8), st.data())
+def test_certificate_matches_pair_walk(creation, data):
+    t = ThresholdGraph(creation)
+    if data.draw(st.booleans()):
+        exact = extract_ltf(t)
+        weights = list(exact.weights)
+        i = data.draw(st.integers(0, t.n - 1))
+        weights[i] = max(0, weights[i] + data.draw(st.integers(-3, 3)))
+        bound = exact.bound + data.draw(st.integers(-3, 3))
+    else:
+        weights = data.draw(st.lists(st.integers(0, 6), min_size=t.n, max_size=t.n))
+        bound = data.draw(st.integers(0, 12))
+    witness = LtfWitness(tuple(weights), bound)
+    assert _ltf_counterexample(t, witness) == pair_walk_ltf_counterexample(creation, witness)
+
+
+SEQUENCE_REFUSED = "creation sequence must mention each vertex exactly once"
+
+
+@pytest.mark.parametrize("creation, message", [
+    ([(0, ISOLATED), (0, DOMINATING)], SEQUENCE_REFUSED),   # a duplicate vertex
+    ([(-1, ISOLATED), (0, DOMINATING)], SEQUENCE_REFUSED),  # a negative vertex
+    ([(0, ISOLATED), (2, DOMINATING)], SEQUENCE_REFUSED),   # a vertex >= n
+    ([(2 ** 32, ISOLATED)], SEQUENCE_REFUSED),              # past array('I')
+    ([(0, DOMINATING), (1, "x")], "unknown creation tag 'x'"),
+])
+def test_constructor_refusals(creation, message):
+    # ValueError with this message, never array('I')'s OverflowError
+    with pytest.raises(ValueError) as refused:
+        ThresholdGraph(creation)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("order, cuts", [([0, 0], []), ([-1], [0]), ([2 ** 32], [0]), ([1], [])])
+def test_builders_constructor_runs_the_same_check(order, cuts):
+    with pytest.raises(ValueError) as refused:
+        ThresholdGraph._packed(order, cuts)
+    assert str(refused.value) == SEQUENCE_REFUSED
+
+
+@pytest.mark.parametrize("line, message", [
+    ("ts 2 0:i 0:d", SEQUENCE_REFUSED),
+    ("ts 2 -1:i 0:d", SEQUENCE_REFUSED),
+    ("ts 2 0:i 2:d", SEQUENCE_REFUSED),
+    ("ts 1 4294967296:i", SEQUENCE_REFUSED),
+    ("ts 2 0:d 1:x", "bad creation token '1:x'"),
+])
+def test_decomposition_file_refusals(line, message):
+    with pytest.raises(ValueError) as refused:
+        parse_decomposition(f"td-decomp manual 1\n{line}\n")
+    assert str(refused.value) == message
 
 
 @settings(max_examples=300, deadline=None)

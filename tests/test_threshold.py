@@ -139,12 +139,16 @@ def test_completion_empty_a_gives_complete():
 
 def test_completion_contract_violations():
     g = path_graph(4)
-    with pytest.raises(ValueError):
-        threshold_supergraph(g, [0, 1])  # not independent
-    with pytest.raises(ValueError):
-        threshold_supergraph(g, [0, 0])  # duplicates
-    with pytest.raises(ValueError):
-        threshold_supergraph(g, [0, 9])  # out of range
+    with pytest.raises(ValueError, match=r"^a_order is not independent: edge \(0,1\)$"):
+        threshold_supergraph(g, [0, 1])
+    with pytest.raises(ValueError, match="^a_order contains duplicates$"):
+        threshold_supergraph(g, [0, 0])
+    with pytest.raises(ValueError, match="^a_order vertex out of range$"):
+        threshold_supergraph(g, [0, 9])
+    with pytest.raises(ValueError, match="^a_order vertex out of range$"):
+        threshold_supergraph(g, [-1])
+    with pytest.raises(ValueError, match="^saturated vertex 2 lies in a_order$"):
+        threshold_supergraph(g, [0, 2], saturated=[3, 2])
 
 
 def test_completion_is_threshold_supergraph_of_input():
