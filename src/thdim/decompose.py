@@ -171,14 +171,19 @@ def _class_completions(g: Graph, coloring: ProperColoring, pos: Sequence[int],
 def _sample_coloring(g: Graph, k: int, order: VertexOrdering,
                      rng: random.Random) -> ProperColoring:
     """Color backwards along the order, avoiding forward-neighbor colors;
-    with palette 10k at least 9k choices always remain."""
+    with palette 10k at least 9k choices always remain. The free color is
+    drawn by its index, as `choice` would draw it from their list."""
     palette = 10 * k
     pos = order.position()
     colors = [-1] * g.n
     for v in reversed(order.order):
-        banned = {colors[u] for u in g.adj[v] if pos[u] > pos[v]}
-        choices = [c for c in range(palette) if c not in banned]
-        colors[v] = rng.choice(choices)
+        banned = sorted({colors[u] for u in g.adj[v] if pos[u] > pos[v]})
+        c = rng.randrange(palette - len(banned))
+        for b in banned:
+            if b > c:
+                break
+            c += 1
+        colors[v] = c
     return ProperColoring(tuple(colors), palette_size=palette)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, compress
 from math import isqrt
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import ExactLimitError, Graph, _bits, degeneracy_ordering
@@ -37,33 +38,24 @@ class ThresholdGraph:
     between two cuts lies a run of dominating vertices, and the passes over
     a factor take a run at a time. `split_a` is the independent side in
     creation order, which nests neighborhoods decreasingly
-    (N(a_1) >= N(a_2) >= ...); `split_b` is the clique side. The
-    constructor takes the sequence as (vertex, tag) pairs, which `creation`
-    gives back. The adjacency `graph` is only built when asked for.
+    (N(a_1) >= N(a_2) >= ...); `split_b` is the clique side. The adjacency
+    `graph` is only built when asked for. The constructor refuses an `order`
+    that is not a permutation of range(n) and `cuts` that do not strictly
+    ascend inside [0, n).
     """
 
     __slots__ = ("order", "cuts", "_graph")
 
-    def __init__(self, creation: Iterable[tuple[int, str]]):
-        creation = tuple(creation)
-        tags = [tag for _, tag in creation]
-        cuts = [i for i, tag in enumerate(tags) if tag == ISOLATED]
-        if len(cuts) + tags.count(DOMINATING) != len(tags):
-            bad = next(tag for tag in tags if tag != ISOLATED and tag != DOMINATING)
-            raise ValueError(f"unknown creation tag {bad!r}")
-        self._pack([v for v, _ in creation], cuts)
-
-    @classmethod
-    def _packed(cls, order: list[int], cuts: list[int]) -> ThresholdGraph:
-        """The builders' constructor: `cuts` must ascend and lie below len(order)."""
-        t = cls.__new__(cls)
-        t._pack(order, cuts)
-        return t
-
-    def _pack(self, order: list[int], cuts: list[int]) -> None:
-        # checked on the list: array('I') would overflow on a negative or huge vertex
-        if set(order) != _vertex_set(len(order)):
+    def __init__(self, order: Sequence[int], cuts: Sequence[int]):
+        # checked before any array is built: array('I') would raise
+        # OverflowError on a negative or huge value
+        n = len(order)
+        if set(order) != _vertex_set(n):
             raise ValueError("creation sequence must mention each vertex exactly once")
+        if not all(map(lt, cuts, cuts[1:])):
+            raise ValueError("cuts must strictly ascend")
+        if cuts and (cuts[0] < 0 or cuts[-1] >= n):
+            raise ValueError("cuts must lie in [0, n)")
         self.order = array("I", order)
         self.cuts = array("I", cuts)
         self._graph: Graph | None = None
@@ -82,14 +74,6 @@ class ThresholdGraph:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    @property
-    def creation(self) -> tuple[tuple[int, str], ...]:
-        """The creation sequence as (vertex, tag) pairs, built on each call."""
-        tags = [DOMINATING] * self.n
-        for c in self.cuts:
-            tags[c] = ISOLATED
-        return tuple(zip(self.order, tags))
 
     @property
     def split_a(self) -> tuple[int, ...]:
@@ -227,7 +211,7 @@ def _reversed_removals(removed: list[int], isolated_at: list[int]) -> ThresholdG
     """The threshold graph built by adding back, last removed first, the
     vertices a peel removed, those at the indices `isolated_at` isolated."""
     last = len(removed) - 1
-    return ThresholdGraph._packed(removed[::-1], [last - i for i in reversed(isolated_at)])
+    return ThresholdGraph(removed[::-1], [last - i for i in reversed(isolated_at)])
 
 
 def _forbidden_witness(g: Graph, remaining: set[int]) -> ForbiddenSubgraph:
@@ -305,7 +289,7 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
         cuts.append(len(order))
         order.append(u)
         order += run
-    return ThresholdGraph._packed(order, cuts)
+    return ThresholdGraph(order, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +697,12 @@ def parse_threshold(line: str) -> ThresholdGraph:
     body = tokens[2:]
     if len(body) != n:
         raise ValueError(f"expected {n} creation tokens, got {len(body)}")
-    creation = []
-    for tok in body:
+    order, cuts = [], []
+    for i, tok in enumerate(body):
         v_str, _, tag = tok.partition(":")
-        if tag not in (ISOLATED, DOMINATING):
+        if tag == ISOLATED:
+            cuts.append(i)
+        elif tag != DOMINATING:
             raise ValueError(f"bad creation token {tok!r}")
-        creation.append((int(v_str), tag))
-    return ThresholdGraph(creation)
+        order.append(int(v_str))
+    return ThresholdGraph(order, cuts)

@@ -201,8 +201,7 @@ def naive_completion_edges(g: Graph, a_order) -> set[tuple[int, int]]:
 
 def threshold_struct_ok(t) -> bool:
     """Check all ThresholdGraph invariants from scratch."""
-    from thdim import ThresholdGraph
-    replay = ThresholdGraph(t.creation)
+    replay = from_creation(creation(t))
     if replay.graph != t.graph:
         return False
     for u, v in combinations(sorted(t.split_a), 2):
@@ -260,6 +259,48 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 
     extend(set(), set(range(g.n)), set())
     return found
+
+
+# ---------------------------------------------------------------------------
+# creation sequences as (vertex, tag) pairs: the only conversions between
+# them and the order/cuts arrays of ThresholdGraph
+
+def from_creation(pairs) -> ThresholdGraph:
+    """The ThresholdGraph of the creation sequence given as (vertex, tag) pairs."""
+    pairs = tuple(pairs)
+    assert all(tag in (ISOLATED, DOMINATING) for _, tag in pairs), pairs
+    return ThresholdGraph([v for v, _ in pairs],
+                          [i for i, (_, tag) in enumerate(pairs) if tag == ISOLATED])
+
+
+def creation(t: ThresholdGraph) -> tuple[tuple[int, str], ...]:
+    """t's creation sequence as (vertex, tag) pairs."""
+    tags = [DOMINATING] * t.n
+    for c in t.cuts:
+        tags[c] = ISOLATED
+    return tuple(zip(t.order, tags))
+
+
+def pair_parse_threshold(line: str) -> ThresholdGraph:
+    """`parse_threshold` as it read a `ts` line before factors were built
+    from order/cuts arrays: (vertex, tag) pairs first, then the factor."""
+    tokens = line.split()
+    if len(tokens) < 2 or tokens[0] != "ts":
+        raise ValueError(f"expected 'ts <n> ...', got {line!r}")
+    try:
+        n = int(tokens[1])
+    except ValueError:
+        raise ValueError(f"bad vertex count in {line!r}") from None
+    body = tokens[2:]
+    if len(body) != n:
+        raise ValueError(f"expected {n} creation tokens, got {len(body)}")
+    pairs = []
+    for tok in body:
+        v_str, _, tag = tok.partition(":")
+        if tag not in (ISOLATED, DOMINATING):
+            raise ValueError(f"bad creation token {tok!r}")
+        pairs.append((int(v_str), tag))
+    return from_creation(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +454,7 @@ def enumerate_threshold_supergraphs(g: Graph) -> list[ThresholdGraph]:
         raise ExactLimitError(
             f"supergraph enumeration refused for n={g.n} > {EXACT_DIMENSION_LIMIT}")
     creations = _supergraph_creations(g)
-    return [ThresholdGraph(c) for _, c in sorted(creations.items())]
+    return [from_creation(c) for _, c in sorted(creations.items())]
 
 
 def is_supergraph(big: Graph, small: Graph) -> bool:
@@ -566,7 +607,7 @@ def sorting_recognize_threshold(g: Graph):
             if u in remaining:
                 deg[u] -= 1
         removals.append((pick, tag))
-    return ThresholdGraph(tuple(reversed(removals)))
+    return from_creation(reversed(removals))
 
 
 def listed_gen_gnm(n: int, m: int, seed: int = 0) -> Graph:

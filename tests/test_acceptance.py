@@ -21,8 +21,8 @@ from thdim.threshold import extract_ltf
 from thdim.treedecomp import TreeDecomposition
 
 from helpers import (_supergraph_creations, all_graphs, bounded_degree_graph, brute_is_threshold,
-                     pendant_complement_bags, pendant_clique_complement, named_corpus, random_corpus,
-                     representatives, unmet_requirements)
+                     from_creation, pendant_complement_bags, pendant_clique_complement,
+                     named_corpus, random_corpus, representatives, unmet_requirements)
 
 
 @contextmanager
@@ -122,8 +122,8 @@ def test_criterion_5_ltf_witness_soundness():
     with criterion(5, "LTF witness soundness"):
         total = 0
         for n in range(1, 8):
-            for creation in _supergraph_creations(empty_graph(n)).values():
-                t = ThresholdGraph(creation)
+            for pairs in _supergraph_creations(empty_graph(n)).values():
+                t = from_creation(pairs)
                 extract_ltf(t)  # verifies exhaustively, raises on failure
                 total += 1
         assert total == 1 + 2 + 8 + 46 + 332 + 2874 + 29024

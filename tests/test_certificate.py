@@ -14,7 +14,7 @@ from thdim import LtfWitness, ThresholdGraph, extract_ltf, ltfs_to_graph, verify
 from thdim import threshold
 from thdim.threshold import DOMINATING, ISOLATED, _ltf_counterexample
 
-from helpers import maximal_cliques, walk_counterexample
+from helpers import from_creation, maximal_cliques, walk_counterexample
 
 
 def is_clique(t: ThresholdGraph, vertices) -> bool:
@@ -27,7 +27,7 @@ def factors_and_witnesses(draw):
     n = draw(st.integers(0, 8))
     order = draw(st.permutations(range(n)))
     tags = draw(st.lists(st.sampled_from([ISOLATED, DOMINATING]), min_size=n, max_size=n))
-    t = ThresholdGraph(tuple(zip(order, tags)))
+    t = from_creation(zip(order, tags))
     kind = draw(st.sampled_from(["weight", "bound", "random"]))
     if kind == "random":
         weights = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
@@ -53,7 +53,7 @@ def test_certificate_agrees_with_gray_walk(case):
 
 
 def test_certificate_rejects_negative_weights_and_wrong_arity():
-    t = ThresholdGraph(((0, ISOLATED), (1, DOMINATING)))
+    t = from_creation(((0, ISOLATED), (1, DOMINATING)))
     with pytest.raises(ValueError):
         _ltf_counterexample(t, LtfWitness((1, -1), 1))
     with pytest.raises(ValueError):
@@ -63,8 +63,8 @@ def test_certificate_rejects_negative_weights_and_wrong_arity():
 def test_certificate_finds_triangle_among_isolated_vertices():
     # K3 plus 19 isolated vertices: the gate (2,2,2,5 x 19) <= 5 accepts every
     # pair but rejects the triangle, which random 22-bit vectors almost never hit
-    t = ThresholdGraph(((0, ISOLATED), (1, DOMINATING), (2, DOMINATING))
-                       + tuple((v, ISOLATED) for v in range(3, 22)))
+    t = from_creation(((0, ISOLATED), (1, DOMINATING), (2, DOMINATING))
+                      + tuple((v, ISOLATED) for v in range(3, 22)))
     gate = LtfWitness((2, 2, 2) + (5,) * 19, 5)
     assert _ltf_counterexample(t, gate) == {0, 1, 2}
 
@@ -78,7 +78,7 @@ def test_extract_ltf_on_40_vertices_walks_no_inputs(monkeypatch):
     rng = random.Random(40)
     order = list(range(40))
     rng.shuffle(order)
-    t = ThresholdGraph(tuple((v, rng.choice([ISOLATED, DOMINATING])) for v in order))
+    t = from_creation((v, rng.choice([ISOLATED, DOMINATING])) for v in order)
     w = extract_ltf(t)
     assert ltfs_to_graph([w]) == t.graph
     cliques = maximal_cliques(t.graph)

@@ -3,7 +3,8 @@ order/cuts arrays: the packed passes agree with the pair walks in
 helpers.py, the isolated vertices' prefixes and the degree vector agree
 with the materialized graph, degree vectors identify labeled threshold
 graphs, the prefix-based decomposition check agrees with the edge-mask
-oracle in helpers.py, and malformed sequences are refused with ValueError."""
+oracle in helpers.py, `parse_threshold` agrees with the pair-based parser in
+helpers.py, and malformed sequences and cuts are refused with ValueError."""
 
 import random
 from itertools import combinations
@@ -17,7 +18,8 @@ from thdim import (Decomposition, Graph, LtfWitness, ThresholdGraph, extract_ltf
                    threshold_supergraph, verify_decomposition)
 from thdim.threshold import DOMINATING, ISOLATED, _isolated_prefixes, _ltf_counterexample
 
-from helpers import (edge_mask_verify, pair_walk_degrees, pair_walk_format, pair_walk_graph,
+from helpers import (creation, edge_mask_verify, from_creation, pair_parse_threshold,
+                     pair_walk_degrees, pair_walk_format, pair_walk_graph,
                      pair_walk_isolated_prefixes, pair_walk_ltf, pair_walk_ltf_counterexample)
 
 
@@ -52,21 +54,21 @@ def factor_lists(draw, g):
                     a_order.append(v)
             factors.append(threshold_supergraph(g, a_order))
         else:
-            factors.append(ThresholdGraph(draw(creations(n=g.n))))
+            factors.append(from_creation(draw(creations(n=g.n))))
     return factors
 
 
-def _agrees_with_pair_walks(creation):
-    t = ThresholdGraph(creation)
-    assert t.creation == tuple(creation)
-    assert t.graph == pair_walk_graph(creation)
-    assert list(_isolated_prefixes(t)) == pair_walk_isolated_prefixes(creation)
-    assert t.degrees() == pair_walk_degrees(creation)
+def _agrees_with_pair_walks(pairs):
+    t = from_creation(pairs)
+    assert creation(t) == tuple(pairs)
+    assert t.graph == pair_walk_graph(pairs)
+    assert list(_isolated_prefixes(t)) == pair_walk_isolated_prefixes(pairs)
+    assert t.degrees() == pair_walk_degrees(pairs)
     line = format_threshold(t)
-    assert line == pair_walk_format(creation)
+    assert line == pair_walk_format(pairs)
     assert parse_threshold(line) == t
     witness = extract_ltf(t)
-    assert (witness.weights, witness.bound) == pair_walk_ltf(creation)
+    assert (witness.weights, witness.bound) == pair_walk_ltf(pairs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -76,8 +78,8 @@ def _agrees_with_pair_walks(creation):
 @example(((0, DOMINATING),))
 @example(tuple((v, ISOLATED) for v in (3, 0, 5, 1, 4, 2)))
 @example(tuple((v, DOMINATING) for v in (3, 0, 5, 1, 4, 2)))
-def test_packed_passes_match_pair_walks(creation):
-    _agrees_with_pair_walks(creation)
+def test_packed_passes_match_pair_walks(pairs):
+    _agrees_with_pair_walks(pairs)
 
 
 def test_packed_passes_match_pair_walks_on_long_runs():
@@ -92,8 +94,8 @@ def test_packed_passes_match_pair_walks_on_long_runs():
 
 @settings(max_examples=500, deadline=None)
 @given(creations(min_n=1, max_n=8), st.data())
-def test_certificate_matches_pair_walk(creation, data):
-    t = ThresholdGraph(creation)
+def test_certificate_matches_pair_walk(pairs, data):
+    t = from_creation(pairs)
     if data.draw(st.booleans()):
         exact = extract_ltf(t)
         weights = list(exact.weights)
@@ -104,7 +106,7 @@ def test_certificate_matches_pair_walk(creation, data):
         weights = data.draw(st.lists(st.integers(0, 6), min_size=t.n, max_size=t.n))
         bound = data.draw(st.integers(0, 12))
     witness = LtfWitness(tuple(weights), bound)
-    assert _ltf_counterexample(t, witness) == pair_walk_ltf_counterexample(creation, witness)
+    assert _ltf_counterexample(t, witness) == pair_walk_ltf_counterexample(pairs, witness)
 
 
 SEQUENCE_REFUSED = "creation sequence must mention each vertex exactly once"
@@ -115,20 +117,89 @@ SEQUENCE_REFUSED = "creation sequence must mention each vertex exactly once"
     ([(-1, ISOLATED), (0, DOMINATING)], SEQUENCE_REFUSED),  # a negative vertex
     ([(0, ISOLATED), (2, DOMINATING)], SEQUENCE_REFUSED),   # a vertex >= n
     ([(2 ** 32, ISOLATED)], SEQUENCE_REFUSED),              # past array('I')
-    ([(0, DOMINATING), (1, "x")], "unknown creation tag 'x'"),
 ])
 def test_constructor_refusals(creation, message):
     # ValueError with this message, never array('I')'s OverflowError
     with pytest.raises(ValueError) as refused:
-        ThresholdGraph(creation)
+        from_creation(creation)
     assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("order, cuts", [([0, 0], []), ([-1], [0]), ([2 ** 32], [0]), ([1], [])])
 def test_builders_constructor_runs_the_same_check(order, cuts):
     with pytest.raises(ValueError) as refused:
-        ThresholdGraph._packed(order, cuts)
+        ThresholdGraph(order, cuts)
     assert str(refused.value) == SEQUENCE_REFUSED
+
+
+CUTS_UNSORTED = "cuts must strictly ascend"
+CUTS_OUT_OF_RANGE = "cuts must lie in [0, n)"
+
+
+@pytest.mark.parametrize("cuts, message", [
+    ([2, 0], CUTS_UNSORTED),
+    ([1, 1], CUTS_UNSORTED),
+    ([-1], CUTS_OUT_OF_RANGE),
+    ([-1, 0], CUTS_OUT_OF_RANGE),
+    ([3], CUTS_OUT_OF_RANGE),
+    ([0, 3], CUTS_OUT_OF_RANGE),
+    ([2 ** 32], CUTS_OUT_OF_RANGE),  # past array('I')
+])
+def test_cuts_refusals(cuts, message):
+    with pytest.raises(ValueError) as refused:
+        ThresholdGraph([2, 0, 1], cuts)
+    assert str(refused.value) == message
+
+
+VERTEX_TEXTS = st.one_of(st.integers(-2, 7).map(str),
+                         st.sampled_from(["", "-0", "1:2", str(2 ** 32), "\uff11"]))
+TAG_TEXTS = st.sampled_from([f":{ISOLATED}", f":{DOMINATING}", ":x", ":dd", ":", "", DOMINATING])
+
+
+def respellings(v):
+    """Other ways to write the vertex v that int() reads as v."""
+    return st.sampled_from([f"+{v}", f"0{v}", chr(0x660 + v)])  # v < 10: an Arabic-Indic digit
+
+
+@st.composite
+def ts_lines(draw):
+    """`ts` lines, most well formed, some with a vertex, a tag or the count
+    written otherwise."""
+    pairs = draw(creations(max_n=6))
+    heads = [str(v) for v, _ in pairs]
+    tags = [f":{tag}" for _, tag in pairs]
+    for _ in range(draw(st.integers(0, 2)) if pairs else 0):
+        i = draw(st.integers(0, len(pairs) - 1))
+        part = draw(st.sampled_from(["vertex", "respelled", "tag"]))
+        if part == "vertex":
+            heads[i] = draw(VERTEX_TEXTS)
+        elif part == "respelled":
+            heads[i] = draw(respellings(pairs[i][0]))
+        else:
+            tags[i] = draw(TAG_TEXTS)
+    count = draw(st.one_of(st.just(str(len(pairs))), st.integers(-1, 7).map(str)))
+    return " ".join(["ts", count, *map(str.__add__, heads, tags)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(ts_lines())
+@example("ts 2 0:i 0:d")
+@example("ts 1 4294967296:i")
+@example("ts 2 :d 1:i")
+@example("ts 2 1:2:i 0:d")
+@example("ts 2 +1:d 0:i")
+@example("ts 1 \u0660:d")
+@example("ts 1 0:dd")
+def test_parse_matches_pair_parser(line):
+    try:
+        expected = pair_parse_threshold(line)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_threshold(line)
+        return
+    t = parse_threshold(line)
+    assert t == expected
+    assert parse_threshold(format_threshold(t)) == t
 
 
 @pytest.mark.parametrize("line, message", [
@@ -146,10 +217,10 @@ def test_decomposition_file_refusals(line, message):
 
 @settings(max_examples=300, deadline=None)
 @given(creations())
-def test_compact_views_match_materialized_graph(creation):
-    t = ThresholdGraph(creation)
+def test_compact_views_match_materialized_graph(pairs):
+    t = from_creation(pairs)
     g = t.graph
-    placed = [v for v, _ in t.creation]
+    placed = list(t.order)
     prefixes = list(_isolated_prefixes(t))
     assert [w for w, _ in prefixes] == list(t.split_a)
     held = []
@@ -164,14 +235,14 @@ def test_compact_views_match_materialized_graph(creation):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(creations(n=n), creations(n=n))))
 def test_degree_vector_identifies_labeled_threshold_graph(pair):
-    s, t = ThresholdGraph(pair[0]), ThresholdGraph(pair[1])
+    s, t = from_creation(pair[0]), from_creation(pair[1])
     assert (s.degrees() == t.degrees()) == (s.graph == t.graph)
 
 
 @settings(max_examples=100, deadline=None)
 @given(creations(min_n=1))
-def test_recognized_sequence_has_the_same_degree_vector(creation):
-    t = ThresholdGraph(creation)
+def test_recognized_sequence_has_the_same_degree_vector(pairs):
+    t = from_creation(pairs)
     again = recognize_threshold(t.graph)
     assert isinstance(again, ThresholdGraph)
     assert again.degrees() == t.degrees()
@@ -192,8 +263,8 @@ def test_mask_verification_matches_edge_mask_oracle(data):
 # 3 isolated after 2, so it holds {2, 3} at the larger end 3 only, which the
 # scan for kept pairs reaches by testing a bit of 3's row.
 C4 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-HELD_AT_SMALLER = ThresholdGraph(((1, ISOLATED), (0, ISOLATED), (2, DOMINATING), (3, DOMINATING)))
-HELD_AT_LARGER = ThresholdGraph(((2, ISOLATED), (3, ISOLATED), (0, DOMINATING), (1, DOMINATING)))
+HELD_AT_SMALLER = from_creation(((1, ISOLATED), (0, ISOLATED), (2, DOMINATING), (3, DOMINATING)))
+HELD_AT_LARGER = from_creation(((2, ISOLATED), (3, ISOLATED), (0, DOMINATING), (1, DOMINATING)))
 
 
 def _check(g, factors):
@@ -218,11 +289,11 @@ def test_smallest_dropped_edge_is_reported_whichever_end_is_isolated():
     # 3 enters isolated after 1 and 2 (dropping the edge (1, 3)), then 0
     # after 1, 2 and 3 (dropping (0, 2) and (0, 3)): the smallest is (0, 2),
     # at its isolated end 0
-    bad = ThresholdGraph(((1, DOMINATING), (2, DOMINATING), (3, ISOLATED), (0, ISOLATED)))
+    bad = from_creation(((1, DOMINATING), (2, DOMINATING), (3, ISOLATED), (0, ISOLATED)))
     assert _check(C4, [HELD_AT_SMALLER, bad])[2:] == ((0, 2), 1)
     # 2 enters isolated after 0 and 1: the smallest is (0, 2), at its
     # isolated end 2
-    mirror = ThresholdGraph(((0, DOMINATING), (1, DOMINATING), (2, ISOLATED), (3, DOMINATING)))
+    mirror = from_creation(((0, DOMINATING), (1, DOMINATING), (2, ISOLATED), (3, DOMINATING)))
     assert _check(C4, [mirror])[2:] == ((0, 2), 0)
 
 
@@ -231,8 +302,8 @@ def test_pairs_held_at_their_larger_ends_only():
     # larger end: far more bit tests than vertices, so the check also
     # records each pair at its earlier-placed end
     n = 8
-    ascending = ThresholdGraph(tuple((v, ISOLATED) for v in range(n)))
+    ascending = from_creation(tuple((v, ISOLATED) for v in range(n)))
     assert _check(Graph(n, []), [ascending])[0]
-    one_dominating = ThresholdGraph(tuple((v, DOMINATING if v == 5 else ISOLATED)
-                                          for v in range(n)))
+    one_dominating = from_creation(tuple((v, DOMINATING if v == 5 else ISOLATED)
+                                         for v in range(n)))
     assert _check(Graph(n, []), [one_dominating])[2:] == ((0, 5), None)

@@ -9,9 +9,10 @@ from thdim import (ForbiddenSubgraph, Graph, LtfWitness, ThresholdGraph,
                    verify_ltf)
 from thdim.threshold import DOMINATING, ISOLATED, classify_forbidden
 
-from helpers import (_supergraph_creations, all_graphs, brute_is_threshold, is_supergraph,
-                     named_corpus, naive_completion_edges, random_corpus, small_graphs,
-                     sorting_recognize_threshold, threshold_struct_ok)
+from helpers import (_supergraph_creations, all_graphs, brute_is_threshold, creation,
+                     from_creation, is_supergraph, named_corpus, naive_completion_edges,
+                     random_corpus, small_graphs, sorting_recognize_threshold,
+                     threshold_struct_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +21,7 @@ from helpers import (_supergraph_creations, all_graphs, brute_is_threshold, is_s
 def test_complete_graph_accepted_all_dominating():
     t = recognize_threshold(complete_graph(5))
     assert isinstance(t, ThresholdGraph)
-    assert all(tag == DOMINATING for _, tag in t.creation[1:])
+    assert all(tag == DOMINATING for _, tag in creation(t)[1:])
 
 
 def test_star_accepted():
@@ -65,7 +66,7 @@ def near_threshold_graphs(draw, max_n: int):
     n = draw(st.integers(0, max_n))
     order = draw(st.permutations(range(n)))
     tags = [draw(st.sampled_from((ISOLATED, DOMINATING))) for _ in range(n)]
-    edges = set(ThresholdGraph(tuple(zip(order, tags))).graph.edges())
+    edges = set(from_creation(zip(order, tags)).graph.edges())
     if n >= 2 and draw(st.booleans()):
         u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         edges ^= {(min(u, v), max(u, v))}
@@ -207,8 +208,8 @@ def test_p3_scheme_passes_exhaustively():
 
 def test_all_threshold_graphs_n6_have_valid_witnesses():
     for n in range(1, 7):
-        for creation in _supergraph_creations(empty_graph(n)).values():
-            t = ThresholdGraph(creation)
+        for pairs in _supergraph_creations(empty_graph(n)).values():
+            t = from_creation(pairs)
             extract_ltf(t)  # raises InternalVerificationError on any failure
 
 
@@ -247,6 +248,4 @@ def test_threshold_line_errors(line):
 
 def test_creation_replay_validation():
     with pytest.raises(ValueError):
-        ThresholdGraph([(0, ISOLATED), (0, DOMINATING)])
-    with pytest.raises(ValueError):
-        ThresholdGraph([(0, "x")])
+        from_creation([(0, ISOLATED), (0, DOMINATING)])
