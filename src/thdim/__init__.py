@@ -22,8 +22,8 @@ from .decompose import (Decomposition, RandomizedSearchError,
                         decompose_treewidth, decompose_vertex_cover,
                         format_decomposition, parse_decomposition,
                         verify_decomposition)
-from .maxdeg import (SplitExtension, bipartite_coloring_family, bounded_partition,
-                     build_suitable_family, decompose_maxdeg, decompose_split)
+from .maxdeg import (bipartite_coloring_family, bounded_partition, build_suitable_family,
+                     decompose_maxdeg, decompose_split)
 from .exactdim import (EXACT_DIMENSION_LIMIT, DimensionReport, compute_report,
                        exact_decomposition, exact_dimension,
                        lower_bound_clique_chromatic, threshold_cover_number,

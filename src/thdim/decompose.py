@@ -168,16 +168,16 @@ def _class_completions(g: Graph, coloring: ProperColoring, pos: Sequence[int],
     return factors
 
 
-def _sample_coloring(g: Graph, k: int, order: VertexOrdering,
+def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: VertexOrdering,
                      rng: random.Random) -> ProperColoring:
-    """Color backwards along the order, avoiding forward-neighbor colors;
+    """Color backwards along the order, avoiding the colors of each vertex's
+    forward neighbors (`forward[v]`, its neighbors after it in the order);
     with palette 10k at least 9k choices always remain. The free color is
     drawn by its index, as `choice` would draw it from their list."""
     palette = 10 * k
-    pos = order.position()
-    colors = [-1] * g.n
+    colors = [-1] * len(forward)
     for v in reversed(order.order):
-        banned = sorted({colors[u] for u in g.adj[v] if pos[u] > pos[v]})
+        banned = sorted({colors[u] for u in forward[v]})
         c = rng.randrange(palette - len(banned))
         for b in banned:
             if b > c:
@@ -207,6 +207,7 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
         raise ValueError("ordering does not match graph")
     r = math.ceil(math.log(g.n))
     pos = order.position()
+    forward = [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
     adjacent = g.adjacency_masks()
     pairs, earlier = [0] * g.n, 0
     for v in order.order:  # the pairs to separate: each vertex's earlier non-neighbours
@@ -217,14 +218,14 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
     pending = list(pairs)
     for attempt in range(retry_cap):
         rng = random.Random(split_seed(seed + attempt, "separating"))
-        family = [_sample_coloring(g, k, order, rng) for _ in range(r)]
+        family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
         pending = list(pairs)
         factors = [f for c in family for f in _class_completions(g, c, pos, pending)]
         if not any(pending):
             return SeparatingColoringFamily(tuple(family), order, tuple(factors))
     grow_rng = random.Random(split_seed(seed, "separating-grow"))
     while len(family) < 3 * r:
-        family.append(_sample_coloring(g, k, order, grow_rng))
+        family.append(_sample_coloring(forward, k, order, grow_rng))
         factors += _class_completions(g, family[-1], pos, pending)
         if not any(pending):
             return SeparatingColoringFamily(tuple(family), order, tuple(factors))

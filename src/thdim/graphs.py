@@ -95,8 +95,8 @@ class Graph:
         """Induced subgraph on `keep`, relabeled to 0..len(keep)-1 in sorted order."""
         keep = sorted(set(keep))
         index = {v: i for i, v in enumerate(keep)}
-        edges = [(index[u], index[v]) for u, v in combinations(keep, 2)
-                 if v in self.adj[u]]
+        edges = [(i, index[u]) for i, v in enumerate(keep) for u in self.adj[v]
+                 if u > v and u in index]
         return Graph(len(keep), edges)
 
     def __eq__(self, other: object) -> bool:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .decompose import Decomposition, RandomizedSearchError, _finish
@@ -156,69 +156,57 @@ def _thin(nbrs: Sequence[int], coloring: dict[int, int], r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# split extensions
+# split extensions: G*[A, B], with A independent and B = V - A, keeps the
+# edges of G at A and completes B into a clique
 
-@dataclass(frozen=True)
-class SplitExtension:
-    """G*[A,B]: the bipartite part of `base` between A and B, with B completed
-    into a clique. A must be independent in base so the extension contains
-    every base edge touching A."""
-
-    base: Graph
-    a_side: frozenset[int]
-    b_side: frozenset[int]
-
-    def __post_init__(self):
-        if self.a_side & self.b_side:
-            raise ValueError("a_side and b_side overlap")
-        if self.a_side | self.b_side != set(range(self.base.n)):
-            raise ValueError("a_side and b_side must partition the vertices")
-        for u, v in combinations(sorted(self.a_side), 2):
-            if self.base.has_edge(u, v):
-                raise ValueError(f"a_side not independent: edge ({u},{v})")
-
-    def as_graph(self) -> Graph:
-        edges = list(combinations(sorted(self.b_side), 2))
-        for a in self.a_side:
-            edges.extend((a, u) for u in self.base.adj[a] if u in self.b_side)
-        return Graph(self.base.n, edges)
+def decompose_split(g: Graph, a_side: Iterable[int], seed: int = 0) -> Decomposition:
+    """Decompose G*[A, V - A] into threshold factors, verified against
+    G*[A, V - A]. A is `a_side`, an independent set of g."""
+    a_side = set(a_side)
+    factors, budget = _split_factors(g, a_side, seed, None)
+    edges = [(a, u) for a in a_side for u in g.adj[a]]
+    edges.extend(combinations([v for v in range(g.n) if v not in a_side], 2))
+    return _finish(Graph(g.n, edges), _distinct(factors), "maxdeg", budget)
 
 
-def decompose_split(ext: SplitExtension, seed: int = 0) -> Decomposition:
-    """Decompose G*[A,B] into threshold factors, verified against G*[A,B]."""
-    factors, budget = _split_factors(ext, seed, None, set())
-    return _finish(ext.as_graph(), factors, "maxdeg", budget)
+def _distinct(factors: Iterable[ThresholdGraph]) -> list[ThresholdGraph]:
+    """The first factor of each degree vector, in order: a labeled threshold
+    graph is determined by its degree vector."""
+    first: dict[tuple[int, ...], ThresholdGraph] = {}
+    for f in factors:
+        first.setdefault(f.degrees(), f)
+    return list(first.values())
 
 
-def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None,
-                   seen: set[tuple[int, ...]]) -> tuple[list[ThresholdGraph], int]:
-    """Threshold factors of G*[A,B] and their claimed count bound, unverified.
+def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
+                   diagnostics: list[str] | None) -> tuple[list[ThresholdGraph], int]:
+    """Threshold factors of G*[A, V - A] and their claimed count bound,
+    unverified, repeats included.
 
-    One all-of-B-universal factor resolves every non-edge inside A; for the
-    rest, B is sliced by which random coloring of A first spreads each
-    vertex's neighborhood thinly (at most r per color), each (coloring,
-    color) cell gets a conflict-free ordering of its A-part from a
-    permutation family over the conflict color classes (blocks): each
-    permutation orders the blocks twice, once with every block ascending and
-    once with every block descending. The family is grown until it meets
-    every block order the cells need (`_cell_requirements`). A completion
-    depends on a permutation only through the order of the non-empty
-    blocks, so each distinct ordering of a cell is completed once, in the
-    order the permutations first give it.
+    One all-of-B-universal factor resolves every non-edge inside A; building
+    it checks that A lies in range and is independent, before anything else
+    reads A's neighbourhoods. For the rest, B is sliced by which random
+    coloring of A first spreads each vertex's neighborhood thinly (at most r
+    per color), each (coloring, color) cell gets a conflict-free ordering of
+    its A-part from a permutation family over the conflict color classes
+    (blocks): each permutation orders the blocks twice, once with every
+    block ascending and once with every block descending. The family is
+    grown until it meets every block order the cells need
+    (`_cell_requirements`). A completion depends on a permutation only
+    through the order of the non-empty blocks, so each distinct ordering of
+    a cell is completed once, in the order the permutations first give it.
 
-    Only factors whose degree vector is not in `seen` are returned, in order
-    of first occurrence; their degree vectors are added to `seen`.
     `diagnostics`, when given, collects text lines describing the parameters
     and intermediate artifacts.
     """
-    a_side = sorted(ext.a_side)
-    b_side = sorted(ext.b_side)
-    d_true = max((sum(1 for u in ext.base.adj[v] if u in ext.a_side) for v in b_side),
-                 default=0)
-    delta_true = max((sum(1 for u in ext.base.adj[a] if u in ext.b_side) for a in a_side),
-                     default=0)
-    d = max(2, d_true)
-    delta = max(1, delta_true)
+    a_side = sorted(a_side)
+    b_side = sorted(set(range(g.n)).difference(a_side))
+    factors = [threshold_supergraph(g, a_side, saturated=b_side)]
+    budget = 1
+    # A is independent, so every neighbour of a vertex of A lies in B
+    a_neighbours = Counter(chain.from_iterable(g.adj[a] for a in a_side))  # per B-vertex
+    d = max(2, max(a_neighbours.values(), default=0))
+    delta = max(1, max((len(g.adj[a]) for a in a_side), default=0))
     r = math.ceil(math.sqrt(math.log(d)))
     ell = math.ceil(math.e * (math.e * d / (r + 1)) ** (1 + 1 / r))
     t = math.ceil(math.log(4 * d * delta))
@@ -227,21 +215,9 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
             f"split |A|={len(a_side)} |B|={len(b_side)} d={d} delta={delta} "
             f"r={r} ell={ell} t={t}")
 
-    universal = threshold_supergraph(ext.base, a_side, saturated=b_side)
-    factors: list[ThresholdGraph] = []
-
-    def keep(f: ThresholdGraph) -> None:
-        key = f.degrees()
-        if key not in seen:
-            seen.add(key)
-            factors.append(f)
-
-    keep(universal)
-    budget = 1
-
     if a_side and b_side:
         colorings, first = bipartite_coloring_family(
-            ext.base, a_side, b_side, r=r, t=t, ell=ell,
+            g, a_side, b_side, r=r, t=t, ell=ell,
             seed=split_seed(seed, "colorings"))
         ground = r * delta + 1
         slices: list[list[int]] = [[] for _ in range(len(colorings))]
@@ -262,10 +238,10 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
                 # the cell keeps the base edges between a_part and b_part;
                 # every vertex outside both sees all of a_part
                 a_set = set(a_part)
-                outside = [v for v in range(ext.base.n) if v not in a_set and v not in b_set]
-                blocks = _conflict_blocks(ext.base, a_part, b_part, ground)
+                outside = [v for v in range(g.n) if v not in a_set and v not in b_set]
+                blocks = _conflict_blocks(g, a_part, b_part, ground)
                 cells.append((blocks, outside))
-                requirements.update(_cell_requirements(ext.base, blocks, b_part))
+                requirements.update(_cell_requirements(g, blocks, b_part))
 
         family = build_suitable_family(ground, r + 1, requirements,
                                        seed=split_seed(seed, "suitable"))
@@ -285,7 +261,7 @@ def _split_factors(ext: SplitExtension, seed: int, diagnostics: list[str] | None
                 tuple(v for ci in proj for v in blocks[ci][::step])
                 for proj in projections for step in (1, -1))
             for ordering in orderings:
-                keep(threshold_supergraph(ext.base, ordering, saturated=outside))
+                factors.append(threshold_supergraph(g, ordering, saturated=outside))
     return factors, budget
 
 
@@ -321,7 +297,6 @@ def _conflict_blocks(base: Graph, a_part: Sequence[int], b_part: Sequence[int],
     ascending, padded out to `palette` blocks."""
     a_sorted = sorted(a_part)
     index = {a: i for i, a in enumerate(a_sorted)}
-    b_set = set(b_part)
     conflict_edges = set()
     for v in b_part:
         nbrs = sorted(u for u in base.adj[v] if u in index)
@@ -356,7 +331,6 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
         diagnostics.append(
             "partition sizes: " + " ".join(str(len(p)) for p in partition))
     factors: list[ThresholdGraph] = []
-    seen: set[tuple[int, ...]] = set()
     budget = 0
     for i, part in enumerate(partition):
         members = sorted(part)
@@ -368,11 +342,8 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
         for j, cls in enumerate(coloring.color_classes()):
             if not cls:
                 continue
-            a_side = frozenset(members[x] for x in cls)
-            ext = SplitExtension(base=g, a_side=a_side,
-                                 b_side=frozenset(range(g.n)) - a_side)
-            piece, piece_budget = _split_factors(ext, split_seed(seed, "split", i, j),
-                                                 diagnostics, seen)
+            piece, piece_budget = _split_factors(
+                g, [members[x] for x in cls], split_seed(seed, "split", i, j), diagnostics)
             budget += piece_budget
             factors.extend(piece)
-    return _finish(g, factors, "maxdeg", budget)
+    return _finish(g, _distinct(factors), "maxdeg", budget)

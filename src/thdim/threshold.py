@@ -102,8 +102,9 @@ class ThresholdGraph:
         isolated_after = len(self.cuts)
         start = 0
         for c in chain(self.cuts, (n,)):
+            shared = n - 1 - isolated_after  # one int object per run, not per vertex
             for v in order[start:c]:
-                deg[v] = n - 1 - isolated_after
+                deg[v] = shared
             if c < n:
                 isolated_after -= 1
                 deg[order[c]] = n - 1 - c - isolated_after

@@ -37,7 +37,9 @@ class TreeDecomposition:
         return sorted(self.bags)
 
 
-def _check_tree_shape(td: TreeDecomposition) -> None:
+def _check_tree_shape(td: TreeDecomposition) -> dict[int, int | None]:
+    """Check that the bags form a tree; return each bag's parent when the
+    tree hangs from the root (None at the root)."""
     nodes = set(td.bags)
     if td.root not in nodes:
         raise TreeDecompositionError(0, f"root bag {td.root} does not exist")
@@ -52,40 +54,30 @@ def _check_tree_shape(td: TreeDecomposition) -> None:
     edge_count = sum(len(nbrs) for nbrs in td.tree.values()) // 2
     if edge_count != len(nodes) - 1:
         raise TreeDecompositionError(0, "bag tree is not a tree (wrong edge count)")
-    seen = {td.root}
+    parent = {td.root: None}
     stack = [td.root]
     while stack:
         i = stack.pop()
         for j in td.tree.get(i, ()):
-            if j not in seen:
-                seen.add(j)
+            if j not in parent:
+                parent[j] = i
                 stack.append(j)
-    if seen != nodes:
+    if parent.keys() != nodes:
         raise TreeDecompositionError(0, "bag tree is not connected")
+    return parent
 
 
-def _holders(td: TreeDecomposition) -> dict[int, set[int]]:
-    """The ids of the bags containing each vertex, per vertex."""
-    holders: dict[int, set[int]] = {}
+def _check_traces(td: TreeDecomposition, parent: dict[int, int | None]) -> None:
+    """Condition 3: for each vertex, the bags containing it induce a subtree.
+    They induce a forest of the rooted tree with one component per such bag
+    that is the root or hangs from a bag without the vertex."""
+    tops: dict[int, int] = {}
     for i, bag in td.bags.items():
+        above = td.bags[parent[i]] if parent[i] is not None else ()
         for v in bag:
-            holders.setdefault(v, set()).add(i)
-    return holders
-
-
-def _check_traces(td: TreeDecomposition, holders: dict[int, set[int]]) -> None:
-    """Condition 3: for each vertex, the bags containing it induce a subtree."""
-    for v, nodes in holders.items():
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in td.tree.get(i, ()):
-                if j in nodes and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if seen != nodes:
+            tops[v] = tops.get(v, 0) + (v not in above)
+    for v, count in tops.items():
+        if count != 1:
             raise TreeDecompositionError(
                 3, f"bags containing vertex {v} do not form a connected subtree")
 
@@ -97,7 +89,7 @@ def validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = None) -
     every edge inside some bag)."""
     if g is not None and td.n != g.n:
         raise TreeDecompositionError(0, f"decomposition is for n={td.n}, graph has n={g.n}")
-    _check_tree_shape(td)
+    parent = _check_tree_shape(td)
     covered = set().union(*td.bags.values())
     stray = {v for v in covered if not 0 <= v < td.n}
     if stray:
@@ -105,12 +97,15 @@ def validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = None) -
     if covered != set(range(td.n)):
         missing = sorted(set(range(td.n)) - covered)
         raise TreeDecompositionError(1, f"vertices {missing} appear in no bag")
-    holders = _holders(td)
     if g is not None:
+        holders: dict[int, set[int]] = {}  # the bags containing each vertex
+        for i, bag in td.bags.items():
+            for v in bag:
+                holders.setdefault(v, set()).add(i)
         for u, v in g.edges():
             if holders[u].isdisjoint(holders[v]):
                 raise TreeDecompositionError(2, f"edge ({u},{v}) is inside no bag")
-    _check_traces(td, holders)
+    _check_traces(td, parent)
 
 
 def read_tree_decomposition(text: str) -> TreeDecomposition:

@@ -16,9 +16,9 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, ThresholdGraph,
-                   TreeDecomposition, complete_graph, cycle_graph, disjoint_cliques,
-                   empty_graph, gen_gnm, path_graph, petersen_graph, star_graph,
-                   validate_tree_decomposition)
+                   TreeDecomposition, TreeDecompositionError, complete_graph, cycle_graph,
+                   disjoint_cliques, empty_graph, gen_gnm, path_graph, petersen_graph,
+                   star_graph, validate_tree_decomposition)
 from thdim import treedecomp
 from thdim.circuits import Clause
 from thdim.exactdim import _min_cover
@@ -303,6 +303,14 @@ def pair_parse_threshold(line: str) -> ThresholdGraph:
     return from_creation(pairs)
 
 
+def pair_walk_induced(g: Graph, keep) -> Graph:
+    """`Graph.induced` as a test of every pair of kept vertices."""
+    keep = sorted(set(keep))
+    index = {v: i for i, v in enumerate(keep)}
+    return Graph(len(keep), [(index[u], index[v]) for u, v in combinations(keep, 2)
+                             if g.has_edge(u, v)])
+
+
 # ---------------------------------------------------------------------------
 # reference code: the passes over a factor as one step per (vertex, tag)
 # pair of its creation sequence, as the library made them before factors
@@ -527,6 +535,42 @@ def read_valid(text: str, g: Graph | None = None) -> TreeDecomposition:
     return td
 
 
+def dfs_validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = None) -> None:
+    """`validate_tree_decomposition` with condition 3 checked by one
+    depth-first walk per vertex over the bags holding it, from any of them."""
+    if g is not None and td.n != g.n:
+        raise TreeDecompositionError(0, f"decomposition is for n={td.n}, graph has n={g.n}")
+    treedecomp._check_tree_shape(td)
+    covered = set().union(*td.bags.values())
+    stray = {v for v in covered if not 0 <= v < td.n}
+    if stray:
+        raise TreeDecompositionError(0, f"bag vertex {min(stray)} out of range for n={td.n}")
+    if covered != set(range(td.n)):
+        missing = sorted(set(range(td.n)) - covered)
+        raise TreeDecompositionError(1, f"vertices {missing} appear in no bag")
+    holders: dict[int, set[int]] = {}
+    for i, bag in td.bags.items():
+        for v in bag:
+            holders.setdefault(v, set()).add(i)
+    if g is not None:
+        for u, v in g.edges():
+            if holders[u].isdisjoint(holders[v]):
+                raise TreeDecompositionError(2, f"edge ({u},{v}) is inside no bag")
+    for v, nodes in holders.items():
+        start = next(iter(nodes))
+        seen = {start}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in td.tree.get(i, ()):
+                if j in nodes and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if seen != nodes:
+            raise TreeDecompositionError(
+                3, f"bags containing vertex {v} do not form a connected subtree")
+
+
 def dfs_exact_cover(g: Graph):
     """Exact cover search over every labeled threshold supergraph of g
     (n <= 8), the oracle for exactdim's search over maximal covers only.
@@ -645,6 +689,13 @@ def unmet_requirements(perms, requirements) -> list[tuple[tuple[int, ...], int]]
     return [(subset, x) for subset, x in requirements
             if not any(all(list(p).index(y) < list(p).index(x) for y in subset if y != x)
                        for p in perms)]
+
+
+def forward_neighbours(g: Graph, order: VertexOrdering) -> list[list[int]]:
+    """Each vertex's neighbours after it in the order, as `_sample_coloring`
+    takes them."""
+    pos = order.position()
+    return [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
 
 
 def walk_uncovered_pairs(g: Graph, family, order: VertexOrdering) -> list[tuple[int, int]]:

@@ -17,9 +17,9 @@ from thdim.decompose import _class_completions, _sample_coloring, treewidth_orde
 from thdim.seeding import split_seed
 from thdim.treedecomp import TreeDecomposition
 
-from helpers import (all_graphs, anchor_bag_ordering, pendant_complement_bags,
-                     pendant_clique_complement, random_corpus, small_graphs,
-                     walk_uncovered_pairs)
+from helpers import (all_graphs, anchor_bag_ordering, forward_neighbours,
+                     pendant_complement_bags, pendant_clique_complement, random_corpus,
+                     small_graphs, walk_uncovered_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,8 @@ def test_class_completions_leave_exactly_the_walks_uncovered_pairs(g, k, size, s
     _, order = degeneracy_ordering(g)
     assume(_forward_palette_ok(g, k, order))
     rng = random.Random(seed)
-    family = [_sample_coloring(g, k, order, rng) for _ in range(size)]
+    forward = forward_neighbours(g, order)
+    family = [_sample_coloring(forward, k, order, rng) for _ in range(size)]
     pos = order.position()
     pending = [sum(1 << u for u in order.order[:pos[v]] if not g.has_edge(u, v))
                for v in range(g.n)]
@@ -217,15 +218,16 @@ def _walked_family(g, k, order, seed, retry_cap):
     """The family build_separating_colorings must return, found with the
     pair walk from the same seeded draws, or the stats it must raise with."""
     r = math.ceil(math.log(g.n))
+    forward = forward_neighbours(g, order)
     family = []
     for attempt in range(retry_cap):
         rng = random.Random(split_seed(seed + attempt, "separating"))
-        family = [_sample_coloring(g, k, order, rng) for _ in range(r)]
+        family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
         if not walk_uncovered_pairs(g, family, order):
             return tuple(family)
     grow = random.Random(split_seed(seed, "separating-grow"))
     while len(family) < 3 * r:
-        family.append(_sample_coloring(g, k, order, grow))
+        family.append(_sample_coloring(forward, k, order, grow))
         if not walk_uncovered_pairs(g, family, order):
             return tuple(family)
     return {"resamples": retry_cap, "final_size": len(family),

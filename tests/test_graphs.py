@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thdim import (ExactLimitError, Graph, ParseError, VertexOrdering,
                    complete_graph, cycle_graph, degeneracy_ordering, disjoint_cliques,
@@ -11,8 +12,9 @@ from thdim import (ExactLimitError, Graph, ParseError, VertexOrdering,
 from thdim.graphs import MAX_VERTICES, max_independent_set, chromatic_number
 
 from helpers import (all_graphs, backtrack_chromatic_number, clebsch_graph, crown_graph,
-                     named_corpus, pendant_clique_complement, exhaustive_girth, random_corpus,
-                     rescan_degeneracy_ordering, small_graphs)
+                     named_corpus, pendant_clique_complement, exhaustive_girth,
+                     pair_walk_induced, random_corpus, rescan_degeneracy_ordering,
+                     small_graphs)
 
 
 def test_graph_rejects_self_loops_and_bad_indices():
@@ -178,6 +180,16 @@ def test_chromatic_number_matches_backtracking_oracle():
 @given(small_graphs(12))
 def test_chromatic_number_matches_backtracking_oracle_property(g):
     assert chromatic_number(g) == backtrack_chromatic_number(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(12), st.data())
+def test_induced_matches_the_pair_walk(g, data):
+    # keep is drawn unsorted and with repeats
+    keep = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)) if g.n else []
+    sub = g.induced(keep)
+    assert sub == pair_walk_induced(g, keep)
+    assert sub.n == len(set(keep))
 
 
 def test_greedy_coloring_bounds():

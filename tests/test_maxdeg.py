@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thdim import (Graph, RandomizedSearchError, SplitExtension, ThresholdGraph,
+from thdim import (Graph, RandomizedSearchError, ThresholdGraph,
                    bipartite_coloring_family, bounded_partition,
                    build_suitable_family, complete_graph, cycle_graph,
-                   decompose_maxdeg, decompose_split, path_graph, petersen_graph,
+                   decompose_maxdeg, decompose_split, degeneracy_ordering,
+                   format_decomposition, greedy_coloring, path_graph, petersen_graph,
                    recognize_threshold, star_graph, threshold_supergraph,
                    verify_decomposition)
 from thdim.graphs import edge_mask
@@ -156,38 +157,48 @@ def test_colorings_preconditions():
 # split extensions
 
 def test_split_extension_validation():
-    g = path_graph(4)
-    with pytest.raises(ValueError):
-        SplitExtension(base=g, a_side=frozenset({0, 1}), b_side=frozenset({2, 3}))
-    with pytest.raises(ValueError):
-        SplitExtension(base=g, a_side=frozenset({0}), b_side=frozenset({0, 1, 2, 3}))
+    with pytest.raises(ValueError, match="^a_order is not independent"):
+        decompose_split(path_graph(4), [0, 1])
+    for a_side in ([0, 4], [-1, 2], [9]):
+        with pytest.raises(ValueError, match="^a_order vertex out of range$"):
+            decompose_split(path_graph(4), a_side)
 
 
 def test_split_extension_graph():
-    g = path_graph(4)
-    ext = SplitExtension(base=g, a_side=frozenset({0, 2}), b_side=frozenset({1, 3}))
-    eg = ext.as_graph()
+    d = decompose_split(path_graph(4), [0, 2])
+    eg = d.verified_for
     assert eg.has_edge(1, 3)            # clique side completed
     assert eg.has_edge(0, 1) and eg.has_edge(2, 3) and eg.has_edge(1, 2)
     assert not eg.has_edge(0, 2)
+    assert eg.m == 4
+
+
+def test_split_reads_a_generator_like_a_list():
+    g = bounded_degree_graph(30, 40, 6, seed=2)
+    _, order = degeneracy_ordering(g)
+    a_side = greedy_coloring(g, order).color_classes()[0]
+    from_list = decompose_split(g, a_side, seed=4)
+    from_generator = decompose_split(g, (v for v in reversed(a_side)), seed=4)
+    assert format_decomposition(from_generator) == format_decomposition(from_list)
+    assert from_generator.verified_for == from_list.verified_for
+    assert len(from_list.factors) > 1
 
 
 def test_split_low_degree_clamps():
     # every B vertex has at most one A neighbor: d clamps to 2, still verifies
     g = Graph(4, [(0, 2), (1, 3)])
-    ext = SplitExtension(base=g, a_side=frozenset({0, 1}), b_side=frozenset({2, 3}))
-    d = decompose_split(ext, seed=0)
+    d = decompose_split(g, [0, 1], seed=0)
     assert d.verified
 
 
 def test_split_two_centers_four_leaves():
     edges = [(a, b) for a in range(4) for b in (4, 5)]
     g = Graph(6, edges)
-    ext = SplitExtension(base=g, a_side=frozenset(range(4)), b_side=frozenset({4, 5}))
-    d = decompose_split(ext, seed=0)
+    d = decompose_split(g, range(4), seed=0)
     assert d.verified
-    target = ext.as_graph()
-    assert verify_decomposition(target, d).ok
+    # G*[A, B] is g plus the edge that completes B = {4, 5} into a clique
+    assert d.verified_for == Graph(6, edges + [(4, 5)])
+    assert verify_decomposition(d.verified_for, d).ok
     for f in d.factors:
         assert isinstance(recognize_threshold(f.graph), ThresholdGraph)
 
@@ -197,15 +208,14 @@ def test_split_universal_factor_alone_insufficient():
     # edge must be resolved by some cell factor; drop them and verify fails
     edges = [(a, b) for a in range(4) for b in (4, 5)]
     g = Graph(6, edges[:-1])  # leaf 3 not adjacent to 5
-    ext = SplitExtension(base=g, a_side=frozenset(range(4)), b_side=frozenset({4, 5}))
-    d = decompose_split(ext, seed=0)
+    d = decompose_split(g, range(4), seed=0)
     universal_only = [f for f in d.factors
                       if all(len(f.graph.adj[b]) == 5 for b in (4, 5))]
     from thdim import Decomposition
     stripped = Decomposition(factors=tuple(universal_only) or (d.factors[0],),
                              method="manual", bound_claimed=len(d.factors))
-    assert not verify_decomposition(ext.as_graph(), stripped).ok
-    assert verify_decomposition(ext.as_graph(), d).ok
+    assert not verify_decomposition(d.verified_for, stripped).ok
+    assert verify_decomposition(d.verified_for, d).ok
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +291,25 @@ def test_maxdeg_verifies_only_the_union(monkeypatch):
     g = bounded_degree_graph(30, 40, 6, seed=2)
     assert decompose_maxdeg(g, seed=0).verified
     assert calls == [g.n]
+
+
+def test_maxdeg_keeps_the_first_factor_of_each_degree_vector(monkeypatch):
+    import thdim.maxdeg
+    built = []
+    original = thdim.maxdeg.threshold_supergraph
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(thdim.maxdeg, "threshold_supergraph", recording)
+    d = decompose_maxdeg(bounded_degree_graph(40, 50, 6, seed=1), seed=1)
+    first = {}
+    for f in built:
+        first.setdefault(f.degrees(), f)
+    assert list(d.factors) == list(first.values())
+    # two creation sequences give one degree vector, so the copy kept shows
+    assert len(set(built)) > len(first)
 
 
 def test_maxdeg_completes_each_ordering_once_per_cell(monkeypatch):

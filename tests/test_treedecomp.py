@@ -1,15 +1,18 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thdim import treedecomp
-from thdim import (ExactLimitError, TreeDecomposition, TreeDecompositionError,
+from thdim import (ExactLimitError, Graph, TreeDecomposition, TreeDecompositionError,
                    complete_graph, cycle_graph, format_tree_decomposition,
                    heuristic_tree_decomposition, path_graph, petersen_graph,
                    validate_tree_decomposition)
 
-from helpers import (all_graphs, named_corpus, pendant_complement_bags, pendant_clique_complement,
-                     random_corpus, read_valid, rescan_min_fill_tree_decomposition,
-                     small_graphs)
+from helpers import (all_graphs, dfs_validate_tree_decomposition, named_corpus,
+                     pendant_complement_bags, pendant_clique_complement, random_corpus,
+                     read_valid, rescan_min_fill_tree_decomposition, small_graphs)
 
 
 def test_parse_single_bag_k3():
@@ -148,3 +151,52 @@ def test_validate_without_graph_checks_range_and_coverage():
         with pytest.raises(TreeDecompositionError) as err:
             validate_tree_decomposition(TreeDecomposition(bags=bags, **shape))
         assert err.value.condition == condition
+
+
+@st.composite
+def bag_trees(draw):
+    """A random tree of bags, ids 1..m in random order and a random root.
+    Each vertex's bags are grown as a connected subtree from a random bag;
+    then up to two (bag, vertex) memberships are flipped, the vertex possibly
+    out of range, which may break any of the conditions."""
+    m = draw(st.integers(1, 8))
+    ids = draw(st.permutations(range(1, m + 1)))
+    tree: dict[int, set[int]] = {i: set() for i in ids}
+    for j in range(1, m):
+        p = ids[draw(st.integers(0, j - 1))]
+        tree[ids[j]].add(p)
+        tree[p].add(ids[j])
+    n = draw(st.integers(0, 6))
+    bags: dict[int, set[int]] = {i: set() for i in ids}
+    for v in range(n):
+        trace = {draw(st.sampled_from(ids))}
+        for _ in range(draw(st.integers(0, m - 1))):
+            frontier = sorted({j for i in trace for j in tree[i]} - trace)
+            if frontier:
+                trace.add(draw(st.sampled_from(frontier)))
+        for i in trace:
+            bags[i].add(v)
+    for _ in range(draw(st.integers(0, 2))):
+        bags[draw(st.sampled_from(ids))] ^= {draw(st.integers(0, n))}
+    return TreeDecomposition(bags={i: frozenset(b) for i, b in bags.items()},
+                             tree={i: tuple(sorted(s)) for i, s in tree.items()},
+                             root=draw(st.sampled_from(ids)), n=n)
+
+
+def _outcome(check, td, g):
+    try:
+        check(td, g)
+    except TreeDecompositionError as err:
+        return err.condition, str(err)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(bag_trees(), st.data())
+def test_rooted_trace_check_matches_per_vertex_walks(td, data):
+    g = None
+    if data.draw(st.booleans()):
+        pairs = combinations(range(td.n), 2)
+        g = Graph(td.n, [p for p in pairs if data.draw(st.booleans())])
+    assert _outcome(validate_tree_decomposition, td, g) == \
+        _outcome(dfs_validate_tree_decomposition, td, g)
