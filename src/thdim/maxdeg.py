@@ -194,7 +194,14 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
     grown until it meets every block order the cells need
     (`_cell_requirements`). A completion depends on a permutation only
     through the order of the non-empty blocks, so each distinct ordering of
-    a cell is completed once, in the order the permutations first give it.
+    a cell is completed once, in the order the permutations first give it;
+    a cell with one non-empty block has one such order.
+
+    A cell's blocks and requirements depend on its slice only through the
+    hoods: the A-neighbours in the cell of each B-vertex of the slice that
+    has some. The slice is walked once per coloring, in ascending order,
+    and each B-vertex's A-neighbours are bucketed by color (`_hoods`), so
+    every edge between A and the slice is read once, not once per cell.
 
     `diagnostics`, when given, collects text lines describing the parameters
     and intermediate artifacts.
@@ -233,15 +240,17 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
             by_color: dict[int, list[int]] = {}
             for a in a_side:
                 by_color.setdefault(c[a], []).append(a)
+            hoods = _hoods(g, c, b_part)
             b_set = set(b_part)
             for color, a_part in sorted(by_color.items()):
                 # the cell keeps the base edges between a_part and b_part;
                 # every vertex outside both sees all of a_part
                 a_set = set(a_part)
                 outside = [v for v in range(g.n) if v not in a_set and v not in b_set]
-                blocks = _conflict_blocks(g, a_part, b_part, ground)
+                cell_hoods = hoods.get(color, [])
+                blocks = _conflict_blocks(a_part, cell_hoods, ground)
                 cells.append((blocks, outside))
-                requirements.update(_cell_requirements(g, blocks, b_part))
+                requirements.update(_cell_requirements(blocks, cell_hoods))
 
         family = build_suitable_family(ground, r + 1, requirements,
                                        seed=split_seed(seed, "suitable"))
@@ -255,7 +264,7 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
         inverses = [{ci: i for i, ci in enumerate(perm)} for perm in family]
         for blocks, outside in cells:
             used = [ci for ci, block in enumerate(blocks) if block]
-            projections = dict.fromkeys(
+            projections = [tuple(used)] if len(used) == 1 else dict.fromkeys(
                 tuple(sorted(used, key=inverse.__getitem__)) for inverse in inverses)
             orderings = dict.fromkeys(
                 tuple(v for ci in proj for v in blocks[ci][::step])
@@ -265,24 +274,41 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
     return factors, budget
 
 
-def _cell_requirements(base: Graph, blocks: Sequence[Sequence[int]],
-                       b_part: Sequence[int]) -> set[tuple[tuple[int, ...], int]]:
+def _hoods(g: Graph, coloring: dict[int, int],
+           b_part: Sequence[int]) -> dict[int, list[list[int]]]:
+    """The hoods of every cell of `coloring` over the slice b_part, by color.
+
+    One walk of b_part in its order: each B-vertex's A-neighbours (the
+    vertices `coloring` colors), ascending, go to the hood list of their
+    color, so a cell's hoods are in slice order and none is empty.
+    """
+    hoods: dict[int, list[list[int]]] = {}
+    for b in b_part:
+        mine: dict[int, list[int]] = {}
+        for u in sorted(u for u in g.adj[b] if u in coloring):
+            mine.setdefault(coloring[u], []).append(u)
+        for color, nbrs in mine.items():
+            hoods.setdefault(color, []).append(nbrs)
+    return hoods
+
+
+def _cell_requirements(blocks: Sequence[Sequence[int]],
+                       hoods: Iterable[Sequence[int]]) -> set[tuple[tuple[int, ...], int]]:
     """The (subset, last) block orders a cell's completions need.
 
-    A completion excludes the non-edge (a, b), a in the A-part and b in
-    b_part, iff a comes after every neighbour of b in the ordering. Those
-    neighbours lie in distinct blocks N_b, so with beta the block of a it
-    is enough that some permutation puts beta last among N_b | {beta}; when
-    beta is in N_b, the ascending or the descending pass puts a after b's
-    neighbour inside beta. A b with no neighbour in the cell sees none of
-    it in every completion.
+    `hoods` holds, for each B-vertex b of the slice with a neighbour in the
+    cell, b's A-neighbours in the cell. A completion excludes the non-edge
+    (a, b), a in the A-part, iff a comes after every neighbour of b in the
+    ordering. Those neighbours lie in distinct blocks N_b, so with beta the
+    block of a it is enough that some permutation puts beta last among
+    N_b | {beta}; when beta is in N_b, the ascending or the descending pass
+    puts a after b's neighbour inside beta. A b with no neighbour in the
+    cell has no hood: it sees none of the cell in every completion.
     """
     block_of = {v: ci for ci, block in enumerate(blocks) for v in block}
     needed = set()
-    for b in b_part:
-        nbr_blocks = {block_of[u] for u in base.adj[b] if u in block_of}
-        if not nbr_blocks:
-            continue
+    for nbrs in hoods:
+        nbr_blocks = {block_of[u] for u in nbrs}
         for ci, block in enumerate(blocks):
             # b has at most one neighbour per block
             if len(block) > (ci in nbr_blocks):
@@ -290,23 +316,26 @@ def _cell_requirements(base: Graph, blocks: Sequence[Sequence[int]],
     return needed
 
 
-def _conflict_blocks(base: Graph, a_part: Sequence[int], b_part: Sequence[int],
+def _conflict_blocks(a_part: Sequence[int], hoods: Sequence[Sequence[int]],
                      palette: int) -> list[list[int]]:
-    """Color the conflict graph on a_part (common B-neighbor makes an edge)
-    greedily along a degeneracy order; return the color classes, each
-    ascending, padded out to `palette` blocks."""
+    """Color the conflict graph on a_part (two vertices in one hood, that is
+    with a common B-neighbour, make an edge) greedily along a degeneracy
+    order; return the color classes, each ascending, padded out to
+    `palette` blocks. With no conflict edge that is a_part in one block."""
     a_sorted = sorted(a_part)
+    blocks: list[list[int]] = [[] for _ in range(palette)]
+    if all(len(nbrs) < 2 for nbrs in hoods):
+        blocks[0] = a_sorted
+        return blocks
     index = {a: i for i, a in enumerate(a_sorted)}
     conflict_edges = set()
-    for v in b_part:
-        nbrs = sorted(u for u in base.adj[v] if u in index)
+    for nbrs in hoods:
         conflict_edges.update((index[x], index[y]) for x, y in combinations(nbrs, 2))
     conflict = Graph(len(a_sorted), conflict_edges)
     _, order = degeneracy_ordering(conflict)
     coloring = greedy_coloring(conflict, VertexOrdering(tuple(reversed(order.order))))
     if coloring.palette_size > palette:
         raise AssertionError("conflict coloring exceeded its palette")
-    blocks: list[list[int]] = [[] for _ in range(palette)]
     for i, color in enumerate(coloring.colors):
         blocks[color].append(a_sorted[i])
     return blocks

@@ -22,8 +22,8 @@ from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, ThresholdGraph
 from thdim import treedecomp
 from thdim.circuits import Clause
 from thdim.exactdim import _min_cover
-from thdim.graphs import (VertexOrdering, complete_mask, edge_mask, graph_from_mask,
-                          greedy_coloring, max_independent_set, pair_index)
+from thdim.graphs import (VertexOrdering, complete_mask, degeneracy_ordering, edge_mask,
+                          graph_from_mask, greedy_coloring, max_independent_set, pair_index)
 from thdim.seeding import split_seed
 from thdim.threshold import DOMINATING, ISOLATED, _forbidden_witness
 
@@ -689,6 +689,42 @@ def unmet_requirements(perms, requirements) -> list[tuple[tuple[int, ...], int]]
     return [(subset, x) for subset, x in requirements
             if not any(all(list(p).index(y) < list(p).index(x) for y in subset if y != x)
                        for p in perms)]
+
+
+def walk_conflict_blocks(base: Graph, a_part: Sequence[int], b_part: Sequence[int],
+                         palette: int) -> list[list[int]]:
+    """A cell's conflict blocks from a walk of its whole B slice, as
+    `_conflict_blocks` found them before each slice was bucketed by color
+    once per coloring."""
+    a_sorted = sorted(a_part)
+    index = {a: i for i, a in enumerate(a_sorted)}
+    conflict_edges = set()
+    for v in b_part:
+        nbrs = sorted(u for u in base.adj[v] if u in index)
+        conflict_edges.update((index[x], index[y]) for x, y in combinations(nbrs, 2))
+    conflict = Graph(len(a_sorted), conflict_edges)
+    _, order = degeneracy_ordering(conflict)
+    coloring = greedy_coloring(conflict, VertexOrdering(tuple(reversed(order.order))))
+    blocks: list[list[int]] = [[] for _ in range(palette)]
+    for i, color in enumerate(coloring.colors):
+        blocks[color].append(a_sorted[i])
+    return blocks
+
+
+def walk_cell_requirements(base: Graph, blocks: Sequence[Sequence[int]],
+                           b_part: Sequence[int]) -> set[tuple[tuple[int, ...], int]]:
+    """A cell's (subset, last) block orders from a walk of its whole B
+    slice, as `_cell_requirements` found them before the bucketing."""
+    block_of = {v: ci for ci, block in enumerate(blocks) for v in block}
+    needed = set()
+    for b in b_part:
+        nbr_blocks = {block_of[u] for u in base.adj[b] if u in block_of}
+        if not nbr_blocks:
+            continue
+        for ci, block in enumerate(blocks):
+            if len(block) > (ci in nbr_blocks):
+                needed.add((tuple(sorted(nbr_blocks | {ci})), ci))
+    return needed
 
 
 def forward_neighbours(g: Graph, order: VertexOrdering) -> list[list[int]]:

@@ -11,7 +11,11 @@ hashes (the CSV `thdim report --out` writes) were recorded before the
 clique-chromatic bound moved onto adjacency bitmasks. The treewidth hash at
 n = 400 was recorded before min-fill updated each neighbour's fill count
 from the new fill edges instead of recounting it; its bags reach 135
-vertices, so it pins the update on large neighbourhoods."""
+vertices, so it pins the update on large neighbourhoods. The maxdeg hash on
+K_{55,55} was recorded before each colouring's B slice was bucketed by
+colour once instead of walked once per cell; with r = 3 and a ground of 166
+blocks its cells have conflict edges and many blocks, where the n = 40
+maxdeg goldens mostly reach cells of one block."""
 
 import hashlib
 
@@ -21,7 +25,7 @@ from thdim import (Graph, compute_report, decompose_degeneracy, decompose_maxdeg
                    decompose_vertex_cover, exact_decomposition, format_decomposition, gen_gnm,
                    heuristic_tree_decomposition)
 
-from helpers import bounded_degree_graph
+from helpers import bounded_degree_graph, complete_bipartite
 
 GOLDEN = {
     ("degeneracy", 12, 20, 1): "0f55116fd95afbb4cf119cea4cbbb895e2d6521c67ecbe3ff77926926629c1f1",
@@ -59,6 +63,13 @@ def test_seeded_decomposition_is_byte_identical(case):
     d = build(*case)
     assert d.verified
     assert hashlib.sha256(format_decomposition(d).encode()).hexdigest() == GOLDEN[case]
+
+
+def test_maxdeg_on_k55_55_is_byte_identical():
+    d = decompose_maxdeg(complete_bipartite(55, 55), seed=1)
+    assert d.verified
+    assert (hashlib.sha256(format_decomposition(d).encode()).hexdigest()
+            == "a248dca7246451266d8195d1deaebefbdf62dacfa6bc84ae17c604ff999a58e2")
 
 
 REPORT_GOLDEN = {

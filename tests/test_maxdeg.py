@@ -1,7 +1,7 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thdim import (Graph, RandomizedSearchError, ThresholdGraph,
@@ -12,10 +12,11 @@ from thdim import (Graph, RandomizedSearchError, ThresholdGraph,
                    recognize_threshold, star_graph, threshold_supergraph,
                    verify_decomposition)
 from thdim.graphs import edge_mask
-from thdim.maxdeg import _cell_requirements, _conflict_blocks
+from thdim.maxdeg import _cell_requirements, _conflict_blocks, _hoods
 
 from helpers import (all_suitable_pairs, bounded_degree_graph, complete_bipartite,
-                     full_scan_uncovered_pairs, random_corpus, unmet_requirements)
+                     full_scan_uncovered_pairs, random_corpus, unmet_requirements,
+                     walk_cell_requirements, walk_conflict_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +259,9 @@ def test_cell_requirements_are_what_a_permutation_needs(p, q, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
     g = Graph(p + q, edges)
     b_part = range(p, p + q)
-    blocks = _conflict_blocks(g, range(p), b_part, p)
-    needed = _cell_requirements(g, blocks, b_part)
+    hoods = [sorted(g.adj[b]) for b in b_part if g.adj[b]]
+    blocks = _conflict_blocks(range(p), hoods, p)
+    needed = _cell_requirements(blocks, hoods)
     non_edges = set(pairs) - set(edges)
     for perm in permutations(range(p)):
         excluded = set()
@@ -267,6 +269,37 @@ def test_cell_requirements_are_what_a_permutation_needs(p, q, data):
             t = threshold_supergraph(g, [v for ci in perm for v in blocks[ci][::step]])
             excluded |= {(a, b) for a, b in non_edges if not t.graph.has_edge(a, b)}
         assert (unmet_requirements([perm], needed) == []) == (excluded == non_edges)
+
+
+@st.composite
+def split_cells(draw):
+    """A graph with an independent A side (some B-B edges too), a coloring
+    of A with up to four colors, and a B slice."""
+    n = draw(st.integers(2, 14))
+    a_side = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    b_side = [v for v in range(n) if v not in a_side]
+    pairs = [(a, b) for a in a_side for b in b_side] + list(combinations(b_side, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    coloring = {a: draw(st.integers(0, 3)) for a in a_side}
+    b_part = sorted(draw(st.sets(st.sampled_from(b_side))))
+    return Graph(n, edges), coloring, b_part
+
+
+# cell 0 = {1, 3} has a conflict edge (common B-neighbour 2), cell 1 = {4}
+# one hood, and cell 2 = {6} none: its one neighbour 0 is outside the slice
+@example(case=(Graph(7, [(1, 2), (2, 3), (4, 5), (0, 6), (0, 2)]),
+               {1: 0, 3: 0, 4: 1, 6: 2}, [2, 5]))
+@settings(max_examples=300, deadline=None)
+@given(split_cells())
+def test_bucketed_hoods_give_each_cell_what_its_slice_walk_gives(case):
+    g, coloring, b_part = case
+    hoods = _hoods(g, coloring, b_part)
+    for color in set(coloring.values()):
+        a_part = [a for a in sorted(coloring) if coloring[a] == color]
+        blocks = _conflict_blocks(a_part, hoods.get(color, []), len(coloring))
+        assert blocks == walk_conflict_blocks(g, a_part, b_part, len(coloring))
+        assert (_cell_requirements(blocks, hoods.get(color, []))
+                == walk_cell_requirements(g, blocks, b_part))
 
 
 def test_maxdeg_k55_55():
