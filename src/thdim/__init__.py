@@ -5,11 +5,10 @@ for clique-indicator Boolean functions."""
 __version__ = "0.1.0"
 
 from .graphs import (ExactLimitError, Graph, ParseError, ProperColoring,
-                     SmallGraphInvariants, VertexOrdering, complete_graph,
-                     cycle_graph, degeneracy_ordering, disjoint_cliques,
-                     empty_graph, exact_small_invariants, girth, greedy_coloring,
-                     max_independent_set, parse_edge_list, path_graph,
-                     petersen_graph, star_graph, write_edge_list)
+                     VertexOrdering, complete_graph, cycle_graph,
+                     degeneracy_ordering, disjoint_cliques, empty_graph, girth,
+                     greedy_coloring, max_independent_set, parse_edge_list,
+                     path_graph, petersen_graph, star_graph, write_edge_list)
 from .threshold import (ForbiddenSubgraph, LtfWitness, ThresholdGraph,
                         extract_ltf, format_threshold, parse_threshold,
                         recognize_threshold, threshold_supergraph, verify_ltf)
@@ -26,10 +25,9 @@ from .maxdeg import (bipartite_coloring_family, bounded_partition, build_suitabl
                      decompose_maxdeg, decompose_split)
 from .exactdim import (EXACT_DIMENSION_LIMIT, DimensionReport, compute_report,
                        exact_decomposition, exact_dimension,
-                       lower_bound_clique_chromatic, threshold_cover_number,
-                       upper_bound_ramsey_style)
+                       lower_bound_clique_chromatic, upper_bound_ramsey_style)
 from .circuits import (GraphicFunction, MajorityCircuit, compile_circuit,
-                       format_circuit, from_2cnf, ltfs_to_graph, parse_circuit,
+                       format_circuit, ltfs_to_graph, parse_circuit,
                        to_2cnf, verify_circuit)
-from .randgraphs import (ExperimentRow, gen_gnm, gen_gnp, girth_degeneracy_check,
+from .randgraphs import (ExperimentRow, gen_gnm, girth_degeneracy_check,
                          parse_experiment_spec, render_table, run_experiment)

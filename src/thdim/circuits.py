@@ -51,28 +51,6 @@ def to_2cnf(g: Graph) -> list[Clause]:
             if not g.has_edge(i, j)]
 
 
-def from_2cnf(clauses: Sequence[Clause], n: int) -> Graph:
-    """The graph whose clique indicator the clause list computes.
-
-    Only two-literal, both-negated clauses on distinct in-range variables are
-    graphic; anything else is rejected.
-    """
-    missing = set()
-    for clause in clauses:
-        if len(clause) != 2:
-            raise ValueError(f"clause {clause!r} does not have exactly two literals")
-        (i, neg_i), (j, neg_j) = clause
-        if not (neg_i and neg_j):
-            raise ValueError(f"clause {clause!r} has a positive literal")
-        if i == j:
-            raise ValueError(f"clause {clause!r} repeats a variable")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"clause {clause!r} out of range for n={n}")
-        missing.add((min(i, j), max(i, j)))
-    edges = [(u, v) for u, v in combinations(range(n), 2) if (u, v) not in missing]
-    return Graph(n, edges)
-
-
 # ---------------------------------------------------------------------------
 # depth-2 circuits
 

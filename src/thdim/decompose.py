@@ -287,8 +287,9 @@ def treewidth_ordering(g: Graph, td: TreeDecomposition) -> tuple[VertexOrdering,
 
 def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
     """Two factors per color class of the bag-distinct coloring, one along
-    the preorder-derived ordering and one along its reverse; at most
-    2*(width+1) factors in total."""
+    the preorder-derived ordering and one along its reverse; a one-vertex
+    class reads the same both ways and gives one. At most 2*(width+1)
+    factors in total."""
     if g.n == 0:
         raise ValueError("treewidth decomposition needs at least 1 vertex")
     validate_tree_decomposition(td, g)
@@ -300,7 +301,8 @@ def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
     for c in sorted(classes):
         cls = classes[c]  # already in sigma order
         factors.append(threshold_supergraph(g, cls))
-        factors.append(threshold_supergraph(g, list(reversed(cls))))
+        if len(cls) > 1:
+            factors.append(threshold_supergraph(g, list(reversed(cls))))
     return _finish(g, factors, "treewidth", bound=2 * (td.width + 1))
 
 

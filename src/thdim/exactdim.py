@@ -1,7 +1,7 @@
 """Ground truth at desk scale: exact threshold dimension via set cover over
 the maximal threshold subgraphs of the complement (Chvatal-Hammer), the
-clique-removal chromatic lower bound, the n - max(omega, alpha) upper bound,
-and the cover number of the complement.
+clique-removal chromatic lower bound and the n - max(omega, alpha) upper
+bound.
 
 Convention: the dimension of a threshold graph (complete graphs included)
 is 1; an intersection of zero graphs is not a thing here.
@@ -161,11 +161,6 @@ def upper_bound_ramsey_style(g: Graph) -> int:
     alpha = len(max_independent_set(g))
     omega = _clique_number(g.adjacency_masks(), (1 << g.n) - 1)
     return max(g.n - max(alpha, omega), 1)
-
-
-def threshold_cover_number(g: Graph) -> int:
-    """Fewest threshold graphs whose union is g: the dimension of the complement."""
-    return exact_dimension(g.complement())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Simple undirected graphs and the classical subroutines the decomposition
-methods lean on: edge-list parsing, complement, degeneracy peeling, girth,
-exact small-graph invariants (alpha/omega/beta/chi) and greedy coloring.
+methods lean on: edge-list parsing, degeneracy peeling, girth, exact
+independent sets and chromatic numbers, and greedy coloring.
 
 Vertices are always the integers 0..n-1. Graph values are immutable after
 construction and safe to share between threads.
@@ -87,10 +87,6 @@ class Graph:
     def m(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
-    def complement(self) -> "Graph":
-        return Graph(self.n, ((u, v) for u, v in combinations(range(self.n), 2)
-                              if v not in self.adj[u]))
-
     def induced(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on `keep`, relabeled to 0..len(keep)-1 in sorted order."""
         keep = sorted(set(keep))
@@ -131,13 +127,6 @@ class VertexOrdering:
 class ProperColoring:
     colors: tuple[int, ...]
     palette_size: int
-
-    def is_proper_for(self, g: Graph) -> bool:
-        if len(self.colors) != g.n:
-            return False
-        if any(c < 0 or c >= self.palette_size for c in self.colors):
-            return False
-        return all(self.colors[u] != self.colors[v] for u, v in g.edges())
 
     def color_classes(self) -> list[list[int]]:
         classes: list[list[int]] = [[] for _ in range(self.palette_size)]
@@ -416,22 +405,6 @@ def _chromatic(nbr: list[int], within: int) -> int:
         if colorable(0, 0):
             return k
     return upper
-
-
-@dataclass(frozen=True)
-class SmallGraphInvariants:
-    alpha: int  # max independent set
-    omega: int  # max clique
-    beta: int   # min vertex cover (= n - alpha)
-    chi: int    # chromatic number
-
-
-def exact_small_invariants(g: Graph) -> SmallGraphInvariants:
-    """Exact alpha/omega/beta/chi; refuses above the size caps."""
-    alpha = len(max_independent_set(g))
-    omega = _clique_number(g.adjacency_masks(), (1 << g.n) - 1)
-    chi = chromatic_number(g)
-    return SmallGraphInvariants(alpha=alpha, omega=omega, beta=g.n - alpha, chi=chi)
 
 
 # ---------------------------------------------------------------------------

@@ -306,12 +306,13 @@ def _cell_requirements(blocks: Sequence[Sequence[int]],
     cell has no hood: it sees none of the cell in every completion.
     """
     block_of = {v: ci for ci, block in enumerate(blocks) for v in block}
+    filled = [(ci, len(block)) for ci, block in enumerate(blocks) if block]
     needed = set()
     for nbrs in hoods:
         nbr_blocks = {block_of[u] for u in nbrs}
-        for ci, block in enumerate(blocks):
+        for ci, size in filled:
             # b has at most one neighbour per block
-            if len(block) > (ci in nbr_blocks):
+            if size > (ci in nbr_blocks):
                 needed.add((tuple(sorted(nbr_blocks | {ci})), ci))
     return needed
 

@@ -10,21 +10,11 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from itertools import combinations
 import random
 
 from .decompose import decompose_degeneracy
 from .graphs import Graph, check_vertex_count, degeneracy_ordering, girth
 from .seeding import split_seed
-
-
-def gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
-    """Each pair independently an edge with probability p."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
-    rng = random.Random(split_seed(seed, "gnp", n))
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    return Graph(n, edges)
 
 
 def gen_gnm(n: int, m: int, seed: int = 0) -> Graph:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, ThresholdGraph,
+from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, ProperColoring, ThresholdGraph,
                    TreeDecomposition, TreeDecompositionError, complete_graph, cycle_graph,
                    disjoint_cliques, empty_graph, gen_gnm, path_graph, petersen_graph,
                    star_graph, validate_tree_decomposition)
@@ -38,8 +38,13 @@ def clique_with_pendants(n: int) -> Graph:
     return Graph(2 * n, edges)
 
 
+def complement(g: Graph) -> Graph:
+    """The graph on g's vertices whose edges are g's non-edges."""
+    return Graph(g.n, [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)])
+
+
 def pendant_clique_complement(n: int) -> Graph:
-    return clique_with_pendants(n).complement()
+    return complement(clique_with_pendants(n))
 
 
 def pendant_complement_bags(n: int) -> dict[int, frozenset[int]]:
@@ -182,6 +187,16 @@ def exhaustive_girth(g: Graph) -> int | float:
                 elif u not in path and u > start and len(path) < best:
                     stack.append((u, path + [u]))
     return best
+
+
+def is_proper_coloring(coloring: ProperColoring, g: Graph) -> bool:
+    """Every vertex of g gets a colour below the palette size, and no edge
+    joins two vertices of one colour."""
+    if len(coloring.colors) != g.n:
+        return False
+    if any(not 0 <= c < coloring.palette_size for c in coloring.colors):
+        return False
+    return all(coloring.colors[u] != coloring.colors[v] for u, v in g.edges())
 
 
 def naive_completion_edges(g: Graph, a_order) -> set[tuple[int, int]]:
@@ -826,7 +841,7 @@ def backtrack_chromatic_number(g: Graph) -> int:
         return 0
     if g.m == 0:
         return 1
-    omega = len(max_independent_set(g.complement()))
+    omega = len(max_independent_set(complement(g)))
     order = sorted(range(n), key=lambda v: -g.degree(v))
     greedy = greedy_coloring(g, VertexOrdering(tuple(order)))
     upper = greedy.palette_size

@@ -10,7 +10,7 @@ from thdim import (GraphicFunction, ThresholdGraph, compile_circuit,
                    complete_graph, cycle_graph, decompose_degeneracy,
                    decompose_maxdeg, decompose_treewidth, decompose_vertex_cover,
                    degeneracy_ordering, disjoint_cliques, exact_dimension,
-                   exact_small_invariants, girth_degeneracy_check,
+                   girth_degeneracy_check,
                    heuristic_tree_decomposition, lower_bound_clique_chromatic,
                    ltfs_to_graph, petersen_graph, recognize_threshold,
                    render_table, run_experiment, validate_tree_decomposition,
@@ -21,7 +21,7 @@ from thdim.threshold import extract_ltf
 from thdim.treedecomp import TreeDecomposition
 
 from helpers import (_supergraph_creations, all_graphs, bounded_degree_graph, brute_is_threshold,
-                     from_creation, pendant_complement_bags, pendant_clique_complement,
+                     complement, from_creation, pendant_complement_bags, pendant_clique_complement,
                      named_corpus, random_corpus, representatives, unmet_requirements)
 
 
@@ -78,8 +78,8 @@ def test_criterion_2_tight_examples():
             assert lower_bound_clique_chromatic(tk) == n
         h = pendant_clique_complement(3)
         assert exact_dimension(h) == 3
-        inv = exact_small_invariants(h)
-        assert inv.beta == inv.alpha == inv.omega == 3
+        alpha = len(max_independent_set(h))
+        assert h.n - alpha == alpha == len(max_independent_set(complement(h))) == 3
         bags = pendant_complement_bags(3)
         tree = {1: tuple(range(2, 5)), **{i: (1,) for i in range(2, 5)}}
         td = TreeDecomposition(bags=bags, tree=tree, root=1, n=6)

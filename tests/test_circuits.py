@@ -4,7 +4,7 @@ from thdim import (Decomposition, GraphicFunction, LtfWitness, MajorityCircuit,
                    compile_circuit, complete_graph, cycle_graph,
                    decompose_degeneracy, decompose_vertex_cover,
                    disjoint_cliques, empty_graph,
-                   exact_decomposition, format_circuit, from_2cnf, gen_gnm,
+                   exact_decomposition, format_circuit, gen_gnm,
                    ltfs_to_graph, parse_circuit, path_graph, star_graph,
                    to_2cnf, verify_circuit)
 from thdim.graphs import max_independent_set
@@ -51,29 +51,6 @@ def test_to_2cnf_p4_clauses():
     clauses = to_2cnf(path_graph(4))
     pairs = {(a[0], b[0]) for a, b in clauses}
     assert pairs == {(0, 2), (0, 3), (1, 3)}
-
-
-def test_from_2cnf_round_trip():
-    for g in random_corpus(10, [(6, 8), (7, 12)], seed=43):
-        assert from_2cnf(to_2cnf(g), g.n) == g
-
-
-def test_from_2cnf_named():
-    assert from_2cnf([], 4) == complete_graph(4)
-    assert from_2cnf(to_2cnf(empty_graph(3)), 3) == empty_graph(3)
-    g = from_2cnf([((0, True), (2, True))], 3)
-    assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
-
-
-@pytest.mark.parametrize("clause", [
-    ((0, True),),                      # wrong length
-    ((0, True), (0, True)),            # repeated variable
-    ((0, False), (1, True)),           # positive literal
-    ((0, True), (9, True)),            # out of range
-])
-def test_from_2cnf_rejections(clause):
-    with pytest.raises(ValueError):
-        from_2cnf([clause], 3)
 
 
 def test_2cnf_equivalence_exhaustive():

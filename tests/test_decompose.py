@@ -18,7 +18,7 @@ from thdim.seeding import split_seed
 from thdim.treedecomp import TreeDecomposition
 
 from helpers import (all_graphs, anchor_bag_ordering, forward_neighbours,
-                     pendant_complement_bags, pendant_clique_complement, random_corpus,
+                     is_proper_coloring, pendant_complement_bags, pendant_clique_complement, random_corpus,
                      small_graphs, walk_uncovered_pairs)
 
 
@@ -141,7 +141,7 @@ def test_family_edgeless_vacuous():
     family = build_separating_colorings(g, 1, order, seed=0)
     assert len(family.colorings) == math.ceil(math.log(4))
     for c in family.colorings:
-        assert c.is_proper_for(g) and c.palette_size == 10
+        assert is_proper_coloring(c, g) and c.palette_size == 10
 
 
 def test_family_c10():

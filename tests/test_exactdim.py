@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from thdim import (ExactLimitError, Graph, ThresholdGraph, complete_graph,
                    compute_report, cycle_graph, disjoint_cliques, empty_graph,
                    exact_decomposition, exact_dimension, lower_bound_clique_chromatic,
-                   path_graph, recognize_threshold, star_graph, threshold_cover_number,
+                   path_graph, recognize_threshold, star_graph,
                    upper_bound_ramsey_style, verify_decomposition, write_edge_list)
 from thdim import exactdim
 from thdim.cli import main
 from thdim.graphs import edge_mask, graph_from_mask
 
-from helpers import (all_graphs, brute_is_threshold, clebsch_graph, crown_graph, dfs_exact_cover,
-                     enumerate_threshold_supergraphs, induced_clique_chromatic, named_corpus,
-                     pendant_clique_complement, random_corpus, small_graphs)
+from helpers import (all_graphs, brute_is_threshold, clebsch_graph, complement, crown_graph,
+                     dfs_exact_cover, enumerate_threshold_supergraphs, induced_clique_chromatic,
+                     named_corpus, pendant_clique_complement, random_corpus, small_graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_report_path_enumerates_no_supergraphs(tmp_path):
     for g in random_corpus(4, [(8, 10), (8, 13)], seed=47):
         d = exact_decomposition(g)
         assert d.verified and d.size == exact_dimension(g)
-        assert threshold_cover_number(g) >= 1
+        assert exact_dimension(complement(g)) >= 1
         assert compute_report(g, seed=1).exact == d.size
         path = tmp_path / "g.txt"
         path.write_text(write_edge_list(g))
@@ -176,9 +176,10 @@ def test_ramsey_style_above_exact():
 
 
 def test_cover_number():
-    assert threshold_cover_number(empty_graph(6)) == 1
-    assert threshold_cover_number(disjoint_cliques(3).complement()) == 3
-    assert threshold_cover_number(cycle_graph(4)) == 2
+    # the fewest threshold graphs whose union is g: the complement's dimension
+    assert exact_dimension(complement(empty_graph(6))) == 1
+    assert exact_dimension(disjoint_cliques(3)) == 3
+    assert exact_dimension(complement(cycle_graph(4))) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from thdim import (ExactLimitError, Graph, ParseError, VertexOrdering,
                    complete_graph, cycle_graph, degeneracy_ordering, disjoint_cliques,
-                   empty_graph, exact_small_invariants, girth,
+                   empty_graph, girth,
                    greedy_coloring, parse_edge_list, path_graph, petersen_graph,
                    write_edge_list)
-from thdim.graphs import MAX_VERTICES, max_independent_set, chromatic_number
+from thdim.graphs import (MAX_VERTICES, chromatic_number, complete_mask, edge_mask,
+                          max_independent_set)
 
-from helpers import (all_graphs, backtrack_chromatic_number, clebsch_graph, crown_graph,
+from helpers import (all_graphs, backtrack_chromatic_number, clebsch_graph, complement, crown_graph,
                      named_corpus, pendant_clique_complement, exhaustive_girth,
-                     pair_walk_induced, random_corpus, rescan_degeneracy_ordering,
+                     is_proper_coloring, pair_walk_induced, random_corpus, rescan_degeneracy_ordering,
                      small_graphs)
 
 
@@ -74,10 +75,11 @@ def test_edge_list_round_trip():
 
 
 def test_complement_k3_and_involution():
-    assert complete_graph(3).complement() == empty_graph(3)
-    assert path_graph(4).complement().complement() == path_graph(4)
+    assert complement(complete_graph(3)) == empty_graph(3)
+    assert complement(complement(path_graph(4))) == path_graph(4)
     for g in random_corpus(10, [(7, 10), (8, 14)], seed=5):
-        assert g.complement().complement() == g
+        assert complement(complement(g)) == g
+        assert edge_mask(complement(g)) == complete_mask(g.n) ^ edge_mask(g)
 
 
 def test_complement_of_clique_with_pendants():
@@ -133,20 +135,21 @@ def test_girth_matches_exhaustive_enumeration():
 
 
 def test_exact_invariants_named():
-    inv = exact_small_invariants(disjoint_cliques(3))
-    assert (inv.alpha, inv.omega, inv.beta, inv.chi) == (2, 3, 4, 3)
-    inv = exact_small_invariants(cycle_graph(5))
-    assert (inv.alpha, inv.omega, inv.beta, inv.chi) == (2, 2, 3, 3)
-    inv = exact_small_invariants(pendant_clique_complement(3))
-    assert (inv.alpha, inv.omega, inv.beta) == (3, 3, 3)
+    g = disjoint_cliques(3)
+    assert (len(max_independent_set(g)), len(max_independent_set(complement(g))),
+            chromatic_number(g)) == (2, 3, 3)
+    g = cycle_graph(5)
+    assert (len(max_independent_set(g)), len(max_independent_set(complement(g))),
+            chromatic_number(g)) == (2, 2, 3)
+    g = pendant_clique_complement(3)
+    assert len(max_independent_set(g)) == len(max_independent_set(complement(g))) == 3
 
 
 def test_exact_invariants_consistency():
     for g in random_corpus(12, [(7, 10), (8, 13)], seed=11):
-        inv = exact_small_invariants(g)
-        assert inv.alpha + inv.beta == g.n
-        assert inv.omega == len(max_independent_set(g.complement()))
-        assert inv.chi >= inv.omega
+        alpha = max_independent_set(g)
+        assert all(not g.has_edge(u, v) for u in alpha for v in alpha)
+        assert chromatic_number(g) >= len(max_independent_set(complement(g)))
 
 
 def test_exact_invariants_refusal():
@@ -204,7 +207,7 @@ def test_greedy_coloring_proper_on_randoms():
     for g in random_corpus(10, [(9, 16), (11, 22)], seed=21):
         _, order = degeneracy_ordering(g)
         coloring = greedy_coloring(g, order)
-        assert coloring.is_proper_for(g)
+        assert is_proper_coloring(coloring, g)
         assert coloring.palette_size <= g.max_degree() + 1
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from thdim import (ExactLimitError, complete_graph, cycle_graph, empty_graph, gen_gnm, gen_gnp,
+from thdim import (ExactLimitError, complete_graph, cycle_graph, empty_graph, gen_gnm,
                    girth_degeneracy_check, parse_experiment_spec, path_graph,
                    petersen_graph, render_table, run_experiment)
 from thdim.graphs import MAX_VERTICES
@@ -14,16 +14,6 @@ from helpers import listed_gen_gnm
 
 # ---------------------------------------------------------------------------
 # generators
-
-def test_gnp_endpoints():
-    assert gen_gnp(6, 0.0, seed=1) == empty_graph(6)
-    assert gen_gnp(6, 1.0, seed=1) == complete_graph(6)
-
-
-def test_gnp_deterministic():
-    assert gen_gnp(12, 0.3, seed=7) == gen_gnp(12, 0.3, seed=7)
-    assert gen_gnp(12, 0.3, seed=7) != gen_gnp(12, 0.3, seed=8)
-
 
 def test_gnm_endpoints_and_count():
     assert gen_gnm(5, 0, seed=0) == empty_graph(5)

@@ -9,7 +9,7 @@ from thdim import (ForbiddenSubgraph, Graph, LtfWitness, ThresholdGraph,
                    verify_ltf)
 from thdim.threshold import DOMINATING, ISOLATED, classify_forbidden
 
-from helpers import (_supergraph_creations, all_graphs, brute_is_threshold, creation,
+from helpers import (_supergraph_creations, all_graphs, brute_is_threshold, complement, creation,
                      from_creation, is_supergraph, named_corpus, naive_completion_edges,
                      random_corpus, small_graphs, sorting_recognize_threshold,
                      threshold_struct_ok)
@@ -113,7 +113,7 @@ def Graph_with_p4_tail():
 def test_complement_closure():
     for g in random_corpus(20, [(6, 8), (7, 12)], seed=7):
         a = isinstance(recognize_threshold(g), ThresholdGraph)
-        b = isinstance(recognize_threshold(g.complement()), ThresholdGraph)
+        b = isinstance(recognize_threshold(complement(g)), ThresholdGraph)
         assert a == b
 
 
