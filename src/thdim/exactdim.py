@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 
 from .graphs import (CHROMATIC_LIMIT, INDEPENDENT_SET_LIMIT, ExactLimitError, Graph, _chromatic,
                      _clique_number, complete_mask, edge_mask, graph_from_mask,
@@ -27,9 +29,28 @@ def _maximal(masks) -> list[int]:
     """The inclusion-maximal non-zero masks, largest first (ties ascending)."""
     keep: list[int] = []
     for c in sorted(set(masks), key=lambda c: (-c.bit_count(), c)):
-        if c and not any(c & ~k == 0 for k in keep):
-            keep.append(c)
+        if c:
+            for k in keep:
+                if not c & ~k:
+                    break
+            else:
+                keep.append(c)
     return keep
+
+
+@lru_cache(maxsize=EXACT_DIMENSION_LIMIT + 1)
+def _star_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """stars[v][T]: the pair mask of the star from v to the vertex set T
+    (bit mask, v not in T), for every T below 2^n."""
+    stars = []
+    for v in range(n):
+        row = [0] * (1 << n)
+        for t in range(1, 1 << n):
+            low = t & -t
+            u = low.bit_length() - 1
+            row[t] = row[t ^ low] | (1 << pair_index(n, v, u) if u != v else 0)
+        stars.append(tuple(row))
+    return tuple(stars)
 
 
 def _maximal_covers(g: Graph) -> list[int]:
@@ -43,22 +64,29 @@ def _maximal_covers(g: Graph) -> list[int]:
     S among v's non-neighbours in g. Hence on a vertex set U the maximal
     ones are the maximal star(v, T) | c' with T = U minus v's g-neighbours
     and c' maximal on T; the recursion is memoised on U (at most 2^n sets).
+    The star is disjoint from every c' on T, so the candidates of one v are
+    already maximal and in order, and `_maximal` only runs when two or more
+    v contribute.
     """
     n = g.n
     full = (1 << n) - 1
     non = [full & ~(1 << v) & ~mask for v, mask in enumerate(g.adjacency_masks())]
+    stars = _star_table(n)
     memo: dict[int, list[int]] = {}
 
     def maximal_on(u_mask: int) -> list[int]:
         if u_mask in memo:
             return memo[u_mask]
-        candidates = []
+        groups = []
         for v in range(n):
             t = non[v] & u_mask if u_mask >> v & 1 else 0
             if t:
-                star = sum(1 << pair_index(n, v, u) for u in range(n) if t >> u & 1)
-                candidates += [star | c for c in maximal_on(t)]
-        memo[u_mask] = _maximal(candidates) or [0]
+                star = stars[v][t]
+                groups.append([star | c for c in maximal_on(t)])
+        if len(groups) > 1:
+            memo[u_mask] = _maximal(chain.from_iterable(groups))
+        else:
+            memo[u_mask] = groups[0] if groups else [0]
         return memo[u_mask]
 
     return maximal_on(full)

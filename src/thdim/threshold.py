@@ -137,16 +137,27 @@ def _isolated_prefixes(t: ThresholdGraph) -> Iterator[tuple[int, int]]:
     one before it plus the previous isolated vertex and the run after it.
     ORing in `1 << v` costs O(n) per vertex once the mask is long, so a run
     longer than max(16, sqrt(2n)) vertices, about where the two ways took
-    the same time from n = 60 to 10^5, goes through `_digits_mask`."""
+    the same time from n = 60 to 10^5, goes through `_digits_mask`. While
+    no mask is built yet, a cut past n/2 takes its prefix as the complement
+    of the shorter side, the vertices from the cut on: degeneracy and
+    treewidth factors place most vertices before their first cut."""
     order, n = t.order, t.n
     long_run = max(16, isqrt(2 * n))
+
+    def mask(run: Sequence[int]) -> int:
+        if len(run) > long_run:
+            return _digits_mask(run, n)
+        m = 0
+        for v in run:
+            m |= 1 << v
+        return m
+
     placed = start = 0
     for c in t.cuts:
-        if c - start > long_run:
-            placed |= _digits_mask(order[start:c], n)
+        if not start and 2 * c > n:
+            placed = ((1 << n) - 1) ^ mask(order[c:])
         else:
-            for v in order[start:c]:
-                placed |= 1 << v
+            placed |= mask(order[start:c])
         yield order[c], placed
         start = c
 

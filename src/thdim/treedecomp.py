@@ -8,6 +8,7 @@ vertices are 0-based like everywhere else in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .graphs import Graph, _bits, check_vertex_count
 
@@ -185,13 +186,25 @@ def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
 
     Each step eliminates the live vertex of least (fill, index), where fill
     counts the non-adjacent pairs among its neighbors in the fill graph.
-    The fill graph is held as per-vertex neighbor bitmasks, and beside each
-    fill count is the number of edges among the vertex's neighbors, so that
-    fill = C(deg, 2) - inside. Eliminating v only adds edges inside N(v),
-    and the counts are updated from those fill edges, never recounted: a
-    vertex outside N[v] gains the fill edges inside its own neighborhood,
-    and a neighbor a of v loses v and its edges, gains the fill edges
-    among N(v) - a, and gains the edges of its new neighbors.
+    The fill graph is held as per-vertex neighbor bitmasks. Eliminating v
+    makes S = N(v) a clique, and the fill counts are updated from the fill
+    edges that adds, never recounted, so a step costs time in proportion to
+    its fill edges and to |S|:
+    - every w != v gains the fill edges with both ends in N(w). A fill
+      edge's ends have their common neighbors as one AND of two masks, and
+      these masks are summed in bit-sliced counters: plane i holds bit i of
+      every vertex's count, and adding a mask ripples a carry through the
+      planes. The counts are read off the planes once per step. Nothing
+      else changes for w outside N[v];
+    - a neighbor a of v, with outside neighbors O = N(a) - N[v] and fill
+      partners F = S - N[a], also loses v, which misses all of O, and gains
+      F, each b of which misses O - N(b). |O & N(b)| is taken once per fill
+      edge (a, b) and counted at both ends. When S is already a clique,
+      the neighbors only lose v.
+    The next vertex comes off a heap of (fill, vertex) entries with lazy
+    deletion: an entry is live iff its vertex is and its fill is current,
+    so ties go to the least index. The heap is rebuilt from the live
+    vertices when stale entries outnumber them.
 
     Bag i holds the i-th eliminated vertex plus its not-yet-eliminated
     neighbors in the fill graph; each bag hangs under the bag of its
@@ -206,57 +219,87 @@ def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
     if n == 0:
         return TreeDecomposition(bags={1: frozenset()}, tree={1: ()}, root=1, n=0)
     adj = g.adjacency_masks()
-    # inside[v]: edges among v's neighbors; cost[v] = C(deg v, 2) - inside[v]
-    inside = [sum((adj[a] & nb).bit_count() for a in _bits(nb)) // 2 for nb in adj]
-    cost = [nb.bit_count() * (nb.bit_count() - 1) // 2 - inside[v]
-            for v, nb in enumerate(adj)]
+    # C(deg v, 2) minus the edges among v's neighbors
+    cost = [nb.bit_count() * (nb.bit_count() - 1) // 2
+            - sum((adj[a] & nb).bit_count() for a in _bits(nb)) // 2 for nb in adj]
+    heap = [(c, v) for v, c in enumerate(cost)]
+    heapify(heap)
     alive = set(range(n))
     elim_order: list[int] = []
-    later_nbrs: list[set[int]] = [set() for _ in range(n)]
+    later_nbrs: list[list[int]] = [[]] * n
+    cross = [0] * n
 
     for _ in range(n):
-        v = min(alive, key=lambda u: (cost[u], u))
-        nb = adj[v]
-        fill = cost[v]
-        later = list(_bits(nb))
-        later_nbrs[v] = set(later)
-        new = {a: nb & ~adj[a] & ~(1 << a) for a in later}
-        # a vertex w outside N[v] gains the fill edges among the vertices it
-        # sees; only the ends of fill edges and their neighbors can gain any
-        filling = touched = 0
-        for a, fresh in new.items():
-            if fresh:
-                filling |= 1 << a
-                touched |= adj[a]
-        for w in _bits(touched & ~nb & ~(1 << v)):
-            seen = adj[w] & filling
-            if seen & (seen - 1):  # w sees at least two ends of fill edges
-                gained = sum((new[a] & seen).bit_count() for a in _bits(seen)) // 2
-                inside[w] += gained
-                cost[w] -= gained
-        # each a in N(v) becomes adjacent to x = N(a) + F - v, F = new[a]; on
-        # the old adjacency, edges among x are those among N(a) - v, the fill
-        # edges not at a, and the old edges at F, those inside F counted twice
-        keep = ~(1 << v)
-        grown = {}
-        for a, fresh in new.items():
-            x = (adj[a] | fresh) & keep
-            at_fresh = within_fresh = 0
-            for b in _bits(fresh):
-                at_fresh += (adj[b] & x).bit_count()
-                within_fresh += (adj[b] & fresh).bit_count()
-            inside[a] += (fill - fresh.bit_count() - (adj[a] & nb).bit_count()
-                          + at_fresh - within_fresh // 2)
-            grown[a] = x
-        for a, x in grown.items():
-            adj[a] = x
-            d = x.bit_count()
-            cost[a] = d * (d - 1) // 2 - inside[a]
+        fill, v = heappop(heap)
+        while v not in alive or cost[v] != fill:
+            fill, v = heappop(heap)
         alive.discard(v)
         elim_order.append(v)
+        nb = adj[v]
+        bit = 1 << v
+        later = []
+        rest = nb
+        while rest:
+            low = rest & -rest
+            later.append(low.bit_length() - 1)
+            rest ^= low
+        later_nbrs[v] = later
+        if not fill:
+            # a neighbor a of degree d loses v and the len(later) - 1 edges
+            # from v into N(a): its fill drops by d - len(later)
+            for a in later:
+                drop = adj[a].bit_count() - len(later)
+                adj[a] ^= bit
+                if drop:
+                    cost[a] -= drop
+                    heappush(heap, (cost[a], a))
+        else:
+            # no count exceeds `fill`, so fill.bit_length() planes hold them;
+            # cross[a] sums |O & N(b)| over a's fill partners b
+            outside = ~(nb | bit)
+            fresh_of = [nb & ~adj[a] & ~(1 << a) for a in later]
+            planes = [0] * fill.bit_length()
+            for a, fresh in zip(later, fresh_of):
+                fresh &= -(2 << a)  # each fill edge (a, b) once, at a < b
+                seen = adj[a] ^ bit
+                while fresh:
+                    low = fresh & -fresh
+                    b = low.bit_length() - 1
+                    fresh ^= low
+                    carry = seen & adj[b]
+                    shared = (carry & outside).bit_count()
+                    cross[a] += shared
+                    cross[b] += shared
+                    i = 0
+                    while carry:
+                        plane = planes[i]
+                        planes[i] = plane ^ carry
+                        carry &= plane
+                        i += 1
+            touched = nb
+            for i, plane in enumerate(planes):
+                touched |= plane
+                unit = 1 << i
+                while plane:
+                    low = plane & -plane
+                    cost[low.bit_length() - 1] -= unit
+                    plane ^= low
+            for a, fresh in zip(later, fresh_of):
+                old = adj[a]
+                cost[a] += (fresh.bit_count() - 1) * (old & outside).bit_count() - cross[a]
+                cross[a] = 0
+                adj[a] = (old | fresh) ^ bit
+            while touched:
+                low = touched & -touched
+                w = low.bit_length() - 1
+                heappush(heap, (cost[w], w))
+                touched ^= low
+        if len(heap) > 2 * len(alive):
+            heap = [(cost[u], u) for u in alive]
+            heapify(heap)
 
     elim_pos = {v: i for i, v in enumerate(elim_order)}
-    bags = {i + 1: frozenset({v} | later_nbrs[v]) for i, v in enumerate(elim_order)}
+    bags = {i + 1: frozenset(later_nbrs[v]).union((v,)) for i, v in enumerate(elim_order)}
     root = n  # bag of the last eliminated vertex
     tree: dict[int, set[int]] = {i: set() for i in bags}
     for i, v in enumerate(elim_order[:-1], start=1):

@@ -101,6 +101,15 @@ def small_graphs(draw, max_n: int):
     return Graph(n, [p for p in pairs if draw(st.booleans())])
 
 
+@st.composite
+def dense_graphs(draw, max_n: int):
+    """A hypothesis strategy: graphs with at most max_n vertices, each pair
+    an edge unless the draw picks one of three values for it."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, [p for p in pairs if draw(st.integers(0, 2))])
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices."""
     for mask in range(1 << (n * (n - 1) // 2)):

@@ -92,6 +92,24 @@ def test_packed_passes_match_pair_walks_on_long_runs():
                                  for v in order])
 
 
+@pytest.mark.parametrize("n, first_cut", [
+    (300, 290), (1000, 995), (300, 299),  # tails of 10, 5 and 1 vertices, all below long_run
+    (300, 200), (1000, 600), (40, 21),    # tails of 100, 400 and 19 vertices take `_digits_mask`
+    (300, 150), (41, 20),                 # the cut at n/2 or just below builds from the front
+])
+def test_isolated_prefixes_of_a_first_cut_past_half(n, first_cut):
+    # degeneracy and treewidth factors place most vertices before their first
+    # cut, whose prefix is then the complement of the tail from the cut on
+    rng = random.Random(n + first_cut)
+    order = list(range(n))
+    rng.shuffle(order)
+    tags = [DOMINATING] * first_cut + [ISOLATED]
+    tags += [ISOLATED if rng.random() < 0.3 else DOMINATING for _ in range(n - first_cut - 1)]
+    _agrees_with_pair_walks(list(zip(order, tags)))
+    # a first cut at position 0 leaves the mask unbuilt for the second one
+    _agrees_with_pair_walks(list(zip(order, [ISOLATED] + tags[1:])))
+
+
 @settings(max_examples=500, deadline=None)
 @given(creations(min_n=1, max_n=8), st.data())
 def test_certificate_matches_pair_walk(pairs, data):

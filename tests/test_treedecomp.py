@@ -10,9 +10,10 @@ from thdim import (ExactLimitError, Graph, TreeDecomposition, TreeDecompositionE
                    heuristic_tree_decomposition, path_graph, petersen_graph,
                    validate_tree_decomposition)
 
-from helpers import (all_graphs, dfs_validate_tree_decomposition, named_corpus,
-                     pendant_complement_bags, pendant_clique_complement, random_corpus,
-                     read_valid, rescan_min_fill_tree_decomposition, small_graphs)
+from helpers import (all_graphs, complete_bipartite, dense_graphs,
+                     dfs_validate_tree_decomposition, named_corpus, pendant_complement_bags,
+                     pendant_clique_complement, random_corpus, read_valid,
+                     rescan_min_fill_tree_decomposition, small_graphs)
 
 
 def test_parse_single_bag_k3():
@@ -94,13 +95,60 @@ def _shape(td):
     return td.bags, td.tree, td.root, td.n
 
 
+def _disjoint_copies(g, count):
+    return Graph(g.n * count, [(u + i * g.n, v + i * g.n)
+                               for i in range(count) for u, v in g.edges()])
+
+
+def _grid(rows, cols):
+    return Graph(rows * cols, [(r * cols + c, r * cols + c + 1)
+                               for r in range(rows) for c in range(cols - 1)]
+                 + [(r * cols + c, (r + 1) * cols + c)
+                    for r in range(rows - 1) for c in range(cols)])
+
+
+def _largest_step_gain(td, g):
+    """The most fill edges one elimination step of td's order puts inside
+    the neighbourhood of one other live vertex, replayed on Python sets. Bag
+    i belongs to the i-th eliminated vertex, the one in no later bag."""
+    order, later = [], set()
+    for i in sorted(td.bags, reverse=True):
+        (v,) = td.bags[i] - later
+        order.append(v)
+        later |= td.bags[i]
+    adj = [set(g.adj[v]) for v in range(g.n)]
+    best = 0
+    for v in reversed(order):
+        fill = [(a, b) for a, b in combinations(sorted(adj[v]), 2) if b not in adj[a]]
+        for w in range(g.n):
+            if w != v and adj[w] is not None:
+                best = max(best, sum(a in adj[w] and b in adj[w] for a, b in fill))
+        for a, b in fill:
+            adj[a].add(b)
+            adj[b].add(a)
+        for a in adj[v]:
+            adj[a].discard(v)
+        adj[v] = None
+    return best
+
+
 def test_min_fill_matches_rescan():
     corpus = [g for n in range(6) for g in all_graphs(n)] + list(named_corpus().values())
     corpus += random_corpus(10, [(15, 30), (25, 40), (40, 120), (60, 180), (120, 360)], seed=8)
     # denser graphs add many fill edges per step, so the neighbour updates
     # carry most of the counts
     corpus += random_corpus(12, [(20, 60), (40, 200), (80, 400)], seed=14)
-    for g in corpus:
+    # many vertices tie on fill at every step, so the heap's order decides
+    corpus += [_disjoint_copies(petersen_graph(), 3), _disjoint_copies(cycle_graph(5), 4),
+               _disjoint_copies(complete_bipartite(2, 3), 3)]
+    corpus += [cycle_graph(n) for n in (3, 7, 16, 31)]
+    corpus += [_grid(r, c) for r, c in ((2, 5), (3, 4), (4, 5), (5, 5), (6, 7))]
+    corpus += [complete_bipartite(s, t) for s, t in ((1, 5), (2, 2), (3, 4), (4, 4), (3, 7), (5, 6))]
+    # one step adds 8 or more fill edges around some vertex, so its count
+    # carries past the third bit-sliced plane
+    dense = random_corpus(12, [(30, 250)], seed=22)
+    assert max(_largest_step_gain(rescan_min_fill_tree_decomposition(g), g) for g in dense) >= 8
+    for g in corpus + dense:
         assert _shape(heuristic_tree_decomposition(g)) == \
             _shape(rescan_min_fill_tree_decomposition(g))
 
@@ -108,6 +156,13 @@ def test_min_fill_matches_rescan():
 @settings(max_examples=300, deadline=None)
 @given(small_graphs(14))
 def test_min_fill_matches_rescan_property(g):
+    assert _shape(heuristic_tree_decomposition(g)) == \
+        _shape(rescan_min_fill_tree_decomposition(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_graphs(24))
+def test_min_fill_matches_rescan_on_dense_graphs(g):
     assert _shape(heuristic_tree_decomposition(g)) == \
         _shape(rescan_min_fill_tree_decomposition(g))
 
