@@ -1,6 +1,6 @@
 """Constructive decompositions of a graph into intersections of threshold
-graphs: by vertex cover, by degeneracy (randomized separating colorings with
-explicit verification), and by tree decomposition.
+graphs: by vertex cover, by degeneracy (randomized colorings, redrawn until
+their class completions verify), and by tree decomposition.
 
 Every method returns a Decomposition whose factors provably intersect to the
 input graph; verification runs before the result is handed back.
@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 from .graphs import (INDEPENDENT_SET_LIMIT, Graph, ProperColoring, VertexOrdering,
                      degeneracy_ordering, max_independent_set)
 from .seeding import split_seed
-from .threshold import (ThresholdGraph, _isolated_prefixes, format_threshold,
-                        intersection_mismatch, parse_threshold, threshold_supergraph)
+from .threshold import (ThresholdGraph, format_threshold, intersection_mismatch, parse_threshold,
+                        threshold_supergraph)
 from .treedecomp import TreeDecomposition, validate_tree_decomposition
 
 METHODS = ("vertex-cover", "degeneracy", "treewidth", "maxdeg", "exact", "manual")
@@ -38,7 +38,7 @@ class Decomposition:
     factors: tuple[ThresholdGraph, ...]
     method: str
     bound_claimed: int
-    # the graph the factors were checked against; set by `_finish` alone
+    # the graph the factors were checked against; set by `_verified` alone
     verified_for: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -86,13 +86,28 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerificationResult:
                               pair=pair, factor_index=idx)
 
 
-def _finish(g: Graph, factors: Sequence[ThresholdGraph], method: str,
-            bound: int) -> Decomposition:
+def _verified(g: Graph, factors: Sequence[ThresholdGraph], method: str,
+              bound: int) -> Decomposition | None:
+    """The decomposition of g by `factors`, marked verified for g, or None
+    if a non-edge of g survives every factor. The one place that sets
+    `verified_for`. A factor that drops an edge of g is a construction bug:
+    AssertionError."""
     d = Decomposition(factors=tuple(factors), method=method, bound_claimed=bound)
     result = verify_decomposition(g, d)
-    if not result:
+    if result.factor_index is not None:
         raise AssertionError(f"{method} construction failed verification: {result}")
+    if not result:
+        return None
     object.__setattr__(d, "verified_for", g)
+    return d
+
+
+def _finish(g: Graph, factors: Sequence[ThresholdGraph], method: str,
+            bound: int) -> Decomposition:
+    d = _verified(g, factors, method, bound)
+    if d is None:
+        raise AssertionError(f"{method} construction failed verification: "
+                             "a non-edge survives every factor")
     return d
 
 
@@ -141,31 +156,20 @@ def decompose_vertex_cover(g: Graph, cover: Iterable[int] | None = None) -> Deco
 
 @dataclass(frozen=True)
 class SeparatingColoringFamily:
-    """Proper colorings such that every non-adjacent ordered pair (v_i, v_j)
-    has a coloring giving v_j a color unused by v_i's forward neighbors
-    past v_j. `factors` are the per-color-class threshold completions."""
+    """Proper colorings whose per-color-class threshold completions
+    intersect to the graph; `decomposition` holds those completions,
+    verified."""
 
     colorings: tuple[ProperColoring, ...]
-    order: VertexOrdering
-    factors: tuple[ThresholdGraph, ...] = field(default=(), compare=False, repr=False)
+    decomposition: Decomposition = field(compare=False, repr=False)
 
 
-def _class_completions(g: Graph, coloring: ProperColoring, pos: Sequence[int],
-                       pending: list[int]) -> list[ThresholdGraph]:
-    """The completion of each non-empty color class, ordered by position. The
-    class vertices are the completion's isolated ones, and each class vertex
-    v clears its prefix there from pending[v]: an earlier u of another class
-    is in it iff u has no neighbour of v's color after v. v's other
-    non-neighbours in the completion are class vertices after v by
-    position, which pending[v] never holds."""
-    factors = []
-    for cls in coloring.color_classes():
-        if cls:
-            factor = threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
-            for v, prefix in _isolated_prefixes(factor):
-                pending[v] &= ~prefix
-            factors.append(factor)
-    return factors
+def _class_completions(g: Graph, coloring: ProperColoring,
+                       pos: Sequence[int]) -> list[ThresholdGraph]:
+    """The completion of each non-empty color class, ordered by position,
+    with the class vertices as its isolated ones."""
+    return [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
+            for cls in coloring.color_classes() if cls]
 
 
 def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: VertexOrdering,
@@ -189,12 +193,11 @@ def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: VertexOrde
 
 def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
                                seed: int = 0, retry_cap: int = 64) -> SeparatingColoringFamily:
-    """Las Vegas construction of ceil(ln n) verified separating colorings.
+    """Las Vegas construction of ceil(ln n) colorings whose class
+    completions intersect to g, as a separating family's always do.
 
-    Each coloring's class completions are built as it is drawn. The family
-    is accepted once every vertex v is, in the completion of v's class under
-    some coloring, non-adjacent to each non-neighbour earlier in the order;
-    its completions come back as `factors`.
+    Each coloring's class completions are built as it is drawn, and the
+    family is accepted once `_verified` takes them as a decomposition of g.
     Resamples the whole family with an incremented seed up to `retry_cap`
     times, then grows the family one coloring at a time up to 3x its target
     size before giving up with statistics.
@@ -206,46 +209,38 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
     if len(order.order) != g.n:
         raise ValueError("ordering does not match graph")
     r = math.ceil(math.log(g.n))
+    bound = 10 * k * r
     pos = order.position()
     forward = [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
-    adjacent = g.adjacency_masks()
-    pairs, earlier = [0] * g.n, 0
-    for v in order.order:  # the pairs to separate: each vertex's earlier non-neighbours
-        pairs[v] = earlier & ~adjacent[v]
-        earlier |= 1 << v
     family: list[ProperColoring] = []
     factors: list[ThresholdGraph] = []
-    pending = list(pairs)
     for attempt in range(retry_cap):
         rng = random.Random(split_seed(seed + attempt, "separating"))
         family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
-        pending = list(pairs)
-        factors = [f for c in family for f in _class_completions(g, c, pos, pending)]
-        if not any(pending):
-            return SeparatingColoringFamily(tuple(family), order, tuple(factors))
+        factors = [f for c in family for f in _class_completions(g, c, pos)]
+        if (d := _verified(g, factors, "degeneracy", bound)) is not None:
+            return SeparatingColoringFamily(tuple(family), d)
     grow_rng = random.Random(split_seed(seed, "separating-grow"))
     while len(family) < 3 * r:
         family.append(_sample_coloring(forward, k, order, grow_rng))
-        factors += _class_completions(g, family[-1], pos, pending)
-        if not any(pending):
-            return SeparatingColoringFamily(tuple(family), order, tuple(factors))
+        factors += _class_completions(g, family[-1], pos)
+        if (d := _verified(g, factors, "degeneracy", bound)) is not None:
+            return SeparatingColoringFamily(tuple(family), d)
     raise RandomizedSearchError(
         "separating coloring family not found",
-        {"resamples": max(retry_cap, 0), "final_size": len(family),
-         "uncovered_pairs": sum(mask.bit_count() for mask in pending)})
+        {"resamples": max(retry_cap, 0), "final_size": len(family)})
 
 
 def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
     """One factor per (coloring, non-empty color class): the class is the
     independent side, ordered by the degeneracy ordering. At most
-    10k*ceil(ln n) factors for a k-degenerate graph."""
+    10k*ceil(ln n) factors for a k-degenerate graph, verified once, by the
+    family search that accepts them."""
     if g.n < 2:
         raise ValueError("degeneracy decomposition needs at least 2 vertices")
     k, order = degeneracy_ordering(g)
     k = max(k, 1)  # palette 10k must be non-empty even for edgeless inputs
-    family = build_separating_colorings(g, k, order, seed=seed)
-    bound = 10 * k * math.ceil(math.log(g.n))
-    return _finish(g, family.factors, "degeneracy", bound=bound)
+    return build_separating_colorings(g, k, order, seed=seed).decomposition
 
 
 # ---------------------------------------------------------------------------

@@ -95,15 +95,14 @@ def _maximal_covers(g: Graph) -> list[int]:
 def _min_cover(universe: int, covers: list[int]) -> list[int]:
     """Minimum subset of `covers` whose union is `universe` (branch & bound).
 
-    Dominated candidates (subsets of another candidate) are dropped first;
-    branching always happens on the element with the fewest remaining
-    candidates containing it.
+    `covers` must hold no cover inside another and be in `_maximal`'s order,
+    as `_maximal_covers` gives them; branching always happens on the element
+    with the fewest remaining candidates containing it.
     """
     if universe == 0:
         return []
-    keep = _maximal(covers)
     elements = [i for i in range(universe.bit_length()) if universe >> i & 1]
-    holders = {e: [c for c in keep if c >> e & 1] for e in elements}
+    holders = {e: [c for c in covers if c >> e & 1] for e in elements}
     if any(not holders[e] for e in elements):
         raise AssertionError("uncoverable non-edge; the cover search is broken")
 
@@ -111,10 +110,10 @@ def _min_cover(universe: int, covers: list[int]) -> list[int]:
     best: list[int] = []
     left = universe
     while left:
-        c = max(keep, key=lambda c: (c & left).bit_count())
+        c = max(covers, key=lambda c: (c & left).bit_count())
         best.append(c)
         left &= ~c
-    biggest = max(c.bit_count() for c in keep)
+    biggest = max(c.bit_count() for c in covers)
 
     chosen: list[int] = []
 

@@ -21,7 +21,7 @@ from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, ProperColoring
                    star_graph, validate_tree_decomposition)
 from thdim import treedecomp
 from thdim.circuits import Clause
-from thdim.exactdim import _min_cover
+from thdim.exactdim import _maximal, _min_cover
 from thdim.graphs import (VertexOrdering, complete_mask, degeneracy_ordering, edge_mask,
                           graph_from_mask, greedy_coloring, max_independent_set, pair_index)
 from thdim.seeding import split_seed
@@ -600,12 +600,12 @@ def dfs_exact_cover(g: Graph):
     (n <= 8), the oracle for exactdim's search over maximal covers only.
     Returns the set of covers (the non-edges each supergraph excludes; 0
     included) and, in `_min_cover`'s order, the supergraphs whose covers it
-    picks ([g] when g is complete)."""
+    picks from the maximal ones ([g] when g is complete)."""
     universe = complete_mask(g.n) & ~edge_mask(g)
     by_cover = {}
     for t in enumerate_threshold_supergraphs(g):
         by_cover.setdefault(universe & ~edge_mask(t.graph), t)
-    chosen = _min_cover(universe, list(by_cover)) or [0]
+    chosen = _min_cover(universe, _maximal(by_cover)) or [0]
     return set(by_cover), [by_cover[c] for c in chosen]
 
 
@@ -756,33 +756,6 @@ def forward_neighbours(g: Graph, order: VertexOrdering) -> list[list[int]]:
     takes them."""
     pos = order.position()
     return [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
-
-
-def walk_uncovered_pairs(g: Graph, family, order: VertexOrdering) -> list[tuple[int, int]]:
-    """The non-adjacent pairs (v_i, v_j), v_i earlier in the order, that no
-    coloring of the family separates: every coloring gives v_j the color of
-    some forward neighbor of v_i past v_j. An O(n^2 r) walk over all pairs."""
-    pos = order.position()
-    seq = order.order
-    n = g.n
-    forward = [sorted((pos[u] for u in g.adj[v] if pos[u] > pos[v]))
-               for v in seq]  # forward[i] = positions of later neighbors of seq[i]
-    bad = []
-    for i in range(n):
-        vi = seq[i]
-        fwd = forward[i]
-        nbrs = g.adj[vi]
-        for j in range(i + 1, n):
-            vj = seq[j]
-            if vj in nbrs:
-                continue
-            for coloring in family:
-                cj = coloring.colors[vj]
-                if all(coloring.colors[seq[t]] != cj for t in fwd if t > j):
-                    break
-            else:
-                bad.append((vi, vj))
-    return bad
 
 
 def rescan_min_fill_tree_decomposition(g: Graph) -> TreeDecomposition:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,14 +13,15 @@ from thdim import (Decomposition, RandomizedSearchError, ThresholdGraph,
                    degeneracy_ordering, disjoint_cliques, empty_graph,
                    exact_dimension, format_decomposition, gen_gnm, heuristic_tree_decomposition,
                    parse_decomposition, path_graph, recognize_threshold, star_graph,
-                   verify_decomposition)
-from thdim.decompose import _class_completions, _sample_coloring, treewidth_ordering
+                   threshold_supergraph, verify_decomposition)
+from thdim import decompose, threshold
+from thdim.decompose import _sample_coloring, treewidth_ordering
 from thdim.seeding import split_seed
 from thdim.treedecomp import TreeDecomposition
 
 from helpers import (all_graphs, anchor_bag_ordering, forward_neighbours,
                      is_proper_coloring, pendant_complement_bags, pendant_clique_complement, random_corpus,
-                     small_graphs, walk_uncovered_pairs)
+                     small_graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +152,16 @@ def test_family_c10():
     family = build_separating_colorings(g, k, order, seed=0)
     assert len(family.colorings) >= math.ceil(math.log(10))
     assert all(c.palette_size == 10 * k for c in family.colorings)
-    assert _family_separates(g, family)
+    assert family.decomposition.verified_for == g
+    assert verify_decomposition(g, family.decomposition).ok
 
 
 def test_family_k5_vacuous():
     g = complete_graph(5)
     k, order = degeneracy_ordering(g)
     family = build_separating_colorings(g, k, order, seed=0)
-    assert _family_separates(g, family)
-
-
-def _family_separates(g, family):
-    pos = family.order.position()
-    seq = family.order.order
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            vi, vj = seq[i], seq[j]
-            if g.has_edge(vi, vj):
-                continue
-            late = [u for u in g.adj[vi] if pos[u] > j]
-            if not any(all(c.colors[u] != c.colors[vj] for u in late)
-                       for c in family.colorings):
-                return False
-    return True
+    assert family.decomposition.verified_for == g
+    assert verify_decomposition(g, family.decomposition).ok
 
 
 def test_family_deterministic():
@@ -196,42 +185,37 @@ def _forward_palette_ok(g, k, order):
     return all(10 * k > sum(pos[u] > pos[v] for u in g.adj[v]) for v in range(g.n))
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_graphs(14), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 16))
-def test_class_completions_leave_exactly_the_walks_uncovered_pairs(g, k, size, seed):
-    assume(g.n >= 2)
-    _, order = degeneracy_ordering(g)
-    assume(_forward_palette_ok(g, k, order))
-    rng = random.Random(seed)
-    forward = forward_neighbours(g, order)
-    family = [_sample_coloring(forward, k, order, rng) for _ in range(size)]
+def _completions_intersect_to(g, family, order):
+    """Whether the completions of the family's color classes, each ordered
+    by position, intersect to g, on their edge sets."""
     pos = order.position()
-    pending = [sum(1 << u for u in order.order[:pos[v]] if not g.has_edge(u, v))
-               for v in range(g.n)]
+    edges = set(combinations(range(g.n), 2))
     for coloring in family:
-        _class_completions(g, coloring, pos, pending)
-    left = {(u, v) for v in range(g.n) for u in range(g.n) if pending[v] >> u & 1}
-    assert left == set(walk_uncovered_pairs(g, family, order))
+        for cls in coloring.color_classes():
+            if cls:
+                completion = threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
+                edges &= set(completion.graph.edges())
+    return edges == set(g.edges())
 
 
 def _walked_family(g, k, order, seed, retry_cap):
-    """The family build_separating_colorings must return, found with the
-    pair walk from the same seeded draws, or the stats it must raise with."""
+    """The family build_separating_colorings must return, found from the
+    same seeded draws by intersecting edge sets, or the stats it must raise
+    with."""
     r = math.ceil(math.log(g.n))
     forward = forward_neighbours(g, order)
     family = []
     for attempt in range(retry_cap):
         rng = random.Random(split_seed(seed + attempt, "separating"))
         family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
-        if not walk_uncovered_pairs(g, family, order):
+        if _completions_intersect_to(g, family, order):
             return tuple(family)
     grow = random.Random(split_seed(seed, "separating-grow"))
     while len(family) < 3 * r:
         family.append(_sample_coloring(forward, k, order, grow))
-        if not walk_uncovered_pairs(g, family, order):
+        if _completions_intersect_to(g, family, order):
             return tuple(family)
-    return {"resamples": retry_cap, "final_size": len(family),
-            "uncovered_pairs": len(walk_uncovered_pairs(g, family, order))}
+    return {"resamples": retry_cap, "final_size": len(family)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,29 +231,35 @@ def test_family_search_matches_the_pair_walk(g, k, retry_cap, seed):
         assert err.stats == expected
     else:
         assert family.colorings == expected
-        assert [frozenset(f.split_a) for f in family.factors] == [
+        d = family.decomposition
+        assert d.verified_for == g and d.method == "degeneracy"
+        assert d.bound_claimed == 10 * k * math.ceil(math.log(g.n))
+        assert [frozenset(f.split_a) for f in d.factors] == [
             frozenset(cls) for c in family.colorings for cls in c.color_classes() if cls]
 
 
 def test_family_accepted_after_a_retry_is_pinned():
-    # recorded before the family check moved onto the class completions
-    g = gen_gnm(10, 20, seed=29)
+    # the first seed s >= 0 whose G(10, 30) draw, with k = 1 and seed s, is
+    # accepted on a redraw (none of seeds 0-999 of G(10, 20) is)
+    g = gen_gnm(10, 30, seed=9)
     _, order = degeneracy_ordering(g)
-    family = build_separating_colorings(g, 1, order, seed=29)
-    first_only = build_separating_colorings(g, 1, order, seed=29, retry_cap=1)
+    family = build_separating_colorings(g, 1, order, seed=9)
+    first_only = build_separating_colorings(g, 1, order, seed=9, retry_cap=1)
     assert first_only.colorings != family.colorings  # the first draw was not accepted
+    assert build_separating_colorings(g, 1, order, seed=9, retry_cap=2) == family
     assert len(family.colorings) == math.ceil(math.log(10))
     assert hashlib.sha256(repr(family.colorings).encode()).hexdigest() == (
-        "ea0ab380700ca4a690f345e589351d97b962823405cd4850fffdc88ec1db6eab")
+        "10d78950982ece9d1f8cd75e9ec6fc86d34088f846cba3323cd1b49dcdb12520")
 
 
 def test_family_search_error_stats_are_pinned():
-    # recorded before the family check moved onto the class completions
-    g = gen_gnm(16, 80, seed=32)
+    # the first seed s >= 0 whose G(16, 80) draw, with k = 1 and seed s, is
+    # not accepted on one draw and three times its size
+    g = gen_gnm(16, 80, seed=74)
     _, order = degeneracy_ordering(g)
     with pytest.raises(RandomizedSearchError) as err:
-        build_separating_colorings(g, 1, order, seed=32, retry_cap=1)
-    assert err.value.stats == {"resamples": 1, "final_size": 9, "uncovered_pairs": 2}
+        build_separating_colorings(g, 1, order, seed=74, retry_cap=1)
+    assert err.value.stats == {"resamples": 1, "final_size": 9}
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +288,29 @@ def test_degeneracy_factor_independent_part_is_color_class():
     classes = [frozenset(cls) for c in family.colorings
                for cls in c.color_classes() if cls]
     assert [frozenset(f.split_a) for f in d.factors] == classes
+
+
+def test_degeneracy_walks_each_factor_once(monkeypatch):
+    # the family search's verification is the only one: each factor's
+    # isolated prefixes are walked once, on a family accepted at its first draw
+    g = gen_gnm(30, 60, seed=3)
+    k, order = degeneracy_ordering(g)
+    first_draw = build_separating_colorings(g, k, order, seed=3, retry_cap=1).colorings
+    assert len(first_draw) == math.ceil(math.log(g.n))
+    assert build_separating_colorings(g, k, order, seed=3).colorings == first_draw
+    walked = []
+
+    def counting(t):
+        walked.append(t)
+        return original(t)
+
+    original = threshold._isolated_prefixes
+    monkeypatch.setattr(threshold, "_isolated_prefixes", counting)
+    monkeypatch.setattr(decompose, "_isolated_prefixes", counting, raising=False)
+    d = decompose_degeneracy(g, seed=3)
+    assert d.verified_for == g
+    assert d.size == sum(1 for c in first_draw for cls in c.color_classes() if cls)
+    assert len(walked) == d.size
 
 
 def test_degeneracy_bound_on_randoms():

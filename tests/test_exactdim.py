@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from thdim import (ExactLimitError, Graph, ThresholdGraph, complete_graph,
                    compute_report, cycle_graph, disjoint_cliques, empty_graph,
@@ -112,6 +112,16 @@ def test_maximal_covers_match_all_supergraph_search():
         assert exact_dimension(g) == len(factors)
         d = exact_decomposition(g)
         assert [t.degrees() for t in d.factors] == [t.degrees() for t in factors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(8))
+def test_maximal_covers_are_already_maximal(g):
+    # `_min_cover` takes them as they come, with no second `_maximal` pass;
+    # a complete graph gets [0] and never reaches it
+    assume(g.m < g.n * (g.n - 1) // 2)
+    covers = exactdim._maximal_covers(g)
+    assert exactdim._maximal(covers) == covers
 
 
 def test_report_path_enumerates_no_supergraphs(tmp_path):

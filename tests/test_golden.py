@@ -19,7 +19,9 @@ maxdeg goldens mostly reach cells of one block. The treewidth hashes and the
 n = 12 report hash were re-recorded when a one-vertex colour class stopped
 emitting its factor twice; each new treewidth factor list was first checked
 to equal the old one with repeats dropped (first occurrence kept), so they
-still pin the min-fill elimination order."""
+still pin the min-fill elimination order. The experiment table hash was
+recorded before the degeneracy family search took its verification as the
+acceptance test instead of checking separation first."""
 
 import hashlib
 
@@ -27,7 +29,7 @@ import pytest
 
 from thdim import (Graph, compute_report, decompose_degeneracy, decompose_maxdeg, decompose_treewidth,
                    decompose_vertex_cover, exact_decomposition, format_decomposition, gen_gnm,
-                   heuristic_tree_decomposition)
+                   heuristic_tree_decomposition, render_table, run_experiment)
 
 from helpers import bounded_degree_graph, complement, complete_bipartite
 
@@ -102,3 +104,9 @@ def test_report_builds_no_complement(monkeypatch):
     monkeypatch.setattr(Graph, "__init__", refuse)
     rows = compute_report(g, seed=1).to_rows()
     assert hashlib.sha256(rows.encode()).hexdigest() == REPORT_GOLDEN[(8, 10, 1)]
+
+
+def test_seeded_experiment_table_is_byte_identical():
+    table = render_table(run_experiment([(8, 10, 4), (60, 180, 3), (120, 360, 2)], seed=1))
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "e24b86c84b68c48b88ed234c0d6bc551c17bc054035d10f8458375171212ccd2")
