@@ -78,11 +78,15 @@ class MajorityCircuit:
 def compile_circuit(g: Graph, d: Decomposition) -> MajorityCircuit:
     """One exact gate per factor, so the AND accepts the common cliques of the
     factors: the cliques of g, for a decomposition verified against g itself.
-    Any other decomposition is refused."""
+    Any other decomposition is refused. A factor object listed again reuses
+    the gate certified for it the first time."""
     if d.verified_for != g:
         raise ValueError("refusing to compile a decomposition not verified for this graph")
-    gates = tuple(extract_ltf(f) for f in d.factors)
-    return MajorityCircuit(arity=g.n, gates=gates)
+    gate_of: dict[int, LtfWitness] = {}  # id of each distinct factor object -> its gate
+    for f in d.factors:
+        if id(f) not in gate_of:
+            gate_of[id(f)] = extract_ltf(f)
+    return MajorityCircuit(arity=g.n, gates=tuple(gate_of[id(f)] for f in d.factors))
 
 
 def verify_circuit(f: GraphicFunction, c: MajorityCircuit) -> tuple[bool, tuple[int, ...] | None]:
@@ -141,11 +145,13 @@ def parse_circuit(text: str) -> MajorityCircuit:
     body = lines[1:]
     if len(body) != count:
         raise ValueError(f"header promised {count} gates, found {len(body)}")
-    gates = []
+    gate_of: dict[str, LtfWitness] = {}  # each distinct gate line is parsed once
     for ln in body:
+        if ln in gate_of:
+            continue
         tokens = ln.split()
         if tokens[0] != "gate" or len(tokens) != arity + 2:
             raise ValueError(f"bad gate line {ln!r}")
         numbers = [int(x) for x in tokens[1:]]
-        gates.append(LtfWitness(weights=tuple(numbers[1:]), bound=numbers[0]))
-    return MajorityCircuit(arity=arity, gates=tuple(gates))
+        gate_of[ln] = LtfWitness(weights=tuple(numbers[1:]), bound=numbers[0])
+    return MajorityCircuit(arity=arity, gates=tuple(map(gate_of.__getitem__, body)))

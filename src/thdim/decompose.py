@@ -164,12 +164,20 @@ class SeparatingColoringFamily:
     decomposition: Decomposition = field(compare=False, repr=False)
 
 
-def _class_completions(g: Graph, coloring: ProperColoring,
-                       pos: Sequence[int]) -> list[ThresholdGraph]:
+def _class_completions(g: Graph, coloring: ProperColoring, pos: Sequence[int],
+                       memo: dict[tuple[int, ...], ThresholdGraph]) -> list[ThresholdGraph]:
     """The completion of each non-empty color class, ordered by position,
-    with the class vertices as its isolated ones."""
-    return [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
-            for cls in coloring.color_classes() if cls]
+    with the class vertices as its isolated ones. A class already in `memo`
+    (keyed by the class in position order) gives the same object again:
+    most one-vertex classes recur across the colorings of a family."""
+    completions = []
+    for cls in coloring.color_classes():
+        if cls:
+            key = tuple(sorted(cls, key=pos.__getitem__))
+            if key not in memo:
+                memo[key] = threshold_supergraph(g, key)
+            completions.append(memo[key])
+    return completions
 
 
 def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: VertexOrdering,
@@ -196,8 +204,9 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
     """Las Vegas construction of ceil(ln n) colorings whose class
     completions intersect to g, as a separating family's always do.
 
-    Each coloring's class completions are built as it is drawn, and the
-    family is accepted once `_verified` takes them as a decomposition of g.
+    Each coloring's class completions are built as it is drawn, once per
+    distinct class of the family, and the family is accepted once
+    `_verified` takes them as a decomposition of g.
     Resamples the whole family with an incremented seed up to `retry_cap`
     times, then grows the family one coloring at a time up to 3x its target
     size before giving up with statistics.
@@ -214,16 +223,18 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
     forward = [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
     family: list[ProperColoring] = []
     factors: list[ThresholdGraph] = []
+    memo: dict[tuple[int, ...], ThresholdGraph] = {}  # the completions of one family
     for attempt in range(retry_cap):
         rng = random.Random(split_seed(seed + attempt, "separating"))
         family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
-        factors = [f for c in family for f in _class_completions(g, c, pos)]
+        memo = {}
+        factors = [f for c in family for f in _class_completions(g, c, pos, memo)]
         if (d := _verified(g, factors, "degeneracy", bound)) is not None:
             return SeparatingColoringFamily(tuple(family), d)
     grow_rng = random.Random(split_seed(seed, "separating-grow"))
     while len(family) < 3 * r:
         family.append(_sample_coloring(forward, k, order, grow_rng))
-        factors += _class_completions(g, family[-1], pos)
+        factors += _class_completions(g, family[-1], pos, memo)
         if (d := _verified(g, factors, "degeneracy", bound)) is not None:
             return SeparatingColoringFamily(tuple(family), d)
     raise RandomizedSearchError(
@@ -233,7 +244,8 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
 
 def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
     """One factor per (coloring, non-empty color class): the class is the
-    independent side, ordered by the degeneracy ordering. At most
+    independent side, ordered by the degeneracy ordering, and a class that
+    recurs in the family shares one completion object. At most
     10k*ceil(ln n) factors for a k-degenerate graph, verified once, by the
     family search that accepts them."""
     if g.n < 2:

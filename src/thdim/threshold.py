@@ -324,13 +324,19 @@ def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]
     the factors' vertices, as for an all-isolated factor in ascending order,
     a backward sweep per factor first records each pair at its
     earlier-placed end too.
+
+    A factor object listed again is walked only at its first index: a
+    repeat drops no edge its first occurrence did not drop and excludes no
+    new pair, so the answer is the same.
     """
+    distinct: dict[int, tuple[int, ThresholdGraph]] = {}  # id -> (first index, factor)
     for idx, f in enumerate(factors):
         if f.n != g.n:
             raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {g.n}")
+        distinct.setdefault(id(f), (idx, f))
     adjacent = g.adjacency_masks()
     excluded = [0] * g.n  # each pair some factor excludes is held at one end at least
-    for idx, f in enumerate(factors):
+    for idx, f in distinct.values():
         first = None
         for w, prefix in _isolated_prefixes(f):
             dropped = prefix & adjacent[w]
@@ -346,8 +352,8 @@ def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]
     def candidates(u: int) -> int:  # the non-neighbours w > u not excluded at u, as bits w-u-1
         return (full & ~(adjacent[u] | excluded[u])) >> u + 1
 
-    if sum(candidates(u).bit_count() for u in range(g.n)) > sum(f.n for f in factors):
-        for f in factors:
+    if sum(candidates(u).bit_count() for u in range(g.n)) > g.n * len(distinct):
+        for _, f in distinct.values():
             order, isolated_after, end = f.order, 0, g.n
             for c in reversed(f.cuts):
                 for v in order[c:end]:  # the isolated vertex at c and the run after it
@@ -536,8 +542,11 @@ def _circuit_counterexample(g: Graph, witnesses: Sequence[LtfWitness],
 
     A gate with a negative weight sends the circuit to the Gray-code walk of
     all 2^n inputs, refused with ExactLimitError above `walk_limit` inputs.
+    A gate listed again is checked at its first place only: an AND is
+    idempotent, so the first failing pair or gate is the same.
     """
     n = g.n
+    witnesses = list(dict.fromkeys(witnesses))
     if any(a < 0 for witness in witnesses for a in witness.weights):
         if n > walk_limit:
             raise ExactLimitError(f"a gate has a negative weight: its circuit is only "

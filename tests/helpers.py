@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, ProperColoring, ThresholdGraph,
                    TreeDecomposition, TreeDecompositionError, complete_graph, cycle_graph,
-                   disjoint_cliques, empty_graph, gen_gnm, path_graph, petersen_graph,
-                   star_graph, validate_tree_decomposition)
+                   disjoint_cliques, empty_graph, format_threshold, gen_gnm, path_graph,
+                   petersen_graph, star_graph, threshold_supergraph,
+                   validate_tree_decomposition)
 from thdim import treedecomp
 from thdim.circuits import Clause
+from thdim.decompose import _sample_coloring
 from thdim.exactdim import _maximal, _min_cover
 from thdim.graphs import (VertexOrdering, complete_mask, degeneracy_ordering, edge_mask,
                           graph_from_mask, greedy_coloring, max_independent_set, pair_index)
@@ -756,6 +758,38 @@ def forward_neighbours(g: Graph, order: VertexOrdering) -> list[list[int]]:
     takes them."""
     pos = order.position()
     return [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
+
+
+def fresh_degeneracy_text(g: Graph, seed: int) -> str:
+    """The `format_decomposition` text `decompose_degeneracy(g, seed)` must
+    write, from the same seeded draws (64 resamples, then growth to three
+    times the target size), with every class completion built afresh for
+    each coloring and a family accepted on materialized edge masks
+    (`edge_mask_verify`)."""
+    k, order = degeneracy_ordering(g)
+    k = max(k, 1)
+    pos = order.position()
+    forward = forward_neighbours(g, order)
+    r = math.ceil(math.log(g.n))
+
+    def families():
+        family = []
+        for attempt in range(64):
+            rng = random.Random(split_seed(seed + attempt, "separating"))
+            family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
+            yield family
+        grow = random.Random(split_seed(seed, "separating-grow"))
+        while len(family) < 3 * r:
+            family.append(_sample_coloring(forward, k, order, grow))
+            yield family
+
+    for family in families():
+        factors = [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
+                   for coloring in family for cls in coloring.color_classes() if cls]
+        if edge_mask_verify(g, factors)[0]:
+            lines = [f"td-decomp degeneracy {len(factors)}", *map(format_threshold, factors)]
+            return "\n".join(lines) + "\n"
+    raise AssertionError("no family of the seeded draws intersects to g")
 
 
 def rescan_min_fill_tree_decomposition(g: Graph) -> TreeDecomposition:

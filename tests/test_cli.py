@@ -1,9 +1,13 @@
 import argparse
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import thdim
 from thdim import (Graph, GraphicFunction, complete_graph, cycle_graph, disjoint_cliques,
                    format_tree_decomposition, gen_gnm, heuristic_tree_decomposition,
                    ltfs_to_graph, parse_circuit, parse_decomposition, path_graph,
@@ -34,6 +38,24 @@ def test_recognize_c4_negative(tmp_path, capsys):
     path = write_graph(tmp_path, "c4.gr", cycle_graph(4))
     assert main(["recognize", path]) == 1
     assert "C4" in capsys.readouterr().out
+
+
+def run_module(*argv):
+    """`python -m thdim.cli argv`, with PYTHONPATH the source tree of the
+    thdim under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(thdim.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "thdim.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    done = run_module("recognize", write_graph(tmp_path, "k4.gr", complete_graph(4)))
+    assert done.returncode == 0 and done.stdout.startswith("threshold\n")
+    assert run_module("recognize", write_graph(tmp_path, "p4.gr", path_graph(4))).returncode == 1
+    out = tmp_path / "c10.dec"
+    path = write_graph(tmp_path, "c10.gr", cycle_graph(10))
+    assert run_module("decompose", path, "--method", "degeneracy", "--out", str(out)).returncode == 0
+    assert verify_decomposition(cycle_graph(10), parse_decomposition(out.read_text())).ok
 
 
 def test_decompose_vc_star(tmp_path):

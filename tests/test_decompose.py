@@ -291,8 +291,9 @@ def test_degeneracy_factor_independent_part_is_color_class():
 
 
 def test_degeneracy_walks_each_factor_once(monkeypatch):
-    # the family search's verification is the only one: each factor's
-    # isolated prefixes are walked once, on a family accepted at its first draw
+    # the family search's verification is the only one: each distinct
+    # factor's isolated prefixes are walked once, on a family accepted at its
+    # first draw, and a class that recurs across colorings is one factor object
     g = gen_gnm(30, 60, seed=3)
     k, order = degeneracy_ordering(g)
     first_draw = build_separating_colorings(g, k, order, seed=3, retry_cap=1).colorings
@@ -310,7 +311,10 @@ def test_degeneracy_walks_each_factor_once(monkeypatch):
     d = decompose_degeneracy(g, seed=3)
     assert d.verified_for == g
     assert d.size == sum(1 for c in first_draw for cls in c.color_classes() if cls)
-    assert len(walked) == d.size
+    distinct = {tuple(cls) for c in first_draw for cls in c.color_classes() if cls}
+    assert len({id(f) for f in d.factors}) == len(distinct) < d.size
+    assert len(walked) == len(distinct)
+    assert {id(t) for t in walked} == {id(f) for f in d.factors}
 
 
 def test_degeneracy_bound_on_randoms():

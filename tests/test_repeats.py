@@ -1,0 +1,185 @@
+"""Repeated factors and gates. The degeneracy method lists a color class
+that recurs across its colorings once per coloring, as one shared factor
+object, and each layer does its work once per distinct factor or gate: the
+intersection check walks it once, `compile` certifies it once, `verify`
+parses and checks it once. None of that may change an output or a verdict."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thdim import (GraphicFunction, LtfWitness, MajorityCircuit, ThresholdGraph,
+                   compile_circuit, decompose_degeneracy, decompose_vertex_cover,
+                   format_circuit, format_decomposition, gen_gnm, parse_circuit,
+                   threshold_supergraph, verify_circuit)
+from thdim import circuits
+from thdim.threshold import intersection_mismatch
+
+from helpers import (edge_mask_verify, fresh_degeneracy_text, maximal_cliques, small_graphs,
+                     walk_counterexample)
+
+
+def tightened_below(g, gate):
+    """The gate with its bound set 1 below its heaviest clique of g: a gate
+    that rejects a clique, so a circuit holding it is wrong."""
+    heaviest = max(sum(gate.weights[v] for v in c) for c in maximal_cliques(g))
+    return LtfWitness(gate.weights, heaviest - 1)
+
+
+def insert_repeats(draw, items, always=()):
+    """`items` with repeats of some of them, and of those at the indices
+    `always`, inserted, each after the first occurrence of what it repeats,
+    and the new index of each original item."""
+    listed = list(enumerate(items))  # (original index or None, item)
+    picks = [draw(st.integers(0, len(items) - 1))
+             for _ in range(draw(st.integers(0, 2 * len(items))))]
+    for i in [*always, *picks]:
+        first = next(p for p, (j, _) in enumerate(listed) if j == i)
+        listed.insert(draw(st.integers(first + 1, len(listed))), (None, items[i]))
+    new_index = {j: p for p, (j, _) in enumerate(listed) if j is not None}
+    return [item for _, item in listed], new_index
+
+
+@st.composite
+def factors_with_repeats(draw):
+    """A graph, factors for it (vertex completions that contain it, random
+    threshold graphs, and one that isolates an endpoint of an edge, so drops
+    it), and the same factor objects with repeats inserted."""
+    g = draw(small_graphs(12))
+    factors = [threshold_supergraph(g, [v])
+               for v in draw(st.lists(st.integers(0, max(g.n - 1, 0)), unique=True))
+               if v < g.n]
+    for _ in range(draw(st.integers(0, 2))):
+        order = draw(st.permutations(range(g.n)))
+        cuts = sorted(draw(st.sets(st.integers(0, max(g.n - 1, 0)))))
+        factors.append(ThresholdGraph(order, [c for c in cuts if c < g.n]))
+    edges = list(g.edges())
+    if edges and draw(st.booleans()):
+        u = draw(st.sampled_from(edges))[0]
+        order = [v for v in range(g.n) if v != u] + [u]
+        factors.insert(draw(st.integers(0, len(factors))), ThresholdGraph(order, [g.n - 1]))
+    if not factors:
+        factors.append(ThresholdGraph(range(g.n), []))  # the complete graph
+    repeated, new_index = insert_repeats(draw, factors)
+    return g, factors, repeated, new_index
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors_with_repeats())
+def test_repeated_factors_leave_the_mismatch_unchanged(case):
+    g, factors, repeated, new_index = case
+    expected = intersection_mismatch(g, factors)
+    got = intersection_mismatch(g, repeated)
+    if expected is None or expected[1] is None:
+        assert got == expected
+    else:
+        pair, idx = expected
+        assert got == (pair, new_index[idx])
+    ok, _, pair, idx = edge_mask_verify(g, repeated)
+    assert ok == (got is None)
+    if not ok:
+        assert got == (pair, idx)
+
+
+@st.composite
+def circuits_with_repeats(draw):
+    """A compiled circuit for a graph on at most 12 vertices, with up to two
+    gates' bounds lowered to 1 below their heaviest clique of the graph,
+    and its gates with repeats inserted (fresh copies equal by value), those
+    gates' among them, every first occurrence kept in order."""
+    n = draw(st.integers(2, 12))
+    g = gen_gnm(n, draw(st.integers(0, n * (n - 1) // 2)), seed=draw(st.integers(0, 999)))
+    if draw(st.booleans()):
+        d = decompose_degeneracy(g, seed=draw(st.integers(0, 3)))
+    else:
+        d = decompose_vertex_cover(g, range(n))
+    gates = list(dict.fromkeys(compile_circuit(g, d).gates))
+    planted = draw(st.sets(st.integers(0, len(gates) - 1), max_size=2))
+    for i in planted:
+        gates[i] = tightened_below(g, gates[i])
+    repeated, _ = insert_repeats(draw, gates, always=planted)
+    copies = [LtfWitness(tuple(gate.weights), gate.bound) for gate in repeated]
+    return g, gates, copies
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits_with_repeats())
+def test_repeated_gates_leave_the_verdict_unchanged(case):
+    g, gates, repeated = case
+    f = GraphicFunction(g)
+    expected = verify_circuit(f, MajorityCircuit(arity=g.n, gates=tuple(gates)))
+    assert verify_circuit(f, MajorityCircuit(arity=g.n, gates=tuple(repeated))) == expected
+    doubled = tuple(gate for gate in repeated for _ in range(2))
+    assert verify_circuit(f, MajorityCircuit(arity=g.n, gates=doubled)) == expected
+    assert expected[0] == (walk_counterexample(g, gates) is None)
+
+
+def test_a_repeated_bad_gate_is_caught_with_the_same_counterexample():
+    g = gen_gnm(12, 20, seed=4)
+    gates = list(dict.fromkeys(compile_circuit(g, decompose_degeneracy(g, seed=0)).gates))
+    f = GraphicFunction(g)
+    bad, worse = tightened_below(g, gates[3]), tightened_below(g, gates[2])
+    rest = [gate for j, gate in enumerate(gates) if j not in (2, 3)]
+    for first, distinct, listings in (
+            (bad, (bad, *rest, worse), [(bad, *rest, bad, worse), (bad, bad, *rest, worse, bad),
+                                        (bad, *rest, *rest, worse, worse, bad)]),
+            (worse, (*rest, worse, bad), [(*rest, worse, bad, worse),
+                                          (*rest, worse, *rest, bad, bad)])):
+        # the first bad gate listed names the counterexample
+        expected = verify_circuit(f, MajorityCircuit(arity=g.n, gates=(*rest, first)))
+        assert expected[0] is False
+        assert verify_circuit(f, MajorityCircuit(arity=g.n, gates=distinct)) == expected
+        for listed in listings:
+            assert verify_circuit(f, MajorityCircuit(arity=g.n, gates=listed)) == expected
+    assert verify_circuit(f, MajorityCircuit(arity=g.n, gates=(*rest, bad))) != (
+        verify_circuit(f, MajorityCircuit(arity=g.n, gates=(*rest, worse))))
+
+
+def test_circuit_with_repeated_gates_reads_back_unchanged():
+    g = gen_gnm(16, 24, seed=1)
+    c = compile_circuit(g, decompose_degeneracy(g, seed=1))
+    assert len(set(c.gates)) < c.gate_count
+    text = format_circuit(c)
+    parsed = parse_circuit(text)
+    assert parsed == c and format_circuit(parsed) == text
+    first = {}
+    for gate in parsed.gates:  # each distinct gate line read into one object
+        assert first.setdefault(gate, gate) is gate
+
+
+def test_degeneracy_text_matches_the_fresh_completions_oracle():
+    graphs = [gen_gnm(8, m, seed=s) for m in (4, 8, 12, 16) for s in range(3)]
+    graphs += [gen_gnm(16, 24, seed=s) for s in range(3)] + [gen_gnm(60, 180, seed=1)]
+    for g in graphs:
+        for seed in (0, 1):
+            assert format_decomposition(decompose_degeneracy(g, seed=seed)) == (
+                fresh_degeneracy_text(g, seed))
+
+
+def test_repeated_classes_share_one_completion():
+    g = gen_gnm(16, 24, seed=2)
+    d = decompose_degeneracy(g, seed=0)
+    by_value = {}
+    for f in d.factors:
+        assert by_value.setdefault(f, f) is f
+    assert len(by_value) < d.size
+
+
+def test_compile_certifies_each_distinct_factor_once(monkeypatch):
+    g = gen_gnm(16, 24, seed=3)
+    d = decompose_degeneracy(g, seed=0)
+    distinct = {id(f) for f in d.factors}
+    assert len(distinct) < d.size
+    certified = []
+
+    def counting(t):
+        certified.append(id(t))
+        return original(t)
+
+    original = circuits.extract_ltf
+    monkeypatch.setattr(circuits, "extract_ltf", counting)
+    c = compile_circuit(g, d)
+    assert sorted(certified) == sorted(distinct)
+    assert c.gate_count == d.size
+    gate_of = {}
+    for f, gate in zip(d.factors, c.gates):  # one gate object per factor object
+        assert gate_of.setdefault(id(f), gate) is gate
