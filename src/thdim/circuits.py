@@ -18,6 +18,7 @@ from .decompose import Decomposition
 from .graphs import Graph
 from .threshold import LtfWitness, _circuit_counterexample, _mask_to_vector, extract_ltf
 
+_DECIMAL_BITS = 14_000  # about 4214 digits, below Python's 4300-digit limit
 Literal = tuple[int, bool]  # (variable, negated)
 Clause = tuple[Literal, Literal]
 
@@ -107,27 +108,29 @@ def verify_circuit(f: GraphicFunction, c: MajorityCircuit) -> tuple[bool, tuple[
 
 def ltfs_to_graph(gates: Sequence[LtfWitness]) -> Graph:
     """The graph with an edge ij exactly when every gate accepts the vector
-    with ones at i and j only."""
+    with ones at i and j only, that is when w_i + w_j <= b."""
     if not gates:
         raise ValueError("need at least one gate")
     arity = gates[0].arity
     if any(g.arity != arity for g in gates):
         raise ValueError("gate arity mismatch")
-    edges = []
-    for i, j in combinations(range(arity), 2):
-        mask = (1 << i) | (1 << j)
-        if all(g.accepts_mask(mask) for g in gates):
-            edges.append((i, j))
-    return Graph(arity, edges)
+    return Graph(arity, [(i, j) for i, j in combinations(range(arity), 2)
+                         if all(g.weights[i] + g.weights[j] <= g.bound for g in gates)])
 
 
 # ---------------------------------------------------------------------------
 # circuit file format
 
+def _number(x: int) -> str:
+    """x in decimal, or as 0x... hex above _DECIMAL_BITS bits, where decimal
+    conversion is quadratic and Python refuses it past 4300 digits."""
+    return str(x) if abs(x).bit_length() <= _DECIMAL_BITS else hex(x)
+
+
 def format_circuit(c: MajorityCircuit) -> str:
     lines = [f"ltf-and {c.arity} {c.gate_count}"]
     for gate in c.gates:
-        lines.append("gate " + " ".join(str(x) for x in (gate.bound, *gate.weights)))
+        lines.append("gate " + " ".join(map(_number, (gate.bound, *gate.weights))))
     return "\n".join(lines) + "\n"
 
 
@@ -152,6 +155,6 @@ def parse_circuit(text: str) -> MajorityCircuit:
         tokens = ln.split()
         if tokens[0] != "gate" or len(tokens) != arity + 2:
             raise ValueError(f"bad gate line {ln!r}")
-        numbers = [int(x) for x in tokens[1:]]
+        numbers = [int(x, 16) if x.startswith(("0x", "-0x")) else int(x) for x in tokens[1:]]
         gate_of[ln] = LtfWitness(weights=tuple(numbers[1:]), bound=numbers[0])
     return MajorityCircuit(arity=arity, gates=tuple(map(gate_of.__getitem__, body)))

@@ -393,15 +393,6 @@ class LtfWitness:
             raise ValueError("vector length does not match arity")
         return sum(w for w, xi in zip(self.weights, x) if xi) <= self.bound
 
-    def accepts_mask(self, mask: int) -> bool:
-        total = 0
-        m = mask
-        while m:
-            low = m & -m
-            total += self.weights[low.bit_length() - 1]
-            m ^= low
-        return total <= self.bound
-
 
 def extract_ltf(t: ThresholdGraph) -> LtfWitness:
     """Integer LTF weights for a threshold graph via base-(n+1) positional levels.
@@ -608,72 +599,47 @@ def _heavy_clique(order: Sequence[int], adjacent: Sequence[int],
 
 # ---------------------------------------------------------------------------
 # Gray-code walk over all inputs, for gates with negative weights
-#
-# All gate sums are tracked simultaneously by packing one field per gate
-# into a single big integer; field g holds bound_g + 2^(W-1) - sum_g, whose
-# high bit is set exactly when gate g accepts. Field width W leaves two
-# guard bits so no borrow crosses fields.
-
-class _PackedGates:
-    def __init__(self, witnesses: Sequence[LtfWitness], arity: int):
-        if any(w.arity != arity for w in witnesses):
-            raise ValueError("arity mismatch")
-        span = 1
-        for w in witnesses:
-            span = max(span, abs(w.bound), sum(abs(a) for a in w.weights))
-        self.width = span.bit_length() + 2
-        half = 1 << (self.width - 1)
-        self.highmask = 0
-        self.base = 0
-        self.cols = [0] * arity
-        for gi, w in enumerate(witnesses):
-            shift = gi * self.width
-            self.highmask |= half << shift
-            self.base += (w.bound + half) << shift
-            for i, a in enumerate(w.weights):
-                self.cols[i] += a << shift
-
-    def all_accept(self, packed_sum: int) -> bool:
-        return (self.base - packed_sum) & self.highmask == self.highmask
-
-
-class _CliqueTracker:
-    """Incrementally maintained count of non-adjacent pairs inside the support."""
-
-    def __init__(self, g: Graph):
-        full = (1 << g.n) - 1
-        self.nonadj = [full & ~mask & ~(1 << v) for v, mask in enumerate(g.adjacency_masks())]
-        self.support = 0
-        self.violations = 0
-
-    def flip(self, v: int) -> None:
-        bit = 1 << v
-        if self.support & bit:
-            self.support ^= bit
-            self.violations -= (self.support & self.nonadj[v]).bit_count()
-        else:
-            self.violations += (self.support & self.nonadj[v]).bit_count()
-            self.support ^= bit
-
 
 def _gray_counterexample(g: Graph, witnesses: Sequence[LtfWitness]) -> int | None:
     """Walk all 2^n inputs in Gray-code order; return a mask where the AND of
-    the gates disagrees with the clique indicator, or None."""
-    packed = _PackedGates(witnesses, g.n)
-    tracker = _CliqueTracker(g)
-    total = 0
-    if packed.all_accept(total) != (tracker.violations == 0):
+    the gates disagrees with the clique indicator, or None.
+
+    All gate sums are tracked at once in one big integer, one field per
+    gate: field i holds bound_i + 2^(W-1) - sum_i, whose high bit is set
+    exactly when gate i accepts. W is two bits more than the largest |bound|
+    or total |weight| needs, as bound_i - sum_i can reach twice that, so no
+    carry or borrow crosses fields. Beside it the walk counts the
+    non-adjacent pairs inside the input, which is a clique iff the count is 0.
+    """
+    n = g.n
+    if any(w.arity != n for w in witnesses):
+        raise ValueError("arity mismatch")
+    span = max([1] + [max(abs(w.bound), sum(map(abs, w.weights))) for w in witnesses])
+    width = span.bit_length() + 2
+    half = 1 << width - 1
+    high = packed = 0
+    cols = [0] * n  # input v's weight in every field
+    for i, w in enumerate(witnesses):
+        shift = i * width
+        high |= half << shift
+        packed += (w.bound + half) << shift
+        for v, a in enumerate(w.weights):
+            cols[v] += a << shift
+    full = (1 << n) - 1
+    nonadjacent = [full & ~(mask | 1 << v) for v, mask in enumerate(g.adjacency_masks())]
+    if packed & high != high:  # the empty input is a clique
         return 0
-    gray = 0
-    for t in range(1, 1 << g.n):
-        bit = (t & -t).bit_length() - 1
-        gray ^= 1 << bit
-        tracker.flip(bit)
-        if gray >> bit & 1:
-            total += packed.cols[bit]
+    gray = violations = 0  # the input, and the non-adjacent pairs inside it
+    for t in range(1, 1 << n):
+        v = (t & -t).bit_length() - 1
+        gray ^= 1 << v
+        if gray >> v & 1:
+            packed -= cols[v]
+            violations += (gray & nonadjacent[v]).bit_count()
         else:
-            total -= packed.cols[bit]
-        if packed.all_accept(total) != (tracker.violations == 0):
+            packed += cols[v]
+            violations -= (gray & nonadjacent[v]).bit_count()
+        if (packed & high == high) != (not violations):
             return gray
     return None
 

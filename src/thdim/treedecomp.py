@@ -50,6 +50,8 @@ def _check_tree_shape(td: TreeDecomposition) -> dict[int, int | None]:
         for j in nbrs:
             if j not in nodes:
                 raise TreeDecompositionError(0, f"tree edge to unknown bag {j}")
+            if j == i:
+                raise TreeDecompositionError(0, f"tree edge ({i},{i}) is a loop")
             if i not in td.tree.get(j, ()):
                 raise TreeDecompositionError(0, "tree adjacency is not symmetric")
     edge_count = sum(len(nbrs) for nbrs in td.tree.values()) // 2

@@ -246,15 +246,16 @@ def edge_mask_verify(g: Graph, factors) -> tuple[bool, str, tuple[int, int] | No
     """Decomposition check on materialized n^2-bit edge masks, the way the
     library did it before factors became creation sequences: every factor's
     edge mask must contain g's, and their AND must equal it. Returns
-    (ok, reason, first offending pair, factor index)."""
+    (ok, reason, first offending pair, factor index). No factor keeps every
+    pair."""
     gmask = edge_mask(g)
-    inter = None
+    inter = (1 << g.n * (g.n - 1) // 2) - 1
     for idx, f in enumerate(factors):
         fmask = edge_mask(f.graph)
         if fmask & gmask != gmask:
             return (False, "factor drops an edge of the graph",
                     _first_mask_pair(g.n, gmask & ~fmask), idx)
-        inter = fmask if inter is None else inter & fmask
+        inter &= fmask
     if inter != gmask:
         return (False, "a non-edge survives every factor",
                 _first_mask_pair(g.n, inter & ~gmask), None)

@@ -220,6 +220,23 @@ def test_circuit_file_round_trip():
     assert back == c
 
 
+def test_weights_past_the_decimal_digit_limit_round_trip_in_hex():
+    # 14 000 bits is the last width written in decimal (4215 digits); past
+    # 4300 digits Python refuses to convert to or from decimal
+    edge, big = 2 ** 14_000 - 1, 10 ** 4400 + 7
+    c = MajorityCircuit(3, (LtfWitness((edge, -big, 1), big),))
+    text = format_circuit(c)
+    assert text == f"ltf-and 3 1\ngate {hex(big)} {edge} -{hex(big)} 1\n"
+    assert parse_circuit(text) == c
+
+
+def test_small_circuits_hold_decimal_tokens_only():
+    g = gen_gnm(16, 24, seed=1)
+    text = format_circuit(compile_circuit(g, decompose_degeneracy(g, seed=1)))
+    tokens = [tok for line in text.splitlines()[1:] for tok in line.split()[1:]]
+    assert tokens and all(tok.lstrip("-").isdigit() for tok in tokens)
+
+
 @pytest.mark.parametrize("text", [
     "", "ltf-and 3\n", "ltf-and 3 1\ngate 1 1 1\n", "ltf-and 2 1\nnope 1 1 1\n",
     "ltf-and 2 2\ngate 1 1 1\n", "ltf-and -1 1\ngate\n",

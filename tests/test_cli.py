@@ -223,6 +223,19 @@ def test_compile_writes_the_certified_circuit_without_walking_it(tmp_path, monke
     assert ltfs_to_graph(c.gates) == g
 
 
+def test_compile_and_verify_weights_past_the_decimal_digit_limit(tmp_path, capsys):
+    # the one vertex-cover gate of the empty graph on 1500 vertices has
+    # base-1501 weights of about 4760 digits, which the file holds in hex
+    path = tmp_path / "e1500.gr"
+    path.write_text("p 1500 0\n")
+    circ = tmp_path / "c.txt"
+    assert main(["compile", str(path), "--method", "vc", "--out", str(circ)]) == 0
+    assert " 0x" in circ.read_text()
+    capsys.readouterr()
+    assert main(["verify", str(path), str(circ)]) == 0
+    assert capsys.readouterr().out == "equal verify-mode=exact\n"
+
+
 def test_verify_corrupted_circuit(tmp_path, capsys):
     path = write_graph(tmp_path, "k3.gr", complete_graph(3))
     circ = tmp_path / "c.txt"
@@ -346,6 +359,8 @@ BAD_TD = {
     "s td 1 3 3\nb\n": "line 2: expected 'b <id> <v...>'",
     "s td 1 3 3\nb 1 0 1 2\n": "decomposition is for n=3, graph has n=4",
     "s td 2 2 4\nb 1 0 1\nb 2 2 3\n1 2\n": "edge (1,2) is inside no bag",
+    # one bag edge and a loop pass the symmetry test and the edge count
+    "s td 2 3 4\nb 1 0 1 2\nb 2 2 3\n1 2\n1 1\n": "tree edge (1,1) is a loop",
 }
 
 

@@ -5,6 +5,7 @@ not exact on their own pair graph. It agrees with the input walk of
 `helpers.walk_counterexample`, every set it returns is misjudged by the
 circuit, and it walks no inputs unless a weight is negative."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,8 @@ from thdim import (Graph, GraphicFunction, LtfWitness, MajorityCircuit, compile_
                    path_graph, verify_circuit, verify_ltf, write_edge_list)
 from thdim import threshold
 from thdim.cli import main
-from thdim.threshold import _circuit_counterexample, _ltf_counterexample, _pair_graph
+from thdim.threshold import (_circuit_counterexample, _gray_counterexample, _ltf_counterexample,
+                             _pair_graph, and_of_gates_counterexample)
 
 from helpers import edge_mask_verify, walk_counterexample
 
@@ -101,18 +103,57 @@ def test_exact_check_agrees_with_walk_on_perturbed_compiled_circuits(case):
 
 @st.composite
 def graph_and_gates(draw, max_n, lowest):
-    """One to three gates with weights from `lowest` up, against a random
+    """Zero to three gates with weights from `lowest` up, against a random
     graph on at most max_n vertices."""
     n = draw(st.integers(0, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = Graph(n, [pair for pair in pairs if draw(st.booleans())])
-    return g, gates_of(draw, n, draw(st.integers(1, 3)), lowest=lowest)
+    return g, gates_of(draw, n, draw(st.integers(0, 3)), lowest=lowest)
 
 
 @settings(max_examples=100, deadline=None)
 @given(graph_and_gates(8, lowest=-3))
 def test_walk_for_negative_weights_agrees_with_oracle(case):
-    assert_agrees_with_walk(*case)
+    g, gates = case
+    assert_agrees_with_walk(g, gates)
+    # the packed walk meets the oracle's first counterexample, in the same order
+    bad = _gray_counterexample(g, gates)
+    assert bad == walk_counterexample(g, gates)
+    if not gates and g.m < g.n * (g.n - 1) // 2:
+        assert bad is not None  # no gate rejects a non-edge
+
+
+def test_walk_fields_hold_a_bound_minus_sum_of_twice_the_weights():
+    # all-negative weights under a bound of their total: on the full input
+    # bound - sum is twice the gate's total weight, which its field must hold
+    # without a carry into the next field
+    gates = [LtfWitness((-1,) * 5, 5), LtfWitness((-3,) * 5, 15)]
+    assert _gray_counterexample(complete_graph(5), gates) is None
+    assert _gray_counterexample(path_graph(5), gates) == 0b111 == walk_counterexample(
+        path_graph(5), gates)  # the first input in Gray order that is no clique
+
+
+def test_walk_refuses_a_gate_of_the_wrong_arity():
+    with pytest.raises(ValueError, match="arity mismatch"):
+        and_of_gates_counterexample(path_graph(3), [LtfWitness((1, -1, 0), 1),
+                                                    LtfWitness((1, -1), 0)])
+
+
+@st.composite
+def gate_lists(draw):
+    n = draw(st.integers(1, 8))
+    return gates_of(draw, n, draw(st.integers(1, 3)), lowest=-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_lists())
+def test_ltfs_to_graph_holds_the_pairs_the_circuit_accepts(gates):
+    # the gates' pair sums against evaluating each two-ones input
+    n = gates[0].arity
+    circuit = MajorityCircuit(n, tuple(gates))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if circuit.evaluate([int(v in (i, j)) for v in range(n)])]
+    assert ltfs_to_graph(gates) == Graph(n, pairs)
 
 
 @settings(max_examples=300, deadline=None)
