@@ -129,8 +129,11 @@ def _number(x: int) -> str:
 
 def format_circuit(c: MajorityCircuit) -> str:
     lines = [f"ltf-and {c.arity} {c.gate_count}"]
+    text: dict[int, str] = {}  # each distinct gate object is written out once
     for gate in c.gates:
-        lines.append("gate " + " ".join(map(_number, (gate.bound, *gate.weights))))
+        if id(gate) not in text:
+            text[id(gate)] = "gate " + " ".join(map(_number, (gate.bound, *gate.weights)))
+        lines.append(text[id(gate)])
     return "\n".join(lines) + "\n"
 
 

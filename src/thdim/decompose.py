@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 from .graphs import (INDEPENDENT_SET_LIMIT, Graph, ProperColoring, VertexOrdering,
                      degeneracy_ordering, max_independent_set)
 from .seeding import split_seed
-from .threshold import (ThresholdGraph, format_threshold, intersection_mismatch, parse_threshold,
-                        threshold_supergraph)
+from .threshold import (ThresholdGraph, _Intersection, format_threshold, intersection_mismatch,
+                        parse_threshold, threshold_supergraph)
 from .treedecomp import TreeDecomposition, validate_tree_decomposition
 
 METHODS = ("vertex-cover", "degeneracy", "treewidth", "maxdeg", "exact", "manual")
@@ -76,7 +76,10 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerificationResult:
     earliest factor that drops one (with that factor's index), else a
     non-edge of g present in every factor (factor_index None).
     """
-    mismatch = intersection_mismatch(g, d.factors)
+    return _result(intersection_mismatch(g, d.factors))
+
+
+def _result(mismatch: tuple[tuple[int, int], int | None] | None) -> VerificationResult:
     if mismatch is None:
         return VerificationResult(True)
     pair, idx = mismatch
@@ -86,14 +89,15 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerificationResult:
                               pair=pair, factor_index=idx)
 
 
-def _verified(g: Graph, factors: Sequence[ThresholdGraph], method: str,
-              bound: int) -> Decomposition | None:
+def _verified(g: Graph, factors: Sequence[ThresholdGraph], method: str, bound: int,
+              check: _Intersection | None = None) -> Decomposition | None:
     """The decomposition of g by `factors`, marked verified for g, or None
     if a non-edge of g survives every factor. The one place that sets
-    `verified_for`. A factor that drops an edge of g is a construction bug:
-    AssertionError."""
+    `verified_for`. Checks by one pass of `verify_decomposition`, or asks
+    `check`, a resumable check that `factors` were all added to. A factor
+    that drops an edge of g is a construction bug: AssertionError."""
     d = Decomposition(factors=tuple(factors), method=method, bound_claimed=bound)
-    result = verify_decomposition(g, d)
+    result = verify_decomposition(g, d) if check is None else _result(check.mismatch())
     if result.factor_index is not None:
         raise AssertionError(f"{method} construction failed verification: {result}")
     if not result:
@@ -157,8 +161,8 @@ def decompose_vertex_cover(g: Graph, cover: Iterable[int] | None = None) -> Deco
 @dataclass(frozen=True)
 class SeparatingColoringFamily:
     """Proper colorings whose per-color-class threshold completions
-    intersect to the graph; `decomposition` holds those completions,
-    verified."""
+    intersect to the graph, the shortest such prefix of a seeded draw;
+    `decomposition` holds those completions, verified."""
 
     colorings: tuple[ProperColoring, ...]
     decomposition: Decomposition = field(compare=False, repr=False)
@@ -201,15 +205,19 @@ def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: VertexOrde
 
 def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
                                seed: int = 0, retry_cap: int = 64) -> SeparatingColoringFamily:
-    """Las Vegas construction of ceil(ln n) colorings whose class
+    """Las Vegas construction of at most ceil(ln n) colorings whose class
     completions intersect to g, as a separating family's always do.
 
-    Each coloring's class completions are built as it is drawn, once per
-    distinct class of the family, and the family is accepted once
-    `_verified` takes them as a decomposition of g.
-    Resamples the whole family with an incremented seed up to `retry_cap`
-    times, then grows the family one coloring at a time up to 3x its target
-    size before giving up with statistics.
+    An attempt draws up to ceil(ln n) colorings from its seeded stream one
+    at a time, adds each one's class completions (built once per distinct
+    class of the attempt) to one resumable intersection check, and stops at
+    the first coloring after which `_verified` takes them as a
+    decomposition of g. Every prefix of a failed attempt fails too, so the
+    attempt accepted is the one a whole-family check accepts, cut to its
+    shortest accepted prefix. Resamples with an incremented seed up to
+    `retry_cap` times, then grows the last attempt one coloring at a time,
+    on the same check, up to 3x its target size before giving up with
+    statistics.
     """
     if g.n < 2:
         raise ValueError("separating colorings need at least 2 vertices")
@@ -222,32 +230,37 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
     pos = order.position()
     forward = [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
     family: list[ProperColoring] = []
-    factors: list[ThresholdGraph] = []
-    memo: dict[tuple[int, ...], ThresholdGraph] = {}  # the completions of one family
+    memo: dict[tuple[int, ...], ThresholdGraph] = {}  # the completions of one attempt
+    check = _Intersection(g)
+
+    def extend(rng: random.Random, size: int) -> SeparatingColoringFamily | None:
+        while len(family) < size:
+            family.append(_sample_coloring(forward, k, order, rng))
+            check.add(_class_completions(g, family[-1], pos, memo))
+            if (d := _verified(g, check.factors, "degeneracy", bound, check)) is not None:
+                return SeparatingColoringFamily(tuple(family), d)
+        return None
+
     for attempt in range(retry_cap):
-        rng = random.Random(split_seed(seed + attempt, "separating"))
-        family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
-        memo = {}
-        factors = [f for c in family for f in _class_completions(g, c, pos, memo)]
-        if (d := _verified(g, factors, "degeneracy", bound)) is not None:
-            return SeparatingColoringFamily(tuple(family), d)
-    grow_rng = random.Random(split_seed(seed, "separating-grow"))
-    while len(family) < 3 * r:
-        family.append(_sample_coloring(forward, k, order, grow_rng))
-        factors += _class_completions(g, family[-1], pos, memo)
-        if (d := _verified(g, factors, "degeneracy", bound)) is not None:
-            return SeparatingColoringFamily(tuple(family), d)
+        if attempt:
+            family, memo, check = [], {}, _Intersection(g)
+        if found := extend(random.Random(split_seed(seed + attempt, "separating")), r):
+            return found
+    if found := extend(random.Random(split_seed(seed, "separating-grow")), 3 * r):
+        return found
     raise RandomizedSearchError(
         "separating coloring family not found",
         {"resamples": max(retry_cap, 0), "final_size": len(family)})
 
 
 def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
-    """One factor per (coloring, non-empty color class): the class is the
+    """One factor per (coloring, non-empty color class) of the shortest
+    accepted prefix of a seeded draw of colorings: the class is the
     independent side, ordered by the degeneracy ordering, and a class that
     recurs in the family shares one completion object. At most
     10k*ceil(ln n) factors for a k-degenerate graph, verified once, by the
-    family search that accepts them."""
+    family search that accepts them, each coloring's factors as it is
+    drawn."""
     if g.n < 2:
         raise ValueError("degeneracy decomposition needs at least 2 vertices")
     k, order = degeneracy_ordering(g)
@@ -318,7 +331,11 @@ def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
 
 def format_decomposition(d: Decomposition) -> str:
     lines = [f"td-decomp {d.method} {d.size}"]
-    lines.extend(format_threshold(f) for f in d.factors)
+    text: dict[int, str] = {}  # each distinct factor object is written out once
+    for f in d.factors:
+        if id(f) not in text:
+            text[id(f)] = format_threshold(f)
+        lines.append(text[id(f)])
     return "\n".join(lines) + "\n"
 
 

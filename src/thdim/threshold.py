@@ -307,54 +307,97 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
 # ---------------------------------------------------------------------------
 # intersections of threshold graphs
 
-def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]
-                          ) -> tuple[tuple[int, int], int | None] | None:
-    """The first pair (u, w), u < w, on which the intersection of the
-    factors differs from g, with the index of the factor at fault, or None.
+class _Intersection:
+    """The check of `intersection_mismatch` kept open: factors are added a
+    list at a time, and `mismatch` answers for every factor added so far,
+    as `intersection_mismatch` would on that whole list, a dropped edge
+    with its index in it.
 
-    First the smallest edge of g that the earliest factor dropping one
-    drops, with that factor's index; else the smallest non-edge of g that
-    every factor keeps, with index None.
-
-    Walks only each factor's isolated vertices (`_isolated_prefixes`): a
-    factor drops an edge iff an isolated w has a g-neighbour in prefix(w),
-    and it excludes the pairs {w} x prefix(w), recorded at w: one AND and
-    one OR per isolated vertex. A non-edge (u, w), u < w, not excluded in
-    u's row costs a test of bit u in w's row. If those tests would outnumber
-    the factors' vertices, as for an all-isolated factor in ascending order,
-    a backward sweep per factor first records each pair at its
-    earlier-placed end too.
-
-    A factor object listed again is walked only at its first index: a
+    Walks only each distinct factor's isolated vertices, once
+    (`_isolated_prefixes`): a factor drops an edge iff an isolated w has a
+    g-neighbour in prefix(w), and it excludes the pairs {w} x prefix(w),
+    recorded in `excluded[w]`: one AND and one OR per isolated vertex. A
     repeat drops no edge its first occurrence did not drop and excludes no
-    new pair, so the answer is the same.
+    new pair, so it is not walked again. Once an edge is dropped, the
+    earliest factor that drops one is the answer for good, and no later
+    factor is walked.
+
+    A non-edge (u, w), u < w, not excluded in u's row costs a test of bit u
+    in w's row. Rows only grow, so the scan starts at the first row that
+    still held a surviving non-edge the last time (`clear`). Once its tests
+    would outnumber the vertices of the factors not yet swept, as for an
+    all-isolated factor in ascending order, a backward sweep of each of
+    them records each pair at its earlier-placed end too, and the scan goes
+    on from the row it reached.
     """
-    distinct: dict[int, tuple[int, ThresholdGraph]] = {}  # id -> (first index, factor)
-    for idx, f in enumerate(factors):
-        if f.n != g.n:
-            raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {g.n}")
-        distinct.setdefault(id(f), (idx, f))
-    adjacent = g.adjacency_masks()
-    excluded = [0] * g.n  # each pair some factor excludes is held at one end at least
-    for idx, f in distinct.values():
-        first = None
-        for w, prefix in _isolated_prefixes(f):
-            dropped = prefix & adjacent[w]
-            if dropped:
-                x = (dropped & -dropped).bit_length() - 1
-                pair = (x, w) if x < w else (w, x)
-                first = pair if first is None else min(first, pair)
-            excluded[w] |= prefix
-        if first is not None:
-            return first, idx
-    full = (1 << g.n) - 1
 
-    def candidates(u: int) -> int:  # the non-neighbours w > u not excluded at u, as bits w-u-1
-        return (full & ~(adjacent[u] | excluded[u])) >> u + 1
+    __slots__ = ("g", "factors", "adjacent", "excluded", "walked", "unswept", "dropped", "clear")
 
-    if sum(candidates(u).bit_count() for u in range(g.n)) > g.n * len(distinct):
-        for _, f in distinct.values():
-            order, isolated_after, end = f.order, 0, g.n
+    def __init__(self, g: Graph):
+        self.g = g
+        self.factors: list[ThresholdGraph] = []  # every factor added, repeats included
+        self.adjacent = g.adjacency_masks()
+        self.excluded = [0] * g.n  # each pair some factor excludes is held at one end at least
+        self.walked: set[int] = set()  # the ids of the distinct factors walked
+        self.unswept: list[ThresholdGraph] = []  # walked, not yet swept backward
+        self.dropped: tuple[tuple[int, int], int] | None = None
+        self.clear = 0  # the rows before it hold no surviving non-edge
+
+    def add(self, factors: Sequence[ThresholdGraph]) -> None:
+        start = len(self.factors)
+        for idx, f in enumerate(factors, start):
+            if f.n != self.g.n:
+                raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {self.g.n}")
+        self.factors += factors
+        adjacent, excluded = self.adjacent, self.excluded
+        for idx, f in enumerate(factors, start):
+            if self.dropped is not None or id(f) in self.walked:
+                continue
+            self.walked.add(id(f))
+            self.unswept.append(f)
+            first = None
+            for w, prefix in _isolated_prefixes(f):
+                dropped = prefix & adjacent[w]
+                if dropped:
+                    x = (dropped & -dropped).bit_length() - 1
+                    pair = (x, w) if x < w else (w, x)
+                    first = pair if first is None else min(first, pair)
+                excluded[w] |= prefix
+            if first is not None:
+                self.dropped = first, idx
+
+    def mismatch(self) -> tuple[tuple[int, int], int | None] | None:
+        if self.dropped is not None:
+            return self.dropped
+        n, adjacent, excluded = self.g.n, self.adjacent, self.excluded
+        full = (1 << n) - 1
+
+        def candidates(u: int) -> int:  # the non-neighbours w > u not excluded at u, as bits w-u-1
+            return (full & ~(adjacent[u] | excluded[u])) >> u + 1
+
+        tests = 0
+        for u in range(self.clear, n):
+            rest = candidates(u)
+            tests += rest.bit_count()
+            if self.unswept and tests > n * len(self.unswept):
+                self._sweep()
+                rest = candidates(u)
+            while rest:
+                low = rest & -rest
+                w = u + low.bit_length()
+                if not excluded[w] >> u & 1:
+                    self.clear = u
+                    return (u, w), None
+                rest ^= low
+        self.clear = n
+        return None
+
+    def _sweep(self) -> None:
+        """Record each pair that an unswept factor excludes at its
+        earlier-placed end too: the isolated vertices placed after it."""
+        excluded = self.excluded
+        for f in self.unswept:
+            order, isolated_after, end = f.order, 0, f.n
             for c in reversed(f.cuts):
                 for v in order[c:end]:  # the isolated vertex at c and the run after it
                     excluded[v] |= isolated_after
@@ -362,15 +405,21 @@ def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]
                 end = c
             for v in order[:end]:
                 excluded[v] |= isolated_after
-    for u in range(g.n):
-        rest = candidates(u)
-        while rest:
-            low = rest & -rest
-            w = u + low.bit_length()
-            if not excluded[w] >> u & 1:
-                return (u, w), None
-            rest ^= low
-    return None
+        self.unswept = []
+
+
+def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]
+                          ) -> tuple[tuple[int, int], int | None] | None:
+    """The first pair (u, w), u < w, on which the intersection of the
+    factors differs from g, with the index of the factor at fault, or None.
+
+    First the smallest edge of g that the earliest factor dropping one
+    drops, with that factor's index; else the smallest non-edge of g that
+    every factor keeps, with index None. One pass of `_Intersection`.
+    """
+    check = _Intersection(g)
+    check.add(factors)
+    return check.mismatch()
 
 
 # ---------------------------------------------------------------------------

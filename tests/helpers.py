@@ -766,7 +766,8 @@ def fresh_degeneracy_text(g: Graph, seed: int) -> str:
     write, from the same seeded draws (64 resamples, then growth to three
     times the target size), with every class completion built afresh for
     each coloring and a family accepted on materialized edge masks
-    (`edge_mask_verify`)."""
+    (`edge_mask_verify`): each draw is tried on its prefixes, shortest
+    first."""
     k, order = degeneracy_ordering(g)
     k = max(k, 1)
     pos = order.position()
@@ -778,7 +779,8 @@ def fresh_degeneracy_text(g: Graph, seed: int) -> str:
         for attempt in range(64):
             rng = random.Random(split_seed(seed + attempt, "separating"))
             family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
-            yield family
+            for j in range(1, r + 1):
+                yield family[:j]
         grow = random.Random(split_seed(seed, "separating-grow"))
         while len(family) < 3 * r:
             family.append(_sample_coloring(forward, k, order, grow))

@@ -19,7 +19,7 @@ from thdim.decompose import _sample_coloring, treewidth_ordering
 from thdim.seeding import split_seed
 from thdim.treedecomp import TreeDecomposition
 
-from helpers import (all_graphs, anchor_bag_ordering, forward_neighbours,
+from helpers import (all_graphs, anchor_bag_ordering, edge_mask_verify, forward_neighbours,
                      is_proper_coloring, pendant_complement_bags, pendant_clique_complement, random_corpus,
                      small_graphs)
 
@@ -141,7 +141,9 @@ def test_family_edgeless_vacuous():
     g = empty_graph(4)
     _, order = degeneracy_ordering(g)
     family = build_separating_colorings(g, 1, order, seed=0)
-    assert len(family.colorings) == math.ceil(math.log(4))
+    # every pair of an edgeless graph has an end in a class of one coloring,
+    # whose completion isolates it after all the other vertices
+    assert len(family.colorings) == 1
     for c in family.colorings:
         assert is_proper_coloring(c, g) and c.palette_size == 10
 
@@ -150,7 +152,7 @@ def test_family_c10():
     g = cycle_graph(10)
     k, order = degeneracy_ordering(g)
     family = build_separating_colorings(g, k, order, seed=0)
-    assert len(family.colorings) >= math.ceil(math.log(10))
+    assert 1 <= len(family.colorings) <= math.ceil(math.log(10))
     assert all(c.palette_size == 10 * k for c in family.colorings)
     assert family.decomposition.verified_for == g
     assert verify_decomposition(g, family.decomposition).ok
@@ -200,8 +202,9 @@ def _completions_intersect_to(g, family, order):
 
 def _walked_family(g, k, order, seed, retry_cap):
     """The family build_separating_colorings must return, found from the
-    same seeded draws by intersecting edge sets, or the stats it must raise
-    with."""
+    same seeded draws by intersecting edge sets: the shortest accepted
+    prefix of the first draw accepted whole, else the last draw grown until
+    accepted, or the stats it must raise with."""
     r = math.ceil(math.log(g.n))
     forward = forward_neighbours(g, order)
     family = []
@@ -209,7 +212,8 @@ def _walked_family(g, k, order, seed, retry_cap):
         rng = random.Random(split_seed(seed + attempt, "separating"))
         family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
         if _completions_intersect_to(g, family, order):
-            return tuple(family)
+            return next(tuple(family[:j]) for j in range(1, r + 1)
+                        if _completions_intersect_to(g, family[:j], order))
     grow = random.Random(split_seed(seed, "separating-grow"))
     while len(family) < 3 * r:
         family.append(_sample_coloring(forward, k, order, grow))
@@ -238,6 +242,92 @@ def test_family_search_matches_the_pair_walk(g, k, retry_cap, seed):
             frozenset(cls) for c in family.colorings for cls in c.color_classes() if cls]
 
 
+def test_family_is_the_shortest_accepted_prefix_of_its_draw():
+    # oracle: `intersection_mismatch` on fresh class completions of the
+    # first seeded draw of ceil(ln n) colorings that is accepted whole
+    shorter = 0
+    for n, m, s in [(n, m * n, s) for n in (20, 40, 60) for m in (1, 2, 3) for s in (0, 1)]:
+        g = gen_gnm(n, m, seed=s)
+        k, order = degeneracy_ordering(g)
+        k = max(k, 1)
+        pos, forward = order.position(), forward_neighbours(g, order)
+        r = math.ceil(math.log(n))
+        family = build_separating_colorings(g, k, order, seed=s)
+
+        def completions(coloring):
+            return [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
+                    for cls in coloring.color_classes() if cls]
+
+        for attempt in range(64):
+            rng = random.Random(split_seed(s + attempt, "separating"))
+            draw = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
+            factors = [f for c in draw for f in completions(c)]
+            if threshold.intersection_mismatch(g, factors) is None:
+                break
+        else:
+            raise AssertionError("no seeded draw is accepted whole")
+        j = len(family.colorings)
+        assert family.colorings == tuple(draw[:j])
+        prefixes = [[f for c in draw[:i] for f in completions(c)] for i in range(1, j + 1)]
+        assert [threshold.intersection_mismatch(g, p) is None for p in prefixes] == (
+            [False] * (j - 1) + [True])
+        assert [f.split_a for f in family.decomposition.factors] == [
+            f.split_a for f in prefixes[-1]]
+        shorter += j < r
+    assert shorter  # some family stops before its draw's last coloring
+
+
+@st.composite
+def factor_chunks(draw):
+    """A graph on 2 to 14 vertices and factor lists for it, a chunk at a
+    time, as the family search adds them: the class completions of a seeded
+    coloring, a class recurring across chunks one object; or the completion
+    of one independent set in ascending order, which holds each pair it
+    excludes at the later end only. Maybe a random threshold graph, which
+    may drop an edge, is inserted into one chunk."""
+    g = draw(small_graphs(14))
+    assume(g.n >= 2)
+    k, order = degeneracy_ordering(g)
+    k = max(k, 1)
+    pos, forward = order.position(), forward_neighbours(g, order)
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    memo = {}
+    chunks = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            coloring = _sample_coloring(forward, k, order, rng)
+            chunks.append(decompose._class_completions(g, coloring, pos, memo))
+        else:
+            independent = []
+            for v in draw(st.permutations(range(g.n))):
+                if not any(g.has_edge(u, v) for u in independent):
+                    independent.append(v)
+            chunks.append([threshold_supergraph(g, sorted(independent))])
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(0, g.n - 1))))
+        chunk = chunks[draw(st.integers(0, len(chunks) - 1))]
+        chunk.insert(draw(st.integers(0, len(chunk))),
+                     ThresholdGraph(draw(st.permutations(range(g.n))), cuts))
+    return g, chunks
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_chunks())
+def test_resumable_check_answers_as_a_fresh_one_on_every_prefix(case):
+    g, chunks = case
+    check = threshold._Intersection(g)
+    added = []
+    for chunk in chunks:
+        check.add(chunk)
+        added += chunk
+        got = check.mismatch()
+        assert got == threshold.intersection_mismatch(g, added)
+        ok, _, pair, idx = edge_mask_verify(g, added)
+        assert (got is None) == ok
+        if not ok:
+            assert got == (pair, idx)
+
+
 def test_family_accepted_after_a_retry_is_pinned():
     # the first seed s >= 0 whose G(10, 30) draw, with k = 1 and seed s, is
     # accepted on a redraw (none of seeds 0-999 of G(10, 20) is)
@@ -247,9 +337,12 @@ def test_family_accepted_after_a_retry_is_pinned():
     first_only = build_separating_colorings(g, 1, order, seed=9, retry_cap=1)
     assert first_only.colorings != family.colorings  # the first draw was not accepted
     assert build_separating_colorings(g, 1, order, seed=9, retry_cap=2) == family
-    assert len(family.colorings) == math.ceil(math.log(10))
+    # the redraw stops at its first coloring, a prefix of that draw
+    redraw = random.Random(split_seed(9 + 1, "separating"))
+    forward = forward_neighbours(g, order)
+    assert family.colorings == (_sample_coloring(forward, 1, order, redraw),)
     assert hashlib.sha256(repr(family.colorings).encode()).hexdigest() == (
-        "10d78950982ece9d1f8cd75e9ec6fc86d34088f846cba3323cd1b49dcdb12520")
+        "5c6458129fe19fd4305bf2118a1b4c7d7e0e01bece5aec416c9653df0dd3779f")
 
 
 def test_family_search_error_stats_are_pinned():
@@ -291,13 +384,14 @@ def test_degeneracy_factor_independent_part_is_color_class():
 
 
 def test_degeneracy_walks_each_factor_once(monkeypatch):
-    # the family search's verification is the only one: each distinct
-    # factor's isolated prefixes are walked once, on a family accepted at its
-    # first draw, and a class that recurs across colorings is one factor object
+    # the family search's verification is the only one, and it resumes: the
+    # check is asked after each of the two colorings of a family accepted at
+    # its first draw, yet each distinct factor's isolated prefixes are walked
+    # once, and a class that recurs across colorings is one factor object
     g = gen_gnm(30, 60, seed=3)
     k, order = degeneracy_ordering(g)
     first_draw = build_separating_colorings(g, k, order, seed=3, retry_cap=1).colorings
-    assert len(first_draw) == math.ceil(math.log(g.n))
+    assert len(first_draw) == 2 < math.ceil(math.log(g.n))
     assert build_separating_colorings(g, k, order, seed=3).colorings == first_draw
     walked = []
 

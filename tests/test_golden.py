@@ -19,9 +19,12 @@ maxdeg goldens mostly reach cells of one block. The treewidth hashes and the
 n = 12 report hash were re-recorded when a one-vertex colour class stopped
 emitting its factor twice; each new treewidth factor list was first checked
 to equal the old one with repeats dropped (first occurrence kept), so they
-still pin the min-fill elimination order. The experiment table hash was
-recorded before the degeneracy family search took its verification as the
-acceptance test instead of checking separation first."""
+still pin the min-fill elimination order. The degeneracy hashes, the report
+hashes and the experiment table hash were re-recorded when the family search
+began to stop at the first coloring after which the intersection closes;
+each new degeneracy factor list was first checked to be a prefix, by whole
+colorings, of the old one, and the reports and the table changed only in
+their degeneracy factor counts and the ratios computed from them."""
 
 import hashlib
 
@@ -34,13 +37,13 @@ from thdim import (Graph, compute_report, decompose_degeneracy, decompose_maxdeg
 from helpers import bounded_degree_graph, complement, complete_bipartite
 
 GOLDEN = {
-    ("degeneracy", 12, 20, 1): "0f55116fd95afbb4cf119cea4cbbb895e2d6521c67ecbe3ff77926926629c1f1",
+    ("degeneracy", 12, 20, 1): "77b5a1e6a0e2f3ab3a21ae063e58c88cecc43e368e207c5f6dd03688230eef61",
     ("treewidth", 12, 20, 1): "4d8c985ddb6bde848cfcf124bb4ea3d9afd3b2ae97f99a6bf79f49b20e2e829d",
-    ("degeneracy", 20, 45, 2): "c5e9f7723beb5f75624062975528efce4d5a4d7c1fa340fb0c249154c266dded",
+    ("degeneracy", 20, 45, 2): "38d6ee303fa5b74c9400b7b0c1c69a8d411aebc5feb2e04945860e4cc4f7fd43",
     ("treewidth", 20, 45, 2): "8573b0ea69df4bd9cd72aea94a31110f036fd6c5cf828a7eed403deb63d017b9",
-    ("degeneracy", 30, 60, 3): "d05b48c70e9cd5feb9e0706b259cbe8f8f3f0112e9a225ebb5df97029d24c169",
+    ("degeneracy", 30, 60, 3): "38497a3dd33a592f97c1177b9570c031154b7fd90d22127e58304651f27f63cf",
     ("treewidth", 30, 60, 3): "244515901628cf1f5a3493a8e708d3ad28eb6167143e26e9dd9a3020957ad2e0",
-    ("degeneracy", 400, 1200, 1): "f14aa889d602f67429a1d07704dc063bb9bc9489da128e1735c85b30738479d7",
+    ("degeneracy", 400, 1200, 1): "a889ceb7fc4ed2af564b35c0d401879e37cfedd09033a0ae352b509bd7ab7a3a",
     ("treewidth", 120, 360, 4): "b318cb0111ab579bdaf62da83a9b69c432839de7ff1739c7f5dfdfd4985c4542",
     ("treewidth", 400, 1200, 1): "b2dc0858414958c4025b17837450f6305e0bc2787530a582cbd20bfcf8ad6370",
     ("vertex-cover", 12, 20, 1): "61604f3b558f26a98a16e1fb2d1e16addcb13f6bf5e0c16c852144b4839ad2d9",
@@ -79,8 +82,8 @@ def test_maxdeg_on_k55_55_is_byte_identical():
 
 
 REPORT_GOLDEN = {
-    (8, 10, 1): "28882871043ab9d93fd642e50d0ecfa14227a26089b649923f2e909bbd7840ee",
-    (12, 20, 1): "9f51ae86ef853390d24ba2291db8e0dac9853a97d6aa23640ae1598928da0fc1",
+    (8, 10, 1): "b28147ca631fd3c92c050fa47ec2c8c9fd467fc3c3509ede21af2c0cec7d99ca",
+    (12, 20, 1): "e98b11ee8f7033556075acfb66ed1f241f41c85ba1f43345ee4023c2604cf7e4",
 }
 
 
@@ -109,4 +112,4 @@ def test_report_builds_no_complement(monkeypatch):
 def test_seeded_experiment_table_is_byte_identical():
     table = render_table(run_experiment([(8, 10, 4), (60, 180, 3), (120, 360, 2)], seed=1))
     assert hashlib.sha256(table.encode()).hexdigest() == (
-        "e24b86c84b68c48b88ed234c0d6bc551c17bc054035d10f8458375171212ccd2")
+        "93e3b11d5c2091e0660cfc36c4931120830b64bde14c26dbde472ebc1267292a")
