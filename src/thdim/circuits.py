@@ -129,11 +129,8 @@ def _number(x: int) -> str:
 
 def format_circuit(c: MajorityCircuit) -> str:
     lines = [f"ltf-and {c.arity} {c.gate_count}"]
-    text: dict[int, str] = {}  # each distinct gate object is written out once
     for gate in c.gates:
-        if id(gate) not in text:
-            text[id(gate)] = "gate " + " ".join(map(_number, (gate.bound, *gate.weights)))
-        lines.append(text[id(gate)])
+        lines.append("gate " + " ".join(map(_number, (gate.bound, *gate.weights))))
     return "\n".join(lines) + "\n"
 
 

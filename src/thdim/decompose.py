@@ -331,11 +331,7 @@ def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
 
 def format_decomposition(d: Decomposition) -> str:
     lines = [f"td-decomp {d.method} {d.size}"]
-    text: dict[int, str] = {}  # each distinct factor object is written out once
-    for f in d.factors:
-        if id(f) not in text:
-            text[id(f)] = format_threshold(f)
-        lines.append(text[id(f)])
+    lines.extend(format_threshold(f) for f in d.factors)
     return "\n".join(lines) + "\n"
 
 

@@ -11,8 +11,8 @@ from thdim import (GraphicFunction, LtfWitness, MajorityCircuit, ThresholdGraph,
                    compile_circuit, decompose_degeneracy, decompose_vertex_cover,
                    format_circuit, format_decomposition, gen_gnm, parse_circuit,
                    threshold_supergraph, verify_circuit)
-from thdim import circuits, decompose
-from thdim.threshold import format_threshold, intersection_mismatch
+from thdim import circuits
+from thdim.threshold import intersection_mismatch
 
 from helpers import (edge_mask_verify, fresh_degeneracy_text, maximal_cliques, small_graphs,
                      walk_counterexample)
@@ -184,34 +184,3 @@ def test_compile_certifies_each_distinct_factor_once(monkeypatch):
     for f, gate in zip(d.factors, c.gates):  # one gate object per factor object
         assert gate_of.setdefault(id(f), gate) is gate
 
-
-def test_each_distinct_factor_and_gate_is_written_out_once(monkeypatch):
-    g = gen_gnm(16, 30, seed=3)  # its accepted prefix of colorings repeats a class
-    d = decompose_degeneracy(g, seed=1)
-    c = compile_circuit(g, d)
-    distinct = {id(f) for f in d.factors}
-    assert len(distinct) < d.size
-    expected = "".join(f"{line}\n" for line in (f"td-decomp degeneracy {d.size}",
-                                                 *map(format_threshold, d.factors)))
-    formatted = []
-
-    def counting(t):
-        formatted.append(id(t))
-        return original(t)
-
-    original = decompose.format_threshold
-    monkeypatch.setattr(decompose, "format_threshold", counting)
-    assert format_decomposition(d) == expected
-    assert sorted(formatted) == sorted(distinct)
-    numbers = []
-
-    def counting_numbers(x):
-        numbers.append(x)
-        return original_number(x)
-
-    original_number = circuits._number
-    monkeypatch.setattr(circuits, "_number", counting_numbers)
-    text = format_circuit(c)
-    assert len(numbers) == (g.n + 1) * len(distinct)
-    assert text.splitlines()[1:] == [
-        "gate " + " ".join(map(original_number, (gate.bound, *gate.weights))) for gate in c.gates]
