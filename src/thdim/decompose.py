@@ -107,8 +107,8 @@ def _verified(g: Graph, factors: Sequence[ThresholdGraph], method: str, bound: i
 
 
 def _finish(g: Graph, factors: Sequence[ThresholdGraph], method: str,
-            bound: int) -> Decomposition:
-    d = _verified(g, factors, method, bound)
+            bound: int, check: _Intersection | None = None) -> Decomposition:
+    d = _verified(g, factors, method, bound, check)
     if d is None:
         raise AssertionError(f"{method} construction failed verification: "
                              "a non-edge survives every factor")

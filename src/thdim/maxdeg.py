@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from typing import Iterable, Sequence
 
 from .decompose import Decomposition, RandomizedSearchError, _finish
 from .graphs import Graph, VertexOrdering, degeneracy_ordering, greedy_coloring
 from .seeding import split_seed
-from .threshold import ThresholdGraph, threshold_supergraph
+from .threshold import ThresholdGraph, _Intersection, threshold_supergraph
 
 PARTITION_RESTARTS = 16  # fresh random assignments before bounded_partition gives up
 
@@ -160,22 +160,27 @@ def _thin(nbrs: Sequence[int], coloring: dict[int, int], r: int) -> bool:
 # edges of G at A and completes B into a clique
 
 def decompose_split(g: Graph, a_side: Iterable[int], seed: int = 0) -> Decomposition:
-    """Decompose G*[A, V - A] into threshold factors, verified against
-    G*[A, V - A]. A is `a_side`, an independent set of g."""
+    """Decompose G*[A, V - A] into a greedy subcover of its threshold
+    factors, verified against G*[A, V - A]. A is `a_side`, an independent
+    set of g."""
     a_side = set(a_side)
     factors, budget = _split_factors(g, a_side, seed, None)
     edges = [(a, u) for a in a_side for u in g.adj[a]]
     edges.extend(combinations([v for v in range(g.n) if v not in a_side], 2))
-    return _finish(Graph(g.n, edges), _distinct(factors), "maxdeg", budget)
+    return _pruned(Graph(g.n, edges), factors, budget, None)
 
 
-def _distinct(factors: Iterable[ThresholdGraph]) -> list[ThresholdGraph]:
-    """The first factor of each degree vector, in order: a labeled threshold
-    graph is determined by its degree vector."""
-    first: dict[tuple[int, ...], ThresholdGraph] = {}
-    for f in factors:
-        first.setdefault(f.degrees(), f)
-    return list(first.values())
+def _pruned(g: Graph, factors: list[ThresholdGraph], budget: int,
+            diagnostics: list[str] | None) -> Decomposition:
+    """The greedy subcover of `factors` (`_Intersection.prune`), verified
+    for g on the check that picked it. A repeated factor excludes no new
+    pair, so it is never picked."""
+    check = _Intersection(g)
+    d = _finish(g, check.prune(factors), "maxdeg", budget, check)
+    if diagnostics is not None:
+        diagnostics.append(f"factors: built={len(factors)} distinct={len(set(factors))} "
+                           f"pruned={d.size}")
+    return d
 
 
 def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
@@ -241,12 +246,16 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
             for a in a_side:
                 by_color.setdefault(c[a], []).append(a)
             hoods = _hoods(g, c, b_part)
-            b_set = set(b_part)
+            off_slice = bytearray(b"\x01") * g.n
+            for v in b_part:
+                off_slice[v] = 0
             for color, a_part in sorted(by_color.items()):
                 # the cell keeps the base edges between a_part and b_part;
                 # every vertex outside both sees all of a_part
-                a_set = set(a_part)
-                outside = [v for v in range(g.n) if v not in a_set and v not in b_set]
+                off_cell = off_slice.copy()
+                for a in a_part:
+                    off_cell[a] = 0
+                outside = list(compress(range(g.n), off_cell))
                 cell_hoods = hoods.get(color, [])
                 blocks = _conflict_blocks(a_part, cell_hoods, ground)
                 cells.append((blocks, outside))
@@ -348,8 +357,9 @@ def _conflict_blocks(a_part: Sequence[int], hoods: Sequence[Sequence[int]],
 def decompose_maxdeg(g: Graph, seed: int = 0,
                      diagnostics: list[str] | None = None) -> Decomposition:
     """Partition the graph so every vertex sees few neighbors per part, color
-    each part, and decompose one split extension per color class; the union
-    of all factor lists, deduplicated, intersects back to g (verified)."""
+    each part, and decompose one split extension per color class; a greedy
+    subcover of the union of all factor lists intersects back to g
+    (verified)."""
     delta = g.max_degree()
     if delta < 2:
         raise ValueError("max-degree decomposition needs maximum degree >= 2")
@@ -376,4 +386,4 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
                 g, [members[x] for x in cls], split_seed(seed, "split", i, j), diagnostics)
             budget += piece_budget
             factors.extend(piece)
-    return _finish(g, _distinct(factors), "maxdeg", budget)
+    return _pruned(g, factors, budget, diagnostics)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress
 from math import isqrt
 from operator import lt
@@ -60,6 +61,18 @@ class ThresholdGraph:
         self.cuts = array("I", cuts)
         self._graph: Graph | None = None
 
+    @classmethod
+    def _unchecked(cls, order: Sequence[int], cuts: Sequence[int]) -> ThresholdGraph:
+        """The threshold graph of an `order` and `cuts` that are a
+        permutation of range(n) and strictly ascending positions in it by
+        construction, as the completion and the peels build them: no n-set
+        is built to check it."""
+        t = cls.__new__(cls)
+        t.order = array("I", order)
+        t.cuts = array("I", cuts)
+        t._graph = None
+        return t
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ThresholdGraph):
             return NotImplemented
@@ -90,26 +103,6 @@ class ThresholdGraph:
             self._graph = Graph(self.n, [(v, u) for p, v in enumerate(order)
                                          if p not in isolated for u in order[:p]])
         return self._graph
-
-    def degrees(self) -> tuple[int, ...]:
-        """deg(v) for every vertex: the vertices placed before v if v is
-        dominating, plus the dominating vertices placed after v. So the
-        dominating vertices of one run all miss exactly the isolated
-        vertices placed after them. A labeled threshold graph is determined
-        by its degree vector."""
-        order, n = self.order, self.n
-        deg = [0] * n
-        isolated_after = len(self.cuts)
-        start = 0
-        for c in chain(self.cuts, (n,)):
-            shared = n - 1 - isolated_after  # one int object per run, not per vertex
-            for v in order[start:c]:
-                deg[v] = shared
-            if c < n:
-                isolated_after -= 1
-                deg[order[c]] = n - 1 - c - isolated_after
-            start = c + 1
-        return tuple(deg)
 
 
 @lru_cache(maxsize=1)
@@ -223,7 +216,7 @@ def _reversed_removals(removed: list[int], isolated_at: list[int]) -> ThresholdG
     """The threshold graph built by adding back, last removed first, the
     vertices a peel removed, those at the indices `isolated_at` isolated."""
     last = len(removed) - 1
-    return ThresholdGraph(removed[::-1], [last - i for i in reversed(isolated_at)])
+    return ThresholdGraph._unchecked(removed[::-1], [last - i for i in reversed(isolated_at)])
 
 
 def _forbidden_witness(g: Graph, remaining: set[int]) -> ForbiddenSubgraph:
@@ -270,6 +263,12 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
         raise ValueError("a_order contains duplicates")
     if k and (min(a_order) < 0 or max(a_order) >= g.n):
         raise ValueError("a_order vertex out of range")
+    saturated = sorted(saturated)
+    if saturated and (saturated[0] < 0 or saturated[-1] >= g.n):
+        raise ValueError("saturated vertex out of range")
+    if not position.keys().isdisjoint(saturated):
+        v = next(v for v in saturated if v in position)
+        raise ValueError(f"saturated vertex {v} lies in a_order")
     # s(v) by a sweep over A's neighborhoods: positions ascend, so the last
     # write is the largest; an edge inside A shows up at its earlier end
     level: dict[int, int] = {}  # s(v) for the B-vertices with s(v) > 0
@@ -280,28 +279,34 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
             raise ValueError(f"a_order is not independent: edge ({u},{v})")
         for v in hood:
             level[v] = i
-    for v in saturated:
-        if v in position:
-            raise ValueError(f"saturated vertex {v} lies in a_order")
-        if k:
-            level[v] = k
     # order: B grouped by s(v) ascending, vertices ascending inside a
     # group, each u_j entering isolated right after the B-vertices it must
-    # not see. Group 0, the B-vertices that see none of A, is usually most
-    # of the graph, so it is read off flags rather than sorted.
+    # not see. The saturated vertices, sorted once, join the top group k
+    # whole. Group 0, the B-vertices that see none of A, is read off flags
+    # when nothing is saturated, as it is then usually most of the graph,
+    # and is what the saturated vertices leave of it otherwise.
+    top = saturated if k else []  # with no A to see, saturated is group 0
+    if top:
+        below = level.keys() - top
+        order = sorted(_vertex_set(g.n).difference(a_order, level, top))
+    else:
+        below = level
+        unseen = bytearray(b"\x01") * g.n
+        for v in chain(a_order, level):
+            unseen[v] = 0
+        order = list(compress(range(g.n), unseen))
     runs: list[list[int]] = [[] for _ in range(k + 1)]
-    for v in sorted(level):
+    for v in sorted(below):
         runs[level[v]].append(v)
-    unseen = bytearray(b"\x01") * g.n
-    for v in chain(a_order, level):
-        unseen[v] = 0
-    order = list(compress(range(g.n), unseen))
+    runs[k] = sorted(runs[k] + top)  # merges two ascending runs
     cuts = []
     for u, run in zip(a_order, runs[1:]):
         cuts.append(len(order))
         order.append(u)
         order += run
-    return ThresholdGraph(order, cuts)
+    if len(order) != g.n:  # every vertex is placed, so some saturated one twice
+        raise ValueError("saturated lists a vertex twice")
+    return ThresholdGraph._unchecked(order, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +325,7 @@ class _Intersection:
     repeat drops no edge its first occurrence did not drop and excludes no
     new pair, so it is not walked again. Once an edge is dropped, the
     earliest factor that drops one is the answer for good, and no later
-    factor is walked.
+    factor is walked. `prune` adds a greedy subcover of a list instead.
 
     A non-edge (u, w), u < w, not excluded in u's row costs a test of bit u
     in w's row. Rows only grow, so the scan starts at the first row that
@@ -338,33 +343,109 @@ class _Intersection:
         self.factors: list[ThresholdGraph] = []  # every factor added, repeats included
         self.adjacent = g.adjacency_masks()
         self.excluded = [0] * g.n  # each pair some factor excludes is held at one end at least
-        self.walked: set[int] = set()  # the ids of the distinct factors walked
+        self.walked: set[int] = set()  # the ids of the factors `excluded` holds
         self.unswept: list[ThresholdGraph] = []  # walked, not yet swept backward
         self.dropped: tuple[tuple[int, int], int] | None = None
         self.clear = 0  # the rows before it hold no surviving non-edge
 
     def add(self, factors: Sequence[ThresholdGraph]) -> None:
         start = len(self.factors)
-        for idx, f in enumerate(factors, start):
-            if f.n != self.g.n:
-                raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {self.g.n}")
+        self._check_sizes(factors, start)
         self.factors += factors
-        adjacent, excluded = self.adjacent, self.excluded
+        excluded = self.excluded
         for idx, f in enumerate(factors, start):
             if self.dropped is not None or id(f) in self.walked:
                 continue
             self.walked.add(id(f))
             self.unswept.append(f)
-            first = None
-            for w, prefix in _isolated_prefixes(f):
-                dropped = prefix & adjacent[w]
-                if dropped:
-                    x = (dropped & -dropped).bit_length() - 1
-                    pair = (x, w) if x < w else (w, x)
-                    first = pair if first is None else min(first, pair)
+            for w, prefix in self._walk(f, idx):
                 excluded[w] |= prefix
-            if first is not None:
-                self.dropped = first, idx
+
+    def prune(self, factors: Sequence[ThresholdGraph]) -> list[ThresholdGraph]:
+        """Add a greedy subcover of `factors` to this check, which holds no
+        factor yet, and return it: the distinct factors picked, in input
+        order. Factors that each contain g intersect to g iff together they
+        exclude every non-edge of g.
+
+        One walk of each distinct factor (equal factors are one) tests it
+        for a dropped edge, as `add` does, and keeps its (w, prefix(w))
+        pairs. Each pick is recorded in `excluded` at both ends, from its
+        pairs and a backward sweep, so a factor's gain, the non-edges it
+        excludes that no pick does, is the sum over w of
+        popcount(prefix(w) & ~excluded[w]). The pick is the lazy greedy of
+        set cover (Chvatal 1979, Minoux 1978): gains only fall, so a stale
+        one is recomputed when it reaches the top of the heap; ties go to
+        the factor placed first. `excluded` then holds the picks alone, and
+        `mismatch` checks them by its own exact scan.
+
+        Nothing is pruned when a factor drops an edge (the earliest that
+        drops one is the answer) or when the whole list keeps a non-edge,
+        which `mismatch` then names. A g with no non-edge keeps the first
+        factor.
+        """
+        self._check_sizes(factors, 0)
+        first_at: dict[ThresholdGraph, int] = {}
+        for idx, f in enumerate(factors):
+            first_at.setdefault(f, idx)
+        walks: list[list[tuple[int, int]]] = []
+        for f, idx in first_at.items():
+            walks.append(list(self._walk(f, idx)))
+            if self.dropped is not None:
+                self.factors = list(factors)
+                return self.factors
+        distinct = list(first_at)
+        excluded = self.excluded
+        n = self.g.n
+        remaining = n * (n - 1) // 2 - self.g.m  # the non-edges no pick excludes
+        # before any pick, every pair a factor excludes counts
+        heap = [(-sum(prefix.bit_count() for _, prefix in walk), i)
+                for i, walk in enumerate(walks)]
+        heapify(heap)
+        picks = []
+        while remaining and heap:
+            _, i = heappop(heap)
+            gain = sum((prefix & ~excluded[w]).bit_count() for w, prefix in walks[i])
+            if heap and (-gain, i) > heap[0]:
+                heappush(heap, (-gain, i))
+                continue
+            if not gain:
+                break
+            picks.append(i)
+            remaining -= gain
+            for w, prefix in walks[i]:
+                excluded[w] |= prefix
+            self._sweep([distinct[i]])
+        if remaining:  # nothing is pruned: every factor's pairs, for the scan
+            for walk in walks:
+                for w, prefix in walk:
+                    excluded[w] |= prefix
+            self.unswept = distinct
+            self.factors = list(factors)
+        else:
+            self.factors = [distinct[i] for i in sorted(picks)] or distinct[:1]
+        self.walked = set(map(id, self.factors))
+        return self.factors
+
+    def _check_sizes(self, factors: Sequence[ThresholdGraph], start: int) -> None:
+        for idx, f in enumerate(factors, start):
+            if f.n != self.g.n:
+                raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {self.g.n}")
+
+    def _walk(self, f: ThresholdGraph, idx: int) -> Iterator[tuple[int, int]]:
+        """f's (w, prefix(w)) pairs, by `_isolated_prefixes`; once they are
+        all given, the smallest edge of g that f drops, if any, is recorded
+        as dropped by the factor at index idx."""
+        adjacent = self.adjacent
+        first = None
+        for w, prefix in _isolated_prefixes(f):
+            dropped = prefix & adjacent[w]
+            if dropped:
+                x = (dropped & -dropped).bit_length() - 1
+                pair = (x, w) if x < w else (w, x)
+                first = pair if first is None else min(first, pair)
+            yield w, prefix
+        if first is not None:
+            self.dropped = first, idx
 
     def mismatch(self) -> tuple[tuple[int, int], int | None] | None:
         if self.dropped is not None:
@@ -380,7 +461,8 @@ class _Intersection:
             rest = candidates(u)
             tests += rest.bit_count()
             if self.unswept and tests > n * len(self.unswept):
-                self._sweep()
+                self._sweep(self.unswept)
+                self.unswept = []
                 rest = candidates(u)
             while rest:
                 low = rest & -rest
@@ -392,20 +474,22 @@ class _Intersection:
         self.clear = n
         return None
 
-    def _sweep(self) -> None:
-        """Record each pair that an unswept factor excludes at its
-        earlier-placed end too: the isolated vertices placed after it."""
+    def _sweep(self, factors: Iterable[ThresholdGraph]) -> None:
+        """Record each pair that one of `factors` excludes at its
+        earlier-placed end too: every vertex gets the isolated vertices
+        placed after it, by one backward sweep that stops at the last cut,
+        as no isolated vertex comes after it."""
         excluded = self.excluded
-        for f in self.unswept:
-            order, isolated_after, end = f.order, 0, f.n
+        for f in factors:
+            order, later, end = f.order, 0, f.n
             for c in reversed(f.cuts):
-                for v in order[c:end]:  # the isolated vertex at c and the run after it
-                    excluded[v] |= isolated_after
-                isolated_after |= 1 << order[c]
+                if later:
+                    for v in order[c:end]:  # the isolated vertex at c and the run after it
+                        excluded[v] |= later
+                later |= 1 << order[c]
                 end = c
             for v in order[:end]:
-                excluded[v] |= isolated_after
-        self.unswept = []
+                excluded[v] |= later
 
 
 def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]

@@ -210,19 +210,50 @@ def is_proper_coloring(coloring: ProperColoring, g: Graph) -> bool:
     return all(coloring.colors[u] != coloring.colors[v] for u, v in g.edges())
 
 
-def naive_completion_edges(g: Graph, a_order) -> set[tuple[int, int]]:
+def completion_levels(g: Graph, a_order, saturated=()) -> dict[int, int]:
+    """s(v) for every B-vertex v of the guided completion: the position of
+    v's last neighbour in a_order (0 for none), len(a_order) if saturated."""
+    a_order = list(a_order)
+    return {v: len(a_order) if v in saturated else
+            max((i for i, u in enumerate(a_order, start=1) if g.has_edge(u, v)), default=0)
+            for v in range(g.n) if v not in a_order}
+
+
+@st.composite
+def guided_completion_args(draw, g: Graph):
+    """A strategy: an ordered independent set of g and a list of distinct
+    other vertices, the a_order and saturated of a guided completion."""
+    a_order = []
+    for v in draw(st.permutations(range(g.n))):
+        if draw(st.booleans()) and not g.adj[v].intersection(a_order):
+            a_order.append(v)
+    rest = [v for v in range(g.n) if v not in a_order]
+    saturated = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    return a_order, saturated
+
+
+def naive_completion_edges(g: Graph, a_order, saturated=()) -> set[tuple[int, int]]:
     """Direct edge formula for the guided threshold supergraph."""
     a_order = list(a_order)
-    b_side = [v for v in range(g.n) if v not in set(a_order)]
-    edges = {(min(u, v), max(u, v)) for u, v in combinations(b_side, 2)}
-    for v in b_side:
-        s = 0
-        for i, u in enumerate(a_order, start=1):
-            if g.has_edge(u, v):
-                s = i
+    levels = completion_levels(g, a_order, saturated)
+    edges = {(min(u, v), max(u, v)) for u, v in combinations(levels, 2)}
+    for v, s in levels.items():
         for u in a_order[:s]:
             edges.add((min(u, v), max(u, v)))
     return edges
+
+
+def sorting_completion_creation(g: Graph, a_order, saturated=()) -> tuple[tuple[int, str], ...]:
+    """The creation sequence the guided completion promises: the B-vertices
+    of level 0 ascending, then each u_j, isolated, followed by the
+    B-vertices of level j ascending."""
+    a_order = list(a_order)
+    levels = completion_levels(g, a_order, saturated)
+    pairs = [(v, DOMINATING) for v in sorted(levels) if levels[v] == 0]
+    for j, u in enumerate(a_order, start=1):
+        pairs.append((u, ISOLATED))
+        pairs += [(v, DOMINATING) for v in sorted(levels) if levels[v] == j]
+    return tuple(pairs)
 
 
 def threshold_struct_ok(t) -> bool:
@@ -361,18 +392,6 @@ def pair_walk_isolated_prefixes(creation) -> list[tuple[int, int]]:
             prefixes.append((v, placed))
         placed |= 1 << v
     return prefixes
-
-
-def pair_walk_degrees(creation) -> tuple[int, ...]:
-    n = len(creation)
-    deg = [0] * n
-    later_dominating = 0
-    for i in range(n - 1, -1, -1):
-        v, t = creation[i]
-        deg[v] = later_dominating + (i if t == DOMINATING else 0)
-        if t == DOMINATING:
-            later_dominating += 1
-    return tuple(deg)
 
 
 def pair_walk_format(creation) -> str:
@@ -716,6 +735,27 @@ def unmet_requirements(perms, requirements) -> list[tuple[tuple[int, ...], int]]
     return [(subset, x) for subset, x in requirements
             if not any(all(list(p).index(y) < list(p).index(x) for y in subset if y != x)
                        for p in perms)]
+
+
+def plain_greedy_subcover(g: Graph, factors) -> list:
+    """The greedy subcover of factors that each contain g, by pair sets:
+    among the distinct factors (equal ones are one), take the one that
+    excludes the most non-edges of g still uncovered, the first placed on
+    a tie, until none is left; the picks in input order, the first factor
+    when g has no non-edge, and all of `factors` when they keep a non-edge."""
+    distinct = list(dict.fromkeys(factors))
+    excluded = [{p for p in combinations(range(g.n), 2) if not t.graph.has_edge(*p)}
+                for t in distinct]
+    uncovered = {p for p in combinations(range(g.n), 2) if not g.has_edge(*p)}
+    picks = []
+    while uncovered:
+        best = max(range(len(distinct)), key=lambda i: (len(excluded[i] & uncovered), -i),
+                   default=None)
+        if best is None or not excluded[best] & uncovered:
+            return list(factors)
+        picks.append(best)
+        uncovered -= excluded[best]
+    return [distinct[i] for i in sorted(picks)] or distinct[:1]
 
 
 def walk_conflict_blocks(base: Graph, a_part: Sequence[int], b_part: Sequence[int],

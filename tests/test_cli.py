@@ -165,6 +165,10 @@ def test_decompose_maxdeg_diagnostics(tmp_path):
     text = diag.read_text()
     assert "maxdeg delta=2" in text
     assert "suitable family" in text and "partition sizes" in text
+    counts = re.search(r"^factors: built=(\d+) distinct=(\d+) pruned=(\d+)$", text, re.MULTILINE)
+    built, distinct, pruned = map(int, counts.groups())
+    assert built >= distinct >= pruned >= 1
+    assert (tmp_path / "d.txt").read_text().startswith(f"td-decomp maxdeg {pruned}\n")
 
 
 def test_decompose_deterministic_output(tmp_path):

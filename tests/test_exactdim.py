@@ -111,7 +111,7 @@ def test_maximal_covers_match_all_supergraph_search():
         assert exactdim._maximal_covers(g) == sorted(maximal, key=lambda c: (-c.bit_count(), c))
         assert exact_dimension(g) == len(factors)
         d = exact_decomposition(g)
-        assert [t.degrees() for t in d.factors] == [t.degrees() for t in factors]
+        assert [t.graph for t in d.factors] == [t.graph for t in factors]
 
 
 @settings(max_examples=200, deadline=None)

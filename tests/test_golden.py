@@ -24,7 +24,11 @@ hashes and the experiment table hash were re-recorded when the family search
 began to stop at the first coloring after which the intersection closes;
 each new degeneracy factor list was first checked to be a prefix, by whole
 colorings, of the old one, and the reports and the table changed only in
-their degeneracy factor counts and the ratios computed from them."""
+their degeneracy factor counts and the ratios computed from them. The
+maxdeg hashes were re-recorded when maxdeg began to keep the greedy
+subcover of its factors instead of one factor per degree vector; each new
+list was first checked to be the plain greedy, by pair sets, over the
+factors the old code built."""
 
 import hashlib
 
@@ -47,8 +51,8 @@ GOLDEN = {
     ("treewidth", 120, 360, 4): "b318cb0111ab579bdaf62da83a9b69c432839de7ff1739c7f5dfdfd4985c4542",
     ("treewidth", 400, 1200, 1): "b2dc0858414958c4025b17837450f6305e0bc2787530a582cbd20bfcf8ad6370",
     ("vertex-cover", 12, 20, 1): "61604f3b558f26a98a16e1fb2d1e16addcb13f6bf5e0c16c852144b4839ad2d9",
-    ("maxdeg", 40, 50, 4): "d86868e9c4bcd3e54e79108ddbf87131a13e43a136f679f99107e03548aaa621",
-    ("maxdeg", 40, 50, 5): "05183d3884fe6e8c1341678ad3af540fdd755330d70036c584e0cf1da2e4fb9f",
+    ("maxdeg", 40, 50, 4): "874433b1ba2771902477d42a6b95a1e9ee2e0884587d6993cea9c4e6c2b0ac2d",
+    ("maxdeg", 40, 50, 5): "4f2bdda8d5ff1185b22524a7bc435cd9a84de54c928d9f240eb485c29049bcda",
     ("exact", 8, 10, 1): "842c56136a46af5f5dabb1fcca77025fee349a08c364c405154e265f1e6cb6a7",
     ("exact", 8, 13, 2): "851fdd35091401e4dc8c4fae1a2493bdd932d573f2a658043fca3bba6b3f03d6",
 }
@@ -78,7 +82,7 @@ def test_maxdeg_on_k55_55_is_byte_identical():
     d = decompose_maxdeg(complete_bipartite(55, 55), seed=1)
     assert d.verified
     assert (hashlib.sha256(format_decomposition(d).encode()).hexdigest()
-            == "a248dca7246451266d8195d1deaebefbdf62dacfa6bc84ae17c604ff999a58e2")
+            == "343bf824a043bfb5c5c102ede0f3425f72f177892792c55b1398e947b422eaf7")
 
 
 REPORT_GOLDEN = {

@@ -11,11 +11,14 @@ from thdim import (Graph, RandomizedSearchError, ThresholdGraph,
                    format_decomposition, greedy_coloring, path_graph, petersen_graph,
                    recognize_threshold, star_graph, threshold_supergraph,
                    verify_decomposition)
+from thdim import threshold
 from thdim.graphs import edge_mask
-from thdim.maxdeg import _cell_requirements, _conflict_blocks, _hoods
+from thdim.maxdeg import _cell_requirements, _conflict_blocks, _hoods, _pruned
+from thdim.threshold import intersection_mismatch
 
 from helpers import (all_suitable_pairs, bounded_degree_graph, complete_bipartite,
-                     full_scan_uncovered_pairs, random_corpus, unmet_requirements,
+                     full_scan_uncovered_pairs, guided_completion_args, plain_greedy_subcover,
+                     random_corpus, small_graphs, unmet_requirements,
                      walk_cell_requirements, walk_conflict_blocks)
 
 
@@ -304,29 +307,15 @@ def test_bucketed_hoods_give_each_cell_what_its_slice_walk_gives(case):
 
 def test_maxdeg_k55_55():
     # d = 55 gives r = 3 and a ground of 166 blocks, where C(166, 4) subsets
-    # are far too many to check each; the cells need only a few of them
+    # are far too many to check each; the cells need only a few of them. The
+    # prune keeps two factors, the dimension of K_{55,55}
     g = complete_bipartite(55, 55)
     d = decompose_maxdeg(g, seed=1)
-    assert d.verified and d.size == 12
+    assert d.verified and d.size == 2
     assert verify_decomposition(g, d).ok
 
 
-def test_maxdeg_verifies_only_the_union(monkeypatch):
-    import thdim.decompose
-    calls = []
-    original = thdim.decompose.verify_decomposition
-
-    def counting(g, d):
-        calls.append(g.n)
-        return original(g, d)
-
-    monkeypatch.setattr(thdim.decompose, "verify_decomposition", counting)
-    g = bounded_degree_graph(30, 40, 6, seed=2)
-    assert decompose_maxdeg(g, seed=0).verified
-    assert calls == [g.n]
-
-
-def test_maxdeg_keeps_the_first_factor_of_each_degree_vector(monkeypatch):
+def _recording_completions(monkeypatch) -> list[ThresholdGraph]:
     import thdim.maxdeg
     built = []
     original = thdim.maxdeg.threshold_supergraph
@@ -336,13 +325,108 @@ def test_maxdeg_keeps_the_first_factor_of_each_degree_vector(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(thdim.maxdeg, "threshold_supergraph", recording)
-    d = decompose_maxdeg(bounded_degree_graph(40, 50, 6, seed=1), seed=1)
-    first = {}
-    for f in built:
-        first.setdefault(f.degrees(), f)
-    assert list(d.factors) == list(first.values())
-    # two creation sequences give one degree vector, so the copy kept shows
-    assert len(set(built)) > len(first)
+    return built
+
+
+def test_maxdeg_walks_each_distinct_factor_once(monkeypatch):
+    # the prune's check is the only verification: each distinct factor
+    # built is walked once, the ones it keeps included
+    built = _recording_completions(monkeypatch)
+    walked = []
+
+    def counting(t):
+        walked.append(t)
+        return original(t)
+
+    original = threshold._isolated_prefixes
+    monkeypatch.setattr(threshold, "_isolated_prefixes", counting)
+    g = bounded_degree_graph(30, 40, 6, seed=2)
+    d = decompose_maxdeg(g, seed=0)
+    assert d.verified_for == g
+    assert len(walked) == len(set(walked)) == len(set(built))
+    assert {id(t) for t in walked} == {id(t) for t in dict.fromkeys(built)}
+    assert {id(f) for f in d.factors} <= {id(t) for t in walked}
+
+
+def test_maxdeg_factors_are_the_plain_greedy_over_the_factors_built(monkeypatch):
+    built = _recording_completions(monkeypatch)
+    g = bounded_degree_graph(40, 50, 6, seed=1)
+    d = decompose_maxdeg(g, seed=1)
+    assert list(d.factors) == plain_greedy_subcover(g, built)
+    assert d.size < len(set(built))
+
+
+# ---------------------------------------------------------------------------
+# the greedy subcover prune
+
+@st.composite
+def factor_lists(draw):
+    """A graph and a list of its guided completions, some repeated and, at
+    the draw's choice, with every single-vertex completion among them, so
+    that the list covers every non-edge."""
+    g = draw(small_graphs(8))
+    factors = []
+    for _ in range(draw(st.integers(1, 6))):
+        a_order, saturated = draw(guided_completion_args(g))
+        factors.append(threshold_supergraph(g, a_order, saturated=saturated))
+    if draw(st.booleans()):
+        factors += [threshold_supergraph(g, [v]) for v in range(g.n)]
+    factors += draw(st.lists(st.sampled_from(factors), max_size=3))
+    return g, draw(st.permutations(factors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_lists())
+def test_prune_is_the_plain_greedy_and_verifies(case):
+    g, factors = case
+    check = threshold._Intersection(g)
+    kept = check.prune(factors)
+    assert kept == plain_greedy_subcover(g, factors)
+    assert check.factors == kept
+    again = threshold._Intersection(g)
+    assert again.prune(factors) == kept  # deterministic
+    full = intersection_mismatch(g, factors)
+    assert check.mismatch() == full
+    if full is None:
+        distinct = list(dict.fromkeys(factors))
+        assert len(kept) <= len(distinct)
+        positions = [distinct.index(f) for f in kept]
+        assert positions == sorted(set(positions))  # a subsequence of the distinct inputs
+        assert intersection_mismatch(g, kept) is None
+    else:
+        assert kept == list(factors)  # nothing pruned
+
+
+def test_prune_refuses_a_factor_that_drops_an_edge_the_greedy_skips():
+    g = path_graph(4)
+    cover = [threshold_supergraph(g, [v]) for v in range(4)]
+    # 1 enters isolated after 0 only: it drops the edge (0, 1) and
+    # excludes no non-edge, so its gain is 0
+    bad = ThresholdGraph([0, 1, 2, 3], [1])
+    factors = cover + [bad]
+    check = threshold._Intersection(g)
+    assert check.prune(factors) == factors
+    assert check.mismatch() == ((0, 1), 4) == intersection_mismatch(g, factors)
+    with pytest.raises(AssertionError, match="drops an edge"):
+        _pruned(g, factors, 5, None)
+
+
+def test_prune_keeps_every_factor_when_a_non_edge_survives():
+    g = path_graph(4)
+    factors = [threshold_supergraph(g, [0]), threshold_supergraph(g, [0, 2])]
+    check = threshold._Intersection(g)
+    assert check.prune(factors) == factors
+    assert check.mismatch() == ((1, 3), None) == intersection_mismatch(g, factors)
+    with pytest.raises(AssertionError, match="a non-edge survives every factor"):
+        _pruned(g, factors, 2, None)
+
+
+def test_prune_keeps_the_first_factor_of_a_complete_graph():
+    g = complete_graph(4)
+    factors = [threshold_supergraph(g, [v]) for v in (2, 0, 1)]
+    check = threshold._Intersection(g)
+    assert check.prune(factors) == factors[:1]
+    assert _pruned(g, factors, 3, None).factors == (factors[0],)
 
 
 def test_maxdeg_completes_each_ordering_once_per_cell(monkeypatch):
