@@ -79,15 +79,12 @@ class MajorityCircuit:
 def compile_circuit(g: Graph, d: Decomposition) -> MajorityCircuit:
     """One exact gate per factor, so the AND accepts the common cliques of the
     factors: the cliques of g, for a decomposition verified against g itself.
-    Any other decomposition is refused. A factor object listed again reuses
-    the gate certified for it the first time."""
+    Any other decomposition is refused. Equal factors share one gate,
+    certified once."""
     if d.verified_for != g:
         raise ValueError("refusing to compile a decomposition not verified for this graph")
-    gate_of: dict[int, LtfWitness] = {}  # id of each distinct factor object -> its gate
-    for f in d.factors:
-        if id(f) not in gate_of:
-            gate_of[id(f)] = extract_ltf(f)
-    return MajorityCircuit(arity=g.n, gates=tuple(gate_of[id(f)] for f in d.factors))
+    gate_of = {f: extract_ltf(f) for f in dict.fromkeys(d.factors)}
+    return MajorityCircuit(arity=g.n, gates=tuple(map(gate_of.__getitem__, d.factors)))
 
 
 def verify_circuit(f: GraphicFunction, c: MajorityCircuit) -> tuple[bool, tuple[int, ...] | None]:

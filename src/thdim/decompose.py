@@ -89,15 +89,13 @@ def _result(mismatch: tuple[tuple[int, int], int | None] | None) -> Verification
                               pair=pair, factor_index=idx)
 
 
-def _verified(g: Graph, factors: Sequence[ThresholdGraph], method: str, bound: int,
-              check: _Intersection | None = None) -> Decomposition | None:
-    """The decomposition of g by `factors`, marked verified for g, or None
-    if a non-edge of g survives every factor. The one place that sets
-    `verified_for`. Checks by one pass of `verify_decomposition`, or asks
-    `check`, a resumable check that `factors` were all added to. A factor
-    that drops an edge of g is a construction bug: AssertionError."""
-    d = Decomposition(factors=tuple(factors), method=method, bound_claimed=bound)
-    result = verify_decomposition(g, d) if check is None else _result(check.mismatch())
+def _verified(g: Graph, method: str, bound: int, check: _Intersection) -> Decomposition | None:
+    """The decomposition of g by the factors added to `check`, an
+    intersection check for g, marked verified for g, or None if a non-edge
+    of g survives every factor. The one place that sets `verified_for`. A
+    factor that drops an edge of g is a construction bug: AssertionError."""
+    d = Decomposition(factors=tuple(check.factors), method=method, bound_claimed=bound)
+    result = _result(check.mismatch())
     if result.factor_index is not None:
         raise AssertionError(f"{method} construction failed verification: {result}")
     if not result:
@@ -106,9 +104,8 @@ def _verified(g: Graph, factors: Sequence[ThresholdGraph], method: str, bound: i
     return d
 
 
-def _finish(g: Graph, factors: Sequence[ThresholdGraph], method: str,
-            bound: int, check: _Intersection | None = None) -> Decomposition:
-    d = _verified(g, factors, method, bound, check)
+def _finish(g: Graph, method: str, bound: int, check: _Intersection) -> Decomposition:
+    d = _verified(g, method, bound, check)
     if d is None:
         raise AssertionError(f"{method} construction failed verification: "
                              "a non-edge survives every factor")
@@ -143,7 +140,7 @@ def decompose_vertex_cover(g: Graph, cover: Iterable[int] | None = None) -> Deco
             raise ValueError(f"not a vertex cover: edge ({u},{v}) uncovered")
     if g.m == 0:
         factor = threshold_supergraph(g, list(range(g.n)))
-        return _finish(g, [factor], "vertex-cover", bound=1)
+        return _finish(g, "vertex-cover", 1, _Intersection(g, [factor]))
     if not cover:
         raise ValueError("a graph with edges needs a non-empty cover")
     rest = [v for v in range(g.n) if v not in cover_set]
@@ -152,7 +149,7 @@ def decompose_vertex_cover(g: Graph, cover: Iterable[int] | None = None) -> Deco
     ordered = ([v for v in rest if g.has_edge(last, v)]
                + [v for v in rest if not g.has_edge(last, v)])
     factors.append(threshold_supergraph(g, ordered))
-    return _finish(g, factors, "vertex-cover", bound=len(cover))
+    return _finish(g, "vertex-cover", len(cover), _Intersection(g, factors))
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +165,12 @@ class SeparatingColoringFamily:
     decomposition: Decomposition = field(compare=False, repr=False)
 
 
-def _class_completions(g: Graph, coloring: ProperColoring, pos: Sequence[int],
-                       memo: dict[tuple[int, ...], ThresholdGraph]) -> list[ThresholdGraph]:
+def _class_completions(g: Graph, coloring: ProperColoring,
+                       pos: Sequence[int]) -> list[ThresholdGraph]:
     """The completion of each non-empty color class, ordered by position,
-    with the class vertices as its isolated ones. A class already in `memo`
-    (keyed by the class in position order) gives the same object again:
-    most one-vertex classes recur across the colorings of a family."""
-    completions = []
-    for cls in coloring.color_classes():
-        if cls:
-            key = tuple(sorted(cls, key=pos.__getitem__))
-            if key not in memo:
-                memo[key] = threshold_supergraph(g, key)
-            completions.append(memo[key])
-    return completions
+    with the class vertices as its isolated ones."""
+    return [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
+            for cls in coloring.color_classes() if cls]
 
 
 def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: VertexOrdering,
@@ -209,15 +198,15 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
     completions intersect to g, as a separating family's always do.
 
     An attempt draws up to ceil(ln n) colorings from its seeded stream one
-    at a time, adds each one's class completions (built once per distinct
-    class of the attempt) to one resumable intersection check, and stops at
-    the first coloring after which `_verified` takes them as a
-    decomposition of g. Every prefix of a failed attempt fails too, so the
-    attempt accepted is the one a whole-family check accepts, cut to its
-    shortest accepted prefix. Resamples with an incremented seed up to
-    `retry_cap` times, then grows the last attempt one coloring at a time,
-    on the same check, up to 3x its target size before giving up with
-    statistics.
+    at a time, adds each one's class completions to one resumable
+    intersection check, which does not walk a completion equal to one it
+    holds already (most one-vertex classes recur), and stops at the first
+    coloring after which `_verified` takes them as a decomposition of g.
+    Every prefix of a failed attempt fails too, so the attempt accepted is
+    the one a whole-family check accepts, cut to its shortest accepted
+    prefix. Resamples with an incremented seed up to `retry_cap` times,
+    then grows the last attempt one coloring at a time, on the same check,
+    up to 3x its target size before giving up with statistics.
     """
     if g.n < 2:
         raise ValueError("separating colorings need at least 2 vertices")
@@ -230,20 +219,19 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
     pos = order.position()
     forward = [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
     family: list[ProperColoring] = []
-    memo: dict[tuple[int, ...], ThresholdGraph] = {}  # the completions of one attempt
     check = _Intersection(g)
 
     def extend(rng: random.Random, size: int) -> SeparatingColoringFamily | None:
         while len(family) < size:
             family.append(_sample_coloring(forward, k, order, rng))
-            check.add(_class_completions(g, family[-1], pos, memo))
-            if (d := _verified(g, check.factors, "degeneracy", bound, check)) is not None:
+            check.add(_class_completions(g, family[-1], pos))
+            if (d := _verified(g, "degeneracy", bound, check)) is not None:
                 return SeparatingColoringFamily(tuple(family), d)
         return None
 
     for attempt in range(retry_cap):
         if attempt:
-            family, memo, check = [], {}, _Intersection(g)
+            family, check = [], _Intersection(g)
         if found := extend(random.Random(split_seed(seed + attempt, "separating")), r):
             return found
     if found := extend(random.Random(split_seed(seed, "separating-grow")), 3 * r):
@@ -256,8 +244,9 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
 def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
     """One factor per (coloring, non-empty color class) of the shortest
     accepted prefix of a seeded draw of colorings: the class is the
-    independent side, ordered by the degeneracy ordering, and a class that
-    recurs in the family shares one completion object. At most
+    independent side, ordered by the degeneracy ordering. A class that
+    recurs in the family is listed once per coloring, as equal factors,
+    which the check walks and `compile_circuit` certifies once. At most
     10k*ceil(ln n) factors for a k-degenerate graph, verified once, by the
     family search that accepts them, each coloring's factors as it is
     drawn."""
@@ -323,7 +312,7 @@ def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
         factors.append(threshold_supergraph(g, cls))
         if len(cls) > 1:
             factors.append(threshold_supergraph(g, list(reversed(cls))))
-    return _finish(g, factors, "treewidth", bound=2 * (td.width + 1))
+    return _finish(g, "treewidth", 2 * (td.width + 1), _Intersection(g, factors))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .graphs import (CHROMATIC_LIMIT, INDEPENDENT_SET_LIMIT, ExactLimitError, Gr
                      max_independent_set, maximal_cliques, pair_index)
 from .decompose import (Decomposition, _finish, decompose_degeneracy, decompose_treewidth,
                         decompose_vertex_cover)
-from .threshold import ThresholdGraph, ForbiddenSubgraph, recognize_threshold
+from .threshold import ForbiddenSubgraph, ThresholdGraph, _Intersection, recognize_threshold
 from .treedecomp import heuristic_tree_decomposition
 
 EXACT_DIMENSION_LIMIT = 8
@@ -152,7 +152,7 @@ def exact_decomposition(g: Graph) -> Decomposition:
                for c in _exact_cover(g)]
     if not all(isinstance(t, ThresholdGraph) for t in factors):
         raise AssertionError("a maximal cover left a non-threshold factor")
-    return _finish(g, factors, "exact", len(factors))
+    return _finish(g, "exact", len(factors), _Intersection(g, factors))
 
 
 def _exact_cover(g: Graph) -> list[int]:

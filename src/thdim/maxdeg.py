@@ -176,7 +176,8 @@ def _pruned(g: Graph, factors: list[ThresholdGraph], budget: int,
     for g on the check that picked it. A repeated factor excludes no new
     pair, so it is never picked."""
     check = _Intersection(g)
-    d = _finish(g, check.prune(factors), "maxdeg", budget, check)
+    check.prune(factors)
+    d = _finish(g, "maxdeg", budget, check)
     if diagnostics is not None:
         diagnostics.append(f"factors: built={len(factors)} distinct={len(set(factors))} "
                            f"pruned={d.size}")

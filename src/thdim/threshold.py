@@ -12,9 +12,9 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from math import isqrt
-from operator import lt
+from operator import eq, lt
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import ExactLimitError, Graph, _bits, degeneracy_ordering
@@ -266,6 +266,8 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
     saturated = sorted(saturated)
     if saturated and (saturated[0] < 0 or saturated[-1] >= g.n):
         raise ValueError("saturated vertex out of range")
+    if any(map(eq, saturated, saturated[1:])):
+        raise ValueError("saturated lists a vertex twice")
     if not position.keys().isdisjoint(saturated):
         v = next(v for v in saturated if v in position)
         raise ValueError(f"saturated vertex {v} lies in a_order")
@@ -282,19 +284,11 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
     # order: B grouped by s(v) ascending, vertices ascending inside a
     # group, each u_j entering isolated right after the B-vertices it must
     # not see. The saturated vertices, sorted once, join the top group k
-    # whole. Group 0, the B-vertices that see none of A, is read off flags
-    # when nothing is saturated, as it is then usually most of the graph,
-    # and is what the saturated vertices leave of it otherwise.
+    # whole. Group 0, the B-vertices that see none of A, is what A, the
+    # levelled vertices and the saturated ones leave of V.
     top = saturated if k else []  # with no A to see, saturated is group 0
-    if top:
-        below = level.keys() - top
-        order = sorted(_vertex_set(g.n).difference(a_order, level, top))
-    else:
-        below = level
-        unseen = bytearray(b"\x01") * g.n
-        for v in chain(a_order, level):
-            unseen[v] = 0
-        order = list(compress(range(g.n), unseen))
+    below = level.keys() - top
+    order = sorted(_vertex_set(g.n).difference(a_order, level, top))
     runs: list[list[int]] = [[] for _ in range(k + 1)]
     for v in sorted(below):
         runs[level[v]].append(v)
@@ -304,8 +298,6 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
         cuts.append(len(order))
         order.append(u)
         order += run
-    if len(order) != g.n:  # every vertex is placed, so some saturated one twice
-        raise ValueError("saturated lists a vertex twice")
     return ThresholdGraph._unchecked(order, cuts)
 
 
@@ -314,16 +306,16 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
 
 class _Intersection:
     """The check of `intersection_mismatch` kept open: factors are added a
-    list at a time, and `mismatch` answers for every factor added so far,
-    as `intersection_mismatch` would on that whole list, a dropped edge
-    with its index in it.
+    list at a time, the first maybe on construction, and `mismatch`
+    answers for every factor added so far, as `intersection_mismatch`
+    would on that whole list, a dropped edge with its index in it.
 
     Walks only each distinct factor's isolated vertices, once
     (`_isolated_prefixes`): a factor drops an edge iff an isolated w has a
     g-neighbour in prefix(w), and it excludes the pairs {w} x prefix(w),
     recorded in `excluded[w]`: one AND and one OR per isolated vertex. A
-    repeat drops no edge its first occurrence did not drop and excludes no
-    new pair, so it is not walked again. Once an edge is dropped, the
+    factor equal to one already walked drops no edge and excludes no pair
+    that one did not, so it is not walked. Once an edge is dropped, the
     earliest factor that drops one is the answer for good, and no later
     factor is walked. `prune` adds a greedy subcover of a list instead.
 
@@ -338,25 +330,27 @@ class _Intersection:
 
     __slots__ = ("g", "factors", "adjacent", "excluded", "walked", "unswept", "dropped", "clear")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, factors: Sequence[ThresholdGraph] = ()):
         self.g = g
         self.factors: list[ThresholdGraph] = []  # every factor added, repeats included
         self.adjacent = g.adjacency_masks()
         self.excluded = [0] * g.n  # each pair some factor excludes is held at one end at least
-        self.walked: set[int] = set()  # the ids of the factors `excluded` holds
+        self.walked: set[ThresholdGraph] = set()  # the distinct factors `excluded` holds
         self.unswept: list[ThresholdGraph] = []  # walked, not yet swept backward
         self.dropped: tuple[tuple[int, int], int] | None = None
         self.clear = 0  # the rows before it hold no surviving non-edge
+        self.add(factors)
 
     def add(self, factors: Sequence[ThresholdGraph]) -> None:
         start = len(self.factors)
         self._check_sizes(factors, start)
         self.factors += factors
-        excluded = self.excluded
+        excluded, walked = self.excluded, self.walked
         for idx, f in enumerate(factors, start):
-            if self.dropped is not None or id(f) in self.walked:
+            seen = len(walked)
+            walked.add(f)  # one hash of f: a factor equal to one walked adds nothing
+            if self.dropped is not None or len(walked) == seen:
                 continue
-            self.walked.add(id(f))
             self.unswept.append(f)
             for w, prefix in self._walk(f, idx):
                 excluded[w] |= prefix
@@ -380,8 +374,9 @@ class _Intersection:
 
         Nothing is pruned when a factor drops an edge (the earliest that
         drops one is the answer) or when the whole list keeps a non-edge,
-        which `mismatch` then names. A g with no non-edge keeps the first
-        factor.
+        which `mismatch` then names: the greedy stops there with every
+        factor left unpicked at gain 0, so the picks exclude every pair the
+        whole list does. A g with no non-edge keeps the first factor.
         """
         self._check_sizes(factors, 0)
         first_at: dict[ThresholdGraph, int] = {}
@@ -415,15 +410,11 @@ class _Intersection:
             for w, prefix in walks[i]:
                 excluded[w] |= prefix
             self._sweep([distinct[i]])
-        if remaining:  # nothing is pruned: every factor's pairs, for the scan
-            for walk in walks:
-                for w, prefix in walk:
-                    excluded[w] |= prefix
-            self.unswept = distinct
+        if remaining:  # nothing is pruned
             self.factors = list(factors)
         else:
             self.factors = [distinct[i] for i in sorted(picks)] or distinct[:1]
-        self.walked = set(map(id, self.factors))
+        self.walked = set(self.factors)
         return self.factors
 
     def _check_sizes(self, factors: Sequence[ThresholdGraph], start: int) -> None:
@@ -501,9 +492,7 @@ def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]
     drops, with that factor's index; else the smallest non-edge of g that
     every factor keeps, with index None. One pass of `_Intersection`.
     """
-    check = _Intersection(g)
-    check.add(factors)
-    return check.mismatch()
+    return _Intersection(g, factors).mismatch()
 
 
 # ---------------------------------------------------------------------------

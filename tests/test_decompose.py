@@ -281,28 +281,33 @@ def test_family_is_the_shortest_accepted_prefix_of_its_draw():
 def factor_chunks(draw):
     """A graph on 2 to 14 vertices and factor lists for it, a chunk at a
     time, as the family search adds them: the class completions of a seeded
-    coloring, a class recurring across chunks one object; or the completion
-    of one independent set in ascending order, which holds each pair it
-    excludes at the later end only. Maybe a random threshold graph, which
-    may drop an edge, is inserted into one chunk."""
+    coloring, built afresh, so a class recurring across chunks is an equal
+    factor object; or the completion of one independent set in ascending
+    order, which holds each pair it excludes at the later end only. Maybe a
+    fresh copy of a factor of an earlier chunk is appended to a later one,
+    and maybe a random threshold graph, which may drop an edge, is inserted
+    into one chunk."""
     g = draw(small_graphs(14))
     assume(g.n >= 2)
     k, order = degeneracy_ordering(g)
     k = max(k, 1)
     pos, forward = order.position(), forward_neighbours(g, order)
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
-    memo = {}
     chunks = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
             coloring = _sample_coloring(forward, k, order, rng)
-            chunks.append(decompose._class_completions(g, coloring, pos, memo))
+            chunks.append(decompose._class_completions(g, coloring, pos))
         else:
             independent = []
             for v in draw(st.permutations(range(g.n))):
                 if not any(g.has_edge(u, v) for u in independent):
                     independent.append(v)
             chunks.append([threshold_supergraph(g, sorted(independent))])
+    if len(chunks) > 1 and draw(st.booleans()):
+        j = draw(st.integers(1, len(chunks) - 1))
+        f = draw(st.sampled_from([f for chunk in chunks[:j] for f in chunk]))
+        chunks[j].append(ThresholdGraph(list(f.order), list(f.cuts)))
     if draw(st.booleans()):
         cuts = sorted(draw(st.sets(st.integers(0, g.n - 1))))
         chunk = chunks[draw(st.integers(0, len(chunks) - 1))]
@@ -386,8 +391,9 @@ def test_degeneracy_factor_independent_part_is_color_class():
 def test_degeneracy_walks_each_factor_once(monkeypatch):
     # the family search's verification is the only one, and it resumes: the
     # check is asked after each of the two colorings of a family accepted at
-    # its first draw, yet each distinct factor's isolated prefixes are walked
-    # once, and a class that recurs across colorings is one factor object
+    # its first draw, yet the isolated prefixes of each distinct factor, by
+    # equality, are walked once: a class that recurs across colorings gives
+    # equal factors
     g = gen_gnm(30, 60, seed=3)
     k, order = degeneracy_ordering(g)
     first_draw = build_separating_colorings(g, k, order, seed=3, retry_cap=1).colorings
@@ -406,9 +412,9 @@ def test_degeneracy_walks_each_factor_once(monkeypatch):
     assert d.verified_for == g
     assert d.size == sum(1 for c in first_draw for cls in c.color_classes() if cls)
     distinct = {tuple(cls) for c in first_draw for cls in c.color_classes() if cls}
-    assert len({id(f) for f in d.factors}) == len(distinct) < d.size
+    assert len(set(d.factors)) == len(distinct) < d.size
     assert len(walked) == len(distinct)
-    assert {id(t) for t in walked} == {id(f) for f in d.factors}
+    assert set(walked) == set(d.factors)
 
 
 def test_degeneracy_bound_on_randoms():

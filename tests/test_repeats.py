@@ -1,8 +1,9 @@
 """Repeated factors and gates. The degeneracy method lists a color class
-that recurs across its colorings once per coloring, as one shared factor
-object, and each layer does its work once per distinct factor or gate: the
-intersection check walks it once, `compile` certifies it once, `verify`
-parses and checks it once. None of that may change an output or a verdict."""
+that recurs across its colorings once per coloring, as equal factors, and
+each layer does its work once per distinct factor or gate, telling repeats
+apart by equality, not by object: the intersection check walks it once,
+`compile` certifies it once, `verify` parses and checks it once. None of
+that may change an output or a verdict."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from thdim import (GraphicFunction, LtfWitness, MajorityCircuit, ThresholdGraph,
                    compile_circuit, decompose_degeneracy, decompose_vertex_cover,
                    format_circuit, format_decomposition, gen_gnm, parse_circuit,
                    threshold_supergraph, verify_circuit)
-from thdim import circuits
+from thdim import circuits, decompose, threshold
 from thdim.threshold import intersection_mismatch
 
 from helpers import (edge_mask_verify, fresh_degeneracy_text, maximal_cliques, small_graphs,
@@ -156,31 +157,55 @@ def test_degeneracy_text_matches_the_fresh_completions_oracle():
 
 
 def test_repeated_classes_share_one_completion():
+    # two factors are equal iff they complete the same class: a repeated
+    # class gives the same completion, by value, every time it is listed
     g = gen_gnm(16, 30, seed=3)  # its accepted prefix of colorings repeats a class
     d = decompose_degeneracy(g, seed=1)
-    by_value = {}
-    for f in d.factors:
-        assert by_value.setdefault(f, f) is f
-    assert len(by_value) < d.size
+    listed = [(f, f.split_a) for f in d.factors]
+    assert len(set(d.factors)) == len({a for _, a in listed}) < d.size
+    assert all((f == h) == (a == b) for f, a in listed for h, b in listed)
+
+
+def counting_calls(monkeypatch, module, name):
+    """The arguments of every call of `module.name` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def test_compile_certifies_each_distinct_factor_once(monkeypatch):
     g = gen_gnm(20, 40, seed=0)  # its accepted prefix of colorings repeats a class
     d = decompose_degeneracy(g, seed=2)
-    distinct = {id(f) for f in d.factors}
+    distinct = set(d.factors)
     assert len(distinct) < d.size
-    certified = []
-
-    def counting(t):
-        certified.append(id(t))
-        return original(t)
-
-    original = circuits.extract_ltf
-    monkeypatch.setattr(circuits, "extract_ltf", counting)
+    certified = counting_calls(monkeypatch, circuits, "extract_ltf")
     c = compile_circuit(g, d)
-    assert sorted(certified) == sorted(distinct)
+    assert len(certified) == len(distinct) and set(certified) == distinct
     assert c.gate_count == d.size
     gate_of = {}
-    for f, gate in zip(d.factors, c.gates):  # one gate object per factor object
-        assert gate_of.setdefault(id(f), gate) is gate
+    for f, gate in zip(d.factors, c.gates):  # one gate object per distinct factor
+        assert gate_of.setdefault(f, gate) is gate
+
+
+def test_equal_factor_objects_are_walked_and_certified_once(monkeypatch):
+    g = gen_gnm(12, 20, seed=4)
+    factors = list(decompose_vertex_cover(g).factors)
+    copy = ThresholdGraph(list(factors[0].order), list(factors[0].cuts))
+    assert copy == factors[0] and copy is not factors[0]
+    walked = counting_calls(monkeypatch, threshold, "_isolated_prefixes")
+    check = threshold._Intersection(g)
+    check.add([*factors, copy])
+    assert walked == factors
+    d = decompose._finish(g, "manual", len(factors) + 1, check)
+    assert d.factors == (*factors, copy)
+    certified = counting_calls(monkeypatch, circuits, "extract_ltf")
+    c = compile_circuit(g, d)
+    assert certified == factors
+    assert c.gates[0] is c.gates[-1]
 

@@ -155,6 +155,8 @@ def test_completion_contract_violations():
         threshold_supergraph(g, [0], saturated=[2, 4])
     with pytest.raises(ValueError, match="^saturated lists a vertex twice$"):
         threshold_supergraph(g, [0], saturated=[3, 2, 3])
+    with pytest.raises(ValueError, match="^saturated lists a vertex twice$"):
+        threshold_supergraph(g, [], saturated=[3, 3])  # with no A, saturated is group 0
 
 
 @settings(max_examples=300, deadline=None)
