@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .decompose import Decomposition
 from .graphs import Graph
-from .threshold import LtfWitness, _circuit_counterexample, _mask_to_vector, extract_ltf
+from .threshold import (LtfWitness, ThresholdGraph, _circuit_counterexample, _mask_to_vector,
+                        extract_ltf)
 
 _DECIMAL_BITS = 14_000  # about 4214 digits, below Python's 4300-digit limit
 Literal = tuple[int, bool]  # (variable, negated)
@@ -83,8 +84,14 @@ def compile_circuit(g: Graph, d: Decomposition) -> MajorityCircuit:
     certified once."""
     if d.verified_for != g:
         raise ValueError("refusing to compile a decomposition not verified for this graph")
-    gate_of = {f: extract_ltf(f) for f in dict.fromkeys(d.factors)}
-    return MajorityCircuit(arity=g.n, gates=tuple(map(gate_of.__getitem__, d.factors)))
+    gate_of: dict[ThresholdGraph, LtfWitness] = {}
+    gates = []
+    for f in d.factors:  # one lookup per listed factor
+        gate = gate_of.get(f)
+        if gate is None:
+            gate = gate_of[f] = extract_ltf(f)
+        gates.append(gate)
+    return MajorityCircuit(arity=g.n, gates=tuple(gates))
 
 
 def verify_circuit(f: GraphicFunction, c: MajorityCircuit) -> tuple[bool, tuple[int, ...] | None]:
@@ -116,7 +123,7 @@ def ltfs_to_graph(gates: Sequence[LtfWitness]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# circuit file format
+# circuit file format, written and read a line at a time
 
 def _number(x: int) -> str:
     """x in decimal, or as 0x... hex above _DECIMAL_BITS bits, where decimal
@@ -124,34 +131,54 @@ def _number(x: int) -> str:
     return str(x) if abs(x).bit_length() <= _DECIMAL_BITS else hex(x)
 
 
-def format_circuit(c: MajorityCircuit) -> str:
-    lines = [f"ltf-and {c.arity} {c.gate_count}"]
+def _parse_number(token: str) -> int:
+    return int(token, 16) if token.startswith(("0x", "-0x")) else int(token)
+
+
+def circuit_lines(c: MajorityCircuit) -> Iterator[str]:
+    """The lines of the circuit file, each with its newline: the header, then
+    one line per listed gate. Each distinct number of a line is converted
+    to text once: a gate's weights take one value per level."""
+    yield f"ltf-and {c.arity} {c.gate_count}\n"
     for gate in c.gates:
-        lines.append("gate " + " ".join(map(_number, (gate.bound, *gate.weights))))
-    return "\n".join(lines) + "\n"
+        numbers = (gate.bound, *gate.weights)
+        text = {x: _number(x) for x in set(numbers)}
+        yield "gate " + " ".join(map(text.__getitem__, numbers)) + "\n"
 
 
-def parse_circuit(text: str) -> MajorityCircuit:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
-             if ln and not ln.startswith("#")]
-    if not lines:
+def format_circuit(c: MajorityCircuit) -> str:
+    return "".join(circuit_lines(c))
+
+
+def parse_circuit(lines: str | Iterable[str]) -> MajorityCircuit:
+    """Read a circuit from its text or from its lines, such as an open file,
+    one line at a time. Each distinct token of a gate line is parsed once,
+    and equal gates share one `LtfWitness`."""
+    if isinstance(lines, str):
+        lines = lines.splitlines()
+    content = (ln for ln in map(str.strip, lines) if ln and not ln.startswith("#"))
+    header = next(content, None)
+    if header is None:
         raise ValueError("empty circuit file")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 3 or head[0] != "ltf-and":
-        raise ValueError(f"expected 'ltf-and <arity> <gates>', got {lines[0]!r}")
+        raise ValueError(f"expected 'ltf-and <arity> <gates>', got {header!r}")
     arity, count = int(head[1]), int(head[2])
     if arity < 0 or count < 0:
-        raise ValueError(f"negative arity or gate count in {lines[0]!r}")
-    body = lines[1:]
-    if len(body) != count:
-        raise ValueError(f"header promised {count} gates, found {len(body)}")
-    gate_of: dict[str, LtfWitness] = {}  # each distinct gate line is parsed once
-    for ln in body:
-        if ln in gate_of:
-            continue
+        raise ValueError(f"negative arity or gate count in {header!r}")
+    shared: dict[LtfWitness, LtfWitness] = {}
+    gates = []
+    for ln in content:
+        if len(gates) == count:  # count the rest without parsing it
+            found = count + 1 + sum(1 for _ in content)
+            raise ValueError(f"header promised {count} gates, found {found}")
         tokens = ln.split()
         if tokens[0] != "gate" or len(tokens) != arity + 2:
-            raise ValueError(f"bad gate line {ln!r}")
-        numbers = [int(x, 16) if x.startswith(("0x", "-0x")) else int(x) for x in tokens[1:]]
-        gate_of[ln] = LtfWitness(weights=tuple(numbers[1:]), bound=numbers[0])
-    return MajorityCircuit(arity=arity, gates=tuple(map(gate_of.__getitem__, body)))
+            raise ValueError(f"bad gate line {ln[:80]!r}")
+        value = {tok: _parse_number(tok) for tok in set(tokens[1:])}
+        numbers = list(map(value.__getitem__, tokens[1:]))
+        gate = LtfWitness(weights=tuple(numbers[1:]), bound=numbers[0])
+        gates.append(shared.setdefault(gate, gate))
+    if len(gates) != count:
+        raise ValueError(f"header promised {count} gates, found {len(gates)}")
+    return MajorityCircuit(arity=arity, gates=tuple(gates))

@@ -12,10 +12,11 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
-from .circuits import (GraphicFunction, compile_circuit, format_circuit,
-                       parse_circuit, verify_circuit)
+from .circuits import (GraphicFunction, circuit_lines, compile_circuit, parse_circuit,
+                       verify_circuit)
 from .decompose import (Decomposition, RandomizedSearchError, decompose_degeneracy,
                         decompose_treewidth, decompose_vertex_cover,
                         format_decomposition)
@@ -37,11 +38,13 @@ def _read_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_text())
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write the lines, in order, to the file `out` or to stdout."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def cmd_recognize(args) -> int:
@@ -80,7 +83,7 @@ def _run_method(g: Graph, args) -> Decomposition:
 def cmd_decompose(args) -> int:
     g = _read_graph(args.path)
     d = _run_method(g, args)
-    _emit(format_decomposition(d), args.out)
+    _emit([format_decomposition(d)], args.out)
     print(f"method={d.method} factors={d.size} bound={d.bound_claimed} verified=true",
           file=sys.stderr)
     return EXIT_OK
@@ -99,14 +102,15 @@ def cmd_compile(args) -> int:
     g = _read_graph(args.path)
     d = _run_method(g, args)
     circuit = compile_circuit(g, d)
-    _emit(format_circuit(circuit), args.out)
+    _emit(circuit_lines(circuit), args.out)
     print(f"gates={circuit.gate_count} verified=true", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     g = _read_graph(args.path)
-    circuit = parse_circuit(Path(args.circuit).read_text())
+    with open(args.circuit, encoding="utf-8") as lines:
+        circuit = parse_circuit(lines)
     if args.verify:
         print("note: --verify is ignored; verification is exact", file=sys.stderr)
     ok, counterexample = verify_circuit(GraphicFunction(g), circuit)
@@ -121,7 +125,7 @@ def cmd_verify(args) -> int:
 def cmd_experiment(args) -> int:
     spec = parse_experiment_spec(Path(args.spec).read_text())
     rows = run_experiment(spec, seed=args.seed)
-    _emit(render_table(rows), args.out)
+    _emit([render_table(rows)], args.out)
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations
+from itertools import combinations
 from math import isqrt
 from operator import eq, lt
 from typing import Iterable, Iterator, Sequence
@@ -517,29 +517,31 @@ class LtfWitness:
 
 
 def extract_ltf(t: ThresholdGraph) -> LtfWitness:
-    """Integer LTF weights for a threshold graph via base-(n+1) positional levels.
+    """Integer LTF weights for a threshold graph by levels.
 
-    Clique-side vertices weigh (n+1)^(k - s(v)), s(v) being the independent
-    vertices placed before v; the j-th independent vertex weighs
-    M - ((n+1)^(k-j+1) - 1) with bound M = 2(n+1)^(k+1) - 1, so that one
-    independent vertex fits together with exactly its clique neighbors.
-    Weights grow like (n+1)^O(k): arbitrary precision is required.
+    Level s holds the dominating vertices with s of the k isolated vertices
+    placed before them, and c_s is the total weight at levels >= s. A
+    vertex at level s < k weighs c_{s+1} + 1, more than all the dominating
+    vertices after it, and one at the top level weighs 0; the j-th isolated
+    vertex weighs T - c_j, so it fits with exactly the dominating vertices
+    placed after it, and the bound T = max(c_0, c_1 + c_2 + 1) keeps any
+    two isolated vertices apart. A level's vertices share one int object.
+    Weights can still double per level, so they need arbitrary precision.
     The witness is certified exactly before being returned.
     """
     order, cuts = t.order, t.cuts
     n, k = len(order), len(cuts)
-    base = n + 1
-    bound = 2 * base ** (k + 1) - 1
-    weights = [0] * n
-    level = base ** k  # (n+1)^(k - s) once s independent vertices are placed
-    start = 0
-    for c in chain(cuts, (n,)):
-        for v in order[start:c]:
+    weights = [0] * n  # the top level, after the last cut, weighs 0
+    above = [0] * (k + 3)  # above[s] = c_s; 0 from the top level k on
+    for s in range(k - 1, -1, -1):  # level s is order[start:cuts[s]]
+        start = cuts[s - 1] + 1 if s else 0
+        level = above[s + 1] + 1
+        for v in order[start:cuts[s]]:
             weights[v] = level
-        if c < n:
-            weights[order[c]] = bound - (level - 1)
-            level //= base
-        start = c + 1
+        above[s] = above[s + 1] + (cuts[s] - start) * level
+    bound = max(above[0], above[1] + above[2] + 1)
+    for s, c in enumerate(cuts):
+        weights[order[c]] = bound - above[s + 1]
     witness = LtfWitness(weights=tuple(weights), bound=bound)
     bad = _ltf_counterexample(t, witness)
     if bad is not None:

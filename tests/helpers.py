@@ -15,13 +15,13 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, ProperColoring, ThresholdGraph,
-                   TreeDecomposition, TreeDecompositionError, complete_graph, cycle_graph,
-                   disjoint_cliques, empty_graph, format_threshold, gen_gnm, path_graph,
-                   petersen_graph, star_graph, threshold_supergraph,
+from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, LtfWitness, ProperColoring,
+                   ThresholdGraph, TreeDecomposition, TreeDecompositionError, complete_graph,
+                   cycle_graph, disjoint_cliques, empty_graph, format_circuit, format_threshold,
+                   gen_gnm, path_graph, petersen_graph, star_graph, threshold_supergraph,
                    validate_tree_decomposition)
 from thdim import treedecomp
-from thdim.circuits import Clause
+from thdim.circuits import Clause, MajorityCircuit
 from thdim.decompose import _sample_coloring
 from thdim.exactdim import _maximal, _min_cover
 from thdim.graphs import (VertexOrdering, complete_mask, degeneracy_ordering, edge_mask,
@@ -400,7 +400,32 @@ def pair_walk_format(creation) -> str:
 
 
 def pair_walk_ltf(creation) -> tuple[tuple[int, ...], int]:
-    """The base-(n+1) weights and bound of `extract_ltf`."""
+    """The level weights and bound of `extract_ltf`, walking back from the
+    last vertex. A dominating vertex with no isolated vertex after it
+    weighs 0, any other one more than the dominating vertices after the
+    next isolated vertex together. The bound T is the larger of the total
+    dominating weight and one more than what the first two isolated
+    vertices each have after them, summed; an isolated vertex weighs T
+    minus the dominating weight after it."""
+    weights = [0] * len(creation)
+    after = {}  # isolated vertex -> weight of the dominating vertices after it
+    total = next_after = 0  # the same for here and for the next isolated vertex
+    for v, tag in reversed(creation):
+        if tag == ISOLATED:
+            after[v] = next_after = total
+        elif after:
+            weights[v] = next_after + 1
+            total += next_after + 1
+    first_two = [after[v] for v, tag in creation if tag == ISOLATED][:2] + [0, 0]
+    bound = max(total, first_two[0] + first_two[1] + 1)
+    for v, rest in after.items():
+        weights[v] = bound - rest
+    return tuple(weights), bound
+
+
+def pair_walk_base_ltf(creation) -> tuple[tuple[int, ...], int]:
+    """The base-(n+1) weights and bound `extract_ltf` gave before level
+    weights: a dominating vertex after s isolated ones weighs (n+1)^(k-s)."""
     n = len(creation)
     k = sum(1 for _, tag in creation if tag == ISOLATED)
     base = n + 1
@@ -414,6 +439,15 @@ def pair_walk_ltf(creation) -> tuple[tuple[int, ...], int]:
         else:
             weights[v] = level
     return tuple(weights), bound
+
+
+def empty_graph_base_circuit(n: int) -> str:
+    """The circuit file, made by `format_circuit`, of the base-(n+1) gate of
+    the all-isolated factor on n vertices: the vertex-cover gate of the
+    empty graph before level weights. From n = 1400 on its numbers pass
+    14 000 bits, so the file holds them in hex."""
+    weights, bound = pair_walk_base_ltf([(v, ISOLATED) for v in range(n)])
+    return format_circuit(MajorityCircuit(n, (LtfWitness(weights, bound),)))
 
 
 def pair_walk_ltf_counterexample(creation, witness) -> frozenset[int] | None:

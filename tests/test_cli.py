@@ -14,6 +14,8 @@ from thdim import (Graph, GraphicFunction, complete_graph, cycle_graph, disjoint
                    star_graph, verify_circuit, verify_decomposition, write_edge_list)
 from thdim.cli import build_parser, main
 
+from helpers import empty_graph_base_circuit
+
 
 def write_graph(tmp_path, name, g):
     p = tmp_path / name
@@ -228,16 +230,21 @@ def test_compile_writes_the_certified_circuit_without_walking_it(tmp_path, monke
 
 
 def test_compile_and_verify_weights_past_the_decimal_digit_limit(tmp_path, capsys):
-    # the one vertex-cover gate of the empty graph on 1500 vertices has
-    # base-1501 weights of about 4760 digits, which the file holds in hex
+    # the one vertex-cover gate of the empty graph on 1500 vertices has level
+    # weights, all 1 with bound 1; its base-1501 gate, of about 4760 digits
+    # per number, is written in hex and read back by verify
     path = tmp_path / "e1500.gr"
     path.write_text("p 1500 0\n")
     circ = tmp_path / "c.txt"
     assert main(["compile", str(path), "--method", "vc", "--out", str(circ)]) == 0
-    assert " 0x" in circ.read_text()
+    assert circ.read_text() == "ltf-and 1500 1\ngate 1" + " 1" * 1500 + "\n"
+    base = tmp_path / "base.txt"
+    base.write_text(empty_graph_base_circuit(1500))
+    assert " 0x" in base.read_text()
     capsys.readouterr()
-    assert main(["verify", str(path), str(circ)]) == 0
-    assert capsys.readouterr().out == "equal verify-mode=exact\n"
+    for circuit in (circ, base):
+        assert main(["verify", str(path), str(circuit)]) == 0
+        assert capsys.readouterr().out == "equal verify-mode=exact\n"
 
 
 def test_verify_corrupted_circuit(tmp_path, capsys):
@@ -253,6 +260,27 @@ def test_verify_corrupted_circuit(tmp_path, capsys):
     circ.write_text("\n".join(lines) + "\n")
     assert main(["verify", path, str(circ)]) == 1
     assert "counterexample" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("data", [
+    b"",                                                             # empty
+    b"# only a comment\n",                                           # empty
+    b"ltf 4 1\ngate 1 0 0 0 0\n",                                    # bad header
+    b"ltf-and 4 1\ngate 2 1 1 1 1\ngate 2 1 1 1 1\ngate 2 1 1 1 1\n",  # more gates
+    b"ltf-and 4 3\ngate 2 1 1 1 1\n",                                # fewer gates
+    b"ltf-and 4 1\ngate 2 1 x 1 1\n",                                # bad number
+    b"ltf-and 4 1\ngate 2 1 1 1\n",                                  # too few weights
+    b"ltf-and 4 2\ngate 2 1 1 1 1\n\xff\xfe 1 1 1 1\n",              # not UTF-8
+])
+def test_verify_refuses_bad_circuit_files(tmp_path, capsys, data):
+    # the file is read a line at a time: each fault, found before or after
+    # some gates are parsed, ends in exit 2 with one error line
+    path = write_graph(tmp_path, "p4.gr", path_graph(4))
+    circ = tmp_path / "c.txt"
+    circ.write_bytes(data)
+    assert main(["verify", path, str(circ)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [["recognize"], ["decompose"], ["report"], ["compile"],

@@ -28,14 +28,20 @@ their degeneracy factor counts and the ratios computed from them. The
 maxdeg hashes were re-recorded when maxdeg began to keep the greedy
 subcover of its factors instead of one factor per degree vector; each new
 list was first checked to be the plain greedy, by pair sets, over the
-factors the old code built."""
+factors the old code built. The circuit hashes (sha256 of format_circuit for
+seeded compiles) were recorded when gates took level weights, after each
+gate was checked to equal the level weights that helpers.pair_walk_ltf
+computes from its factor's creation sequence and each circuit to verify
+equal and to read back unchanged."""
 
 import hashlib
+import math
 
 import pytest
 
-from thdim import (Graph, compute_report, decompose_degeneracy, decompose_maxdeg, decompose_treewidth,
-                   decompose_vertex_cover, exact_decomposition, format_decomposition, gen_gnm,
+from thdim import (Graph, compile_circuit, compute_report, decompose_degeneracy, decompose_maxdeg,
+                   decompose_treewidth, decompose_vertex_cover, exact_decomposition,
+                   format_circuit, format_decomposition, gen_gnm, girth,
                    heuristic_tree_decomposition, render_table, run_experiment)
 
 from helpers import bounded_degree_graph, complement, complete_bipartite
@@ -83,6 +89,23 @@ def test_maxdeg_on_k55_55_is_byte_identical():
     assert d.verified
     assert (hashlib.sha256(format_decomposition(d).encode()).hexdigest()
             == "343bf824a043bfb5c5c102ede0f3425f72f177892792c55b1398e947b422eaf7")
+
+
+CIRCUIT_GOLDEN = {
+    ("degeneracy", 16, 24, 1): "d7fb9e7bb53a87a069510860fd721c48512b604fa6efa3afeb1e802353281bb7",
+    ("treewidth", 24, 18, 4): "7dab3c6ec0e76c0fefd5f075a951fecdc8fb07cd642d098661d3ac94f37c1f57",
+    ("vertex-cover", 12, 20, 1): "98596d59ca032f4b89a505856eff498c7c8e2436b3f3cff838cadc32e0913df2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CIRCUIT_GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_seeded_circuit_is_byte_identical(case):
+    method, n, m, seed = case
+    g = gen_gnm(n, m, seed=seed)
+    if method == "treewidth":
+        assert girth(g) == math.inf  # seed 4 draws a forest
+    text = format_circuit(compile_circuit(g, build(*case)))
+    assert hashlib.sha256(text.encode()).hexdigest() == CIRCUIT_GOLDEN[case]
 
 
 REPORT_GOLDEN = {

@@ -1,6 +1,7 @@
 """Property tests for factors held as creation sequences packed into
 order/cuts arrays: the packed passes agree with the pair walks in
-helpers.py, the isolated vertices' prefixes and the degree vector agree
+helpers.py, level LTF weights are never larger than base-(n+1) weights and
+accept exactly the factor's edges, the isolated vertices' prefixes and the degree vector agree
 with the materialized graph, degree vectors identify labeled threshold
 graphs, the prefix-based decomposition check agrees with the edge-mask
 oracle in helpers.py, `parse_threshold` agrees with the pair-based parser in
@@ -14,12 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thdim import (Decomposition, Graph, LtfWitness, ThresholdGraph, extract_ltf,
-                   format_threshold, parse_decomposition, parse_threshold, recognize_threshold,
-                   threshold_supergraph, verify_decomposition)
+                   format_threshold, ltfs_to_graph, parse_decomposition, parse_threshold,
+                   recognize_threshold, threshold_supergraph, verify_decomposition)
 from thdim.threshold import DOMINATING, ISOLATED, _isolated_prefixes, _ltf_counterexample
 
 from helpers import (creation, edge_mask_verify, from_creation, pair_parse_threshold,
-                     pair_walk_format, pair_walk_graph,
+                     pair_walk_base_ltf, pair_walk_format, pair_walk_graph,
                      pair_walk_isolated_prefixes, pair_walk_ltf, pair_walk_ltf_counterexample)
 
 
@@ -107,6 +108,25 @@ def test_isolated_prefixes_of_a_first_cut_past_half(n, first_cut):
     _agrees_with_pair_walks(list(zip(order, tags)))
     # a first cut at position 0 leaves the mask unbuilt for the second one
     _agrees_with_pair_walks(list(zip(order, [ISOLATED] + tags[1:])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(creations(max_n=30))
+@example(())
+@example(((0, ISOLATED),))
+@example(((0, DOMINATING),))
+@example(tuple((v, DOMINATING) for v in (3, 0, 5, 1, 4, 2)))  # k = 0
+@example(tuple((v, ISOLATED) for v in (3, 0, 5, 1, 4, 2)))    # all isolated
+@example(tuple(zip(range(12), [ISOLATED, DOMINATING] * 6)))  # levels alternate
+def test_level_weights_are_at_most_base_weights_and_give_the_factor(pairs):
+    # the bound and the fan-in sum(w) of the level gate never exceed those of
+    # the base-(n+1) gate, and its accepted pairs are exactly the factor's edges
+    t = from_creation(pairs)
+    witness = extract_ltf(t)
+    base_weights, base_bound = pair_walk_base_ltf(pairs)
+    assert witness.bound <= base_bound
+    assert sum(witness.weights) <= sum(base_weights)
+    assert ltfs_to_graph([witness]) == t.graph
 
 
 @settings(max_examples=500, deadline=None)
