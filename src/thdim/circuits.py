@@ -152,8 +152,7 @@ def format_circuit(c: MajorityCircuit) -> str:
 
 def parse_circuit(lines: str | Iterable[str]) -> MajorityCircuit:
     """Read a circuit from its text or from its lines, such as an open file,
-    one line at a time. Each distinct token of a gate line is parsed once,
-    and equal gates share one `LtfWitness`."""
+    one line at a time. Each distinct token of a gate line is parsed once."""
     if isinstance(lines, str):
         lines = lines.splitlines()
     content = (ln for ln in map(str.strip, lines) if ln and not ln.startswith("#"))
@@ -166,7 +165,6 @@ def parse_circuit(lines: str | Iterable[str]) -> MajorityCircuit:
     arity, count = int(head[1]), int(head[2])
     if arity < 0 or count < 0:
         raise ValueError(f"negative arity or gate count in {header!r}")
-    shared: dict[LtfWitness, LtfWitness] = {}
     gates = []
     for ln in content:
         if len(gates) == count:  # count the rest without parsing it
@@ -177,8 +175,7 @@ def parse_circuit(lines: str | Iterable[str]) -> MajorityCircuit:
             raise ValueError(f"bad gate line {ln[:80]!r}")
         value = {tok: _parse_number(tok) for tok in set(tokens[1:])}
         numbers = list(map(value.__getitem__, tokens[1:]))
-        gate = LtfWitness(weights=tuple(numbers[1:]), bound=numbers[0])
-        gates.append(shared.setdefault(gate, gate))
+        gates.append(LtfWitness(weights=tuple(numbers[1:]), bound=numbers[0]))
     if len(gates) != count:
         raise ValueError(f"header promised {count} gates, found {len(gates)}")
     return MajorityCircuit(arity=arity, gates=tuple(gates))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .decompose import Decomposition, RandomizedSearchError, _finish
@@ -189,9 +189,10 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
     """Threshold factors of G*[A, V - A] and their claimed count bound,
     unverified, repeats included.
 
-    One all-of-B-universal factor resolves every non-edge inside A; building
-    it checks that A lies in range and is independent, before anything else
-    reads A's neighbourhoods. For the rest, B is sliced by which random
+    One all-of-A-isolated factor, the completion of g along A ascending,
+    resolves every non-edge inside A; building it checks that A lies in
+    range and is independent, before anything else reads A's
+    neighbourhoods. For the rest, B is sliced by which random
     coloring of A first spreads each vertex's neighborhood thinly (at most r
     per color), each (coloring, color) cell gets a conflict-free ordering of
     its A-part from a permutation family over the conflict color classes
@@ -201,7 +202,11 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
     (`_cell_requirements`). A completion depends on a permutation only
     through the order of the non-empty blocks, so each distinct ordering of
     a cell is completed once, in the order the permutations first give it;
-    a cell with one non-empty block has one such order.
+    a cell with one non-empty block has one such order. Each ordering is
+    completed from g alone: its clique side, V minus the ordering, holds B,
+    so the factor contains G*[A, B]; each B-vertex of the cell's slice gets
+    the level the cell's requirements assume, and every other vertex sees
+    the ordering up to its last neighbour in it (none of it without one).
 
     A cell's blocks and requirements depend on its slice only through the
     hoods: the A-neighbours in the cell of each B-vertex of the slice that
@@ -214,7 +219,7 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
     """
     a_side = sorted(a_side)
     b_side = sorted(set(range(g.n)).difference(a_side))
-    factors = [threshold_supergraph(g, a_side, saturated=b_side)]
+    factors = [threshold_supergraph(g, a_side)]
     budget = 1
     # A is independent, so every neighbour of a vertex of A lies in B
     a_neighbours = Counter(chain.from_iterable(g.adj[a] for a in a_side))  # per B-vertex
@@ -237,7 +242,7 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
         for v in b_side:
             slices[first[v]].append(v)
 
-        cells: list[tuple[list[list[int]], list[int]]] = []  # (blocks, outside)
+        cells: list[list[list[int]]] = []  # the blocks of each cell
         requirements: set[tuple[tuple[int, ...], int]] = set()
         for j, c in enumerate(colorings):
             b_part = slices[j]
@@ -247,19 +252,10 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
             for a in a_side:
                 by_color.setdefault(c[a], []).append(a)
             hoods = _hoods(g, c, b_part)
-            off_slice = bytearray(b"\x01") * g.n
-            for v in b_part:
-                off_slice[v] = 0
             for color, a_part in sorted(by_color.items()):
-                # the cell keeps the base edges between a_part and b_part;
-                # every vertex outside both sees all of a_part
-                off_cell = off_slice.copy()
-                for a in a_part:
-                    off_cell[a] = 0
-                outside = list(compress(range(g.n), off_cell))
                 cell_hoods = hoods.get(color, [])
                 blocks = _conflict_blocks(a_part, cell_hoods, ground)
-                cells.append((blocks, outside))
+                cells.append(blocks)
                 requirements.update(_cell_requirements(blocks, cell_hoods))
 
         family = build_suitable_family(ground, r + 1, requirements,
@@ -272,7 +268,7 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
 
         # position of each block id in each permutation
         inverses = [{ci: i for i, ci in enumerate(perm)} for perm in family]
-        for blocks, outside in cells:
+        for blocks in cells:
             used = [ci for ci, block in enumerate(blocks) if block]
             projections = [tuple(used)] if len(used) == 1 else dict.fromkeys(
                 tuple(sorted(used, key=inverse.__getitem__)) for inverse in inverses)
@@ -280,7 +276,7 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
                 tuple(v for ci in proj for v in blocks[ci][::step])
                 for proj in projections for step in (1, -1))
             for ordering in orderings:
-                factors.append(threshold_supergraph(g, ordering, saturated=outside))
+                factors.append(threshold_supergraph(g, ordering))
     return factors, budget
 
 

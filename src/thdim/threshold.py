@@ -14,7 +14,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import isqrt
-from operator import eq, lt
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import ExactLimitError, Graph, _bits, degeneracy_ordering
@@ -246,15 +246,13 @@ def _forbidden_witness(g: Graph, remaining: set[int]) -> ForbiddenSubgraph:
 # ---------------------------------------------------------------------------
 # guided threshold supergraph
 
-def threshold_supergraph(g: Graph, a_order: Sequence[int],
-                         saturated: Iterable[int] = ()) -> ThresholdGraph:
+def threshold_supergraph(g: Graph, a_order: Sequence[int]) -> ThresholdGraph:
     """Complete g into a threshold supergraph guided by an ordered independent set.
 
     With A = a_order = (u_1, ..., u_k) independent in g and B the rest, the
     result makes B a clique and attaches each v in B to exactly the prefix
     u_1..u_{s(v)}, where s(v) is the position of v's last neighbor inside A
-    (0 when v has no neighbor in A). Vertices of B listed in `saturated`
-    see all of A, as if g joined them to it. The output always contains g.
+    (0 when v has no neighbor in A). The output always contains g.
     """
     a_order = tuple(a_order)
     k = len(a_order)
@@ -263,14 +261,6 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
         raise ValueError("a_order contains duplicates")
     if k and (min(a_order) < 0 or max(a_order) >= g.n):
         raise ValueError("a_order vertex out of range")
-    saturated = sorted(saturated)
-    if saturated and (saturated[0] < 0 or saturated[-1] >= g.n):
-        raise ValueError("saturated vertex out of range")
-    if any(map(eq, saturated, saturated[1:])):
-        raise ValueError("saturated lists a vertex twice")
-    if not position.keys().isdisjoint(saturated):
-        v = next(v for v in saturated if v in position)
-        raise ValueError(f"saturated vertex {v} lies in a_order")
     # s(v) by a sweep over A's neighborhoods: positions ascend, so the last
     # write is the largest; an edge inside A shows up at its earlier end
     level: dict[int, int] = {}  # s(v) for the B-vertices with s(v) > 0
@@ -283,16 +273,12 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int],
             level[v] = i
     # order: B grouped by s(v) ascending, vertices ascending inside a
     # group, each u_j entering isolated right after the B-vertices it must
-    # not see. The saturated vertices, sorted once, join the top group k
-    # whole. Group 0, the B-vertices that see none of A, is what A, the
-    # levelled vertices and the saturated ones leave of V.
-    top = saturated if k else []  # with no A to see, saturated is group 0
-    below = level.keys() - top
-    order = sorted(_vertex_set(g.n).difference(a_order, level, top))
+    # not see. Group 0, the B-vertices that see none of A, is what A and
+    # the levelled vertices leave of V.
+    order = sorted(_vertex_set(g.n).difference(a_order, level))
     runs: list[list[int]] = [[] for _ in range(k + 1)]
-    for v in sorted(below):
+    for v in sorted(level):
         runs[level[v]].append(v)
-    runs[k] = sorted(runs[k] + top)  # merges two ascending runs
     cuts = []
     for u, run in zip(a_order, runs[1:]):
         cuts.append(len(order))
@@ -662,7 +648,7 @@ def _circuit_counterexample(g: Graph, witnesses: Sequence[LtfWitness],
     """
     n = g.n
     witnesses = list(dict.fromkeys(witnesses))
-    if any(a < 0 for witness in witnesses for a in witness.weights):
+    if any(min(witness.weights, default=0) < 0 for witness in witnesses):
         if n > walk_limit:
             raise ExactLimitError(f"a gate has a negative weight: its circuit is only "
                                   f"checked up to {walk_limit} inputs, not {n}")

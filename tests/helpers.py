@@ -210,32 +210,29 @@ def is_proper_coloring(coloring: ProperColoring, g: Graph) -> bool:
     return all(coloring.colors[u] != coloring.colors[v] for u, v in g.edges())
 
 
-def completion_levels(g: Graph, a_order, saturated=()) -> dict[int, int]:
+def completion_levels(g: Graph, a_order) -> dict[int, int]:
     """s(v) for every B-vertex v of the guided completion: the position of
-    v's last neighbour in a_order (0 for none), len(a_order) if saturated."""
+    v's last neighbour in a_order (0 for none)."""
     a_order = list(a_order)
-    return {v: len(a_order) if v in saturated else
-            max((i for i, u in enumerate(a_order, start=1) if g.has_edge(u, v)), default=0)
+    return {v: max((i for i, u in enumerate(a_order, start=1) if g.has_edge(u, v)), default=0)
             for v in range(g.n) if v not in a_order}
 
 
 @st.composite
 def guided_completion_args(draw, g: Graph):
-    """A strategy: an ordered independent set of g and a list of distinct
-    other vertices, the a_order and saturated of a guided completion."""
+    """A strategy: an ordered independent set of g, the a_order of a guided
+    completion."""
     a_order = []
     for v in draw(st.permutations(range(g.n))):
         if draw(st.booleans()) and not g.adj[v].intersection(a_order):
             a_order.append(v)
-    rest = [v for v in range(g.n) if v not in a_order]
-    saturated = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
-    return a_order, saturated
+    return a_order
 
 
-def naive_completion_edges(g: Graph, a_order, saturated=()) -> set[tuple[int, int]]:
+def naive_completion_edges(g: Graph, a_order) -> set[tuple[int, int]]:
     """Direct edge formula for the guided threshold supergraph."""
     a_order = list(a_order)
-    levels = completion_levels(g, a_order, saturated)
+    levels = completion_levels(g, a_order)
     edges = {(min(u, v), max(u, v)) for u, v in combinations(levels, 2)}
     for v, s in levels.items():
         for u in a_order[:s]:
@@ -243,12 +240,12 @@ def naive_completion_edges(g: Graph, a_order, saturated=()) -> set[tuple[int, in
     return edges
 
 
-def sorting_completion_creation(g: Graph, a_order, saturated=()) -> tuple[tuple[int, str], ...]:
+def sorting_completion_creation(g: Graph, a_order) -> tuple[tuple[int, str], ...]:
     """The creation sequence the guided completion promises: the B-vertices
     of level 0 ascending, then each u_j, isolated, followed by the
     B-vertices of level j ascending."""
     a_order = list(a_order)
-    levels = completion_levels(g, a_order, saturated)
+    levels = completion_levels(g, a_order)
     pairs = [(v, DOMINATING) for v in sorted(levels) if levels[v] == 0]
     for j, u in enumerate(a_order, start=1):
         pairs.append((u, ISOLATED))

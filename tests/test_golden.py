@@ -28,7 +28,12 @@ their degeneracy factor counts and the ratios computed from them. The
 maxdeg hashes were re-recorded when maxdeg began to keep the greedy
 subcover of its factors instead of one factor per degree vector; each new
 list was first checked to be the plain greedy, by pair sets, over the
-factors the old code built. The circuit hashes (sha256 of format_circuit for
+factors the old code built. They were re-recorded again when each cell's
+orderings were completed from g alone instead of joining every vertex
+outside the cell to all of its A-part; each factor built was first checked
+to be a subgraph of the one built at the same index before, and the kept
+list to be the plain greedy, by pair sets, over the new factors built. The
+K_{55,55} hash did not move. The circuit hashes (sha256 of format_circuit for
 seeded compiles) were recorded when gates took level weights, after each
 gate was checked to equal the level weights that helpers.pair_walk_ltf
 computes from its factor's creation sequence and each circuit to verify
@@ -57,8 +62,8 @@ GOLDEN = {
     ("treewidth", 120, 360, 4): "b318cb0111ab579bdaf62da83a9b69c432839de7ff1739c7f5dfdfd4985c4542",
     ("treewidth", 400, 1200, 1): "b2dc0858414958c4025b17837450f6305e0bc2787530a582cbd20bfcf8ad6370",
     ("vertex-cover", 12, 20, 1): "61604f3b558f26a98a16e1fb2d1e16addcb13f6bf5e0c16c852144b4839ad2d9",
-    ("maxdeg", 40, 50, 4): "874433b1ba2771902477d42a6b95a1e9ee2e0884587d6993cea9c4e6c2b0ac2d",
-    ("maxdeg", 40, 50, 5): "4f2bdda8d5ff1185b22524a7bc435cd9a84de54c928d9f240eb485c29049bcda",
+    ("maxdeg", 40, 50, 4): "6fbb71f92b52bff1a7ea8abe592a702c9d755aa798518ea0b5125d96cdcd66e5",
+    ("maxdeg", 40, 50, 5): "2c50e7ac7d06ddb58ea562e15a132b2de3a26c92f3cfc9a5b1882987e0b183d3",
     ("exact", 8, 10, 1): "842c56136a46af5f5dabb1fcca77025fee349a08c364c405154e265f1e6cb6a7",
     ("exact", 8, 13, 2): "851fdd35091401e4dc8c4fae1a2493bdd932d573f2a658043fca3bba6b3f03d6",
 }

@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -207,19 +207,33 @@ def test_split_two_centers_four_leaves():
         assert isinstance(recognize_threshold(f.graph), ThresholdGraph)
 
 
-def test_split_universal_factor_alone_insufficient():
-    # the all-of-B-universal factor keeps every A-B pair, so any missing A-B
-    # edge must be resolved by some cell factor; drop them and verify fails
-    edges = [(a, b) for a in range(4) for b in (4, 5)]
-    g = Graph(6, edges[:-1])  # leaf 3 not adjacent to 5
+def test_split_a_isolated_factor_alone_insufficient(monkeypatch):
+    # the all-of-A-isolated factor attaches each B-vertex to A ascending up
+    # to its last neighbour, so it keeps a missing A-B edge below that
+    # neighbour, here (0, 5); some cell factor must resolve it
+    built = _recording_completions(monkeypatch)
+    g = Graph(6, [(a, b) for a in range(4) for b in (4, 5) if (a, b) != (0, 5)])
     d = decompose_split(g, range(4), seed=0)
-    universal_only = [f for f in d.factors
-                      if all(len(f.graph.adj[b]) == 5 for b in (4, 5))]
+    assert built[0] == threshold_supergraph(g, range(4))
+    assert built[0].split_a == (0, 1, 2, 3) and built[0].graph.has_edge(0, 5)
     from thdim import Decomposition
-    stripped = Decomposition(factors=tuple(universal_only) or (d.factors[0],),
-                             method="manual", bound_claimed=len(d.factors))
+    stripped = Decomposition(factors=(built[0],), method="manual", bound_claimed=1)
     assert not verify_decomposition(d.verified_for, stripped).ok
     assert verify_decomposition(d.verified_for, d).ok
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_factor_is_the_completion_of_g_along_its_a_side(seed):
+    # no vertex is joined to a cell's A-part beyond its own neighbours, so
+    # each kept factor is rebuilt from g and its isolated vertices alone
+    g = bounded_degree_graph(40, 50, 6, seed=seed)
+    _, order = degeneracy_ordering(g)
+    a_side = greedy_coloring(g, order).color_classes()[0]
+    decompositions = [decompose_maxdeg(g, seed=seed), decompose_split(g, a_side, seed=seed)]
+    for d in decompositions:
+        assert d.size > 1
+        for f in d.factors:
+            assert f == threshold_supergraph(g, f.split_a)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +381,7 @@ def factor_lists(draw):
     g = draw(small_graphs(8))
     factors = []
     for _ in range(draw(st.integers(1, 6))):
-        a_order, saturated = draw(guided_completion_args(g))
-        factors.append(threshold_supergraph(g, a_order, saturated=saturated))
+        factors.append(threshold_supergraph(g, draw(guided_completion_args(g))))
     if draw(st.booleans()):
         factors += [threshold_supergraph(g, [v]) for v in range(g.n)]
     factors += draw(st.lists(st.sampled_from(factors), max_size=3))
@@ -429,26 +442,45 @@ def test_prune_keeps_the_first_factor_of_a_complete_graph():
     assert _pruned(g, factors, 3, None).factors == (factors[0],)
 
 
+class _CellVertex(int):
+    """A vertex of a cell's A-part that remembers its cell."""
+
+
 def test_maxdeg_completes_each_ordering_once_per_cell(monkeypatch):
+    # cells of two colourings can give equal orderings, so an ordering does
+    # not name its cell: `_conflict_blocks`, called once per cell, hands out
+    # the cell's vertices tagged with the cell's index
     import thdim.maxdeg
+    cells = 0
     calls = []
-    original = thdim.maxdeg.threshold_supergraph
+    conflict_blocks = thdim.maxdeg._conflict_blocks
+    completion = thdim.maxdeg.threshold_supergraph
 
-    def counting(g, a_order, saturated=()):
-        saturated = tuple(saturated)
-        calls.append((tuple(a_order), saturated))
-        return original(g, a_order, saturated=saturated)
+    def tagging(a_part, hoods, palette):
+        nonlocal cells
+        blocks = conflict_blocks(a_part, hoods, palette)
+        tagged = [[_CellVertex(v) for v in block] for block in blocks]
+        for v in chain.from_iterable(tagged):
+            v.cell = cells
+        cells += 1
+        return tagged
 
+    def counting(g, a_order):
+        calls.append(tuple(a_order))
+        return completion(g, a_order)
+
+    monkeypatch.setattr(thdim.maxdeg, "_conflict_blocks", tagging)
     monkeypatch.setattr(thdim.maxdeg, "threshold_supergraph", counting)
     g = bounded_degree_graph(40, 50, 6, seed=3)
     d = decompose_maxdeg(g, seed=3)
     assert d.verified
-    # a cell's orderings all permute its A-part, and `saturated` is the rest
-    # of the vertices outside its B-part, so (A-part, saturated) names the cell
     by_cell: dict = {}
-    for ordering, saturated in calls:
-        by_cell.setdefault((frozenset(ordering), saturated), []).append(ordering)
-    assert len(by_cell) > 1
+    for ordering in calls:
+        if not isinstance(ordering[0], _CellVertex):
+            continue  # the all-of-A-isolated factor of a split
+        assert {v.cell for v in ordering} == {ordering[0].cell}
+        by_cell.setdefault(ordering[0].cell, []).append(ordering)
+    assert len(by_cell) == cells > 1
     for orderings in by_cell.values():
         assert len(orderings) == len(set(orderings))
     assert len(calls) < 1000

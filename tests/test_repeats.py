@@ -2,7 +2,7 @@
 that recurs across its colorings once per coloring, as equal factors, and
 each layer does its work once per distinct factor or gate, telling repeats
 apart by equality, not by object: the intersection check walks it once,
-`compile` certifies it once, `verify` parses and checks it once. None of
+`compile` certifies it once, `verify` hashes and checks it once. None of
 that may change an output or a verdict."""
 
 from hypothesis import given, settings
@@ -135,16 +135,16 @@ def test_a_repeated_bad_gate_is_caught_with_the_same_counterexample():
         verify_circuit(f, MajorityCircuit(arity=g.n, gates=(*rest, worse))))
 
 
-def test_circuit_with_repeated_gates_reads_back_unchanged():
+def test_circuit_with_repeated_gates_reads_back_unchanged(monkeypatch):
     g = gen_gnm(16, 24, seed=7)  # its accepted prefix of colorings repeats a class
     c = compile_circuit(g, decompose_degeneracy(g, seed=2))
     assert len(set(c.gates)) < c.gate_count
     text = format_circuit(c)
+    hashed = counting_calls(monkeypatch, LtfWitness, "__hash__")
     parsed = parse_circuit(text)
+    assert verify_circuit(GraphicFunction(g), parsed) == (True, None)
+    assert len(hashed) == parsed.gate_count  # the check alone tells equal gates apart
     assert parsed == c and format_circuit(parsed) == text
-    first = {}
-    for gate in parsed.gates:  # each distinct gate line read into one object
-        assert first.setdefault(gate, gate) is gate
 
 
 def test_degeneracy_text_matches_the_fresh_completions_oracle():

@@ -149,14 +149,6 @@ def test_completion_contract_violations():
         threshold_supergraph(g, [0, 9])
     with pytest.raises(ValueError, match="^a_order vertex out of range$"):
         threshold_supergraph(g, [-1])
-    with pytest.raises(ValueError, match="^saturated vertex 2 lies in a_order$"):
-        threshold_supergraph(g, [0, 2], saturated=[3, 2])
-    with pytest.raises(ValueError, match="^saturated vertex out of range$"):
-        threshold_supergraph(g, [0], saturated=[2, 4])
-    with pytest.raises(ValueError, match="^saturated lists a vertex twice$"):
-        threshold_supergraph(g, [0], saturated=[3, 2, 3])
-    with pytest.raises(ValueError, match="^saturated lists a vertex twice$"):
-        threshold_supergraph(g, [], saturated=[3, 3])  # with no A, saturated is group 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,12 +156,12 @@ def test_completion_contract_violations():
 def test_completion_order_is_a_permutation_sorted_by_level(data):
     # the completion builds its factor without the constructor's checks
     g = data.draw(small_graphs(9))
-    a_order, saturated = data.draw(guided_completion_args(g))
-    t = threshold_supergraph(g, a_order, saturated=saturated)
+    a_order = data.draw(guided_completion_args(g))
+    t = threshold_supergraph(g, a_order)
     assert sorted(t.order) == list(range(g.n))
     assert list(t.cuts) == sorted(set(t.cuts)) and all(0 <= c < g.n for c in t.cuts)
-    assert creation(t) == sorting_completion_creation(g, a_order, saturated)
-    assert set(t.graph.edges()) == naive_completion_edges(g, a_order, saturated)
+    assert creation(t) == sorting_completion_creation(g, a_order)
+    assert set(t.graph.edges()) == naive_completion_edges(g, a_order)
 
 
 def test_completion_is_threshold_supergraph_of_input():
