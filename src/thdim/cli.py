@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / positive recognition, 1 negative recognition or a
 size-cap refusal or a randomized-search failure or running out of memory,
-2 usage or input-format error, 3 internal verification failure (a bug,
-never bad input).
+2 usage or input-format error or a path that cannot be read or written,
+3 internal verification failure (a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from .decompose import (Decomposition, RandomizedSearchError, decompose_degenera
                         decompose_treewidth, decompose_vertex_cover,
                         format_decomposition)
 from .exactdim import compute_report, exact_decomposition
-from .graphs import ExactLimitError, Graph, ParseError, parse_edge_list
+from .graphs import ExactLimitError, Graph, parse_edge_list
 from .maxdeg import decompose_maxdeg
 from .randgraphs import parse_experiment_spec, render_table, run_experiment
 from .threshold import ForbiddenSubgraph, format_threshold, recognize_threshold
-from .treedecomp import (TreeDecompositionError, heuristic_tree_decomposition,
-                         read_tree_decomposition)
+from .treedecomp import heuristic_tree_decomposition, read_tree_decomposition
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -195,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("refused: out of memory", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (ParseError, TreeDecompositionError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # parse and tree decomposition errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

@@ -21,6 +21,7 @@ from .threshold import (ThresholdGraph, _Intersection, format_threshold, interse
 from .treedecomp import TreeDecomposition, validate_tree_decomposition
 
 METHODS = ("vertex-cover", "degeneracy", "treewidth", "maxdeg", "exact", "manual")
+RESAMPLES = 64  # seeded draws of the degeneracy family search before it gives up
 
 
 class RandomizedSearchError(RuntimeError):
@@ -192,9 +193,9 @@ def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: VertexOrde
     return ProperColoring(tuple(colors), palette_size=palette)
 
 
-def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
-                               seed: int = 0, retry_cap: int = 64) -> SeparatingColoringFamily:
-    """Las Vegas construction of at most ceil(ln n) colorings whose class
+def build_separating_colorings(g: Graph, seed: int = 0) -> SeparatingColoringFamily:
+    """Las Vegas construction of at most ceil(ln n) colorings, palette 10k
+    along a degeneracy ordering of the k-degenerate g, whose class
     completions intersect to g, as a separating family's always do.
 
     An attempt draws up to ceil(ln n) colorings from its seeded stream one
@@ -204,63 +205,45 @@ def build_separating_colorings(g: Graph, k: int, order: VertexOrdering,
     coloring after which `_verified` takes them as a decomposition of g.
     Every prefix of a failed attempt fails too, so the attempt accepted is
     the one a whole-family check accepts, cut to its shortest accepted
-    prefix. Resamples with an incremented seed up to `retry_cap` times,
-    then grows the last attempt one coloring at a time, on the same check,
-    up to 3x its target size before giving up with statistics.
+    prefix. Resamples with an incremented seed up to RESAMPLES times, then
+    raises RandomizedSearchError, so no family is longer than ceil(ln n).
     """
-    if g.n < 2:
-        raise ValueError("separating colorings need at least 2 vertices")
-    if k < 1:
-        raise ValueError("degeneracy parameter must be at least 1")
-    if len(order.order) != g.n:
-        raise ValueError("ordering does not match graph")
-    r = math.ceil(math.log(g.n))
-    bound = 10 * k * r
-    pos = order.position()
-    forward = [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
-    family: list[ProperColoring] = []
-    check = _Intersection(g)
-
-    def extend(rng: random.Random, size: int) -> SeparatingColoringFamily | None:
-        while len(family) < size:
-            family.append(_sample_coloring(forward, k, order, rng))
-            check.add(_class_completions(g, family[-1], pos))
-            if (d := _verified(g, "degeneracy", bound, check)) is not None:
-                return SeparatingColoringFamily(tuple(family), d)
-        return None
-
-    for attempt in range(retry_cap):
-        if attempt:
-            family, check = [], _Intersection(g)
-        if found := extend(random.Random(split_seed(seed + attempt, "separating")), r):
-            return found
-    if found := extend(random.Random(split_seed(seed, "separating-grow")), 3 * r):
-        return found
-    raise RandomizedSearchError(
-        "separating coloring family not found",
-        {"resamples": max(retry_cap, 0), "final_size": len(family)})
-
-
-def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
-    """One factor per (coloring, non-empty color class) of the shortest
-    accepted prefix of a seeded draw of colorings: the class is the
-    independent side, ordered by the degeneracy ordering. A class that
-    recurs in the family is listed once per coloring, as equal factors,
-    which the check walks and `compile_circuit` certifies once. At most
-    10k*ceil(ln n) factors for a k-degenerate graph, verified once, by the
-    family search that accepts them, each coloring's factors as it is
-    drawn."""
     if g.n < 2:
         raise ValueError("degeneracy decomposition needs at least 2 vertices")
     k, order = degeneracy_ordering(g)
     k = max(k, 1)  # palette 10k must be non-empty even for edgeless inputs
-    return build_separating_colorings(g, k, order, seed=seed).decomposition
+    r = math.ceil(math.log(g.n))
+    pos = order.position()
+    forward = [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
+    family: list[ProperColoring] = []
+    for attempt in range(RESAMPLES):
+        rng = random.Random(split_seed(seed + attempt, "separating"))
+        family, check = [], _Intersection(g)
+        while len(family) < r:
+            family.append(_sample_coloring(forward, k, order, rng))
+            check.add(_class_completions(g, family[-1], pos))
+            if (d := _verified(g, "degeneracy", 10 * k * r, check)) is not None:
+                return SeparatingColoringFamily(tuple(family), d)
+    raise RandomizedSearchError(
+        "separating coloring family not found",
+        {"resamples": RESAMPLES, "final_size": len(family)})
+
+
+def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
+    """One factor per (coloring, non-empty color class) of the family
+    `build_separating_colorings(g, seed)` accepts: the class is the
+    independent side, ordered by the degeneracy ordering. A class that
+    recurs in the family is listed once per coloring, as equal factors,
+    which the check walks and `compile_circuit` certifies once. At most
+    10k*ceil(ln n) factors for a k-degenerate graph, verified once, by the
+    family search, each coloring's factors as it is drawn."""
+    return build_separating_colorings(g, seed).decomposition
 
 
 # ---------------------------------------------------------------------------
 # treewidth method
 
-def treewidth_ordering(g: Graph, td: TreeDecomposition) -> tuple[VertexOrdering, list[int]]:
+def treewidth_ordering(td: TreeDecomposition) -> tuple[VertexOrdering, list[int]]:
     """The vertex ordering and bag-distinct coloring (at most width+1 colors)
     from one depth-first walk of the bags, children in ascending order.
 
@@ -302,7 +285,7 @@ def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
     if g.n == 0:
         raise ValueError("treewidth decomposition needs at least 1 vertex")
     validate_tree_decomposition(td, g)
-    order, colors = treewidth_ordering(g, td)
+    order, colors = treewidth_ordering(td)
     classes: dict[int, list[int]] = {}
     for v in order.order:
         classes.setdefault(colors[v], []).append(v)

@@ -834,11 +834,10 @@ def forward_neighbours(g: Graph, order: VertexOrdering) -> list[list[int]]:
 
 def fresh_degeneracy_text(g: Graph, seed: int) -> str:
     """The `format_decomposition` text `decompose_degeneracy(g, seed)` must
-    write, from the same seeded draws (64 resamples, then growth to three
-    times the target size), with every class completion built afresh for
-    each coloring and a family accepted on materialized edge masks
-    (`edge_mask_verify`): each draw is tried on its prefixes, shortest
-    first."""
+    write, from the same seeded draws (64 of them), with every class
+    completion built afresh for each coloring and a family accepted on
+    materialized edge masks (`edge_mask_verify`): each draw is tried on its
+    prefixes, shortest first."""
     k, order = degeneracy_ordering(g)
     k = max(k, 1)
     pos = order.position()
@@ -846,16 +845,11 @@ def fresh_degeneracy_text(g: Graph, seed: int) -> str:
     r = math.ceil(math.log(g.n))
 
     def families():
-        family = []
         for attempt in range(64):
             rng = random.Random(split_seed(seed + attempt, "separating"))
             family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
             for j in range(1, r + 1):
                 yield family[:j]
-        grow = random.Random(split_seed(seed, "separating-grow"))
-        while len(family) < 3 * r:
-            family.append(_sample_coloring(forward, k, order, grow))
-            yield family
 
     for family in families():
         factors = [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))

@@ -384,6 +384,25 @@ def test_usage_errors(tmp_path):
     assert main(["bogus-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "recognize DIR", "decompose DIR", "report DIR", "compile DIR", "verify DIR CIRC",
+    "verify GRAPH DIR", "decompose GRAPH --method treewidth --td DIR", "experiment DIR",
+    "decompose GRAPH --out DIR", "compile GRAPH --out DIR", "report GRAPH --out DIR",
+    "experiment SPEC --out DIR", "decompose GRAPH --method maxdeg --diag DIR",
+])
+def test_a_directory_for_a_path_is_a_usage_error(tmp_path, capsys, argv):
+    graph = write_graph(tmp_path, "k3.gr", complete_graph(3))
+    circ = tmp_path / "c.txt"
+    assert main(["compile", graph, "--out", str(circ)]) == 0
+    spec = tmp_path / "spec.txt"
+    spec.write_text("6 6 1\n")
+    paths = {"DIR": str(tmp_path), "GRAPH": graph, "CIRC": str(circ), "SPEC": str(spec)}
+    capsys.readouterr()
+    assert main([paths.get(word, word) for word in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # a bad --td file -> its message, the same whether the file is parsed alone
 # or validated against the graph
 BAD_TD = {

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -139,8 +140,7 @@ def test_vc_default_cover_beyond_limit_is_a_matching_cover(monkeypatch):
 
 def test_family_edgeless_vacuous():
     g = empty_graph(4)
-    _, order = degeneracy_ordering(g)
-    family = build_separating_colorings(g, 1, order, seed=0)
+    family = build_separating_colorings(g, seed=0)
     # every pair of an edgeless graph has an end in a class of one coloring,
     # whose completion isolates it after all the other vertices
     assert len(family.colorings) == 1
@@ -150,8 +150,8 @@ def test_family_edgeless_vacuous():
 
 def test_family_c10():
     g = cycle_graph(10)
-    k, order = degeneracy_ordering(g)
-    family = build_separating_colorings(g, k, order, seed=0)
+    k, _ = degeneracy_ordering(g)
+    family = build_separating_colorings(g, seed=0)
     assert 1 <= len(family.colorings) <= math.ceil(math.log(10))
     assert all(c.palette_size == 10 * k for c in family.colorings)
     assert family.decomposition.verified_for == g
@@ -160,25 +160,22 @@ def test_family_c10():
 
 def test_family_k5_vacuous():
     g = complete_graph(5)
-    k, order = degeneracy_ordering(g)
-    family = build_separating_colorings(g, k, order, seed=0)
+    family = build_separating_colorings(g, seed=0)
     assert family.decomposition.verified_for == g
     assert verify_decomposition(g, family.decomposition).ok
 
 
 def test_family_deterministic():
     g = cycle_graph(8)
-    k, order = degeneracy_ordering(g)
-    a = build_separating_colorings(g, k, order, seed=4)
-    b = build_separating_colorings(g, k, order, seed=4)
+    a = build_separating_colorings(g, seed=4)
+    b = build_separating_colorings(g, seed=4)
     assert a == b
 
 
 def test_family_preconditions():
-    g = empty_graph(1)
-    with pytest.raises(ValueError):
-        _, order = degeneracy_ordering(g)
-        build_separating_colorings(g, 1, order, seed=0)
+    for n in (0, 1):
+        with pytest.raises(ValueError):
+            build_separating_colorings(empty_graph(n), seed=0)
 
 
 def _forward_palette_ok(g, k, order):
@@ -200,37 +197,47 @@ def _completions_intersect_to(g, family, order):
     return edges == set(g.edges())
 
 
-def _walked_family(g, k, order, seed, retry_cap):
+@contextmanager
+def _forced_search(k=None, resamples=None):
+    """The family search with the degeneracy it reads forced to k (the order
+    is still g's) and its number of seeded draws forced to `resamples`: a
+    k below the true degeneracy makes draws that are not accepted."""
+    with pytest.MonkeyPatch.context() as mp:
+        if k is not None:
+            mp.setattr(decompose, "degeneracy_ordering",
+                       lambda g: (k, degeneracy_ordering(g)[1]))
+        if resamples is not None:
+            mp.setattr(decompose, "RESAMPLES", resamples)
+        yield
+
+
+def _walked_family(g, k, order, seed, resamples):
     """The family build_separating_colorings must return, found from the
     same seeded draws by intersecting edge sets: the shortest accepted
-    prefix of the first draw accepted whole, else the last draw grown until
-    accepted, or the stats it must raise with."""
+    prefix of the first draw accepted whole, or the stats it must raise
+    with."""
     r = math.ceil(math.log(g.n))
     forward = forward_neighbours(g, order)
     family = []
-    for attempt in range(retry_cap):
+    for attempt in range(resamples):
         rng = random.Random(split_seed(seed + attempt, "separating"))
         family = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
         if _completions_intersect_to(g, family, order):
             return next(tuple(family[:j]) for j in range(1, r + 1)
                         if _completions_intersect_to(g, family[:j], order))
-    grow = random.Random(split_seed(seed, "separating-grow"))
-    while len(family) < 3 * r:
-        family.append(_sample_coloring(forward, k, order, grow))
-        if _completions_intersect_to(g, family, order):
-            return tuple(family)
-    return {"resamples": retry_cap, "final_size": len(family)}
+    return {"resamples": resamples, "final_size": len(family)}
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(14), st.integers(1, 2), st.integers(0, 2), st.integers(0, 2 ** 16))
-def test_family_search_matches_the_pair_walk(g, k, retry_cap, seed):
+def test_family_search_matches_the_pair_walk(g, k, resamples, seed):
     assume(g.n >= 2)
     _, order = degeneracy_ordering(g)
     assume(_forward_palette_ok(g, k, order))
-    expected = _walked_family(g, k, order, seed, retry_cap)
+    expected = _walked_family(g, k, order, seed, resamples)
     try:
-        family = build_separating_colorings(g, k, order, seed=seed, retry_cap=retry_cap)
+        with _forced_search(k, resamples):
+            family = build_separating_colorings(g, seed=seed)
     except RandomizedSearchError as err:
         assert err.stats == expected
     else:
@@ -252,7 +259,7 @@ def test_family_is_the_shortest_accepted_prefix_of_its_draw():
         k = max(k, 1)
         pos, forward = order.position(), forward_neighbours(g, order)
         r = math.ceil(math.log(n))
-        family = build_separating_colorings(g, k, order, seed=s)
+        family = build_separating_colorings(g, seed=s)
 
         def completions(coloring):
             return [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
@@ -334,14 +341,16 @@ def test_resumable_check_answers_as_a_fresh_one_on_every_prefix(case):
 
 
 def test_family_accepted_after_a_retry_is_pinned():
-    # the first seed s >= 0 whose G(10, 30) draw, with k = 1 and seed s, is
-    # accepted on a redraw (none of seeds 0-999 of G(10, 20) is)
+    # the first seed s >= 0 whose G(10, 30) draw, with k forced to 1 and
+    # seed s, is accepted on a redraw (none of seeds 0-999 of G(10, 20) is)
     g = gen_gnm(10, 30, seed=9)
     _, order = degeneracy_ordering(g)
-    family = build_separating_colorings(g, 1, order, seed=9)
-    first_only = build_separating_colorings(g, 1, order, seed=9, retry_cap=1)
-    assert first_only.colorings != family.colorings  # the first draw was not accepted
-    assert build_separating_colorings(g, 1, order, seed=9, retry_cap=2) == family
+    with _forced_search(k=1):
+        family = build_separating_colorings(g, seed=9)
+    with _forced_search(k=1, resamples=1), pytest.raises(RandomizedSearchError):
+        build_separating_colorings(g, seed=9)  # the first draw is not accepted
+    with _forced_search(k=1, resamples=2):
+        assert build_separating_colorings(g, seed=9) == family
     # the redraw stops at its first coloring, a prefix of that draw
     redraw = random.Random(split_seed(9 + 1, "separating"))
     forward = forward_neighbours(g, order)
@@ -351,13 +360,12 @@ def test_family_accepted_after_a_retry_is_pinned():
 
 
 def test_family_search_error_stats_are_pinned():
-    # the first seed s >= 0 whose G(16, 80) draw, with k = 1 and seed s, is
-    # not accepted on one draw and three times its size
+    # G(16, 80), with k forced to 1 and one draw allowed, is refused after
+    # the whole draw of ceil(ln 16) = 3 colorings
     g = gen_gnm(16, 80, seed=74)
-    _, order = degeneracy_ordering(g)
-    with pytest.raises(RandomizedSearchError) as err:
-        build_separating_colorings(g, 1, order, seed=74, retry_cap=1)
-    assert err.value.stats == {"resamples": 1, "final_size": 9}
+    with _forced_search(k=1, resamples=1), pytest.raises(RandomizedSearchError) as err:
+        build_separating_colorings(g, seed=74)
+    assert err.value.stats == {"resamples": 1, "final_size": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +388,7 @@ def test_degeneracy_k4():
 
 def test_degeneracy_factor_independent_part_is_color_class():
     g = cycle_graph(10)
-    k, order = degeneracy_ordering(g)
-    family = build_separating_colorings(g, max(k, 1), order, seed=0)
+    family = build_separating_colorings(g, seed=0)
     d = decompose_degeneracy(g, seed=0)
     classes = [frozenset(cls) for c in family.colorings
                for cls in c.color_classes() if cls]
@@ -395,10 +402,10 @@ def test_degeneracy_walks_each_factor_once(monkeypatch):
     # equality, are walked once: a class that recurs across colorings gives
     # equal factors
     g = gen_gnm(30, 60, seed=3)
-    k, order = degeneracy_ordering(g)
-    first_draw = build_separating_colorings(g, k, order, seed=3, retry_cap=1).colorings
+    with _forced_search(resamples=1):
+        first_draw = build_separating_colorings(g, seed=3).colorings
     assert len(first_draw) == 2 < math.ceil(math.log(g.n))
-    assert build_separating_colorings(g, k, order, seed=3).colorings == first_draw
+    assert build_separating_colorings(g, seed=3).colorings == first_draw
     walked = []
 
     def counting(t):
@@ -423,6 +430,22 @@ def test_degeneracy_bound_on_randoms():
         d = decompose_degeneracy(g, seed=1)
         assert d.verified
         assert d.size <= 10 * max(k, 1) * math.ceil(math.log(g.n)) == d.bound_claimed
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(14), st.integers(0, 2 ** 16))
+def test_degeneracy_is_verified_within_its_bound(g, seed):
+    # no result is longer than ceil(ln n) colorings, so none has more than
+    # bound_claimed = 10k*ceil(ln n) factors
+    assume(g.n >= 2)
+    k, _ = degeneracy_ordering(g)
+    r = math.ceil(math.log(g.n))
+    family = build_separating_colorings(g, seed=seed)
+    d = decompose_degeneracy(g, seed=seed)
+    assert d.verified_for == g and verify_decomposition(g, d).ok
+    assert d.factors == family.decomposition.factors
+    assert 1 <= len(family.colorings) <= r
+    assert d.size <= d.bound_claimed == 10 * max(k, 1) * r
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +486,7 @@ def test_treewidth_ordering_respects_preorder_and_bags():
     for g, td in cases:
         for root in td.bags:
             rooted = TreeDecomposition(bags=td.bags, tree=td.tree, root=root, n=td.n)
-            order, colors = treewidth_ordering(g, rooted)
+            order, colors = treewidth_ordering(rooted)
             assert (order.order, colors) == anchor_bag_ordering(g, rooted)
             for bag in td.bags.values():
                 inside = [colors[v] for v in bag]

@@ -38,8 +38,7 @@ def test_every_hook_runs_on_its_function():
         witness = threshold.extract_ltf(t)
         threshold.verify_ltf(t.graph, witness)
         threshold.and_of_gates_counterexample(t.graph, [witness])
-        k, order = graphs.degeneracy_ordering(g)
-        decompose.build_separating_colorings(g, k, order)
+        decompose.build_separating_colorings(g)
         d = decompose.decompose_vertex_cover(g)
         decompose.verify_decomposition(g, d)
         treedecomp.heuristic_tree_decomposition(g)
