@@ -16,8 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .decompose import Decomposition
 from .graphs import Graph
-from .threshold import (LtfWitness, ThresholdGraph, _circuit_counterexample, _mask_to_vector,
-                        extract_ltf)
+from .threshold import LtfWitness, _circuit_counterexample, _mask_to_vector, extract_ltf
 
 _DECIMAL_BITS = 14_000  # about 4214 digits, below Python's 4300-digit limit
 Literal = tuple[int, bool]  # (variable, negated)
@@ -78,20 +77,12 @@ class MajorityCircuit:
 
 
 def compile_circuit(g: Graph, d: Decomposition) -> MajorityCircuit:
-    """One exact gate per factor, so the AND accepts the common cliques of the
-    factors: the cliques of g, for a decomposition verified against g itself.
-    Any other decomposition is refused. Equal factors share one gate,
-    certified once."""
+    """One exact gate per listed factor, so the AND accepts the common
+    cliques of the factors: the cliques of g, for a decomposition verified
+    against g itself. Any other decomposition is refused."""
     if d.verified_for != g:
         raise ValueError("refusing to compile a decomposition not verified for this graph")
-    gate_of: dict[ThresholdGraph, LtfWitness] = {}
-    gates = []
-    for f in d.factors:  # one lookup per listed factor
-        gate = gate_of.get(f)
-        if gate is None:
-            gate = gate_of[f] = extract_ltf(f)
-        gates.append(gate)
-    return MajorityCircuit(arity=g.n, gates=tuple(gates))
+    return MajorityCircuit(arity=g.n, gates=tuple(map(extract_ltf, d.factors)))
 
 
 def verify_circuit(f: GraphicFunction, c: MajorityCircuit) -> tuple[bool, tuple[int, ...] | None]:

@@ -200,9 +200,9 @@ def build_separating_colorings(g: Graph, seed: int = 0) -> SeparatingColoringFam
 
     An attempt draws up to ceil(ln n) colorings from its seeded stream one
     at a time, adds each one's class completions to one resumable
-    intersection check, which does not walk a completion equal to one it
-    holds already (most one-vertex classes recur), and stops at the first
-    coloring after which `_verified` takes them as a decomposition of g.
+    intersection check, which walks only the completions just added, and
+    stops at the first coloring after which `_verified` takes them as a
+    decomposition of g.
     Every prefix of a failed attempt fails too, so the attempt accepted is
     the one a whole-family check accepts, cut to its shortest accepted
     prefix. Resamples with an incremented seed up to RESAMPLES times, then
@@ -234,7 +234,7 @@ def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
     `build_separating_colorings(g, seed)` accepts: the class is the
     independent side, ordered by the degeneracy ordering. A class that
     recurs in the family is listed once per coloring, as equal factors,
-    which the check walks and `compile_circuit` certifies once. At most
+    each walked by the check and certified by `compile_circuit`. At most
     10k*ceil(ln n) factors for a k-degenerate graph, verified once, by the
     family search, each coloring's factors as it is drawn."""
     return build_separating_colorings(g, seed).decomposition

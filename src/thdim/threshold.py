@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import isqrt
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -112,34 +111,18 @@ def _vertex_set(n: int) -> frozenset[int]:
     return frozenset(range(n))
 
 
-def _digits_mask(vertices: Sequence[int], n: int) -> int:
-    """The bitmask of `vertices`, all below n, written out as n binary
-    digits and parsed once."""
-    digits = bytearray(b"0") * n
-    one = ord("1")
-    for v in vertices:
-        digits[v] = one
-    digits.reverse()  # the last digit is bit 0
-    return int(digits, 2)
-
-
 def _isolated_prefixes(t: ThresholdGraph) -> Iterator[tuple[int, int]]:
     """(w, mask of the vertices placed before w) for each isolated w, in
     creation order. The later of two vertices decides their adjacency, so
     t's non-edges are exactly the pairs {w} x prefix(w). Each prefix is the
-    one before it plus the previous isolated vertex and the run after it.
-    ORing in `1 << v` costs O(n) per vertex once the mask is long, so a run
-    longer than max(16, sqrt(2n)) vertices, about where the two ways took
-    the same time from n = 60 to 10^5, goes through `_digits_mask`. While
-    no mask is built yet, a cut past n/2 takes its prefix as the complement
-    of the shorter side, the vertices from the cut on: degeneracy and
-    treewidth factors place most vertices before their first cut."""
+    one before it plus the previous isolated vertex and the run after it,
+    ORed in a bit at a time. While no mask is built yet, a cut past n/2
+    takes its prefix as the complement of the shorter side, the vertices
+    from the cut on: degeneracy and treewidth factors place most vertices
+    before their first cut."""
     order, n = t.order, t.n
-    long_run = max(16, isqrt(2 * n))
 
     def mask(run: Sequence[int]) -> int:
-        if len(run) > long_run:
-            return _digits_mask(run, n)
         m = 0
         for v in run:
             m |= 1 << v
@@ -296,14 +279,13 @@ class _Intersection:
     answers for every factor added so far, as `intersection_mismatch`
     would on that whole list, a dropped edge with its index in it.
 
-    Walks only each distinct factor's isolated vertices, once
-    (`_isolated_prefixes`): a factor drops an edge iff an isolated w has a
-    g-neighbour in prefix(w), and it excludes the pairs {w} x prefix(w),
-    recorded in `excluded[w]`: one AND and one OR per isolated vertex. A
-    factor equal to one already walked drops no edge and excludes no pair
-    that one did not, so it is not walked. Once an edge is dropped, the
-    earliest factor that drops one is the answer for good, and no later
-    factor is walked. `prune` adds a greedy subcover of a list instead.
+    Walks only each factor's isolated vertices, once (`_isolated_prefixes`):
+    a factor drops an edge iff an isolated w has a g-neighbour in
+    prefix(w), and it excludes the pairs {w} x prefix(w), recorded in
+    `excluded[w]`: one AND and one OR per isolated vertex. Once an edge is
+    dropped, the earliest factor that drops one is the answer for good, and
+    no later factor is walked. `prune` adds a greedy subcover of a list
+    instead.
 
     A non-edge (u, w), u < w, not excluded in u's row costs a test of bit u
     in w's row. Rows only grow, so the scan starts at the first row that
@@ -314,14 +296,13 @@ class _Intersection:
     on from the row it reached.
     """
 
-    __slots__ = ("g", "factors", "adjacent", "excluded", "walked", "unswept", "dropped", "clear")
+    __slots__ = ("g", "factors", "adjacent", "excluded", "unswept", "dropped", "clear")
 
     def __init__(self, g: Graph, factors: Sequence[ThresholdGraph] = ()):
         self.g = g
-        self.factors: list[ThresholdGraph] = []  # every factor added, repeats included
+        self.factors: list[ThresholdGraph] = []  # every factor added
         self.adjacent = g.adjacency_masks()
         self.excluded = [0] * g.n  # each pair some factor excludes is held at one end at least
-        self.walked: set[ThresholdGraph] = set()  # the distinct factors `excluded` holds
         self.unswept: list[ThresholdGraph] = []  # walked, not yet swept backward
         self.dropped: tuple[tuple[int, int], int] | None = None
         self.clear = 0  # the rows before it hold no surviving non-edge
@@ -331,32 +312,30 @@ class _Intersection:
         start = len(self.factors)
         self._check_sizes(factors, start)
         self.factors += factors
-        excluded, walked = self.excluded, self.walked
+        excluded = self.excluded
         for idx, f in enumerate(factors, start):
-            seen = len(walked)
-            walked.add(f)  # one hash of f: a factor equal to one walked adds nothing
-            if self.dropped is not None or len(walked) == seen:
-                continue
+            if self.dropped is not None:
+                break
             self.unswept.append(f)
             for w, prefix in self._walk(f, idx):
                 excluded[w] |= prefix
 
     def prune(self, factors: Sequence[ThresholdGraph]) -> list[ThresholdGraph]:
         """Add a greedy subcover of `factors` to this check, which holds no
-        factor yet, and return it: the distinct factors picked, in input
-        order. Factors that each contain g intersect to g iff together they
+        factor yet, and return it: the factors picked, in input order.
+        Factors that each contain g intersect to g iff together they
         exclude every non-edge of g.
 
-        One walk of each distinct factor (equal factors are one) tests it
-        for a dropped edge, as `add` does, and keeps its (w, prefix(w))
-        pairs. Each pick is recorded in `excluded` at both ends, from its
-        pairs and a backward sweep, so a factor's gain, the non-edges it
-        excludes that no pick does, is the sum over w of
-        popcount(prefix(w) & ~excluded[w]). The pick is the lazy greedy of
+        One walk of each factor tests it for a dropped edge, as `add` does,
+        and keeps its (w, prefix(w)) pairs. Each pick is recorded in
+        `excluded` at both ends, from its pairs and a backward sweep, so a
+        factor's gain, the non-edges it excludes that no pick does, is the
+        sum over w of popcount(prefix(w) & ~excluded[w]). The pick is the lazy greedy of
         set cover (Chvatal 1979, Minoux 1978): gains only fall, so a stale
         one is recomputed when it reaches the top of the heap; ties go to
-        the factor placed first. `excluded` then holds the picks alone, and
-        `mismatch` checks them by its own exact scan.
+        the factor placed first, so of two equal factors only the first can
+        be picked. `excluded` then holds the picks alone, and `mismatch`
+        checks them by its own exact scan.
 
         Nothing is pruned when a factor drops an edge (the earliest that
         drops one is the answer) or when the whole list keeps a non-edge,
@@ -365,16 +344,12 @@ class _Intersection:
         whole list does. A g with no non-edge keeps the first factor.
         """
         self._check_sizes(factors, 0)
-        first_at: dict[ThresholdGraph, int] = {}
-        for idx, f in enumerate(factors):
-            first_at.setdefault(f, idx)
         walks: list[list[tuple[int, int]]] = []
-        for f, idx in first_at.items():
+        for idx, f in enumerate(factors):
             walks.append(list(self._walk(f, idx)))
             if self.dropped is not None:
                 self.factors = list(factors)
                 return self.factors
-        distinct = list(first_at)
         excluded = self.excluded
         n = self.g.n
         remaining = n * (n - 1) // 2 - self.g.m  # the non-edges no pick excludes
@@ -395,12 +370,11 @@ class _Intersection:
             remaining -= gain
             for w, prefix in walks[i]:
                 excluded[w] |= prefix
-            self._sweep([distinct[i]])
+            self._sweep([factors[i]])
         if remaining:  # nothing is pruned
             self.factors = list(factors)
         else:
-            self.factors = [distinct[i] for i in sorted(picks)] or distinct[:1]
-        self.walked = set(self.factors)
+            self.factors = [factors[i] for i in sorted(picks)] or list(factors[:1])
         return self.factors
 
     def _check_sizes(self, factors: Sequence[ThresholdGraph], start: int) -> None:
@@ -643,11 +617,10 @@ def _circuit_counterexample(g: Graph, witnesses: Sequence[LtfWitness],
 
     A gate with a negative weight sends the circuit to the Gray-code walk of
     all 2^n inputs, refused with ExactLimitError above `walk_limit` inputs.
-    A gate listed again is checked at its first place only: an AND is
-    idempotent, so the first failing pair or gate is the same.
+    A repeated gate is checked at each place: an AND is idempotent, so it
+    changes neither the first failing pair nor the first failing gate.
     """
     n = g.n
-    witnesses = list(dict.fromkeys(witnesses))
     if any(min(witness.weights, default=0) < 0 for witness in witnesses):
         if n > walk_limit:
             raise ExactLimitError(f"a gate has a negative weight: its circuit is only "

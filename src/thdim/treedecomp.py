@@ -85,12 +85,11 @@ def _check_traces(td: TreeDecomposition, parent: dict[int, int | None]) -> None:
                 3, f"bags containing vertex {v} do not form a connected subtree")
 
 
-def validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = None) -> None:
-    """Raise TreeDecompositionError unless td is a tree of bags over the
-    vertices 0..td.n-1 that covers every vertex and has connected vertex
-    traces; when g is given, unless td is a tree decomposition of g (same n,
-    every edge inside some bag)."""
-    if g is not None and td.n != g.n:
+def validate_tree_decomposition(td: TreeDecomposition, g: Graph) -> None:
+    """Raise TreeDecompositionError unless td is a tree decomposition of g:
+    a tree of bags over the vertices 0..g.n-1 that covers every vertex, puts
+    every edge inside some bag and has connected vertex traces."""
+    if td.n != g.n:
         raise TreeDecompositionError(0, f"decomposition is for n={td.n}, graph has n={g.n}")
     parent = _check_tree_shape(td)
     covered = set().union(*td.bags.values())
@@ -100,14 +99,13 @@ def validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = None) -
     if covered != set(range(td.n)):
         missing = sorted(set(range(td.n)) - covered)
         raise TreeDecompositionError(1, f"vertices {missing} appear in no bag")
-    if g is not None:
-        holders: dict[int, set[int]] = {}  # the bags containing each vertex
-        for i, bag in td.bags.items():
-            for v in bag:
-                holders.setdefault(v, set()).add(i)
-        for u, v in g.edges():
-            if holders[u].isdisjoint(holders[v]):
-                raise TreeDecompositionError(2, f"edge ({u},{v}) is inside no bag")
+    holders: dict[int, set[int]] = {}  # the bags containing each vertex
+    for i, bag in td.bags.items():
+        for v in bag:
+            holders.setdefault(v, set()).add(i)
+    for u, v in g.edges():
+        if holders[u].isdisjoint(holders[v]):
+            raise TreeDecompositionError(2, f"edge ({u},{v}) is inside no bag")
     _check_traces(td, parent)
 
 

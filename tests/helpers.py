@@ -605,17 +605,18 @@ def anchor_bag_ordering(g: Graph, td: TreeDecomposition) -> tuple[tuple[int, ...
 
 
 def read_valid(text: str, g: Graph | None = None) -> TreeDecomposition:
-    """Read a tree decomposition, then validate it (against g when given),
-    through the module attributes so that a test can patch either step."""
+    """Read a tree decomposition, then validate it against g, or against the
+    edgeless graph on its vertices when g is not given, through the module
+    attributes so that a test can patch either step."""
     td = treedecomp.read_tree_decomposition(text)
-    treedecomp.validate_tree_decomposition(td, g)
+    treedecomp.validate_tree_decomposition(td, Graph(td.n) if g is None else g)
     return td
 
 
-def dfs_validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = None) -> None:
+def dfs_validate_tree_decomposition(td: TreeDecomposition, g: Graph) -> None:
     """`validate_tree_decomposition` with condition 3 checked by one
     depth-first walk per vertex over the bags holding it, from any of them."""
-    if g is not None and td.n != g.n:
+    if td.n != g.n:
         raise TreeDecompositionError(0, f"decomposition is for n={td.n}, graph has n={g.n}")
     treedecomp._check_tree_shape(td)
     covered = set().union(*td.bags.values())
@@ -629,10 +630,9 @@ def dfs_validate_tree_decomposition(td: TreeDecomposition, g: Graph | None = Non
     for i, bag in td.bags.items():
         for v in bag:
             holders.setdefault(v, set()).add(i)
-    if g is not None:
-        for u, v in g.edges():
-            if holders[u].isdisjoint(holders[v]):
-                raise TreeDecompositionError(2, f"edge ({u},{v}) is inside no bag")
+    for u, v in g.edges():
+        if holders[u].isdisjoint(holders[v]):
+            raise TreeDecompositionError(2, f"edge ({u},{v}) is inside no bag")
     for v, nodes in holders.items():
         start = next(iter(nodes))
         seen = {start}

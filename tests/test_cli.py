@@ -121,8 +121,8 @@ def test_decompose_treewidth_validates_its_tree_decomposition_once(tmp_path, mon
     calls = []
     original = thdim.treedecomp.validate_tree_decomposition
 
-    def counting(td, g=None):
-        calls.append((td.n, g is not None))
+    def counting(td, g):
+        calls.append((td.n, g.n))
         return original(td, g)
 
     monkeypatch.setattr(thdim.decompose, "validate_tree_decomposition", counting)
@@ -136,7 +136,7 @@ def test_decompose_treewidth_validates_its_tree_decomposition_once(tmp_path, mon
     td.write_text(format_tree_decomposition(heuristic_tree_decomposition(g)))
     assert main(["decompose", path, "--method", "treewidth", "--td", str(td),
                  "--out", str(tmp_path / "d.txt")]) == 0
-    assert calls == [(g.n, True)] * 2
+    assert calls == [(g.n, g.n)] * 2
 
 
 def test_decompose_exact_2k3(tmp_path):

@@ -398,9 +398,9 @@ def test_degeneracy_factor_independent_part_is_color_class():
 def test_degeneracy_walks_each_factor_once(monkeypatch):
     # the family search's verification is the only one, and it resumes: the
     # check is asked after each of the two colorings of a family accepted at
-    # its first draw, yet the isolated prefixes of each distinct factor, by
-    # equality, are walked once: a class that recurs across colorings gives
-    # equal factors
+    # its first draw, yet the isolated prefixes of each listed factor are
+    # walked once, in order, a class that recurs across colorings (equal
+    # factors) once per listing
     g = gen_gnm(30, 60, seed=3)
     with _forced_search(resamples=1):
         first_draw = build_separating_colorings(g, seed=3).colorings
@@ -420,8 +420,8 @@ def test_degeneracy_walks_each_factor_once(monkeypatch):
     assert d.size == sum(1 for c in first_draw for cls in c.color_classes() if cls)
     distinct = {tuple(cls) for c in first_draw for cls in c.color_classes() if cls}
     assert len(set(d.factors)) == len(distinct) < d.size
-    assert len(walked) == len(distinct)
-    assert set(walked) == set(d.factors)
+    assert walked == list(d.factors)
+    assert all(t is f for t, f in zip(walked, d.factors))
 
 
 def test_degeneracy_bound_on_randoms():

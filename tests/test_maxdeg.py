@@ -342,9 +342,9 @@ def _recording_completions(monkeypatch) -> list[ThresholdGraph]:
     return built
 
 
-def test_maxdeg_walks_each_distinct_factor_once(monkeypatch):
-    # the prune's check is the only verification: each distinct factor
-    # built is walked once, the ones it keeps included
+def test_maxdeg_walks_each_factor_built_once(monkeypatch):
+    # the prune's check is the only verification: each factor built is
+    # walked once, in the order built, the ones it keeps included
     built = _recording_completions(monkeypatch)
     walked = []
 
@@ -357,8 +357,7 @@ def test_maxdeg_walks_each_distinct_factor_once(monkeypatch):
     g = bounded_degree_graph(30, 40, 6, seed=2)
     d = decompose_maxdeg(g, seed=0)
     assert d.verified_for == g
-    assert len(walked) == len(set(walked)) == len(set(built))
-    assert {id(t) for t in walked} == {id(t) for t in dict.fromkeys(built)}
+    assert [id(t) for t in walked] == [id(t) for t in built]
     assert {id(f) for f in d.factors} <= {id(t) for t in walked}
 
 

@@ -83,7 +83,7 @@ def test_packed_passes_match_pair_walks(pairs):
 
 
 def test_packed_passes_match_pair_walks_on_long_runs():
-    # runs of a few dozen vertices take the binary-digit path of `_isolated_prefixes`
+    # runs of a few dozen vertices, ORed into each prefix a bit at a time
     rng = random.Random(7)
     for n, isolated_share in ((300, 0.02), (300, 0.5), (1000, 0.01)):
         order = list(range(n))
@@ -93,8 +93,8 @@ def test_packed_passes_match_pair_walks_on_long_runs():
 
 
 @pytest.mark.parametrize("n, first_cut", [
-    (300, 290), (1000, 995), (300, 299),  # tails of 10, 5 and 1 vertices, all below long_run
-    (300, 200), (1000, 600), (40, 21),    # tails of 100, 400 and 19 vertices take `_digits_mask`
+    (300, 290), (1000, 995), (300, 299),  # short tails: 10, 5 and 1 vertices
+    (300, 200), (1000, 600), (40, 21),    # long tails: 100, 400 and 19 vertices
     (300, 150), (41, 20),                 # the cut at n/2 or just below builds from the front
 ])
 def test_isolated_prefixes_of_a_first_cut_past_half(n, first_cut):

@@ -28,7 +28,8 @@ def test_parse_path_of_bags_for_p4():
 
 
 def test_vertex_count_above_the_cap_is_refused_before_validation(monkeypatch):
-    # validation without a graph lists range(n), so it must never see this n
+    # validation lists range(n), and read_valid builds the edgeless graph on n
+    # vertices, so reading must refuse this n before either
     def refuse(*_args, **_kwargs):
         raise AssertionError("a hostile header reached validation")
 
@@ -197,14 +198,14 @@ def test_format_round_trip():
     assert set(map(frozenset, back.bags.values())) == set(map(frozenset, td.bags.values()))
 
 
-def test_validate_without_graph_checks_range_and_coverage():
+def test_validate_against_the_edgeless_graph_checks_range_and_coverage():
     shape = {"tree": {1: (2,), 2: (1,)}, "root": 1, "n": 3}
     validate_tree_decomposition(
-        TreeDecomposition(bags={1: frozenset({0, 1}), 2: frozenset({1, 2})}, **shape))
+        TreeDecomposition(bags={1: frozenset({0, 1}), 2: frozenset({1, 2})}, **shape), Graph(3))
     for bags, condition in [({1: frozenset({0}), 2: frozenset({1})}, 1),
                             ({1: frozenset({0, 1}), 2: frozenset({2, 3})}, 0)]:
         with pytest.raises(TreeDecompositionError) as err:
-            validate_tree_decomposition(TreeDecomposition(bags=bags, **shape))
+            validate_tree_decomposition(TreeDecomposition(bags=bags, **shape), Graph(3))
         assert err.value.condition == condition
 
 
@@ -249,7 +250,7 @@ def _outcome(check, td, g):
 @settings(max_examples=500, deadline=None)
 @given(bag_trees(), st.data())
 def test_rooted_trace_check_matches_per_vertex_walks(td, data):
-    g = None
+    g = Graph(td.n)
     if data.draw(st.booleans()):
         pairs = combinations(range(td.n), 2)
         g = Graph(td.n, [p for p in pairs if data.draw(st.booleans())])
