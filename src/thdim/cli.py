@@ -9,7 +9,9 @@ size-cap refusal or a randomized-search failure or running out of memory,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -35,6 +37,22 @@ EXIT_INTERNAL = 3
 
 def _read_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_text())
+
+
+def _check_writable(path: str) -> None:
+    """Refuse (OSError) a path that could not be written: a directory, a
+    file in a missing directory, or one that may not be written. Creates
+    and truncates nothing."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
@@ -187,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        for path in (getattr(args, "out", None), getattr(args, "diag", None)):
+            if path:
+                _check_writable(path)  # before the work, not after it
         return args.func(args)
     except (ExactLimitError, RandomizedSearchError) as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .decompose import Decomposition, RandomizedSearchError, _finish
 from .graphs import Graph, VertexOrdering, degeneracy_ordering, greedy_coloring
 from .seeding import split_seed
-from .threshold import ThresholdGraph, _Intersection, threshold_supergraph
+from .threshold import _check_a_order, _Intersection
 
 PARTITION_RESTARTS = 16  # fresh random assignments before bounded_partition gives up
 
@@ -164,34 +164,38 @@ def decompose_split(g: Graph, a_side: Iterable[int], seed: int = 0) -> Decomposi
     factors, verified against G*[A, V - A]. A is `a_side`, an independent
     set of g."""
     a_side = set(a_side)
-    factors, budget = _split_factors(g, a_side, seed, None)
+    orders, budget = _split_factors(g, a_side, seed, None)
     edges = [(a, u) for a in a_side for u in g.adj[a]]
     edges.extend(combinations([v for v in range(g.n) if v not in a_side], 2))
-    return _pruned(Graph(g.n, edges), factors, budget, None)
+    # the split graph keeps g's edges at A, so it completes each order as g does
+    return _pruned(Graph(g.n, edges), orders, budget, None)
 
 
-def _pruned(g: Graph, factors: list[ThresholdGraph], budget: int,
+def _pruned(g: Graph, orders: list[tuple[int, ...]], budget: int,
             diagnostics: list[str] | None) -> Decomposition:
-    """The greedy subcover of `factors` (`_Intersection.prune`), verified
-    for g on the check that picked it. A repeated factor excludes no new
-    pair, so it is never picked."""
+    """The greedy subcover of the completions of g along `orders`
+    (`_Intersection.prune`), verified for g on the check that picked it.
+    Only the picks are completed; a repeated order excludes no new pair, so
+    it is never picked."""
     check = _Intersection(g)
-    check.prune(factors)
+    check.prune(orders)
     d = _finish(g, "maxdeg", budget, check)
     if diagnostics is not None:
-        diagnostics.append(f"factors: built={len(factors)} distinct={len(set(factors))} "
+        diagnostics.append(f"factors: listed={len(orders)} distinct={len(set(orders))} "
                            f"pruned={d.size}")
     return d
 
 
 def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
-                   diagnostics: list[str] | None) -> tuple[list[ThresholdGraph], int]:
-    """Threshold factors of G*[A, V - A] and their claimed count bound,
-    unverified, repeats included.
+                   diagnostics: list[str] | None) -> tuple[list[tuple[int, ...]], int]:
+    """The threshold factors of G*[A, V - A], each listed as the order of
+    A's vertices that guides its completion from g (`threshold_supergraph`),
+    and their claimed count bound; repeats included, nothing completed or
+    verified.
 
-    One all-of-A-isolated factor, the completion of g along A ascending,
-    resolves every non-edge inside A; building it checks that A lies in
-    range and is independent, before anything else reads A's
+    The first order, A ascending, gives the all-of-A-isolated factor, which
+    resolves every non-edge inside A. A is checked once, for range and
+    independence (`_check_a_order`), before anything reads A's
     neighbourhoods. For the rest, B is sliced by which random
     coloring of A first spreads each vertex's neighborhood thinly (at most r
     per color), each (coloring, color) cell gets a conflict-free ordering of
@@ -201,8 +205,8 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
     grown until it meets every block order the cells need
     (`_cell_requirements`). A completion depends on a permutation only
     through the order of the non-empty blocks, so each distinct ordering of
-    a cell is completed once, in the order the permutations first give it;
-    a cell with one non-empty block has one such order. Each ordering is
+    a cell is listed once, in the order the permutations first give it; a
+    cell with one non-empty block has one such order. Each ordering is
     completed from g alone: its clique side, V minus the ordering, holds B,
     so the factor contains G*[A, B]; each B-vertex of the cell's slice gets
     the level the cell's requirements assume, and every other vertex sees
@@ -219,7 +223,8 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
     """
     a_side = sorted(a_side)
     b_side = sorted(set(range(g.n)).difference(a_side))
-    factors = [threshold_supergraph(g, a_side)]
+    _check_a_order(g, a_side)
+    orders = [tuple(a_side)]
     budget = 1
     # A is independent, so every neighbour of a vertex of A lies in B
     a_neighbours = Counter(chain.from_iterable(g.adj[a] for a in a_side))  # per B-vertex
@@ -272,12 +277,10 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
             used = [ci for ci, block in enumerate(blocks) if block]
             projections = [tuple(used)] if len(used) == 1 else dict.fromkeys(
                 tuple(sorted(used, key=inverse.__getitem__)) for inverse in inverses)
-            orderings = dict.fromkeys(
+            orders.extend(dict.fromkeys(
                 tuple(v for ci in proj for v in blocks[ci][::step])
-                for proj in projections for step in (1, -1))
-            for ordering in orderings:
-                factors.append(threshold_supergraph(g, ordering))
-    return factors, budget
+                for proj in projections for step in (1, -1)))
+    return orders, budget
 
 
 def _hoods(g: Graph, coloring: dict[int, int],
@@ -367,7 +370,7 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
         diagnostics.append(f"maxdeg delta={delta} d={d} parts={parts}")
         diagnostics.append(
             "partition sizes: " + " ".join(str(len(p)) for p in partition))
-    factors: list[ThresholdGraph] = []
+    orders: list[tuple[int, ...]] = []
     budget = 0
     for i, part in enumerate(partition):
         members = sorted(part)
@@ -382,5 +385,5 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
             piece, piece_budget = _split_factors(
                 g, [members[x] for x in cls], split_seed(seed, "split", i, j), diagnostics)
             budget += piece_budget
-            factors.extend(piece)
-    return _pruned(g, factors, budget, diagnostics)
+            orders.extend(piece)
+    return _pruned(g, orders, budget, diagnostics)

@@ -229,30 +229,39 @@ def _forbidden_witness(g: Graph, remaining: set[int]) -> ForbiddenSubgraph:
 # ---------------------------------------------------------------------------
 # guided threshold supergraph
 
+def _check_a_order(g: Graph, a_order: Sequence[int]) -> None:
+    """Refuse (ValueError) an a_order that repeats a vertex, leaves
+    range(g.n) or is not independent in g. An edge inside it is named at its
+    endpoint that comes first in a_order, with the earliest other endpoint."""
+    position = dict(zip(a_order, range(len(a_order))))
+    if len(position) != len(a_order):
+        raise ValueError("a_order contains duplicates")
+    if a_order and (min(a_order) < 0 or max(a_order) >= g.n):
+        raise ValueError("a_order vertex out of range")
+    for u in a_order:
+        hood = g.adj[u]
+        if not position.keys().isdisjoint(hood):  # walks the smaller of the two
+            v = min(position.keys() & hood, key=position.__getitem__)
+            raise ValueError(f"a_order is not independent: edge ({u},{v})")
+
+
 def threshold_supergraph(g: Graph, a_order: Sequence[int]) -> ThresholdGraph:
     """Complete g into a threshold supergraph guided by an ordered independent set.
 
     With A = a_order = (u_1, ..., u_k) independent in g and B the rest, the
     result makes B a clique and attaches each v in B to exactly the prefix
     u_1..u_{s(v)}, where s(v) is the position of v's last neighbor inside A
-    (0 when v has no neighbor in A). The output always contains g.
+    (0 when v has no neighbor in A). The output always contains g. An
+    a_order that `_check_a_order` refuses raises ValueError.
     """
     a_order = tuple(a_order)
     k = len(a_order)
-    position = dict(zip(a_order, range(1, k + 1)))
-    if len(position) != k:
-        raise ValueError("a_order contains duplicates")
-    if k and (min(a_order) < 0 or max(a_order) >= g.n):
-        raise ValueError("a_order vertex out of range")
+    _check_a_order(g, a_order)
     # s(v) by a sweep over A's neighborhoods: positions ascend, so the last
-    # write is the largest; an edge inside A shows up at its earlier end
+    # write is the largest
     level: dict[int, int] = {}  # s(v) for the B-vertices with s(v) > 0
     for i, u in enumerate(a_order, start=1):
-        hood = g.adj[u]
-        if not position.keys().isdisjoint(hood):  # walks the smaller of the two
-            v = min(position.keys() & hood, key=position.__getitem__)
-            raise ValueError(f"a_order is not independent: edge ({u},{v})")
-        for v in hood:
+        for v in g.adj[u]:
             level[v] = i
     # order: B grouped by s(v) ascending, vertices ascending inside a
     # group, each u_j entering isolated right after the B-vertices it must
@@ -284,8 +293,8 @@ class _Intersection:
     prefix(w), and it excludes the pairs {w} x prefix(w), recorded in
     `excluded[w]`: one AND and one OR per isolated vertex. Once an edge is
     dropped, the earliest factor that drops one is the answer for good, and
-    no later factor is walked. `prune` adds a greedy subcover of a list
-    instead.
+    no later factor is walked. `prune` adds instead a greedy subcover of
+    the completions along a list of orders, completing only its picks.
 
     A non-edge (u, w), u < w, not excluded in u's row costs a test of bit u
     in w's row. Rows only grow, so the scan starts at the first row that
@@ -310,7 +319,9 @@ class _Intersection:
 
     def add(self, factors: Sequence[ThresholdGraph]) -> None:
         start = len(self.factors)
-        self._check_sizes(factors, start)
+        for idx, f in enumerate(factors, start):
+            if f.n != self.g.n:
+                raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {self.g.n}")
         self.factors += factors
         excluded = self.excluded
         for idx, f in enumerate(factors, start):
@@ -320,67 +331,63 @@ class _Intersection:
             for w, prefix in self._walk(f, idx):
                 excluded[w] |= prefix
 
-    def prune(self, factors: Sequence[ThresholdGraph]) -> list[ThresholdGraph]:
-        """Add a greedy subcover of `factors` to this check, which holds no
-        factor yet, and return it: the factors picked, in input order.
-        Factors that each contain g intersect to g iff together they
-        exclude every non-edge of g.
+    def prune(self, orders: Sequence[Sequence[int]]) -> list[ThresholdGraph]:
+        """Add a greedy subcover of the completions of g along `orders`
+        (`threshold_supergraph`), each an ordered independent set of g, to
+        this check, which holds no factor yet, and return it: the
+        completions picked, in input order. Completions contain g, so they
+        intersect to g iff together they exclude every non-edge of g.
 
-        One walk of each factor tests it for a dropped edge, as `add` does,
-        and keeps its (w, prefix(w)) pairs. Each pick is recorded in
-        `excluded` at both ends, from its pairs and a backward sweep, so a
-        factor's gain, the non-edges it excludes that no pick does, is the
-        sum over w of popcount(prefix(w) & ~excluded[w]). The pick is the lazy greedy of
-        set cover (Chvatal 1979, Minoux 1978): gains only fall, so a stale
-        one is recomputed when it reaches the top of the heap; ties go to
-        the factor placed first, so of two equal factors only the first can
-        be picked. `excluded` then holds the picks alone, and `mismatch`
-        checks them by its own exact scan.
+        An order is scored without completing it: its completion excludes
+        {a_j} x prefix(a_j) for each a_j, and prefix(a_j) is V minus
+        N[a_j] | ... | N[a_k], the vertices placed from a_j on. So its gain,
+        the non-edges it excludes that no pick does, is `_gain` against
+        `excluded`, where each pick is recorded at both ends. The pick is
+        the lazy greedy of set cover (Chvatal 1979, Minoux 1978): gains only
+        fall, so a stale one is recomputed when it reaches the top of the
+        heap; ties go to the order listed first, so of two equal orders only
+        the first can be picked. Only a pick is completed: one walk tests it
+        for a dropped edge and records its pairs, and a backward sweep
+        records them at their other end. `excluded` then holds the picks
+        alone, and `mismatch` checks them by its own exact scan.
 
-        Nothing is pruned when a factor drops an edge (the earliest that
-        drops one is the answer) or when the whole list keeps a non-edge,
-        which `mismatch` then names: the greedy stops there with every
-        factor left unpicked at gain 0, so the picks exclude every pair the
-        whole list does. A g with no non-edge keeps the first factor.
+        The greedy stops once every non-edge is excluded, once no order
+        gains (the picks then exclude every pair the whole list does, and
+        `mismatch` names a non-edge they keep), or at a pick that drops an
+        edge (`mismatch` names it). With no pick, the first order's
+        completion is kept.
         """
-        self._check_sizes(factors, 0)
-        walks: list[list[tuple[int, int]]] = []
-        for idx, f in enumerate(factors):
-            walks.append(list(self._walk(f, idx)))
-            if self.dropped is not None:
-                self.factors = list(factors)
-                return self.factors
-        excluded = self.excluded
-        n = self.g.n
-        remaining = n * (n - 1) // 2 - self.g.m  # the non-edges no pick excludes
-        # before any pick, every pair a factor excludes counts
-        heap = [(-sum(prefix.bit_count() for _, prefix in walk), i)
-                for i, walk in enumerate(walks)]
-        heapify(heap)
-        picks = []
-        while remaining and heap:
-            _, i = heappop(heap)
-            gain = sum((prefix & ~excluded[w]).bit_count() for w, prefix in walks[i])
-            if heap and (-gain, i) > heap[0]:
-                heappush(heap, (-gain, i))
-                continue
-            if not gain:
-                break
-            picks.append(i)
-            remaining -= gain
-            for w, prefix in walks[i]:
-                excluded[w] |= prefix
-            self._sweep([factors[i]])
-        if remaining:  # nothing is pruned
-            self.factors = list(factors)
-        else:
-            self.factors = [factors[i] for i in sorted(picks)] or list(factors[:1])
-        return self.factors
+        g, excluded = self.g, self.excluded
+        closed = [mask | 1 << v for v, mask in enumerate(self.adjacent)]
+        picks: dict[int, ThresholdGraph] = {}
 
-    def _check_sizes(self, factors: Sequence[ThresholdGraph], start: int) -> None:
-        for idx, f in enumerate(factors, start):
-            if f.n != self.g.n:
-                raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {self.g.n}")
+        def pick(i: int) -> None:
+            f = picks[i] = threshold_supergraph(g, orders[i])
+            for w, prefix in self._walk(f, i):
+                excluded[w] |= prefix
+            self._sweep([f])
+
+        remaining = g.n * (g.n - 1) // 2 - g.m  # the non-edges no pick excludes
+        heap = [(-_gain(order, closed, excluded), i) for i, order in enumerate(orders)]
+        heapify(heap)
+        while remaining and heap and self.dropped is None:
+            _, i = heappop(heap)
+            current = _gain(orders[i], closed, excluded)
+            if heap and (-current, i) > heap[0]:
+                heappush(heap, (-current, i))
+                continue
+            if not current:
+                break
+            pick(i)
+            remaining -= current
+        if not picks and orders:
+            pick(0)
+        kept = sorted(picks)
+        if self.dropped is not None:  # indexed by order; the factors are the picks
+            pair, i = self.dropped
+            self.dropped = pair, kept.index(i)
+        self.factors = [picks[i] for i in kept]
+        return self.factors
 
     def _walk(self, f: ThresholdGraph, idx: int) -> Iterator[tuple[int, int]]:
         """f's (w, prefix(w)) pairs, by `_isolated_prefixes`; once they are
@@ -441,6 +448,19 @@ class _Intersection:
                 end = c
             for v in order[:end]:
                 excluded[v] |= later
+
+
+def _gain(order: Sequence[int], closed: Sequence[int], excluded: Sequence[int]) -> int:
+    """The pairs that the completion along `order` excludes and `excluded`
+    does not hold at their isolated end: the sum over j of
+    n - popcount(E_j | excluded[a_j]), with E_j = closed[a_j] | ... |
+    closed[a_k], closed[v] the mask of N[v] and n = len(closed)."""
+    n = len(closed)
+    total = reach = 0
+    for a in reversed(order):
+        reach |= closed[a]
+        total += n - (reach | excluded[a]).bit_count()
+    return total
 
 
 def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]

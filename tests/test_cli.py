@@ -167,9 +167,9 @@ def test_decompose_maxdeg_diagnostics(tmp_path):
     text = diag.read_text()
     assert "maxdeg delta=2" in text
     assert "suitable family" in text and "partition sizes" in text
-    counts = re.search(r"^factors: built=(\d+) distinct=(\d+) pruned=(\d+)$", text, re.MULTILINE)
-    built, distinct, pruned = map(int, counts.groups())
-    assert built >= distinct >= pruned >= 1
+    counts = re.search(r"^factors: listed=(\d+) distinct=(\d+) pruned=(\d+)$", text, re.MULTILINE)
+    listed, distinct, pruned = map(int, counts.groups())
+    assert listed >= distinct >= pruned >= 1
     assert (tmp_path / "d.txt").read_text().startswith(f"td-decomp maxdeg {pruned}\n")
 
 
@@ -401,6 +401,45 @@ def test_a_directory_for_a_path_is_a_usage_error(tmp_path, capsys, argv):
     assert main([paths.get(word, word) for word in argv.split()]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "decompose GRAPH --method treewidth --out DIR",
+    "decompose GRAPH --method treewidth --out MISSING",
+    "decompose GRAPH --method maxdeg --diag DIR",
+    "compile GRAPH --diag MISSING --out OUT",
+    "report GRAPH --out MISSING", "experiment SPEC --out DIR",
+])
+def test_a_path_that_cannot_be_written_is_refused_before_the_work(tmp_path, capsys,
+                                                                 monkeypatch, argv):
+    def work(*args, **kwargs):
+        pytest.fail("the work started before the output path was checked")
+
+    for name in ("_read_graph", "_run_method", "compute_report", "run_experiment"):
+        monkeypatch.setattr(thdim.cli, name, work)
+    graph = write_graph(tmp_path, "k3.gr", complete_graph(3))
+    spec = tmp_path / "spec.txt"
+    spec.write_text("6 6 1\n")
+    paths = {"DIR": str(tmp_path), "GRAPH": graph, "SPEC": str(spec),
+             "MISSING": str(tmp_path / "missing" / "x.txt"), "OUT": str(tmp_path / "c.txt")}
+    assert main([paths.get(word, word) for word in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists() and not (tmp_path / "c.txt").exists()
+
+
+def test_the_path_check_creates_and_truncates_nothing(tmp_path, monkeypatch):
+    def refused(*args, **kwargs):
+        raise thdim.RandomizedSearchError("no luck", {})
+
+    monkeypatch.setattr(thdim.cli, "_run_method", refused)
+    graph = write_graph(tmp_path, "k3.gr", complete_graph(3))
+    out = tmp_path / "earlier.dec"
+    out.write_text("earlier\n")
+    diag = tmp_path / "diag.txt"
+    assert main(["decompose", graph, "--method", "maxdeg", "--out", str(out),
+                 "--diag", str(diag)]) == 1
+    assert out.read_text() == "earlier\n" and not diag.exists()
 
 
 # a bad --td file -> its message, the same whether the file is parsed alone

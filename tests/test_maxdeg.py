@@ -211,13 +211,14 @@ def test_split_a_isolated_factor_alone_insufficient(monkeypatch):
     # the all-of-A-isolated factor attaches each B-vertex to A ascending up
     # to its last neighbour, so it keeps a missing A-B edge below that
     # neighbour, here (0, 5); some cell factor must resolve it
-    built = _recording_completions(monkeypatch)
+    listed = _recording_orders(monkeypatch)
     g = Graph(6, [(a, b) for a in range(4) for b in (4, 5) if (a, b) != (0, 5)])
     d = decompose_split(g, range(4), seed=0)
-    assert built[0] == threshold_supergraph(g, range(4))
-    assert built[0].split_a == (0, 1, 2, 3) and built[0].graph.has_edge(0, 5)
+    assert listed[0] == (0, 1, 2, 3)
+    first = threshold_supergraph(g, listed[0])
+    assert first.split_a == (0, 1, 2, 3) and first.graph.has_edge(0, 5)
     from thdim import Decomposition
-    stripped = Decomposition(factors=(built[0],), method="manual", bound_claimed=1)
+    stripped = Decomposition(factors=(first,), method="manual", bound_claimed=1)
     assert not verify_decomposition(d.verified_for, stripped).ok
     assert verify_decomposition(d.verified_for, d).ok
 
@@ -329,22 +330,37 @@ def test_maxdeg_k55_55():
     assert verify_decomposition(g, d).ok
 
 
-def _recording_completions(monkeypatch) -> list[ThresholdGraph]:
+def _recording_orders(monkeypatch) -> list[tuple[int, ...]]:
+    """Every order `_split_factors` lists, split after split."""
     import thdim.maxdeg
+    listed = []
+    original = thdim.maxdeg._split_factors
+
+    def recording(*args, **kwargs):
+        orders, budget = original(*args, **kwargs)
+        listed.extend(orders)
+        return orders, budget
+
+    monkeypatch.setattr(thdim.maxdeg, "_split_factors", recording)
+    return listed
+
+
+def _recording_completions(monkeypatch) -> list[ThresholdGraph]:
+    """Every completion built, in the order built."""
     built = []
-    original = thdim.maxdeg.threshold_supergraph
+    original = threshold.threshold_supergraph
 
     def recording(*args, **kwargs):
         built.append(original(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(thdim.maxdeg, "threshold_supergraph", recording)
+    monkeypatch.setattr(threshold, "threshold_supergraph", recording)
     return built
 
 
 def test_maxdeg_walks_each_factor_built_once(monkeypatch):
     # the prune's check is the only verification: each factor built is
-    # walked once, in the order built, the ones it keeps included
+    # walked once, in the order built
     built = _recording_completions(monkeypatch)
     walked = []
 
@@ -358,87 +374,104 @@ def test_maxdeg_walks_each_factor_built_once(monkeypatch):
     d = decompose_maxdeg(g, seed=0)
     assert d.verified_for == g
     assert [id(t) for t in walked] == [id(t) for t in built]
-    assert {id(f) for f in d.factors} <= {id(t) for t in walked}
+
+
+@pytest.mark.parametrize("method", ["maxdeg", "split"])
+def test_maxdeg_completes_only_the_factors_it_keeps(monkeypatch, method):
+    # orders are scored from g, so the completions built are the factors
+    # kept, each built once
+    built = _recording_completions(monkeypatch)
+    listed = _recording_orders(monkeypatch)
+    g = bounded_degree_graph(40, 50, 6, seed=1)
+    if method == "maxdeg":
+        d = decompose_maxdeg(g, seed=1)
+    else:
+        _, order = degeneracy_ordering(g)
+        d = decompose_split(g, greedy_coloring(g, order).color_classes()[0], seed=1)
+    assert sorted(map(id, built)) == sorted(map(id, d.factors))
+    assert 1 < d.size < len(set(listed))
 
 
 def test_maxdeg_factors_are_the_plain_greedy_over_the_factors_built(monkeypatch):
-    built = _recording_completions(monkeypatch)
+    # the greedy over the completions of every order listed, by pair sets
+    listed = _recording_orders(monkeypatch)
     g = bounded_degree_graph(40, 50, 6, seed=1)
     d = decompose_maxdeg(g, seed=1)
-    assert list(d.factors) == plain_greedy_subcover(g, built)
-    assert d.size < len(set(built))
+    completions = [threshold_supergraph(g, order) for order in listed]
+    assert list(d.factors) == plain_greedy_subcover(g, completions)
+    assert d.size < len(set(completions))
 
 
 # ---------------------------------------------------------------------------
 # the greedy subcover prune
 
 @st.composite
-def factor_lists(draw):
-    """A graph and a list of its guided completions, some repeated and, at
-    the draw's choice, with every single-vertex completion among them, so
-    that the list covers every non-edge."""
+def order_lists(draw):
+    """A graph and a list of guided completion orders of it, some repeated
+    and, at the draw's choice, with every single vertex among them, so
+    that their completions cover every non-edge."""
     g = draw(small_graphs(8))
-    factors = []
-    for _ in range(draw(st.integers(1, 6))):
-        factors.append(threshold_supergraph(g, draw(guided_completion_args(g))))
+    orders = [tuple(draw(guided_completion_args(g))) for _ in range(draw(st.integers(1, 6)))]
     if draw(st.booleans()):
-        factors += [threshold_supergraph(g, [v]) for v in range(g.n)]
-    factors += draw(st.lists(st.sampled_from(factors), max_size=3))
-    return g, draw(st.permutations(factors))
+        orders += [(v,) for v in range(g.n)]
+    orders += draw(st.lists(st.sampled_from(orders), max_size=3))
+    return g, draw(st.permutations(orders))
 
 
 @settings(max_examples=300, deadline=None)
-@given(factor_lists())
+@given(order_lists())
 def test_prune_is_the_plain_greedy_and_verifies(case):
-    g, factors = case
+    g, orders = case
+    completions = [threshold_supergraph(g, order) for order in orders]
     check = threshold._Intersection(g)
-    kept = check.prune(factors)
-    assert kept == plain_greedy_subcover(g, factors)
+    kept = check.prune(orders)
     assert check.factors == kept
     again = threshold._Intersection(g)
-    assert again.prune(factors) == kept  # deterministic
-    full = intersection_mismatch(g, factors)
-    assert check.mismatch() == full
+    assert again.prune(orders) == kept  # deterministic
+    distinct = list(dict.fromkeys(completions))
+    positions = [distinct.index(f) for f in kept]
+    assert positions == sorted(set(positions))  # a subsequence of the distinct orders
+    full = intersection_mismatch(g, completions)
+    assert check.mismatch() == full == intersection_mismatch(g, kept)
     if full is None:
-        distinct = list(dict.fromkeys(factors))
-        assert len(kept) <= len(distinct)
-        positions = [distinct.index(f) for f in kept]
-        assert positions == sorted(set(positions))  # a subsequence of the distinct inputs
-        assert intersection_mismatch(g, kept) is None
-    else:
-        assert kept == list(factors)  # nothing pruned
+        assert kept == plain_greedy_subcover(g, completions)
 
 
-def test_prune_refuses_a_factor_that_drops_an_edge_the_greedy_skips():
+def test_prune_names_a_pick_that_drops_an_edge(monkeypatch):
     g = path_graph(4)
-    cover = [threshold_supergraph(g, [v]) for v in range(4)]
-    # 1 enters isolated after 0 only: it drops the edge (0, 1) and
-    # excludes no non-edge, so its gain is 0
+    orders = [(v,) for v in range(4)]
+    # (0,) and then (1,) are picked; (1,) gets a factor in which 1 enters
+    # isolated after 0 only, so it drops the edge (0, 1)
     bad = ThresholdGraph([0, 1, 2, 3], [1])
-    factors = cover + [bad]
+    original = threshold.threshold_supergraph
+    monkeypatch.setattr(threshold, "threshold_supergraph",
+                        lambda g, order: bad if order == (1,) else original(g, order))
     check = threshold._Intersection(g)
-    assert check.prune(factors) == factors
-    assert check.mismatch() == ((0, 1), 4) == intersection_mismatch(g, factors)
+    kept = check.prune(orders)
+    assert kept == [original(g, (0,)), bad]
+    assert check.mismatch() == ((0, 1), 1) == intersection_mismatch(g, kept)
     with pytest.raises(AssertionError, match="drops an edge"):
-        _pruned(g, factors, 5, None)
+        _pruned(g, orders, 4, None)
 
 
-def test_prune_keeps_every_factor_when_a_non_edge_survives():
+def test_prune_names_the_non_edge_every_order_keeps():
     g = path_graph(4)
-    factors = [threshold_supergraph(g, [0]), threshold_supergraph(g, [0, 2])]
+    orders = [(0,), (0, 2)]
+    completions = [threshold_supergraph(g, order) for order in orders]
     check = threshold._Intersection(g)
-    assert check.prune(factors) == factors
-    assert check.mismatch() == ((1, 3), None) == intersection_mismatch(g, factors)
+    assert check.prune(orders) == completions[:1]  # (0, 2) excludes nothing more
+    assert check.mismatch() == ((1, 3), None) == intersection_mismatch(g, completions)
     with pytest.raises(AssertionError, match="a non-edge survives every factor"):
-        _pruned(g, factors, 2, None)
+        _pruned(g, orders, 2, None)
 
 
 def test_prune_keeps_the_first_factor_of_a_complete_graph():
     g = complete_graph(4)
-    factors = [threshold_supergraph(g, [v]) for v in (2, 0, 1)]
+    orders = [(2,), (0,), (1,)]
+    first = threshold_supergraph(g, orders[0])
     check = threshold._Intersection(g)
-    assert check.prune(factors) == factors[:1]
-    assert _pruned(g, factors, 3, None).factors == (factors[0],)
+    assert check.prune(orders) == [first]
+    assert _pruned(g, orders, 3, None).factors == (first,)
 
 
 class _CellVertex(int):
@@ -448,12 +481,11 @@ class _CellVertex(int):
 def test_maxdeg_completes_each_ordering_once_per_cell(monkeypatch):
     # cells of two colourings can give equal orderings, so an ordering does
     # not name its cell: `_conflict_blocks`, called once per cell, hands out
-    # the cell's vertices tagged with the cell's index
+    # the cell's vertices tagged with the cell's index. A cell lists each
+    # of its orderings once, and only the picks are completed, each once
     import thdim.maxdeg
     cells = 0
-    calls = []
     conflict_blocks = thdim.maxdeg._conflict_blocks
-    completion = thdim.maxdeg.threshold_supergraph
 
     def tagging(a_part, hoods, palette):
         nonlocal cells
@@ -464,17 +496,14 @@ def test_maxdeg_completes_each_ordering_once_per_cell(monkeypatch):
         cells += 1
         return tagged
 
-    def counting(g, a_order):
-        calls.append(tuple(a_order))
-        return completion(g, a_order)
-
     monkeypatch.setattr(thdim.maxdeg, "_conflict_blocks", tagging)
-    monkeypatch.setattr(thdim.maxdeg, "threshold_supergraph", counting)
+    listed = _recording_orders(monkeypatch)
+    built = _recording_completions(monkeypatch)
     g = bounded_degree_graph(40, 50, 6, seed=3)
     d = decompose_maxdeg(g, seed=3)
     assert d.verified
     by_cell: dict = {}
-    for ordering in calls:
+    for ordering in listed:
         if not isinstance(ordering[0], _CellVertex):
             continue  # the all-of-A-isolated factor of a split
         assert {v.cell for v in ordering} == {ordering[0].cell}
@@ -482,4 +511,6 @@ def test_maxdeg_completes_each_ordering_once_per_cell(monkeypatch):
     assert len(by_cell) == cells > 1
     for orderings in by_cell.values():
         assert len(orderings) == len(set(orderings))
-    assert len(calls) < 1000
+    assert len(listed) < 1000
+    completed = [t.split_a for t in built]
+    assert len(completed) == len(set(completed)) == d.size

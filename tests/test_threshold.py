@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from thdim import (ForbiddenSubgraph, Graph, LtfWitness, ThresholdGraph,
                    format_threshold, parse_threshold, path_graph,
                    recognize_threshold, star_graph, threshold_supergraph,
                    verify_ltf)
-from thdim.threshold import DOMINATING, ISOLATED, classify_forbidden
+from thdim.threshold import (DOMINATING, ISOLATED, _gain, _isolated_prefixes,
+                             classify_forbidden)
 
 from helpers import (_supergraph_creations, all_graphs, brute_is_threshold, complement, creation,
                      from_creation, guided_completion_args, is_supergraph, named_corpus, naive_completion_edges,
@@ -188,6 +191,33 @@ def test_completion_matches_direct_edge_formula():
         ind = max_independent_like(g)
         t = threshold_supergraph(g, ind)
         assert set(t.graph.edges()) == naive_completion_edges(g, ind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_an_order_scores_its_completion_from_closed_neighbourhoods(data):
+    # the vertices placed before a_j are those outside E_j = N[a_j] | ... |
+    # N[a_k], so the prune scores an order without completing it
+    g = data.draw(small_graphs(9))
+    a_order = data.draw(guided_completion_args(g))
+    full = (1 << g.n) - 1
+    closed = [mask | 1 << v for v, mask in enumerate(g.adjacency_masks())]
+    reach, pairs = 0, []
+    for a in reversed(a_order):
+        reach |= closed[a]
+        pairs.append((a, full & ~reach))
+    t = threshold_supergraph(g, a_order)
+    assert list(_isolated_prefixes(t)) == pairs[::-1]
+    # the gain counts the completion's non-edges that `excluded` does not
+    # hold at their later-placed end
+    excluded = [data.draw(st.integers(0, full)) for _ in range(g.n)]
+    position = {v: p for p, v in enumerate(t.order)}
+    fresh = 0
+    for pair in combinations(range(g.n), 2):
+        if not t.graph.has_edge(*pair):
+            earlier, later = sorted(pair, key=position.__getitem__)
+            fresh += not excluded[later] >> earlier & 1
+    assert _gain(a_order, closed, excluded) == fresh
 
 
 # ---------------------------------------------------------------------------
