@@ -20,8 +20,7 @@ from . import __version__
 from .circuits import (GraphicFunction, circuit_lines, compile_circuit, parse_circuit,
                        verify_circuit)
 from .decompose import (Decomposition, RandomizedSearchError, decompose_degeneracy,
-                        decompose_treewidth, decompose_vertex_cover,
-                        format_decomposition)
+                        decompose_treewidth, decompose_vertex_cover, decomposition_lines)
 from .exactdim import compute_report, exact_decomposition
 from .graphs import ExactLimitError, Graph, parse_edge_list
 from .maxdeg import decompose_maxdeg
@@ -100,7 +99,7 @@ def _run_method(g: Graph, args) -> Decomposition:
 def cmd_decompose(args) -> int:
     g = _read_graph(args.path)
     d = _run_method(g, args)
-    _emit([format_decomposition(d)], args.out)
+    _emit(decomposition_lines(d), args.out)
     print(f"method={d.method} factors={d.size} bound={d.bound_claimed} verified=true",
           file=sys.stderr)
     return EXIT_OK

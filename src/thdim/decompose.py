@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (INDEPENDENT_SET_LIMIT, Graph, ProperColoring, VertexOrdering,
                      degeneracy_ordering, max_independent_set)
 from .seeding import split_seed
-from .threshold import (ThresholdGraph, _Intersection, format_threshold, intersection_mismatch,
-                        parse_threshold, threshold_supergraph)
+from .threshold import (ThresholdGraph, _Intersection, format_threshold, parse_threshold,
+                        threshold_supergraph)
 from .treedecomp import TreeDecomposition, validate_tree_decomposition
 
 METHODS = ("vertex-cover", "degeneracy", "treewidth", "maxdeg", "exact", "manual")
@@ -70,14 +70,14 @@ class VerificationResult:
 
 def verify_decomposition(g: Graph, d: Decomposition) -> VerificationResult:
     """Check that every factor contains g and their edge intersection equals g,
-    by `intersection_mismatch`, the same check `thdim verify` runs on the
-    pair graphs of a circuit's gates.
+    by `_Intersection`, the same check `thdim verify` runs on the pair
+    graphs of a circuit's gates.
 
     On failure reports the pair it names: an edge of g dropped by the
     earliest factor that drops one (with that factor's index), else a
     non-edge of g present in every factor (factor_index None).
     """
-    return _result(intersection_mismatch(g, d.factors))
+    return _result(_Intersection(g, d.factors).mismatch())
 
 
 def _result(mismatch: tuple[tuple[int, int], int | None] | None) -> VerificationResult:
@@ -142,8 +142,6 @@ def decompose_vertex_cover(g: Graph, cover: Iterable[int] | None = None) -> Deco
     if g.m == 0:
         factor = threshold_supergraph(g, list(range(g.n)))
         return _finish(g, "vertex-cover", 1, _Intersection(g, [factor]))
-    if not cover:
-        raise ValueError("a graph with edges needs a non-empty cover")
     rest = [v for v in range(g.n) if v not in cover_set]
     factors = [threshold_supergraph(g, [v]) for v in cover[:-1]]
     last = cover[-1]
@@ -301,10 +299,16 @@ def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
 # ---------------------------------------------------------------------------
 # serialization: "td-decomp <method> <k>" + one creation-sequence line per factor
 
+def decomposition_lines(d: Decomposition) -> Iterator[str]:
+    """The lines of the decomposition file, each with its newline: the
+    header, then one creation-sequence line per listed factor."""
+    yield f"td-decomp {d.method} {d.size}\n"
+    for f in d.factors:
+        yield format_threshold(f) + "\n"
+
+
 def format_decomposition(d: Decomposition) -> str:
-    lines = [f"td-decomp {d.method} {d.size}"]
-    lines.extend(format_threshold(f) for f in d.factors)
-    return "\n".join(lines) + "\n"
+    return "".join(decomposition_lines(d))
 
 
 def parse_decomposition(text: str) -> Decomposition:

@@ -283,10 +283,13 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int]) -> ThresholdGraph:
 # intersections of threshold graphs
 
 class _Intersection:
-    """The check of `intersection_mismatch` kept open: factors are added a
-    list at a time, the first maybe on construction, and `mismatch`
-    answers for every factor added so far, as `intersection_mismatch`
-    would on that whole list, a dropped edge with its index in it.
+    """The one check that factors intersect to g, kept open: factors are
+    added a list at a time, the first maybe on construction, and `mismatch`
+    names the first pair (u, w), u < w, on which the intersection of every
+    factor added so far differs from g, with the index of the factor at
+    fault, or None. That is the smallest edge of g that the earliest
+    factor dropping one drops, with that factor's index; else the smallest
+    non-edge of g that every factor keeps, with index None.
 
     Walks only each factor's isolated vertices, once (`_isolated_prefixes`):
     a factor drops an edge iff an isolated w has a g-neighbour in
@@ -463,18 +466,6 @@ def _gain(order: Sequence[int], closed: Sequence[int], excluded: Sequence[int]) 
     return total
 
 
-def intersection_mismatch(g: Graph, factors: Sequence[ThresholdGraph]
-                          ) -> tuple[tuple[int, int], int | None] | None:
-    """The first pair (u, w), u < w, on which the intersection of the
-    factors differs from g, with the index of the factor at fault, or None.
-
-    First the smallest edge of g that the earliest factor dropping one
-    drops, with that factor's index; else the smallest non-edge of g that
-    every factor keeps, with index None. One pass of `_Intersection`.
-    """
-    return _Intersection(g, factors).mismatch()
-
-
 # ---------------------------------------------------------------------------
 # integer LTF witnesses
 
@@ -628,7 +619,7 @@ def _circuit_counterexample(g: Graph, witnesses: Sequence[LtfWitness],
     (a) each gate is certified against its pair graph H_i by
         `_ltf_counterexample`;
     (b) the AND accepts a pair iff every H_i has it, so the pair that
-        `intersection_mismatch` names, as `verify_decomposition` does for a
+        `_Intersection.mismatch` names, as `verify_decomposition` does for a
         decomposition's factors, is a counterexample;
     (c) otherwise the AND accepts only cliques of g, and a gate exact on its
         H_i accepts them all. A gate that rejects a clique S of its H_i is
@@ -647,16 +638,16 @@ def _circuit_counterexample(g: Graph, witnesses: Sequence[LtfWitness],
                                   f"checked up to {walk_limit} inputs, not {n}")
         return _gray_counterexample(g, witnesses)
     pair_graphs = [_pair_graph(witness) for witness in witnesses]
-    mismatch = intersection_mismatch(g, pair_graphs)
+    check = _Intersection(g, pair_graphs)
+    mismatch = check.mismatch()
     if mismatch is not None:
         (u, w), _ = mismatch
         return 1 << u | 1 << w
-    adjacent = order = None
+    adjacent, order = check.adjacent, None
     for witness, h in zip(witnesses, pair_graphs):
         bad = _ltf_counterexample(h, witness)
         if bad is None:
             continue
-        adjacent = adjacent or g.adjacency_masks()
         clique = sum(1 << v for v in bad)
         if all(clique & ~adjacent[v] == 1 << v for v in _bits(clique)):
             return clique

@@ -3,13 +3,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import thdim
-from thdim import (Graph, GraphicFunction, complete_graph, cycle_graph, disjoint_cliques,
-                   format_tree_decomposition, gen_gnm, heuristic_tree_decomposition,
+from thdim import (Graph, GraphicFunction, complete_graph, cycle_graph, decompose_degeneracy,
+                   disjoint_cliques, format_decomposition, format_tree_decomposition,
+                   gen_gnm, heuristic_tree_decomposition,
                    ltfs_to_graph, parse_circuit, parse_decomposition, path_graph,
                    star_graph, verify_circuit, verify_decomposition, write_edge_list)
 from thdim.cli import build_parser, main
@@ -179,6 +181,45 @@ def test_decompose_deterministic_output(tmp_path):
     main(["decompose", path, "--method", "degeneracy", "--seed", "3", "--out", str(out1)])
     main(["decompose", path, "--method", "degeneracy", "--seed", "3", "--out", str(out2)])
     assert out1.read_text() == out2.read_text()
+
+
+def test_decompose_writes_a_line_at_a_time(tmp_path, monkeypatch, capsys):
+    # the file and stdout get the text of format_decomposition, but the
+    # writer never holds that text whole: allocations peak below half of it
+    import thdim.cli
+
+    g = gen_gnm(400, 1200, seed=1)
+    d = decompose_degeneracy(g, seed=1)
+    text = format_decomposition(d)
+    monkeypatch.setattr(thdim.cli, "_read_graph", lambda _path: g)
+    monkeypatch.setattr(thdim.cli, "_run_method", lambda _g, _args: d)
+    assert main(["decompose", "g.gr"]) == 0
+    assert capsys.readouterr().out == text
+    out = tmp_path / "d.txt"
+    tracemalloc.start()
+    try:
+        assert main(["decompose", "g.gr", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text() == text
+    assert peak < len(text) / 2
+
+
+@pytest.mark.parametrize("command", ["decompose", "compile"])
+def test_a_stdout_closed_by_its_reader_is_an_error(tmp_path, command):
+    # the reader takes 20 bytes and closes the pipe; the output, about
+    # 270 KB, is far more than the pipe holds, so a later write fails
+    path = write_graph(tmp_path, "g.gr", gen_gnm(400, 1200, seed=1))
+    env = dict(os.environ, PYTHONPATH=str(Path(thdim.__file__).parents[1]))
+    child = subprocess.Popen([sys.executable, "-m", "thdim.cli", command, path],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(child.stdout.read(20)) == 20
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_report_2k3(tmp_path, capsys):

@@ -103,6 +103,8 @@ def test_vc_edgeless_single_factor():
 def test_vc_rejects_non_cover():
     with pytest.raises(ValueError):
         decompose_vertex_cover(path_graph(4), [0])
+    with pytest.raises(ValueError, match=r"not a vertex cover: edge \(0,1\) uncovered"):
+        decompose_vertex_cover(path_graph(4), [])
 
 
 def test_vc_factor_count_matches_cover():
@@ -250,7 +252,7 @@ def test_family_search_matches_the_pair_walk(g, k, resamples, seed):
 
 
 def test_family_is_the_shortest_accepted_prefix_of_its_draw():
-    # oracle: `intersection_mismatch` on fresh class completions of the
+    # oracle: `_Intersection.mismatch` on fresh class completions of the
     # first seeded draw of ceil(ln n) colorings that is accepted whole
     shorter = 0
     for n, m, s in [(n, m * n, s) for n in (20, 40, 60) for m in (1, 2, 3) for s in (0, 1)]:
@@ -269,14 +271,14 @@ def test_family_is_the_shortest_accepted_prefix_of_its_draw():
             rng = random.Random(split_seed(s + attempt, "separating"))
             draw = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
             factors = [f for c in draw for f in completions(c)]
-            if threshold.intersection_mismatch(g, factors) is None:
+            if threshold._Intersection(g, factors).mismatch() is None:
                 break
         else:
             raise AssertionError("no seeded draw is accepted whole")
         j = len(family.colorings)
         assert family.colorings == tuple(draw[:j])
         prefixes = [[f for c in draw[:i] for f in completions(c)] for i in range(1, j + 1)]
-        assert [threshold.intersection_mismatch(g, p) is None for p in prefixes] == (
+        assert [threshold._Intersection(g, p).mismatch() is None for p in prefixes] == (
             [False] * (j - 1) + [True])
         assert [f.split_a for f in family.decomposition.factors] == [
             f.split_a for f in prefixes[-1]]
@@ -333,7 +335,7 @@ def test_resumable_check_answers_as_a_fresh_one_on_every_prefix(case):
         check.add(chunk)
         added += chunk
         got = check.mismatch()
-        assert got == threshold.intersection_mismatch(g, added)
+        assert got == threshold._Intersection(g, added).mismatch()
         ok, _, pair, idx = edge_mask_verify(g, added)
         assert (got is None) == ok
         if not ok:

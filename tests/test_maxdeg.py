@@ -14,7 +14,6 @@ from thdim import (Graph, RandomizedSearchError, ThresholdGraph,
 from thdim import threshold
 from thdim.graphs import edge_mask
 from thdim.maxdeg import _cell_requirements, _conflict_blocks, _hoods, _pruned
-from thdim.threshold import intersection_mismatch
 
 from helpers import (all_suitable_pairs, bounded_degree_graph, complete_bipartite,
                      full_scan_uncovered_pairs, guided_completion_args, plain_greedy_subcover,
@@ -431,8 +430,8 @@ def test_prune_is_the_plain_greedy_and_verifies(case):
     distinct = list(dict.fromkeys(completions))
     positions = [distinct.index(f) for f in kept]
     assert positions == sorted(set(positions))  # a subsequence of the distinct orders
-    full = intersection_mismatch(g, completions)
-    assert check.mismatch() == full == intersection_mismatch(g, kept)
+    full = threshold._Intersection(g, completions).mismatch()
+    assert check.mismatch() == full == threshold._Intersection(g, kept).mismatch()
     if full is None:
         assert kept == plain_greedy_subcover(g, completions)
 
@@ -449,7 +448,7 @@ def test_prune_names_a_pick_that_drops_an_edge(monkeypatch):
     check = threshold._Intersection(g)
     kept = check.prune(orders)
     assert kept == [original(g, (0,)), bad]
-    assert check.mismatch() == ((0, 1), 1) == intersection_mismatch(g, kept)
+    assert check.mismatch() == ((0, 1), 1) == threshold._Intersection(g, kept).mismatch()
     with pytest.raises(AssertionError, match="drops an edge"):
         _pruned(g, orders, 4, None)
 
@@ -460,7 +459,7 @@ def test_prune_names_the_non_edge_every_order_keeps():
     completions = [threshold_supergraph(g, order) for order in orders]
     check = threshold._Intersection(g)
     assert check.prune(orders) == completions[:1]  # (0, 2) excludes nothing more
-    assert check.mismatch() == ((1, 3), None) == intersection_mismatch(g, completions)
+    assert check.mismatch() == ((1, 3), None) == threshold._Intersection(g, completions).mismatch()
     with pytest.raises(AssertionError, match="a non-edge survives every factor"):
         _pruned(g, orders, 2, None)
 

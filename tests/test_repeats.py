@@ -14,7 +14,6 @@ from thdim import (GraphicFunction, LtfWitness, MajorityCircuit, ThresholdGraph,
                    format_circuit, format_decomposition, gen_gnm, parse_circuit,
                    threshold_supergraph, verify_circuit)
 from thdim import circuits, decompose, threshold
-from thdim.threshold import intersection_mismatch
 
 from helpers import (edge_mask_verify, fresh_degeneracy_text, maximal_cliques, small_graphs,
                      walk_counterexample)
@@ -69,8 +68,8 @@ def factors_with_repeats(draw):
 @given(factors_with_repeats())
 def test_repeated_factors_leave_the_mismatch_unchanged(case):
     g, factors, repeated, new_index = case
-    expected = intersection_mismatch(g, factors)
-    got = intersection_mismatch(g, repeated)
+    expected = threshold._Intersection(g, factors).mismatch()
+    got = threshold._Intersection(g, repeated).mismatch()
     if expected is None or expected[1] is None:
         assert got == expected
     else:

@@ -227,6 +227,17 @@ def test_clique_search_finds_a_clique_of_g_just_over_the_bound():
     assert verify_circuit(GraphicFunction(g), circuit) == (False, (1, 1, 1, 0))
 
 
+def test_a_clique_check_reads_the_masks_of_the_pair_check(monkeypatch):
+    # the one gate accepts every pair of K3 but not the triangle, so the
+    # check reaches the clique test, which reads the pair check's masks
+    built = []
+    masks = Graph.adjacency_masks
+    monkeypatch.setattr(Graph, "adjacency_masks", lambda g: built.append(g) or masks(g))
+    circuit = MajorityCircuit(3, (LtfWitness((1, 1, 1), 2),))
+    assert verify_circuit(GraphicFunction(complete_graph(3)), circuit) == (False, (1, 1, 1))
+    assert len(built) == 1
+
+
 def test_clique_search_over_its_budget_is_refused(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(threshold, "CLIQUE_SEARCH_NODES", 1)
     graph = write(tmp_path, "p3.gr", write_edge_list(path_graph(3)))
