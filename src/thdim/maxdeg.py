@@ -15,7 +15,7 @@ import math
 import random
 from collections import Counter
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .decompose import Decomposition, RandomizedSearchError, _finish
 from .graphs import Graph, VertexOrdering, degeneracy_ordering, greedy_coloring
@@ -30,36 +30,40 @@ PARTITION_RESTARTS = 16  # fresh random assignments before bounded_partition giv
 
 def build_suitable_family(ground: int, k: int,
                           requirements: Iterable[tuple[tuple[int, ...], int]],
-                          seed: int = 0) -> tuple[tuple[int, ...], ...]:
-    """Random permutations of range(ground), grown until every requirement
-    (subset, last) holds: some permutation puts `last` after the rest of
-    `subset`.
+                          seed: int = 0) -> Iterator[tuple[tuple[int, ...], int | None]]:
+    """Random permutations of range(ground), drawn one at a time until every
+    requirement (subset, last) holds: some permutation puts `last` after the
+    rest of `subset`. Yields each permutation with the family's size, None
+    until every requirement holds.
 
-    Starts from ceil(k * 2^k * ln ln max(ground, 16)) permutations, the size
-    at which a family is likely k-suitable (every element of every k-subset
-    comes last in some member), adds one at a time up to 4x that, and fails
-    with statistics beyond the cap. The check is exact over the requirements
-    given and draws nothing from the stream, so the family is a prefix of
-    the permutations the seed yields.
+    The family has ceil(k * 2^k * ln ln max(ground, 16)) permutations, the
+    size at which a family is likely k-suitable (every element of every
+    k-subset comes last in some member), or more when the requirements need
+    more, up to 4x that; beyond the cap the draw fails with statistics. The
+    check is exact over the requirements given and draws nothing from the
+    stream, so the family is a prefix of the permutations the seed yields,
+    and a caller may stop reading it at any member. As a generator, it
+    checks k and ground when the first member is drawn.
     """
     if not (2 <= k <= ground):
         raise ValueError(f"need 2 <= k <= ground, got k={k}, ground={ground}")
     rng = random.Random(split_seed(seed, "suitable", ground, k))
     start = math.ceil(k * (2 ** k) * math.log(math.log(max(ground, 16))))
     cap = 4 * start
-    perms: list[tuple[int, ...]] = []
     bad = list(requirements)
-    while len(perms) < start or (bad and len(perms) < cap):
+    drawn = 0
+    while drawn < start or (bad and drawn < cap):
         p = list(range(ground))
         rng.shuffle(p)
-        perms.append(tuple(p))
-        pos = {v: i for i, v in enumerate(p)}
-        bad = [(s, x) for s, x in bad if max(s, key=pos.__getitem__) != x]
+        drawn += 1
+        if bad:
+            pos = {v: i for i, v in enumerate(p)}
+            bad = [(s, x) for s, x in bad if max(s, key=pos.__getitem__) != x]
+        yield tuple(p), None if bad else max(start, drawn)
     if bad:
         raise RandomizedSearchError(
             "suitable family not found",
-            {"ground": ground, "k": k, "size": len(perms), "uncovered": len(bad)})
-    return tuple(perms)
+            {"ground": ground, "k": k, "size": drawn, "uncovered": len(bad)})
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +210,9 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
     (`_cell_requirements`). A completion depends on a permutation only
     through the order of the non-empty blocks, so each distinct ordering of
     a cell is listed once, in the order the permutations first give it; a
-    cell with one non-empty block has one such order. Each ordering is
+    cell with one non-empty block has one such order. The family is drawn
+    only as far as the cells read it (`_cell_orderings`), and the claimed
+    bound counts all of it. Each ordering is
     completed from g alone: its clique side, V minus the ordering, holds B,
     so the factor contains G*[A, B]; each B-vertex of the cell's slice gets
     the level the cell's requirements assume, and every other vertex sees
@@ -263,24 +269,48 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
                 cells.append(blocks)
                 requirements.update(_cell_requirements(blocks, cell_hoods))
 
-        family = build_suitable_family(ground, r + 1, requirements,
-                                       seed=split_seed(seed, "suitable"))
-        budget += 2 * len(family) * t * ell
+        orderings, size, drawn = _cell_orderings(
+            cells, build_suitable_family(ground, r + 1, requirements,
+                                         seed=split_seed(seed, "suitable")))
+        orders.extend(orderings)
+        budget += 2 * size * t * ell
         if diagnostics is not None:
-            diagnostics.append(
-                f"  suitable family: ground={ground} k={r + 1} size={len(family)}")
+            diagnostics.append(f"  suitable family: ground={ground} k={r + 1} "
+                               f"size={size} drawn={drawn}")
             diagnostics.append(f"  bipartite colorings: {len(colorings)}")
-
-        # position of each block id in each permutation
-        inverses = [{ci: i for i, ci in enumerate(perm)} for perm in family]
-        for blocks in cells:
-            used = [ci for ci, block in enumerate(blocks) if block]
-            projections = [tuple(used)] if len(used) == 1 else dict.fromkeys(
-                tuple(sorted(used, key=inverse.__getitem__)) for inverse in inverses)
-            orders.extend(dict.fromkeys(
-                tuple(v for ci in proj for v in blocks[ci][::step])
-                for proj in projections for step in (1, -1)))
     return orders, budget
+
+
+def _cell_orderings(cells: Sequence[Sequence[Sequence[int]]],
+                    family: Iterable[tuple[tuple[int, ...], int | None]]
+                    ) -> tuple[list[tuple[int, ...]], int, int]:
+    """The orderings of the cells' A-parts along a permutation `family`
+    (`build_suitable_family`), the family's size and the permutations drawn.
+
+    Each permutation orders a cell's non-empty blocks, and each distinct
+    ordering is listed twice, every block ascending and then every block
+    descending, cell by cell, in the order the permutations first give it. A
+    cell with one non-empty block has one ordering; one with U of them has
+    at most |U|!. So the family is read only until its size is known and
+    every cell has either seen all its orderings or the whole family.
+    """
+    used = [[ci for ci, block in enumerate(blocks) if block] for blocks in cells]
+    seen: list[dict[tuple[int, ...], None]] = [
+        dict.fromkeys([tuple(u)] if len(u) < 2 else []) for u in used]
+    unseen = [(projections, u) for projections, u in zip(seen, used) if len(u) > 1]
+    for drawn, (perm, size) in enumerate(family, 1):
+        position = sorted(range(len(perm)), key=perm.__getitem__)  # of each block id
+        for projections, u in unseen:
+            projections[tuple(sorted(u, key=position.__getitem__))] = None
+        unseen = [(projections, u) for projections, u in unseen
+                  if len(projections) < math.factorial(len(u))]
+        if size is not None and not unseen:
+            break
+    orderings: list[tuple[int, ...]] = []
+    for blocks, projections in zip(cells, seen):
+        orderings.extend(dict.fromkeys(tuple(v for ci in proj for v in blocks[ci][::step])
+                                       for proj in projections for step in (1, -1)))
+    return orderings, size, drawn
 
 
 def _hoods(g: Graph, coloring: dict[int, int],

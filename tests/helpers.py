@@ -16,8 +16,9 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, LtfWitness, ProperColoring,
-                   ThresholdGraph, TreeDecomposition, TreeDecompositionError, complete_graph,
-                   cycle_graph, disjoint_cliques, empty_graph, format_circuit, format_threshold,
+                   ThresholdGraph, TreeDecomposition, TreeDecompositionError,
+                   build_suitable_family, complete_graph, cycle_graph, disjoint_cliques,
+                   empty_graph, format_circuit, format_threshold,
                    gen_gnm, path_graph, petersen_graph, star_graph, threshold_supergraph,
                    validate_tree_decomposition)
 from thdim import treedecomp
@@ -758,6 +759,31 @@ def all_suitable_pairs(ground: int, k: int) -> list[tuple[tuple[int, ...], int]]
     """Every (k-subset, element) pair of range(ground): the requirements that
     make a permutation family k-suitable."""
     return [(subset, x) for subset in combinations(range(ground), k) for x in subset]
+
+
+def whole_family(ground: int, k: int, requirements, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Every member of the suitable family `build_suitable_family` draws."""
+    return tuple(perm for perm, _ in build_suitable_family(ground, k, requirements, seed=seed))
+
+
+def whole_family_orderings(cells, family) -> tuple[list[tuple[int, ...]], int, int]:
+    """`maxdeg._cell_orderings` as it was when every split drew its whole
+    family: every permutation is projected onto every cell with two or more
+    non-empty blocks, then each cell's distinct projections are listed,
+    blocks ascending and then descending. Returns the orderings, the
+    family's size and the permutations drawn (all of them)."""
+    perms = [perm for perm, _ in family]
+    # position of each block id in each permutation
+    inverses = [{ci: i for i, ci in enumerate(perm)} for perm in perms]
+    orderings = []
+    for blocks in cells:
+        used = [ci for ci, block in enumerate(blocks) if block]
+        projections = [tuple(used)] if len(used) == 1 else dict.fromkeys(
+            tuple(sorted(used, key=inverse.__getitem__)) for inverse in inverses)
+        orderings.extend(dict.fromkeys(
+            tuple(v for ci in proj for v in blocks[ci][::step])
+            for proj in projections for step in (1, -1)))
+    return orderings, len(perms), len(perms)
 
 
 def unmet_requirements(perms, requirements) -> list[tuple[tuple[int, ...], int]]:

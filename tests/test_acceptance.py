@@ -143,10 +143,14 @@ def test_criterion_7_maxdeg_pipeline(monkeypatch):
         original = thdim.maxdeg.build_suitable_family
 
         def recording(ground, k, requirements, seed=0):
+            # the members the pipeline reads, which stop once the family's
+            # size is known, that is once every requirement is met
             requirements = list(requirements)
-            fam = original(ground, k, requirements, seed=seed)
-            families.append((fam, requirements))
-            return fam
+            read = []
+            families.append((read, requirements))
+            for perm, size in original(ground, k, requirements, seed=seed):
+                read.append(perm)
+                yield perm, size
 
         monkeypatch.setattr(thdim.maxdeg, "build_suitable_family", recording)
         corpus = [petersen_graph(), cycle_graph(12), complete_graph(4)]
@@ -157,9 +161,9 @@ def test_criterion_7_maxdeg_pipeline(monkeypatch):
         for idx, g in enumerate(corpus):
             d = decompose_maxdeg(g, seed=idx)
             assert d.verified and verify_decomposition(g, d).ok
-        assert families, "pipeline never built a suitable family"
-        for fam, requirements in families:
-            assert unmet_requirements(fam, requirements) == []
+        assert families, "pipeline never read a suitable family"
+        for read, requirements in families:
+            assert read and unmet_requirements(read, requirements) == []
 
 
 def test_criterion_8_random_graph_experiment():

@@ -168,7 +168,10 @@ def test_decompose_maxdeg_diagnostics(tmp_path):
                  "--out", str(tmp_path / "d.txt")]) == 0
     text = diag.read_text()
     assert "maxdeg delta=2" in text
-    assert "suitable family" in text and "partition sizes" in text
+    assert "partition sizes" in text
+    families = re.findall(r"^  suitable family: ground=\d+ k=\d+ size=(\d+) drawn=(\d+)$",
+                          text, re.MULTILINE)
+    assert families and all(1 <= int(drawn) <= int(size) for size, drawn in families)
     counts = re.search(r"^factors: listed=(\d+) distinct=(\d+) pruned=(\d+)$", text, re.MULTILINE)
     listed, distinct, pruned = map(int, counts.groups())
     assert listed >= distinct >= pruned >= 1

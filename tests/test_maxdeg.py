@@ -1,3 +1,6 @@
+import random
+import re
+import types
 from itertools import chain, combinations, permutations
 
 import pytest
@@ -13,12 +16,14 @@ from thdim import (Graph, RandomizedSearchError, ThresholdGraph,
                    verify_decomposition)
 from thdim import threshold
 from thdim.graphs import edge_mask
-from thdim.maxdeg import _cell_requirements, _conflict_blocks, _hoods, _pruned
+from thdim.maxdeg import (_cell_orderings, _cell_requirements, _conflict_blocks, _hoods,
+                          _pruned)
 
 from helpers import (all_suitable_pairs, bounded_degree_graph, complete_bipartite,
                      full_scan_uncovered_pairs, guided_completion_args, plain_greedy_subcover,
                      random_corpus, small_graphs, unmet_requirements,
-                     walk_cell_requirements, walk_conflict_blocks)
+                     walk_cell_requirements, walk_conflict_blocks, whole_family,
+                     whole_family_orderings)
 
 
 # ---------------------------------------------------------------------------
@@ -34,46 +39,131 @@ def test_identity_alone_is_not_2_suitable():
 
 
 def test_build_small_family():
-    fam = build_suitable_family(3, 2, all_suitable_pairs(3, 2), seed=0)
+    fam = whole_family(3, 2, all_suitable_pairs(3, 2), seed=0)
     assert full_scan_uncovered_pairs(3, 2, fam) == []
 
 
 def test_build_family_n_equals_k():
-    fam = build_suitable_family(2, 2, all_suitable_pairs(2, 2), seed=0)
+    fam = whole_family(2, 2, all_suitable_pairs(2, 2), seed=0)
     assert len(fam) >= 2
     assert full_scan_uncovered_pairs(2, 2, fam) == []
 
 
 def test_build_family_n8_k3():
-    fam = build_suitable_family(8, 3, all_suitable_pairs(8, 3), seed=1)
+    fam = whole_family(8, 3, all_suitable_pairs(8, 3), seed=1)
     assert full_scan_uncovered_pairs(8, 3, fam) == []
 
 
 def test_build_family_deterministic():
     pairs = all_suitable_pairs(6, 2)
-    assert build_suitable_family(6, 2, pairs, seed=9) == build_suitable_family(6, 2, pairs, seed=9)
+    assert (list(build_suitable_family(6, 2, pairs, seed=9))
+            == list(build_suitable_family(6, 2, pairs, seed=9)))
 
 
 def test_build_family_grows_a_prefix_of_its_stream():
     # the check draws nothing, so more requirements only extend the family
-    bare = build_suitable_family(40, 2, [], seed=3)
-    full = build_suitable_family(40, 2, all_suitable_pairs(40, 2), seed=3)
+    bare = whole_family(40, 2, [], seed=3)
+    full = whole_family(40, 2, all_suitable_pairs(40, 2), seed=3)
     assert len(full) > len(bare)
     assert full[:len(bare)] == bare
     assert full_scan_uncovered_pairs(40, 2, full) == []
     assert full_scan_uncovered_pairs(40, 2, bare) != []
 
 
+@pytest.mark.parametrize("requirements", [[], all_suitable_pairs(8, 4)])
+def test_build_family_yields_its_size_once_the_requirements_hold(requirements):
+    # None up to the member that meets the last requirement, then the size
+    # of the whole family: its start size, or the members the requirements
+    # needed (every 4-subset of 8 needs more than the 9 a 2-suitable start has)
+    drawn = list(build_suitable_family(8, 2, requirements, seed=3))
+    perms = [perm for perm, _ in drawn]
+    known = next(i for i in range(len(perms))
+                 if not unmet_requirements(perms[:i + 1], requirements))
+    start = len(whole_family(8, 2, [], seed=3))
+    assert [size for _, size in drawn] == [None] * known + [len(perms)] * (len(perms) - known)
+    assert len(perms) == max(start, known + 1)
+    assert (len(perms) > start) == bool(requirements)
+
+
 def test_build_family_refuses_unmeetable_requirement():
     with pytest.raises(RandomizedSearchError, match="suitable family not found"):
-        build_suitable_family(4, 2, [((0, 1), 2)], seed=0)
+        whole_family(4, 2, [((0, 1), 2)], seed=0)
 
 
 def test_build_family_preconditions():
+    # a generator checks its arguments when the first member is drawn
     with pytest.raises(ValueError):
-        build_suitable_family(3, 1, [], seed=0)
+        next(build_suitable_family(3, 1, [], seed=0))
     with pytest.raises(ValueError):
-        build_suitable_family(2, 3, [], seed=0)
+        next(build_suitable_family(2, 3, [], seed=0))
+
+
+# ---------------------------------------------------------------------------
+# reading a family into the orderings of cells
+
+@st.composite
+def family_cases(draw):
+    """A ground, k, cells and requirements over the ground's block ids, and
+    a seed. A cell is `ground` blocks of distinct vertices, each ascending,
+    some empty; a requirement is a subset of block ids and one of them."""
+    ground = draw(st.integers(2, 7))
+    k = draw(st.integers(2, ground))
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        block_of = draw(st.lists(st.integers(0, ground - 1), min_size=1, max_size=8))
+        cells.append([[v for v, ci in enumerate(block_of) if ci == b] for b in range(ground)])
+    subsets = st.lists(st.integers(0, ground - 1), min_size=1, unique=True)
+    requirement = subsets.flatmap(
+        lambda s: st.tuples(st.just(tuple(sorted(s))), st.sampled_from(s)))
+    return ground, k, cells, draw(st.lists(requirement, max_size=12)), draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_cases())
+@example((3, 2, [[[0], [1], [2]]], [], 0))  # a cell with three non-empty blocks
+@example((7, 2, [[[0], [1, 2], [], [3], [], [], []], [[0, 1], [], [], [], [], [], [2]]],
+          [(tuple(range(7)), x) for x in range(7)], 1))  # the family grows past its start
+def test_cells_read_what_the_whole_family_gives(case):
+    # the orderings and size from reading the family only as far as the
+    # cells need equal those from projecting every member onto every cell
+    ground, k, cells, requirements, seed = case
+
+    def family():
+        return build_suitable_family(ground, k, requirements, seed=seed)
+    try:
+        expected = whole_family_orderings(cells, family())
+    except RandomizedSearchError:
+        with pytest.raises(RandomizedSearchError, match="suitable family not found"):
+            _cell_orderings(cells, family())
+        return
+    orderings, size, drawn = _cell_orderings(cells, family())
+    assert (orderings, size) == expected[:2]
+    assert 1 <= drawn <= size
+
+
+def test_cells_stop_the_draw_once_each_has_seen_its_orderings():
+    perms = whole_family(6, 2, [], seed=5)
+    one_block = [[0, 1], [], [], [], [], []]
+    two_blocks = [[2], [], [], [3], [], []]
+    assert _cell_orderings([one_block], build_suitable_family(6, 2, [], seed=5)) == (
+        [(0, 1), (1, 0)], len(perms), 1)
+    # both orders of blocks 0 and 3 are seen at the first member that swaps them
+    swapped = next(i for i, p in enumerate(perms)
+                   if (p.index(0) < p.index(3)) != (perms[0].index(0) < perms[0].index(3)))
+    orderings, size, drawn = _cell_orderings([one_block, two_blocks],
+                                             build_suitable_family(6, 2, [], seed=5))
+    assert (len(orderings), size, drawn) == (2 + 2, len(perms), swapped + 1)
+    # 5! orderings of five blocks are more than the members, so all are read,
+    # also when requirements grow the family past its start
+    five_blocks = [[v] for v in range(5)] + [[]]
+    requirements = [(tuple(range(6)), x) for x in range(6)]
+    grown = whole_family(6, 2, requirements, seed=5)
+    assert len(grown) > len(perms)
+    orderings, size, drawn = _cell_orderings([five_blocks],
+                                             build_suitable_family(6, 2, requirements, seed=5))
+    assert size == drawn == len(grown)
+    assert orderings == whole_family_orderings(
+        [five_blocks], build_suitable_family(6, 2, requirements, seed=5))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +417,83 @@ def test_maxdeg_k55_55():
     d = decompose_maxdeg(g, seed=1)
     assert d.verified and d.size == 2
     assert verify_decomposition(g, d).ok
+
+
+@pytest.mark.parametrize(("g", "most_blocks"),
+                         [(bounded_degree_graph(40, 50, 6, seed=s), 2) for s in (1, 2, 3)]
+                         + [(complete_bipartite(55, 55), 3)],
+                         ids=["bounded-1", "bounded-2", "bounded-3", "K55,55"])
+def test_splits_list_what_their_whole_families_give(monkeypatch, g, most_blocks):
+    # each split's orders and budget, read from the family as far as its
+    # cells need, equal those from projecting the whole family onto every
+    # cell; in K_{55,55} a cell holds up to r = 3 mutually conflicting vertices
+    import thdim.maxdeg
+    splits = []
+    split_factors = thdim.maxdeg._split_factors
+
+    def recording(*args):
+        splits.append(split_factors(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(thdim.maxdeg, "_split_factors", recording)
+    lazy = decompose_maxdeg(g, seed=1)
+    lazy_splits = splits[:]
+    del splits[:]
+    blocks_read = []
+
+    def whole(cells, family):
+        blocks_read.extend(sum(1 for block in blocks if block) for blocks in cells)
+        return whole_family_orderings(cells, family)
+
+    monkeypatch.setattr(thdim.maxdeg, "_cell_orderings", whole)
+    drawn_whole = decompose_maxdeg(g, seed=1)
+    assert splits == lazy_splits
+    assert format_decomposition(lazy) == format_decomposition(drawn_whole)
+    assert lazy.bound_claimed == drawn_whole.bound_claimed
+    assert max(blocks_read) == most_blocks
+
+
+def test_a_split_draws_only_the_permutations_its_cells_read(monkeypatch):
+    # a split whose cells each have one non-empty block reads no member, so
+    # it draws one, to learn the family's size; none draws past that size
+    import thdim.maxdeg
+    splits = []
+
+    class Counting(random.Random):
+        def shuffle(self, x):  # only the suitable family shuffles
+            splits[-1]["draws"] += 1
+            super().shuffle(x)
+
+    conflict_blocks = thdim.maxdeg._conflict_blocks
+
+    def recording_blocks(*args):
+        blocks = conflict_blocks(*args)
+        splits[-1]["filled"].append(sum(1 for block in blocks if block))
+        return blocks
+
+    split_factors = thdim.maxdeg._split_factors
+
+    def recording_split(g, a_side, seed, diagnostics):
+        splits.append({"draws": 0, "filled": [], "lines": []})
+        return split_factors(g, a_side, seed, splits[-1]["lines"])
+
+    monkeypatch.setattr(thdim.maxdeg, "random", types.SimpleNamespace(Random=Counting))
+    monkeypatch.setattr(thdim.maxdeg, "_conflict_blocks", recording_blocks)
+    monkeypatch.setattr(thdim.maxdeg, "_split_factors", recording_split)
+    for seed in (1, 2, 3):
+        assert decompose_maxdeg(bounded_degree_graph(40, 50, 6, seed=seed), seed=seed).verified
+    one_block = [s for s in splits if s["filled"] and max(s["filled"]) == 1]
+    several = [s for s in splits if s["filled"] and max(s["filled"]) > 1]
+    assert one_block and several
+    assert all(s["draws"] <= 1 for s in one_block)
+    for s in splits:
+        family = re.search(r"suitable family: .* size=(\d+) drawn=(\d+)$", "\n".join(s["lines"]),
+                           re.MULTILINE)
+        if family is None:
+            assert not s["filled"] and s["draws"] == 0
+            continue
+        size, drawn = map(int, family.groups())
+        assert s["draws"] == drawn <= size
 
 
 def _recording_orders(monkeypatch) -> list[tuple[int, ...]]:
