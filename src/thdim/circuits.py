@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .decompose import Decomposition
-from .graphs import Graph
+from .graphs import Graph, ParseError, parse_ints, read_lines
 from .threshold import LtfWitness, _circuit_counterexample, _mask_to_vector, extract_ltf
 
 _DECIMAL_BITS = 14_000  # about 4214 digits, below Python's 4300-digit limit
@@ -142,31 +142,25 @@ def format_circuit(c: MajorityCircuit) -> str:
 
 
 def parse_circuit(lines: str | Iterable[str]) -> MajorityCircuit:
-    """Read a circuit from its text or from its lines, such as an open file,
-    one line at a time. Each distinct token of a gate line is parsed once."""
-    if isinstance(lines, str):
-        lines = lines.splitlines()
-    content = (ln for ln in map(str.strip, lines) if ln and not ln.startswith("#"))
-    header = next(content, None)
-    if header is None:
-        raise ValueError("empty circuit file")
-    head = header.split()
+    """Read a circuit one line at a time. Each distinct token of a gate line
+    is parsed once."""
+    content = read_lines(lines)
+    header_no, head = next(content, (1, [""]))
     if len(head) != 3 or head[0] != "ltf-and":
-        raise ValueError(f"expected 'ltf-and <arity> <gates>', got {header!r}")
-    arity, count = int(head[1]), int(head[2])
+        raise ParseError(header_no, f"expected 'ltf-and <arity> <gates>', got {' '.join(head)!r}")
+    arity, count = parse_ints(header_no, head[1:])
     if arity < 0 or count < 0:
-        raise ValueError(f"negative arity or gate count in {header!r}")
+        raise ParseError(header_no, "negative arity or gate count")
     gates = []
-    for ln in content:
-        if len(gates) == count:  # count the rest without parsing it
-            found = count + 1 + sum(1 for _ in content)
-            raise ValueError(f"header promised {count} gates, found {found}")
-        tokens = ln.split()
+    for line_no, tokens in content:
+        if len(gates) == count:
+            raise ParseError(line_no, f"unexpected extra line after {count} gates")
         if tokens[0] != "gate" or len(tokens) != arity + 2:
-            raise ValueError(f"bad gate line {ln[:80]!r}")
-        value = {tok: _parse_number(tok) for tok in set(tokens[1:])}
+            raise ParseError(line_no, f"expected 'gate <bound> <{arity} weights>'")
+        distinct = list(set(tokens[1:]))
+        value = dict(zip(distinct, parse_ints(line_no, distinct, _parse_number)))
         numbers = list(map(value.__getitem__, tokens[1:]))
         gates.append(LtfWitness(weights=tuple(numbers[1:]), bound=numbers[0]))
     if len(gates) != count:
-        raise ValueError(f"header promised {count} gates, found {len(gates)}")
+        raise ParseError(header_no, f"header promised {count} gates, found {len(gates)}")
     return MajorityCircuit(arity=arity, gates=tuple(gates))

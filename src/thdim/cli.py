@@ -34,8 +34,13 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+def _read(parse, path: str):  # a line at a time, as UTF-8
+    with open(path, encoding="utf-8") as lines:
+        return parse(lines)
+
+
 def _read_graph(path: str) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    return _read(parse_edge_list, path)
 
 
 def _check_writable(path: str) -> None:
@@ -81,7 +86,7 @@ def _run_method(g: Graph, args) -> Decomposition:
         return decompose_degeneracy(g, seed=args.seed)
     if args.method == "treewidth":
         if args.td:
-            td = read_tree_decomposition(Path(args.td).read_text())
+            td = _read(read_tree_decomposition, args.td)
         else:
             td = heuristic_tree_decomposition(g)
         return decompose_treewidth(g, td)
@@ -125,8 +130,7 @@ def cmd_compile(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _read_graph(args.path)
-    with open(args.circuit, encoding="utf-8") as lines:
-        circuit = parse_circuit(lines)
+    circuit = _read(parse_circuit, args.circuit)
     if args.verify:
         print("note: --verify is ignored; verification is exact", file=sys.stderr)
     ok, counterexample = verify_circuit(GraphicFunction(g), circuit)
@@ -139,7 +143,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    spec = parse_experiment_spec(Path(args.spec).read_text())
+    spec = _read(parse_experiment_spec, args.spec)
     rows = run_experiment(spec, seed=args.seed)
     _emit([render_table(rows)], args.out)
     return EXIT_OK

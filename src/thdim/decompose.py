@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import (INDEPENDENT_SET_LIMIT, Graph, ProperColoring, VertexOrdering,
-                     degeneracy_ordering, max_independent_set)
+from .graphs import (INDEPENDENT_SET_LIMIT, Graph, ParseError, ProperColoring, VertexOrdering,
+                     degeneracy_ordering, max_independent_set, parse_ints, read_lines)
 from .seeding import split_seed
-from .threshold import (ThresholdGraph, _Intersection, format_threshold, parse_threshold,
+from .threshold import (ThresholdGraph, _Intersection, _threshold_from_tokens, format_threshold,
                         threshold_supergraph)
 from .treedecomp import TreeDecomposition, validate_tree_decomposition
 
@@ -311,17 +311,14 @@ def format_decomposition(d: Decomposition) -> str:
     return "".join(decomposition_lines(d))
 
 
-def parse_decomposition(text: str) -> Decomposition:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
-             if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty decomposition file")
-    head = lines[0].split()
+def parse_decomposition(text: str | Iterable[str]) -> Decomposition:
+    """Read a decomposition one line at a time."""
+    lines = read_lines(text)
+    header_no, head = next(lines, (1, [""]))
     if len(head) != 3 or head[0] != "td-decomp":
-        raise ValueError(f"expected 'td-decomp <method> <k>', got {lines[0]!r}")
-    method, count = head[1], int(head[2])
-    body = lines[1:]
-    if len(body) != count:
-        raise ValueError(f"header promised {count} factors, found {len(body)}")
-    factors = tuple(parse_threshold(ln) for ln in body)
-    return Decomposition(factors=factors, method=method, bound_claimed=count)
+        raise ParseError(header_no, f"expected 'td-decomp <method> <k>', got {' '.join(head)!r}")
+    count, = parse_ints(header_no, head[2:])
+    factors = tuple(_threshold_from_tokens(*line) for line in lines)
+    if len(factors) != count:
+        raise ParseError(header_no, f"header promised {count} factors, found {len(factors)}")
+    return Decomposition(factors=factors, method=head[1], bound_claimed=count)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class ParseError(ValueError):
@@ -21,6 +22,28 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def read_lines(lines: str | Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """The 1-based number and tokens of each line, of a text or any iterable of
+    lines, that holds more than a comment ('#' to the end of the line). A text
+    breaks into lines at '\\n', '\\r' and '\\r\\n' only, as a text-mode file does."""
+    if isinstance(lines, str):
+        lines = re.split(r"\r\n?|\n", lines)
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.partition("#")[0].split()
+        if tokens:
+            yield line_no, tokens
+
+
+def parse_ints(line_no: int, tokens: Iterable[str],
+               number: Callable[[str], int] = int) -> list[int]:
+    """The tokens of line `line_no` as integers, each read by `number`; a
+    token that is not one raises ParseError naming the line."""
+    try:
+        return list(map(number, tokens))
+    except ValueError as exc:
+        raise ParseError(line_no, str(exc)) from None
 
 
 class ExactLimitError(ValueError):
@@ -32,6 +55,7 @@ class ExactLimitError(ValueError):
 # anything is allocated, so a one-line file cannot exhaust memory: Graph(n)
 # alone costs about 0.5 KB per vertex.
 MAX_VERTICES = 100_000
+MAX_EDGES = 10**6  # the most edges a spec row may draw: gen_gnm holds ~440 bytes an edge
 
 
 # The most vertices the exact chromatic number and independent set take.
@@ -138,7 +162,7 @@ class ProperColoring:
 # ---------------------------------------------------------------------------
 # edge-list file format: "p <n> <m>" then m lines "<u> <v>", '#' comments
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
     """Parse the plain edge-list format into a Graph.
 
     First non-comment line must be "p <n> <m>"; the next m non-comment lines
@@ -146,43 +170,28 @@ def parse_edge_list(text: str) -> Graph:
     self-loops and out-of-range indices are hard errors. A header with more
     than MAX_VERTICES vertices is refused with ExactLimitError.
     """
-    n = m = None
+    lines = read_lines(text)
+    header_no, tokens = next(lines, (1, [""]))
+    if len(tokens) != 3 or tokens[0] != "p":
+        raise ParseError(header_no, f"expected header 'p <n> <m>', got {' '.join(tokens)!r}")
+    n, m = parse_ints(header_no, tokens[1:])
+    if n < 0 or m < 0:
+        raise ParseError(header_no, "negative vertex or edge count")
+    check_vertex_count(n)
     edges: list[tuple[int, int]] = []
-    seen = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if len(tokens) != 3 or tokens[0] != "p":
-                raise ParseError(line_no, f"expected header 'p <n> <m>', got {line!r}")
-            try:
-                n, m = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer header fields in {line!r}") from None
-            if n < 0 or m < 0:
-                raise ParseError(line_no, "negative vertex or edge count")
-            check_vertex_count(n)
-            continue
-        if seen >= m:
-            raise ParseError(line_no, f"unexpected extra line {line!r} after {m} edges")
+    for line_no, tokens in lines:
+        if len(edges) == m:
+            raise ParseError(line_no, f"unexpected extra line after {m} edges")
         if len(tokens) != 2:
-            raise ParseError(line_no, f"expected '<u> <v>', got {line!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(line_no, f"non-integer endpoint in {line!r}") from None
+            raise ParseError(line_no, f"expected '<u> <v>', got {len(tokens)} tokens")
+        u, v = parse_ints(line_no, tokens)
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(line_no, f"vertex index out of range in {line!r}")
+            raise ParseError(line_no, f"vertex index out of range for n={n}")
         if u == v:
-            raise ParseError(line_no, f"self-loop in {line!r}")
+            raise ParseError(line_no, f"self-loop at vertex {u}")
         edges.append((u, v))
-        seen += 1
-    if n is None:
-        raise ParseError(1, "empty input: missing 'p <n> <m>' header")
-    if seen != m:
-        raise ParseError(1, f"header promised {m} edges but only {seen} were given")
+    if len(edges) != m:
+        raise ParseError(header_no, f"header promised {m} edges but only {len(edges)} were given")
     return Graph(n, edges)
 
 

@@ -11,9 +11,11 @@ import math
 import statistics
 from dataclasses import dataclass
 import random
+from typing import Iterable
 
 from .decompose import decompose_degeneracy
-from .graphs import Graph, check_vertex_count, degeneracy_ordering, girth
+from .graphs import (MAX_EDGES, ExactLimitError, Graph, ParseError, check_vertex_count,
+                     degeneracy_ordering, girth, parse_ints, read_lines)
 from .seeding import split_seed
 
 
@@ -122,28 +124,27 @@ def render_table(rows: list[ExperimentRow]) -> str:
     return "\n".join([TABLE_HEADER] + [r.render() for r in rows]) + "\n"
 
 
-def parse_experiment_spec(text: str) -> list[tuple[int, int, int]]:
+def parse_experiment_spec(text: str | Iterable[str]) -> list[tuple[int, int, int]]:
     """Lines of "<n> <m> <trials>"; '#' comments and blank lines allowed.
 
-    n above MAX_VERTICES is refused with ExactLimitError; n < 1, m outside
-    [0, C(n, 2)] and trials < 1 are ValueErrors.
+    n above MAX_VERTICES and m above MAX_EDGES are refused with
+    ExactLimitError before any graph is drawn; n < 1, m outside [0, C(n, 2)]
+    and trials < 1 are ParseErrors.
     """
     spec = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for line_no, tokens in read_lines(text):
         if len(tokens) != 3:
-            raise ValueError(f"line {line_no}: expected '<n> <m> <trials>'")
-        n, m, trials = (int(t) for t in tokens)
+            raise ParseError(line_no, "expected '<n> <m> <trials>'")
+        n, m, trials = parse_ints(line_no, tokens)
         check_vertex_count(n)
         if n < 1:
-            raise ValueError(f"line {line_no}: n={n} must be at least 1")
+            raise ParseError(line_no, f"n={n} must be at least 1")
         if not (0 <= m <= math.comb(n, 2)):
-            raise ValueError(f"line {line_no}: m={m} out of range for n={n}")
+            raise ParseError(line_no, f"m={m} out of range for n={n}")
+        if m > MAX_EDGES:
+            raise ExactLimitError(f"line {line_no}: m={m} exceeds the cap MAX_EDGES = {MAX_EDGES}")
         if trials < 1:
-            raise ValueError(f"line {line_no}: trials={trials} must be at least 1")
+            raise ParseError(line_no, f"trials={trials} must be at least 1")
         spec.append((n, m, trials))
     return spec
 

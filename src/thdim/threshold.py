@@ -16,7 +16,8 @@ from itertools import combinations
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import ExactLimitError, Graph, _bits, degeneracy_ordering
+from .graphs import (ExactLimitError, Graph, ParseError, _bits, degeneracy_ordering,
+                     parse_ints, read_lines)
 
 ISOLATED = "i"
 DOMINATING = "d"
@@ -768,16 +769,18 @@ def format_threshold(t: ThresholdGraph) -> str:
 
 
 def parse_threshold(line: str) -> ThresholdGraph:
-    tokens = line.split()
+    """Read a creation sequence from its `ts` line, comment aside."""
+    return _threshold_from_tokens(1, [tok for _, tokens in read_lines(line) for tok in tokens])
+
+
+def _threshold_from_tokens(line_no: int, tokens: list[str]) -> ThresholdGraph:
+    """The creation sequence of the `ts` line `line_no`, split into tokens."""
     if len(tokens) < 2 or tokens[0] != "ts":
-        raise ValueError(f"expected 'ts <n> ...', got {line!r}")
-    try:
-        n = int(tokens[1])
-    except ValueError:
-        raise ValueError(f"bad vertex count in {line!r}") from None
+        raise ParseError(line_no, f"expected 'ts <n> ...', got {' '.join(tokens[:2])!r}")
+    n, = parse_ints(line_no, tokens[1:2])
     body = tokens[2:]
     if len(body) != n:
-        raise ValueError(f"expected {n} creation tokens, got {len(body)}")
+        raise ParseError(line_no, f"expected {n} creation tokens, got {len(body)}")
     order, cuts = [], []
     for i, tok in enumerate(body):
         v_str, _, tag = tok.partition(":")
@@ -785,5 +788,5 @@ def parse_threshold(line: str) -> ThresholdGraph:
             cuts.append(i)
         elif tag != DOMINATING:
             raise ValueError(f"bad creation token {tok!r}")
-        order.append(int(v_str))
-    return ThresholdGraph(order, cuts)
+        order.append(v_str)
+    return ThresholdGraph(parse_ints(line_no, order), cuts)

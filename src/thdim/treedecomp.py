@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import Iterable
 
-from .graphs import Graph, _bits, check_vertex_count
+from .graphs import Graph, _bits, check_vertex_count, parse_ints, read_lines
 
 
 class TreeDecompositionError(ValueError):
@@ -109,57 +110,47 @@ def validate_tree_decomposition(td: TreeDecomposition, g: Graph) -> None:
     _check_traces(td, parent)
 
 
-def read_tree_decomposition(text: str) -> TreeDecomposition:
+def read_tree_decomposition(text: str | Iterable[str]) -> TreeDecomposition:
     """Read the PACE-style format without validating the decomposition.
 
     Header "s td <#bags> <maxbagsize> <n>", bag lines "b <id> <v...>" with
-    0-based vertices, then bag-tree edges "<id> <id>". Root is bag 1.
-    Malformed lines, counts that disagree with the header and tree edges at
-    unknown bags raise TreeDecompositionError; a header with more than
-    MAX_VERTICES vertices is refused with ExactLimitError. The tree and bag
-    conditions are left to `validate_tree_decomposition`, which
+    0-based vertices, then bag-tree edges "<id> <id>"; lines starting with
+    "c" are comments. Root is bag 1.
+    Malformed lines and counts that disagree with the header raise
+    TreeDecompositionError (a non-number, ParseError); a header with more
+    than MAX_VERTICES vertices is refused with ExactLimitError. The tree and
+    bag conditions are left to `validate_tree_decomposition`, which
     `decompose_treewidth` runs on every decomposition it is given.
     """
-    header = None
+    lines = (line for line in read_lines(text) if not line[1][0].startswith("c"))
+    header_no, head = next(lines, (1, [""]))
+    if len(head) != 5 or head[:2] != ["s", "td"]:
+        raise TreeDecompositionError(
+            0, f"line {header_no}: expected 's td <#bags> <maxbagsize> <n>'")
+    bag_count, max_bag, n = parse_ints(header_no, head[2:])
+    check_vertex_count(n)
     bags: dict[int, frozenset[int]] = {}
-    edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if header is None:
-            if len(tokens) != 5 or tokens[0] != "s" or tokens[1] != "td":
-                raise TreeDecompositionError(
-                    0, f"line {line_no}: expected 's td <#bags> <maxbagsize> <n>'")
-            header = tuple(int(t) for t in tokens[2:])
-            check_vertex_count(header[2])
-            continue
+    edges: list[list[int]] = []
+    for line_no, tokens in lines:
         if tokens[0] == "b":
             if len(tokens) < 2:
                 raise TreeDecompositionError(0, f"line {line_no}: expected 'b <id> <v...>'")
-            bag_id = int(tokens[1])
+            bag_id, *bag = parse_ints(line_no, tokens[1:])
             if bag_id in bags:
                 raise TreeDecompositionError(0, f"line {line_no}: duplicate bag {bag_id}")
-            bags[bag_id] = frozenset(int(t) for t in tokens[2:])
+            bags[bag_id] = frozenset(bag)
+        elif len(tokens) != 2:
+            raise TreeDecompositionError(0, f"line {line_no}: expected '<id> <id>'")
         else:
-            if len(tokens) != 2:
-                raise TreeDecompositionError(0, f"line {line_no}: expected '<id> <id>'")
-            edges.append((int(tokens[0]), int(tokens[1])))
-    if header is None:
-        raise TreeDecompositionError(0, "missing 's td' header")
-    bag_count, max_bag, n = header
+            edges.append(parse_ints(line_no, tokens))
     if len(bags) != bag_count:
-        raise TreeDecompositionError(
-            0, f"header promised {bag_count} bags, found {len(bags)}")
+        raise TreeDecompositionError(0, f"header promised {bag_count} bags, found {len(bags)}")
     if any(len(b) > max_bag for b in bags.values()):
         raise TreeDecompositionError(0, "a bag exceeds the declared maximum size")
     tree: dict[int, set[int]] = {i: set() for i in bags}
-    for i, j in edges:
-        if i not in bags or j not in bags:
-            raise TreeDecompositionError(0, f"tree edge ({i},{j}) uses unknown bag")
-        tree[i].add(j)
-        tree[j].add(i)
+    for i, j in edges:  # a bag edge at an unknown bag is left to the validation
+        tree.setdefault(i, set()).add(j)
+        tree.setdefault(j, set()).add(i)
     return TreeDecomposition(
         bags=bags,
         tree={i: tuple(sorted(s)) for i, s in tree.items()},

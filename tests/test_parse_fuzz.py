@@ -1,6 +1,7 @@
 """Every text parser, fed a valid-looking header and random token lines,
 returns a value or raises ValueError (ParseError and TreeDecompositionError
-are ValueErrors), never another exception.
+are ValueErrors), never another exception, and gives the same outcome when
+fed the text as a list of its lines.
 
 Header integers stay small: a huge vertex count is a size question, not a
 format one."""
@@ -54,15 +55,20 @@ PARSERS = {
 }
 
 
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("name", sorted(PARSERS))
 def test_parser_raises_only_value_errors(name):
     parse, header, keyword, crashers = PARSERS[name]
 
     def check(text):
-        try:
-            parse(text)
-        except ValueError:
-            pass
+        # fed as a list of its lines, the parser reads the same file
+        assert _outcome(parse, text.splitlines(keepends=True)) == _outcome(parse, text)
 
     test = given(texts(header, keyword))(check)
     for text in crashers:

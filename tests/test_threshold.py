@@ -282,6 +282,7 @@ def test_threshold_line_round_trip():
 
 @pytest.mark.parametrize("line", [
     "ts", "xx 3 0:i 1:i 2:i", "ts 3 0:i 1:i", "ts 3 0:q 1:i 2:i", "ts 3 0:i 0:i 2:i",
+    "", "# only a comment",
 ])
 def test_threshold_line_errors(line):
     with pytest.raises(ValueError):
