@@ -317,6 +317,8 @@ def parse_decomposition(text: str | Iterable[str]) -> Decomposition:
     header_no, head = next(lines, (1, [""]))
     if len(head) != 3 or head[0] != "td-decomp":
         raise ParseError(header_no, f"expected 'td-decomp <method> <k>', got {' '.join(head)!r}")
+    if head[1] not in METHODS:
+        raise ParseError(header_no, f"unknown method {head[1]!r}")
     count, = parse_ints(header_no, head[2:])
     factors = tuple(_threshold_from_tokens(*line) for line in lines)
     if len(factors) != count:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
-from .graphs import (CHROMATIC_LIMIT, INDEPENDENT_SET_LIMIT, ExactLimitError, Graph, _chromatic,
-                     _clique_number, complete_mask, edge_mask, graph_from_mask,
+from .graphs import (CHROMATIC_LIMIT, INDEPENDENT_SET_LIMIT, ExactLimitError, Graph, _bits,
+                     _chromatic, _clique_number, complete_mask, edge_mask, graph_from_mask,
                      max_independent_set, maximal_cliques, pair_index)
 from .decompose import (Decomposition, _finish, decompose_degeneracy, decompose_treewidth,
                         decompose_vertex_cover)
@@ -75,14 +75,17 @@ def _maximal_covers(g: Graph) -> list[int]:
     memo: dict[int, list[int]] = {}
 
     def maximal_on(u_mask: int) -> list[int]:
-        if u_mask in memo:
-            return memo[u_mask]
         groups = []
-        for v in range(n):
-            t = non[v] & u_mask if u_mask >> v & 1 else 0
+        rest = u_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            t = non[v] & u_mask
             if t:
                 star = stars[v][t]
-                groups.append([star | c for c in maximal_on(t)])
+                below = memo.get(t)
+                groups.append([star | c for c in (maximal_on(t) if below is None else below)])
         if len(groups) > 1:
             memo[u_mask] = _maximal(chain.from_iterable(groups))
         else:
@@ -101,9 +104,8 @@ def _min_cover(universe: int, covers: list[int]) -> list[int]:
     """
     if universe == 0:
         return []
-    elements = [i for i in range(universe.bit_length()) if universe >> i & 1]
-    holders = {e: [c for c in covers if c >> e & 1] for e in elements}
-    if any(not holders[e] for e in elements):
+    holders = {e: [c for c in covers if c >> e & 1] for e in _bits(universe)}
+    if not all(holders.values()):
         raise AssertionError("uncoverable non-edge; the cover search is broken")
 
     # greedy for the initial upper bound
@@ -125,8 +127,9 @@ def _min_cover(universe: int, covers: list[int]) -> list[int]:
             return
         if len(chosen) + math.ceil(left.bit_count() / biggest) >= len(best):
             return
-        e = min((x for x in elements if left >> x & 1),
-                key=lambda x: sum(1 for c in holders[x] if c & left))
+        # every holder of an element of left meets left, so the element with
+        # the fewest remaining candidates is the one with the fewest holders
+        e = min(_bits(left), key=lambda x: len(holders[x]))
         for c in sorted(holders[e], key=lambda c: -(c & left).bit_count()):
             chosen.append(c)
             search(left & ~c)
@@ -174,13 +177,27 @@ def lower_bound_clique_chromatic(g: Graph) -> int:
     Removing a larger clique can only lower chi, so the minimum over maximal
     cliques equals the minimum over all cliques (the empty clique included).
     Each chi is taken on g's own adjacency masks with the clique's vertices
-    left out, so no subgraph is built. Refuses n > CHROMATIC_LIMIT.
+    left out, so no subgraph is built. The remainders first give a floor:
+    chi is 0 on an empty remainder, 1 on an edgeless one and at least 2 on
+    any other, so the minimum is the floor when some remainder is edgeless,
+    and otherwise the chis are taken only until one is 2. Refuses
+    n > CHROMATIC_LIMIT.
     """
     if g.n > CHROMATIC_LIMIT:
         raise ExactLimitError(f"clique-chromatic bound refused for n={g.n} > {CHROMATIC_LIMIT}")
     nbr = g.adjacency_masks()
     full = (1 << g.n) - 1
-    return min(_chromatic(nbr, full & ~clique) for clique in maximal_cliques(g))
+    rests = [full & ~clique for clique in maximal_cliques(g)]
+    floor = min(2 if any(nbr[v] & rest for v in _bits(rest)) else min(rest, 1)
+                for rest in rests)
+    if floor < 2:
+        return floor
+    best = g.n
+    for rest in rests:
+        best = min(best, _chromatic(nbr, rest))
+        if best == 2:
+            break
+    return best
 
 
 def upper_bound_ramsey_style(g: Graph) -> int:

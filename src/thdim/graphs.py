@@ -71,7 +71,7 @@ def check_vertex_count(n: int) -> None:
 class Graph:
     """Immutable simple undirected graph with set-based adjacency."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -91,8 +91,16 @@ class Graph:
         return v in self.adj[u]
 
     def adjacency_masks(self) -> list[int]:
-        """Bitmask of the neighbours of every vertex."""
-        return [sum(1 << u for u in s) for s in self.adj]
+        """Bitmask of the neighbours of every vertex, as a new list the caller
+        may edit; the masks are built on the first call and kept."""
+        try:
+            masks = self._masks
+        except AttributeError:
+            masks = self._masks = self._build_masks()
+        return list(masks)
+
+    def _build_masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << u for u in s) for s in self.adj)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

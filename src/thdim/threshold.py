@@ -234,15 +234,16 @@ def _check_a_order(g: Graph, a_order: Sequence[int]) -> None:
     """Refuse (ValueError) an a_order that repeats a vertex, leaves
     range(g.n) or is not independent in g. An edge inside it is named at its
     endpoint that comes first in a_order, with the earliest other endpoint."""
-    position = dict(zip(a_order, range(len(a_order))))
-    if len(position) != len(a_order):
+    members = set(a_order)
+    if len(members) != len(a_order):
         raise ValueError("a_order contains duplicates")
     if a_order and (min(a_order) < 0 or max(a_order) >= g.n):
         raise ValueError("a_order vertex out of range")
     for u in a_order:
         hood = g.adj[u]
-        if not position.keys().isdisjoint(hood):  # walks the smaller of the two
-            v = min(position.keys() & hood, key=position.__getitem__)
+        if not members.isdisjoint(hood):  # walks the smaller of the two
+            position = dict(zip(a_order, range(len(a_order))))
+            v = min(members & hood, key=position.__getitem__)
             raise ValueError(f"a_order is not independent: edge ({u},{v})")
 
 
@@ -256,24 +257,21 @@ def threshold_supergraph(g: Graph, a_order: Sequence[int]) -> ThresholdGraph:
     a_order that `_check_a_order` refuses raises ValueError.
     """
     a_order = tuple(a_order)
-    k = len(a_order)
     _check_a_order(g, a_order)
-    # s(v) by a sweep over A's neighborhoods: positions ascend, so the last
-    # write is the largest
-    level: dict[int, int] = {}  # s(v) for the B-vertices with s(v) > 0
-    for i, u in enumerate(a_order, start=1):
-        for v in g.adj[u]:
-            level[v] = i
     # order: B grouped by s(v) ascending, vertices ascending inside a
     # group, each u_j entering isolated right after the B-vertices it must
-    # not see. Group 0, the B-vertices that see none of A, is what A and
-    # the levelled vertices leave of V.
-    order = sorted(_vertex_set(g.n).difference(a_order, level))
-    runs: list[list[int]] = [[] for _ in range(k + 1)]
-    for v in sorted(level):
-        runs[level[v]].append(v)
+    # not see. Walking A backwards, u_j's group is its neighbours that no
+    # later u sees; group 0, the B-vertices that see none of A, is what A
+    # and the groups leave of V.
+    seen: set[int] = set()
+    runs = []
+    for u in reversed(a_order):
+        run = g.adj[u].difference(seen)
+        seen |= run
+        runs.append(sorted(run))
+    order = sorted(_vertex_set(g.n).difference(a_order, seen))
     cuts = []
-    for u, run in zip(a_order, runs[1:]):
+    for u, run in zip(a_order, reversed(runs)):
         cuts.append(len(order))
         order.append(u)
         order += run

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thdim import (Decomposition, RandomizedSearchError, ThresholdGraph,
+from thdim import (Decomposition, ParseError, RandomizedSearchError, ThresholdGraph,
                    build_separating_colorings, complete_graph, cycle_graph,
                    decompose_degeneracy, decompose_treewidth, decompose_vertex_cover,
                    degeneracy_ordering, disjoint_cliques, empty_graph,
@@ -543,6 +543,14 @@ def test_parse_decomposition_errors():
         parse_decomposition("td-decomp degeneracy 2\nts 1 0:i\n")
     with pytest.raises(ValueError):
         parse_decomposition("wrong header\n")
+
+
+def test_an_unknown_method_is_refused_at_the_header():
+    # before any factor line is read: a well-formed one (d) and one with
+    # too few tokens (x) both leave line 1 named
+    for body in ("ts 1 0:d\n", "ts 2 0:x\n"):
+        with pytest.raises(ParseError, match=r"^line 1: unknown method 'bogus'$"):
+            parse_decomposition("td-decomp bogus 1\n" + body)
 
 
 def test_decomposition_requires_factors_and_known_method():

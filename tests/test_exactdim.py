@@ -143,6 +143,7 @@ def test_clique_chromatic_named_values():
     assert lower_bound_clique_chromatic(disjoint_cliques(3)) == 3
     assert lower_bound_clique_chromatic(disjoint_cliques(2)) == 2
     assert lower_bound_clique_chromatic(cycle_graph(5)) == 2
+    assert lower_bound_clique_chromatic(star_graph(4)) == 1  # K_{1,3}: two leaves are left
 
 
 def test_clique_chromatic_below_exact():
@@ -218,6 +219,18 @@ def test_report_brackets_on_randoms():
         assert r.best_lower() <= r.exact <= r.best_upper()
         for name, count in r.factor_counts.items():
             assert r.exact <= count
+
+
+def test_one_report_builds_the_masks_of_g_once(monkeypatch):
+    # every bound and method of the report reads g's neighbour masks, each
+    # through its own adjacency_masks() call
+    built = []
+    build = Graph._build_masks
+    monkeypatch.setattr(Graph, "_build_masks", lambda h: built.append(h) or build(h))
+    g = cycle_graph(8)
+    r = compute_report(g, seed=1)
+    assert r.exact is not None and "clique-chromatic" in r.lower_bounds
+    assert sum(h is g for h in built) == 1
 
 
 def test_report_beyond_exact_cap():

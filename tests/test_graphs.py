@@ -30,6 +30,15 @@ def test_graph_collapses_duplicate_edges():
     assert g.m == 1
 
 
+def test_adjacency_masks_are_a_new_list_on_every_call():
+    g = path_graph(3)
+    masks = g.adjacency_masks()
+    assert masks == [0b010, 0b101, 0b010]
+    masks[1] = 0  # as heuristic_tree_decomposition edits its copy
+    assert g.adjacency_masks() == [0b010, 0b101, 0b010]
+    assert g.adjacency_masks() is not g.adjacency_masks()
+
+
 def test_parse_p4():
     g = parse_edge_list("p 4 3\n0 1\n1 2\n2 3\n")
     assert g == path_graph(4)

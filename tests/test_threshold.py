@@ -154,6 +154,16 @@ def test_completion_contract_violations():
         threshold_supergraph(g, [-1])
 
 
+def test_an_edge_inside_a_order_is_named_at_its_first_endpoint():
+    # edges 0-1, 1-2, 1-3: in (1, 2, 0), 1 sees 2 and 0 and is named with 2,
+    # the earlier of them in a_order; in (3, 0, 1), 3 sees 1 only
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+    with pytest.raises(ValueError, match=r"^a_order is not independent: edge \(1,2\)$"):
+        threshold_supergraph(g, (1, 2, 0))
+    with pytest.raises(ValueError, match=r"^a_order is not independent: edge \(3,1\)$"):
+        threshold_supergraph(g, (3, 0, 1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_completion_order_is_a_permutation_sorted_by_level(data):
