@@ -4,11 +4,11 @@ for clique-indicator Boolean functions."""
 
 __version__ = "0.1.0"
 
-from .graphs import (ExactLimitError, Graph, ParseError, ProperColoring,
-                     VertexOrdering, complete_graph, cycle_graph,
-                     degeneracy_ordering, disjoint_cliques, empty_graph, girth,
-                     greedy_coloring, max_independent_set, parse_edge_list,
-                     path_graph, petersen_graph, star_graph, write_edge_list)
+from .graphs import (ExactLimitError, Graph, ParseError, complete_graph,
+                     cycle_graph, degeneracy_ordering, disjoint_cliques,
+                     empty_graph, girth, greedy_coloring, max_independent_set,
+                     parse_edge_list, path_graph, petersen_graph, star_graph,
+                     write_edge_list)
 from .threshold import (ForbiddenSubgraph, LtfWitness, ThresholdGraph,
                         extract_ltf, format_threshold, parse_threshold,
                         recognize_threshold, threshold_supergraph, verify_ltf)

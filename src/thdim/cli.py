@@ -163,6 +163,7 @@ OPTIONS = {
                                       "families) to this file"),
 }
 METHOD_OPTIONS = ("--seed", "--out", "--method", "--td", "--diag")
+METHOD_ONLY = {"td": "treewidth", "diag": "maxdeg"}  # the one method that reads each option
 
 
 @functools.cache
@@ -207,6 +208,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    for option, method in METHOD_ONLY.items():
+        if getattr(args, option, None) is not None and args.method != method:
+            print(f"error: --{option} applies only to --method {method}, not {args.method}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     try:
         for path in (getattr(args, "out", None), getattr(args, "diag", None)):
             if path:

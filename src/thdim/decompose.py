@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import (INDEPENDENT_SET_LIMIT, Graph, ParseError, ProperColoring, VertexOrdering,
-                     degeneracy_ordering, max_independent_set, parse_ints, read_lines)
+from .graphs import (INDEPENDENT_SET_LIMIT, Graph, ParseError, color_classes, degeneracy_ordering,
+                     max_independent_set, parse_ints, read_lines)
 from .seeding import split_seed
 from .threshold import (ThresholdGraph, _Intersection, _threshold_from_tokens, format_threshold,
                         threshold_supergraph)
@@ -77,10 +77,7 @@ def verify_decomposition(g: Graph, d: Decomposition) -> VerificationResult:
     earliest factor that drops one (with that factor's index), else a
     non-edge of g present in every factor (factor_index None).
     """
-    return _result(_Intersection(g, d.factors).mismatch())
-
-
-def _result(mismatch: tuple[tuple[int, int], int | None] | None) -> VerificationResult:
+    mismatch = _Intersection(g, d.factors).mismatch()
     if mismatch is None:
         return VerificationResult(True)
     pair, idx = mismatch
@@ -95,12 +92,14 @@ def _verified(g: Graph, method: str, bound: int, check: _Intersection) -> Decomp
     intersection check for g, marked verified for g, or None if a non-edge
     of g survives every factor. The one place that sets `verified_for`. A
     factor that drops an edge of g is a construction bug: AssertionError."""
-    d = Decomposition(factors=tuple(check.factors), method=method, bound_claimed=bound)
-    result = _result(check.mismatch())
-    if result.factor_index is not None:
-        raise AssertionError(f"{method} construction failed verification: {result}")
-    if not result:
+    mismatch = check.mismatch()
+    if mismatch is not None:
+        pair, idx = mismatch
+        if idx is not None:
+            raise AssertionError(f"{method} construction failed verification: "
+                                 f"factor {idx} drops an edge of the graph: {pair}")
         return None
+    d = Decomposition(factors=tuple(check.factors), method=method, bound_claimed=bound)
     object.__setattr__(d, "verified_for", g)
     return d
 
@@ -156,31 +155,32 @@ def decompose_vertex_cover(g: Graph, cover: Iterable[int] | None = None) -> Deco
 
 @dataclass(frozen=True)
 class SeparatingColoringFamily:
-    """Proper colorings whose per-color-class threshold completions
-    intersect to the graph, the shortest such prefix of a seeded draw;
-    `decomposition` holds those completions, verified."""
+    """Proper colorings, each a tuple of the vertices' colors, whose
+    per-color-class threshold completions intersect to the graph, the
+    shortest such prefix of a seeded draw; `decomposition` holds those
+    completions, verified."""
 
-    colorings: tuple[ProperColoring, ...]
+    colorings: tuple[tuple[int, ...], ...]
     decomposition: Decomposition = field(compare=False, repr=False)
 
 
-def _class_completions(g: Graph, coloring: ProperColoring,
+def _class_completions(g: Graph, colors: Sequence[int],
                        pos: Sequence[int]) -> list[ThresholdGraph]:
     """The completion of each non-empty color class, ordered by position,
     with the class vertices as its isolated ones."""
     return [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
-            for cls in coloring.color_classes() if cls]
+            for cls in color_classes(colors) if cls]
 
 
-def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: VertexOrdering,
-                     rng: random.Random) -> ProperColoring:
+def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: Sequence[int],
+                     rng: random.Random) -> tuple[int, ...]:
     """Color backwards along the order, avoiding the colors of each vertex's
     forward neighbors (`forward[v]`, its neighbors after it in the order);
     with palette 10k at least 9k choices always remain. The free color is
     drawn by its index, as `choice` would draw it from their list."""
     palette = 10 * k
     colors = [-1] * len(forward)
-    for v in reversed(order.order):
+    for v in reversed(order):
         banned = sorted({colors[u] for u in forward[v]})
         c = rng.randrange(palette - len(banned))
         for b in banned:
@@ -188,7 +188,7 @@ def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: VertexOrde
                 break
             c += 1
         colors[v] = c
-    return ProperColoring(tuple(colors), palette_size=palette)
+    return tuple(colors)
 
 
 def build_separating_colorings(g: Graph, seed: int = 0) -> SeparatingColoringFamily:
@@ -211,9 +211,9 @@ def build_separating_colorings(g: Graph, seed: int = 0) -> SeparatingColoringFam
     k, order = degeneracy_ordering(g)
     k = max(k, 1)  # palette 10k must be non-empty even for edgeless inputs
     r = math.ceil(math.log(g.n))
-    pos = order.position()
+    pos = sorted(range(g.n), key=order.__getitem__)
     forward = [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
-    family: list[ProperColoring] = []
+    family: list[tuple[int, ...]] = []
     for attempt in range(RESAMPLES):
         rng = random.Random(split_seed(seed + attempt, "separating"))
         family, check = [], _Intersection(g)
@@ -241,9 +241,10 @@ def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
 # ---------------------------------------------------------------------------
 # treewidth method
 
-def treewidth_ordering(td: TreeDecomposition) -> tuple[VertexOrdering, list[int]]:
-    """The vertex ordering and bag-distinct coloring (at most width+1 colors)
-    from one depth-first walk of the bags, children in ascending order.
+def treewidth_ordering(td: TreeDecomposition) -> tuple[tuple[int, ...], list[int]]:
+    """The vertex ordering, a tuple, and the bag-distinct coloring, each
+    vertex's color (at most width+1 colors), from one depth-first walk of
+    the bags, children in ascending order.
 
     A vertex's bags form a subtree, so the first bag of the preorder that
     holds it is its anchor, the one nearest the root. There the vertex joins
@@ -272,7 +273,7 @@ def treewidth_ordering(td: TreeDecomposition) -> tuple[VertexOrdering, list[int]
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
-    return VertexOrdering(tuple(order)), colors
+    return tuple(order), colors
 
 
 def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
@@ -284,12 +285,10 @@ def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
         raise ValueError("treewidth decomposition needs at least 1 vertex")
     validate_tree_decomposition(td, g)
     order, colors = treewidth_ordering(td)
-    classes: dict[int, list[int]] = {}
-    for v in order.order:
-        classes.setdefault(colors[v], []).append(v)
+    pos = sorted(range(g.n), key=order.__getitem__)
     factors = []
-    for c in sorted(classes):
-        cls = classes[c]  # already in sigma order
+    for cls in color_classes(colors):  # a vertex's color is the least unused: none is empty
+        cls.sort(key=pos.__getitem__)
         factors.append(threshold_supergraph(g, cls))
         if len(cls) > 1:
             factors.append(threshold_supergraph(g, list(reversed(cls))))

@@ -11,9 +11,8 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -137,36 +136,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class VertexOrdering:
-    """A permutation of the vertices."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("ordering is not a permutation of 0..n-1")
-
-    def position(self) -> list[int]:
-        """Inverse permutation: position()[v] is the index of v in the order."""
-        pos = [0] * len(self.order)
-        for i, v in enumerate(self.order):
-            pos[v] = i
-        return pos
-
-
-@dataclass(frozen=True)
-class ProperColoring:
-    colors: tuple[int, ...]
-    palette_size: int
-
-    def color_classes(self) -> list[list[int]]:
-        classes: list[list[int]] = [[] for _ in range(self.palette_size)]
-        for v, c in enumerate(self.colors):
-            classes[c].append(v)
-        return classes
-
-
 # ---------------------------------------------------------------------------
 # edge-list file format: "p <n> <m>" then m lines "<u> <v>", '#' comments
 
@@ -239,7 +208,7 @@ def complete_mask(n: int) -> int:
 # ---------------------------------------------------------------------------
 # degeneracy
 
-def degeneracy_ordering(g: Graph) -> tuple[int, VertexOrdering]:
+def degeneracy_ordering(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Greedy min-degree peeling.
 
     Returns (k, ordering) where every vertex has at most k neighbors after
@@ -265,7 +234,7 @@ def degeneracy_ordering(g: Graph) -> tuple[int, VertexOrdering]:
             if alive[w]:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))
-    return k, VertexOrdering(tuple(order))
+    return k, tuple(order)
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +396,29 @@ def _chromatic(nbr: list[int], within: int) -> int:
 # ---------------------------------------------------------------------------
 # greedy coloring
 
-def greedy_coloring(g: Graph, order: VertexOrdering) -> ProperColoring:
-    """First-fit along the given order; never needs more than max_degree+1 colors."""
-    if len(order.order) != g.n:
-        raise ValueError("ordering length does not match graph")
+def greedy_coloring(g: Graph, order: Sequence[int]) -> tuple[int, ...]:
+    """First-fit along `order`, a permutation of g's vertices (ValueError
+    otherwise): the colour of each vertex, at most max_degree. Every colour
+    from 0 to the largest is used."""
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("ordering is not a permutation of the graph's vertices")
     colors = [-1] * g.n
-    highest = -1
-    for v in order.order:
+    for v in order:
         used = {colors[u] for u in g.adj[v] if colors[u] >= 0}
         c = 0
         while c in used:
             c += 1
         colors[v] = c
-        highest = max(highest, c)
-    return ProperColoring(tuple(colors), palette_size=highest + 1 if g.n else 0)
+    return tuple(colors)
+
+
+def color_classes(colors: Sequence[int]) -> list[list[int]]:
+    """The vertices of each colour from 0 to the largest, each ascending;
+    `colors` gives each vertex's colour."""
+    classes: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        classes[c].append(v)
+    return classes
 
 
 # ---------------------------------------------------------------------------

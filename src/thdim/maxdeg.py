@@ -18,7 +18,7 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .decompose import Decomposition, RandomizedSearchError, _finish
-from .graphs import Graph, VertexOrdering, degeneracy_ordering, greedy_coloring
+from .graphs import Graph, color_classes, degeneracy_ordering, greedy_coloring
 from .seeding import split_seed
 from .threshold import _check_a_order, _Intersection
 
@@ -363,22 +363,19 @@ def _conflict_blocks(a_part: Sequence[int], hoods: Sequence[Sequence[int]],
     order; return the color classes, each ascending, padded out to
     `palette` blocks. With no conflict edge that is a_part in one block."""
     a_sorted = sorted(a_part)
-    blocks: list[list[int]] = [[] for _ in range(palette)]
     if all(len(nbrs) < 2 for nbrs in hoods):
-        blocks[0] = a_sorted
-        return blocks
+        return [a_sorted] + [[] for _ in range(palette - 1)]
     index = {a: i for i, a in enumerate(a_sorted)}
     conflict_edges = set()
     for nbrs in hoods:
         conflict_edges.update((index[x], index[y]) for x, y in combinations(nbrs, 2))
     conflict = Graph(len(a_sorted), conflict_edges)
     _, order = degeneracy_ordering(conflict)
-    coloring = greedy_coloring(conflict, VertexOrdering(tuple(reversed(order.order))))
-    if coloring.palette_size > palette:
+    blocks = [[a_sorted[i] for i in cls]
+              for cls in color_classes(greedy_coloring(conflict, order[::-1]))]
+    if len(blocks) > palette:
         raise AssertionError("conflict coloring exceeded its palette")
-    for i, color in enumerate(coloring.colors):
-        blocks[color].append(a_sorted[i])
-    return blocks
+    return blocks + [[] for _ in range(palette - len(blocks))]
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +403,10 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
         members = sorted(part)
         sub = g.induced(members)
         _, order = degeneracy_ordering(sub)
-        coloring = greedy_coloring(sub, order)
-        if coloring.palette_size > d + 1:
+        classes = color_classes(greedy_coloring(sub, order))
+        if len(classes) > d + 1:
             raise AssertionError("part coloring exceeded d+1 colors")
-        for j, cls in enumerate(coloring.color_classes()):
-            if not cls:
-                continue
+        for j, cls in enumerate(classes):  # first-fit leaves no colour below the largest unused
             piece, piece_budget = _split_factors(
                 g, [members[x] for x in cls], split_seed(seed, "split", i, j), diagnostics)
             budget += piece_budget

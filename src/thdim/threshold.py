@@ -325,13 +325,11 @@ class _Intersection:
             if f.n != self.g.n:
                 raise ValueError(f"factor {idx} lives on {f.n} vertices, graph on {self.g.n}")
         self.factors += factors
-        excluded = self.excluded
         for idx, f in enumerate(factors, start):
             if self.dropped is not None:
                 break
             self.unswept.append(f)
-            for w, prefix in self._walk(f, idx):
-                excluded[w] |= prefix
+            self._walk(f, idx)
 
     def prune(self, orders: Sequence[Sequence[int]]) -> list[ThresholdGraph]:
         """Add a greedy subcover of the completions of g along `orders`
@@ -365,8 +363,7 @@ class _Intersection:
 
         def pick(i: int) -> None:
             f = picks[i] = threshold_supergraph(g, orders[i])
-            for w, prefix in self._walk(f, i):
-                excluded[w] |= prefix
+            self._walk(f, i)
             self._sweep([f])
 
         remaining = g.n * (g.n - 1) // 2 - g.m  # the non-edges no pick excludes
@@ -391,11 +388,12 @@ class _Intersection:
         self.factors = [picks[i] for i in kept]
         return self.factors
 
-    def _walk(self, f: ThresholdGraph, idx: int) -> Iterator[tuple[int, int]]:
-        """f's (w, prefix(w)) pairs, by `_isolated_prefixes`; once they are
-        all given, the smallest edge of g that f drops, if any, is recorded
-        as dropped by the factor at index idx."""
-        adjacent = self.adjacent
+    def _walk(self, f: ThresholdGraph, idx: int) -> None:
+        """Record f's pairs at their later end: OR each prefix(w), by
+        `_isolated_prefixes`, into excluded[w]. The smallest edge of g that
+        f drops, if any, is then recorded as dropped by the factor at index
+        idx."""
+        adjacent, excluded = self.adjacent, self.excluded
         first = None
         for w, prefix in _isolated_prefixes(f):
             dropped = prefix & adjacent[w]
@@ -403,7 +401,7 @@ class _Intersection:
                 x = (dropped & -dropped).bit_length() - 1
                 pair = (x, w) if x < w else (w, x)
                 first = pair if first is None else min(first, pair)
-            yield w, prefix
+            excluded[w] |= prefix
         if first is not None:
             self.dropped = first, idx
 
@@ -650,7 +648,7 @@ def _circuit_counterexample(g: Graph, witnesses: Sequence[LtfWitness],
         clique = sum(1 << v for v in bad)
         if all(clique & ~adjacent[v] == 1 << v for v in _bits(clique)):
             return clique
-        order = order or degeneracy_ordering(g)[1].order
+        order = order or degeneracy_ordering(g)[1]
         heavy = _heavy_clique(order, adjacent, witness)
         if heavy is not None:
             return heavy

@@ -15,8 +15,8 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, LtfWitness, ProperColoring,
-                   ThresholdGraph, TreeDecomposition, TreeDecompositionError,
+from thdim import (EXACT_DIMENSION_LIMIT, ExactLimitError, Graph, LtfWitness, ThresholdGraph,
+                   TreeDecomposition, TreeDecompositionError,
                    build_suitable_family, complete_graph, cycle_graph, disjoint_cliques,
                    empty_graph, format_circuit, format_threshold,
                    gen_gnm, path_graph, petersen_graph, star_graph, threshold_supergraph,
@@ -25,7 +25,7 @@ from thdim import treedecomp
 from thdim.circuits import Clause, MajorityCircuit
 from thdim.decompose import _sample_coloring
 from thdim.exactdim import _maximal, _min_cover
-from thdim.graphs import (VertexOrdering, complete_mask, degeneracy_ordering, edge_mask,
+from thdim.graphs import (color_classes, complete_mask, degeneracy_ordering, edge_mask,
                           graph_from_mask, greedy_coloring, max_independent_set, pair_index)
 from thdim.seeding import split_seed
 from thdim.threshold import DOMINATING, ISOLATED, _forbidden_witness
@@ -201,14 +201,22 @@ def exhaustive_girth(g: Graph) -> int | float:
     return best
 
 
-def is_proper_coloring(coloring: ProperColoring, g: Graph) -> bool:
-    """Every vertex of g gets a colour below the palette size, and no edge
-    joins two vertices of one colour."""
-    if len(coloring.colors) != g.n:
+def is_proper_coloring(colors: Sequence[int], g: Graph, palette: int) -> bool:
+    """Every vertex of g gets a colour in range(palette), and no edge joins
+    two vertices of one colour."""
+    if len(colors) != g.n:
         return False
-    if any(not 0 <= c < coloring.palette_size for c in coloring.colors):
+    if any(not 0 <= c < palette for c in colors):
         return False
-    return all(coloring.colors[u] != coloring.colors[v] for u, v in g.edges())
+    return all(colors[u] != colors[v] for u, v in g.edges())
+
+
+def position(order: Sequence[int]) -> list[int]:
+    """The index of each vertex in the order."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos
 
 
 def completion_levels(g: Graph, a_order) -> dict[int, int]:
@@ -828,9 +836,9 @@ def walk_conflict_blocks(base: Graph, a_part: Sequence[int], b_part: Sequence[in
         conflict_edges.update((index[x], index[y]) for x, y in combinations(nbrs, 2))
     conflict = Graph(len(a_sorted), conflict_edges)
     _, order = degeneracy_ordering(conflict)
-    coloring = greedy_coloring(conflict, VertexOrdering(tuple(reversed(order.order))))
+    coloring = greedy_coloring(conflict, tuple(reversed(order)))
     blocks: list[list[int]] = [[] for _ in range(palette)]
-    for i, color in enumerate(coloring.colors):
+    for i, color in enumerate(coloring):
         blocks[color].append(a_sorted[i])
     return blocks
 
@@ -851,10 +859,10 @@ def walk_cell_requirements(base: Graph, blocks: Sequence[Sequence[int]],
     return needed
 
 
-def forward_neighbours(g: Graph, order: VertexOrdering) -> list[list[int]]:
+def forward_neighbours(g: Graph, order: Sequence[int]) -> list[list[int]]:
     """Each vertex's neighbours after it in the order, as `_sample_coloring`
     takes them."""
-    pos = order.position()
+    pos = position(order)
     return [[u for u in g.adj[v] if pos[u] > pos[v]] for v in range(g.n)]
 
 
@@ -866,7 +874,7 @@ def fresh_degeneracy_text(g: Graph, seed: int) -> str:
     prefixes, shortest first."""
     k, order = degeneracy_ordering(g)
     k = max(k, 1)
-    pos = order.position()
+    pos = position(order)
     forward = forward_neighbours(g, order)
     r = math.ceil(math.log(g.n))
 
@@ -879,7 +887,7 @@ def fresh_degeneracy_text(g: Graph, seed: int) -> str:
 
     for family in families():
         factors = [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
-                   for coloring in family for cls in coloring.color_classes() if cls]
+                   for coloring in family for cls in color_classes(coloring) if cls]
         if edge_mask_verify(g, factors)[0]:
             lines = [f"td-decomp degeneracy {len(factors)}", *map(format_threshold, factors)]
             return "\n".join(lines) + "\n"
@@ -953,8 +961,7 @@ def backtrack_chromatic_number(g: Graph) -> int:
         return 1
     omega = len(max_independent_set(complement(g)))
     order = sorted(range(n), key=lambda v: -g.degree(v))
-    greedy = greedy_coloring(g, VertexOrdering(tuple(order)))
-    upper = greedy.palette_size
+    upper = max(greedy_coloring(g, order)) + 1
     nbr_pos = [[order.index(u) for u in g.adj[v] if u in set(order[:i])]
                for i, v in enumerate(order)]
     # nbr_pos[i] = positions (earlier in `order`) adjacent to order[i]

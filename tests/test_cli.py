@@ -451,7 +451,7 @@ def test_a_directory_for_a_path_is_a_usage_error(tmp_path, capsys, argv):
     "decompose GRAPH --method treewidth --out DIR",
     "decompose GRAPH --method treewidth --out MISSING",
     "decompose GRAPH --method maxdeg --diag DIR",
-    "compile GRAPH --diag MISSING --out OUT",
+    "compile GRAPH --method maxdeg --diag MISSING --out OUT",
     "report GRAPH --out MISSING", "experiment SPEC --out DIR",
 ])
 def test_a_path_that_cannot_be_written_is_refused_before_the_work(tmp_path, capsys,
@@ -528,6 +528,22 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(tmp_path, argv_tail
             "experiment": ["experiment", str(spec), "--out", str(tmp_path / "t.csv")]}[command]
     assert main(argv) == 0
     assert main(argv + option) == 2
+
+
+@pytest.mark.parametrize("command", ["decompose", "compile"])
+@pytest.mark.parametrize("option, method", [
+    *[("--td", m) for m in ("vc", "degeneracy", "maxdeg", "exact")],
+    *[("--diag", m) for m in ("vc", "degeneracy", "treewidth", "exact")],
+])
+def test_an_option_that_the_method_does_not_read_is_a_usage_error(tmp_path, capsys, command,
+                                                                  option, method):
+    path = write_graph(tmp_path, "p3.gr", path_graph(3))
+    given, out = tmp_path / "given", tmp_path / "out.txt"
+    assert main([command, path, "--method", method, option, str(given), "--out", str(out)]) == 2
+    reader = {"--td": "treewidth", "--diag": "maxdeg"}[option]
+    assert capsys.readouterr().err == (
+        f"error: {option} applies only to --method {reader}, not {method}\n")
+    assert not given.exists() and not out.exists()
 
 
 def test_readme_options_table_matches_the_parser():

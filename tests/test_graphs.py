@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thdim import (ExactLimitError, Graph, ParseError, VertexOrdering,
-                   complete_graph, cycle_graph, degeneracy_ordering, disjoint_cliques,
-                   empty_graph, girth,
+from thdim import (ExactLimitError, Graph, ParseError, complete_graph, cycle_graph,
+                   degeneracy_ordering, disjoint_cliques, empty_graph, girth,
                    greedy_coloring, parse_edge_list, path_graph, petersen_graph,
                    write_edge_list)
-from thdim.graphs import (MAX_VERTICES, chromatic_number, complete_mask, edge_mask,
-                          max_independent_set)
+from thdim.graphs import (MAX_VERTICES, chromatic_number, color_classes, complete_mask,
+                          edge_mask, max_independent_set)
 
 from helpers import (all_graphs, backtrack_chromatic_number, clebsch_graph, complement, crown_graph,
                      named_corpus, pendant_clique_complement, exhaustive_girth,
-                     is_proper_coloring, pair_walk_induced, random_corpus, rescan_degeneracy_ordering,
-                     small_graphs)
+                     is_proper_coloring, pair_walk_induced, position, random_corpus,
+                     rescan_degeneracy_ordering, small_graphs)
 
 
 def test_graph_rejects_self_loops_and_bad_indices():
@@ -113,7 +112,7 @@ def test_degeneracy_values(g, k):
 def test_degeneracy_forward_neighbors_bound():
     for g in random_corpus(15, [(8, 12), (10, 20), (12, 18)], seed=9):
         k, ordering = degeneracy_ordering(g)
-        pos = ordering.position()
+        pos = position(ordering)
         for v in range(g.n):
             forward = sum(1 for u in g.adj[v] if pos[u] > pos[v])
             assert forward <= k
@@ -126,7 +125,7 @@ def test_degeneracy_heap_peel_matches_rescan():
     corpus += [petersen_graph(), empty_graph(7), complete_graph(6), cycle_graph(9)]
     for g in corpus:
         k, ordering = degeneracy_ordering(g)
-        assert (k, ordering.order) == rescan_degeneracy_ordering(g)
+        assert (k, ordering) == rescan_degeneracy_ordering(g)
 
 
 def test_girth_named_values():
@@ -205,21 +204,30 @@ def test_induced_matches_the_pair_walk(g, data):
 
 
 def test_greedy_coloring_bounds():
-    order = VertexOrdering(tuple(range(4)))
-    assert greedy_coloring(empty_graph(4), order).palette_size == 1
-    assert greedy_coloring(complete_graph(4), order).palette_size == 4
-    c5 = greedy_coloring(cycle_graph(5), VertexOrdering(tuple(range(5))))
-    assert c5.palette_size <= 3
+    assert greedy_coloring(empty_graph(4), range(4)) == (0, 0, 0, 0)
+    assert greedy_coloring(complete_graph(4), [3, 2, 1, 0]) == (3, 2, 1, 0)
+    assert max(greedy_coloring(cycle_graph(5), range(5))) == 2
 
 
 def test_greedy_coloring_proper_on_randoms():
     for g in random_corpus(10, [(9, 16), (11, 22)], seed=21):
         _, order = degeneracy_ordering(g)
-        coloring = greedy_coloring(g, order)
-        assert is_proper_coloring(coloring, g)
-        assert coloring.palette_size <= g.max_degree() + 1
+        assert is_proper_coloring(greedy_coloring(g, order), g, g.max_degree() + 1)
 
 
-def test_vertex_ordering_validation():
-    with pytest.raises(ValueError):
-        VertexOrdering((0, 0, 1))
+@pytest.mark.parametrize("order", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3), (-1, 0, 1)])
+def test_greedy_coloring_refuses_an_order_that_is_not_a_permutation(order):
+    # a repeat, the wrong length, an out-of-range vertex
+    with pytest.raises(ValueError, match="not a permutation"):
+        greedy_coloring(path_graph(3), order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(12), st.data())
+def test_greedy_classes_partition_the_vertices_with_no_colour_skipped(g, data):
+    # maxdeg seeds each split by its class's index: every index below the
+    # largest colour must name a class that is there
+    order = data.draw(st.permutations(range(g.n)))
+    classes = color_classes(greedy_coloring(g, order))
+    assert sorted(v for cls in classes for v in cls) == list(range(g.n))
+    assert all(classes)

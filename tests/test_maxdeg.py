@@ -15,7 +15,7 @@ from thdim import (Graph, RandomizedSearchError, ThresholdGraph,
                    recognize_threshold, star_graph, threshold_supergraph,
                    verify_decomposition)
 from thdim import threshold
-from thdim.graphs import edge_mask
+from thdim.graphs import color_classes, edge_mask
 from thdim.maxdeg import (_cell_orderings, _cell_requirements, _conflict_blocks, _hoods,
                           _pruned)
 
@@ -269,7 +269,7 @@ def test_split_extension_graph():
 def test_split_reads_a_generator_like_a_list():
     g = bounded_degree_graph(30, 40, 6, seed=2)
     _, order = degeneracy_ordering(g)
-    a_side = greedy_coloring(g, order).color_classes()[0]
+    a_side = color_classes(greedy_coloring(g, order))[0]
     from_list = decompose_split(g, a_side, seed=4)
     from_generator = decompose_split(g, (v for v in reversed(a_side)), seed=4)
     assert format_decomposition(from_generator) == format_decomposition(from_list)
@@ -318,7 +318,7 @@ def test_every_factor_is_the_completion_of_g_along_its_a_side(seed):
     # each kept factor is rebuilt from g and its isolated vertices alone
     g = bounded_degree_graph(40, 50, 6, seed=seed)
     _, order = degeneracy_ordering(g)
-    a_side = greedy_coloring(g, order).color_classes()[0]
+    a_side = color_classes(greedy_coloring(g, order))[0]
     decompositions = [decompose_maxdeg(g, seed=seed), decompose_split(g, a_side, seed=seed)]
     for d in decompositions:
         assert d.size > 1
@@ -553,7 +553,7 @@ def test_maxdeg_completes_only_the_factors_it_keeps(monkeypatch, method):
         d = decompose_maxdeg(g, seed=1)
     else:
         _, order = degeneracy_ordering(g)
-        d = decompose_split(g, greedy_coloring(g, order).color_classes()[0], seed=1)
+        d = decompose_split(g, color_classes(greedy_coloring(g, order))[0], seed=1)
     assert sorted(map(id, built)) == sorted(map(id, d.factors))
     assert 1 < d.size < len(set(listed))
 
@@ -616,7 +616,7 @@ def test_prune_names_a_pick_that_drops_an_edge(monkeypatch):
     kept = check.prune(orders)
     assert kept == [original(g, (0,)), bad]
     assert check.mismatch() == ((0, 1), 1) == threshold._Intersection(g, kept).mismatch()
-    with pytest.raises(AssertionError, match="drops an edge"):
+    with pytest.raises(AssertionError, match=r"factor 1 drops an edge of the graph: \(0, 1\)"):
         _pruned(g, orders, 4, None)
 
 
