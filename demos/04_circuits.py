@@ -32,8 +32,8 @@ circuit = compile_circuit(g, d)
 print(f"\ncompiled circuit: {circuit.gate_count} gates over {circuit.arity} inputs")
 print(format_circuit(circuit).strip())
 
-ok, counterexample = verify_circuit(f, circuit)
-print(f"\nexact check: equal={ok}")
+counterexample = verify_circuit(g, circuit)  # the vertices of one, or None
+print(f"\nexact check: equal={counterexample is None}")
 
 back = ltfs_to_graph(circuit.gates)
 print("reading the gates back as a graph recovers the input:", back == g)
@@ -42,6 +42,6 @@ print("reading the gates back as a graph recovers the input:", back == g)
 # rejects the triangle, an input that random 22-bit vectors almost never hit
 k3 = Graph(22, [(0, 1), (0, 2), (1, 2)])
 wrong = MajorityCircuit(arity=22, gates=(LtfWitness((2, 2, 2) + (5,) * 19, 5),))
-ok, counterexample = verify_circuit(GraphicFunction(k3), wrong)
-print("\na gate that rejects a triangle of K_3 + 19 isolated vertices: equal =", ok,
-      "counterexample =", [v for v, bit in enumerate(counterexample) if bit])
+counterexample = verify_circuit(k3, wrong)
+print("\na gate that rejects a triangle of K_3 + 19 isolated vertices: equal =",
+      counterexample is None, "counterexample =", list(counterexample))

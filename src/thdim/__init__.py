@@ -16,11 +16,10 @@ from .treedecomp import (TreeDecomposition, TreeDecompositionError,
                          format_tree_decomposition, heuristic_tree_decomposition,
                          validate_tree_decomposition)
 from .decompose import (Decomposition, RandomizedSearchError,
-                        SeparatingColoringFamily, VerificationResult,
-                        build_separating_colorings, decompose_degeneracy,
-                        decompose_treewidth, decompose_vertex_cover,
-                        format_decomposition, parse_decomposition,
-                        verify_decomposition)
+                        SeparatingColoringFamily, build_separating_colorings,
+                        decompose_degeneracy, decompose_treewidth,
+                        decompose_vertex_cover, format_decomposition,
+                        parse_decomposition, verify_decomposition)
 from .maxdeg import (bipartite_coloring_family, bounded_partition, build_suitable_family,
                      decompose_maxdeg, decompose_split)
 from .exactdim import (EXACT_DIMENSION_LIMIT, DimensionReport, compute_report,

@@ -15,8 +15,8 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .decompose import Decomposition
-from .graphs import Graph, ParseError, parse_ints, read_lines
-from .threshold import LtfWitness, _circuit_counterexample, _mask_to_vector, extract_ltf
+from .graphs import Graph, ParseError, _bits, parse_ints, read_lines
+from .threshold import LtfWitness, _circuit_counterexample, extract_ltf
 
 _DECIMAL_BITS = 14_000  # about 4214 digits, below Python's 4300-digit limit
 Literal = tuple[int, bool]  # (variable, negated)
@@ -85,20 +85,18 @@ def compile_circuit(g: Graph, d: Decomposition) -> MajorityCircuit:
     return MajorityCircuit(arity=g.n, gates=tuple(map(extract_ltf, d.factors)))
 
 
-def verify_circuit(f: GraphicFunction, c: MajorityCircuit) -> tuple[bool, tuple[int, ...] | None]:
-    """Compare the circuit against the graphic function, exactly and at any
-    arity (see `_circuit_counterexample`): no input walk for non-negative
+def verify_circuit(g: Graph, c: MajorityCircuit) -> tuple[int, ...] | None:
+    """Compare the circuit against the graphic function of g, exactly and at
+    any arity (see `_circuit_counterexample`): no input walk for non-negative
     gates. A circuit with a negative weight is walked over all 2^n inputs
     when n <= 20; above that, and when a gate's clique search runs over its
-    node budget, it is refused with ExactLimitError. Returns (equal, a
-    counterexample vector or None).
+    node budget, it is refused with ExactLimitError. Returns the vertices of
+    a counterexample, ascending, or None.
     """
-    if c.arity != f.arity:
+    if c.arity != g.n:
         raise ValueError("circuit and function arity differ")
-    bad = _circuit_counterexample(f.graph, c.gates)
-    if bad is None:
-        return True, None
-    return False, _mask_to_vector(c.arity, bad)
+    bad = _circuit_counterexample(g, c.gates)
+    return None if bad is None else tuple(_bits(bad))
 
 
 def ltfs_to_graph(gates: Sequence[LtfWitness]) -> Graph:

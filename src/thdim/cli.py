@@ -17,8 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import __version__
-from .circuits import (GraphicFunction, circuit_lines, compile_circuit, parse_circuit,
-                       verify_circuit)
+from .circuits import circuit_lines, compile_circuit, parse_circuit, verify_circuit
 from .decompose import (Decomposition, RandomizedSearchError, decompose_degeneracy,
                         decompose_treewidth, decompose_vertex_cover, decomposition_lines)
 from .exactdim import compute_report, exact_decomposition
@@ -133,12 +132,11 @@ def cmd_verify(args) -> int:
     circuit = _read(parse_circuit, args.circuit)
     if args.verify:
         print("note: --verify is ignored; verification is exact", file=sys.stderr)
-    ok, counterexample = verify_circuit(GraphicFunction(g), circuit)
-    if ok:
+    counterexample = verify_circuit(g, circuit)
+    if counterexample is None:
         print("equal verify-mode=exact")
         return EXIT_OK
-    support = [v for v, bit in enumerate(counterexample) if bit]
-    print(f"not-equal verify-mode=exact counterexample={support}")
+    print(f"not-equal verify-mode=exact counterexample={list(counterexample)}")
     return EXIT_NEGATIVE
 
 

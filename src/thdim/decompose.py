@@ -39,7 +39,7 @@ class Decomposition:
     factors: tuple[ThresholdGraph, ...]
     method: str
     bound_claimed: int
-    # the graph the factors were checked against; set by `_verified` alone
+    # the graph the factors were checked against; set by `_finish` alone
     verified_for: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -57,87 +57,54 @@ class Decomposition:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    reason: str = ""
-    pair: tuple[int, int] | None = None
-    factor_index: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_decomposition(g: Graph, d: Decomposition) -> VerificationResult:
+def verify_decomposition(g: Graph, d: Decomposition) -> tuple[tuple[int, int], int | None] | None:
     """Check that every factor contains g and their edge intersection equals g,
     by `_Intersection`, the same check `thdim verify` runs on the pair
     graphs of a circuit's gates.
 
-    On failure reports the pair it names: an edge of g dropped by the
-    earliest factor that drops one (with that factor's index), else a
-    non-edge of g present in every factor (factor_index None).
+    Returns None, or the pair the check names with a factor index: an edge
+    of g dropped by the earliest factor that drops one (with that factor's
+    index), else a non-edge of g present in every factor (index None).
     """
-    mismatch = _Intersection(g, d.factors).mismatch()
-    if mismatch is None:
-        return VerificationResult(True)
-    pair, idx = mismatch
-    if idx is None:
-        return VerificationResult(False, "a non-edge survives every factor", pair=pair)
-    return VerificationResult(False, "factor drops an edge of the graph",
-                              pair=pair, factor_index=idx)
-
-
-def _verified(g: Graph, method: str, bound: int, check: _Intersection) -> Decomposition | None:
-    """The decomposition of g by the factors added to `check`, an
-    intersection check for g, marked verified for g, or None if a non-edge
-    of g survives every factor. The one place that sets `verified_for`. A
-    factor that drops an edge of g is a construction bug: AssertionError."""
-    mismatch = check.mismatch()
-    if mismatch is not None:
-        pair, idx = mismatch
-        if idx is not None:
-            raise AssertionError(f"{method} construction failed verification: "
-                                 f"factor {idx} drops an edge of the graph: {pair}")
-        return None
-    d = Decomposition(factors=tuple(check.factors), method=method, bound_claimed=bound)
-    object.__setattr__(d, "verified_for", g)
-    return d
+    return _Intersection(g, d.factors).mismatch()
 
 
 def _finish(g: Graph, method: str, bound: int, check: _Intersection) -> Decomposition:
-    d = _verified(g, method, bound, check)
-    if d is None:
-        raise AssertionError(f"{method} construction failed verification: "
-                             "a non-edge survives every factor")
+    """The decomposition of g by the factors added to `check`, an
+    intersection check for g, marked verified for g: the one place that sets
+    `verified_for`. Any mismatch is a construction bug: AssertionError."""
+    mismatch = check.mismatch()
+    if mismatch is not None:
+        pair, idx = mismatch
+        what = ("a non-edge survives every factor" if idx is None
+                else f"factor {idx} drops an edge of the graph")
+        raise AssertionError(f"{method} construction failed verification: {what}: {pair}")
+    d = Decomposition(factors=tuple(check.factors), method=method, bound_claimed=bound)
+    object.__setattr__(d, "verified_for", g)
     return d
 
 
 # ---------------------------------------------------------------------------
 # vertex cover method
 
-def decompose_vertex_cover(g: Graph, cover: Iterable[int] | None = None) -> Decomposition:
-    """At most |cover| factors: one per cover vertex.
-
-    Without a `cover`, a minimum one (the complement of a maximum
-    independent set) is used up to INDEPENDENT_SET_LIMIT vertices, and the
-    endpoints of a greedy maximal matching, at most twice the minimum, beyond.
+def decompose_vertex_cover(g: Graph) -> Decomposition:
+    """At most |cover| factors: one per vertex of a cover, a minimum one (the
+    complement of a maximum independent set) up to INDEPENDENT_SET_LIMIT
+    vertices, and the endpoints of a greedy maximal matching, at most twice
+    the minimum, beyond.
     The first b-1 cover vertices each guide a completion with themselves as
     the singleton independent side; the last one uses the whole independent
     remainder, ordered with its neighbors first so exactly they survive.
     An edgeless graph yields the single factor guided by all of V.
     """
-    if cover is None and g.n <= INDEPENDENT_SET_LIMIT:
-        cover = set(range(g.n)) - max_independent_set(g)
-    elif cover is None:
-        cover = set()
+    if g.n <= INDEPENDENT_SET_LIMIT:
+        cover_set = set(range(g.n)) - max_independent_set(g)
+    else:
+        cover_set = set()
         for u, v in g.edges():
-            if u not in cover and v not in cover:
-                cover.update((u, v))
-    cover_set = set(cover)
+            if u not in cover_set and v not in cover_set:
+                cover_set.update((u, v))
     cover = sorted(cover_set)
-    for u, v in g.edges():
-        if u not in cover_set and v not in cover_set:
-            raise ValueError(f"not a vertex cover: edge ({u},{v}) uncovered")
     if g.m == 0:
         factor = threshold_supergraph(g, list(range(g.n)))
         return _finish(g, "vertex-cover", 1, _Intersection(g, [factor]))
@@ -199,8 +166,9 @@ def build_separating_colorings(g: Graph, seed: int = 0) -> SeparatingColoringFam
     An attempt draws up to ceil(ln n) colorings from its seeded stream one
     at a time, adds each one's class completions to one resumable
     intersection check, which walks only the completions just added, and
-    stops at the first coloring after which `_verified` takes them as a
-    decomposition of g.
+    stops at the first coloring after which no non-edge of g survives, where
+    `_finish` takes them as a decomposition of g. A completion that drops
+    an edge of g is a bug, so that check raises AssertionError there.
     Every prefix of a failed attempt fails too, so the attempt accepted is
     the one a whole-family check accepts, cut to its shortest accepted
     prefix. Resamples with an incremented seed up to RESAMPLES times, then
@@ -220,8 +188,10 @@ def build_separating_colorings(g: Graph, seed: int = 0) -> SeparatingColoringFam
         while len(family) < r:
             family.append(_sample_coloring(forward, k, order, rng))
             check.add(_class_completions(g, family[-1], pos))
-            if (d := _verified(g, "degeneracy", 10 * k * r, check)) is not None:
-                return SeparatingColoringFamily(tuple(family), d)
+            mismatch = check.mismatch()
+            if mismatch is None or mismatch[1] is not None:  # verified, or a dropped edge: a bug
+                return SeparatingColoringFamily(tuple(family),
+                                                _finish(g, "degeneracy", 10 * k * r, check))
     raise RandomizedSearchError(
         "separating coloring family not found",
         {"resamples": RESAMPLES, "final_size": len(family)})

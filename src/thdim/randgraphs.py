@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import random
 from typing import Iterable
 
-from .decompose import decompose_degeneracy
+from .decompose import RandomizedSearchError, decompose_degeneracy
 from .graphs import (MAX_EDGES, ExactLimitError, Graph, ParseError, check_vertex_count,
                      degeneracy_ordering, girth, parse_ints, read_lines)
 from .seeding import split_seed
@@ -80,7 +80,9 @@ def run_experiment(spec: list[tuple[int, int, int]], seed: int = 0) -> list[Expe
     """For each (n, m, trials): generate, measure degeneracy, decompose, record.
 
     Rows flag inputs below the m >= n/2 regime instead of refusing them, and
-    a decomposition failure is recorded in its row rather than aborting.
+    a decomposition refusal (ValueError, RandomizedSearchError, MemoryError)
+    is recorded in its row rather than aborting; an AssertionError, a
+    failed verification, is a bug and propagates.
     Aggregates (median and max of factors/(d_av ln n)) follow each block.
     """
     rows: list[ExperimentRow] = []
@@ -99,7 +101,7 @@ def run_experiment(spec: list[tuple[int, int, int]], seed: int = 0) -> list[Expe
                 verified = decomp.verified
                 ratio = factors / (d_av * math.log(n)) if m > 0 else 0.0
                 row_flag = flag
-            except Exception as exc:  # recorded, not fatal
+            except (ValueError, RandomizedSearchError, MemoryError) as exc:  # refusals: recorded
                 factors, verified, ratio = None, False, None
                 row_flag = (flag + ";" if flag else "") + f"failed:{type(exc).__name__}"
             rows.append(ExperimentRow(

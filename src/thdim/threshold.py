@@ -556,22 +556,16 @@ def _ltf_counterexample(t: ThresholdGraph, witness: LtfWitness) -> frozenset[int
 
 
 def verify_ltf(g: Graph, witness: LtfWitness,
-               exhaustive_limit: int = WALK_LIMIT) -> tuple[bool, tuple[int, ...] | None]:
+               exhaustive_limit: int = WALK_LIMIT) -> tuple[int, ...] | None:
     """Check that the witness accepts exactly the clique vectors of g, by the
     exact check of `_circuit_counterexample` on a one-gate circuit. A gate
     with a negative weight is walked over all 2^n inputs when
-    n <= exhaustive_limit and refused above. Returns (ok, counterexample
-    vector or None)."""
+    n <= exhaustive_limit and refused above. Returns the vertices of a
+    counterexample, ascending, or None."""
     if witness.arity != g.n:
         raise ValueError("witness arity does not match graph")
     bad = _circuit_counterexample(g, [witness], walk_limit=exhaustive_limit)
-    if bad is None:
-        return True, None
-    return False, _mask_to_vector(g.n, bad)
-
-
-def _mask_to_vector(n: int, mask: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(n))
+    return None if bad is None else tuple(_bits(bad))
 
 
 # ---------------------------------------------------------------------------

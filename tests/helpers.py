@@ -279,24 +279,23 @@ def threshold_struct_ok(t) -> bool:
     return all(hoods[i + 1] <= hoods[i] for i in range(len(hoods) - 1))
 
 
-def edge_mask_verify(g: Graph, factors) -> tuple[bool, str, tuple[int, int] | None, int | None]:
+def edge_mask_verify(g: Graph, factors) -> tuple[tuple[int, int], int | None] | None:
     """Decomposition check on materialized n^2-bit edge masks, the way the
     library did it before factors became creation sequences: every factor's
-    edge mask must contain g's, and their AND must equal it. Returns
-    (ok, reason, first offending pair, factor index). No factor keeps every
-    pair."""
+    edge mask must contain g's, and their AND must equal it. Returns None,
+    or the first offending pair with the index of the factor that drops it
+    (None for a non-edge every factor keeps), as `verify_decomposition`
+    does. No factor keeps every pair."""
     gmask = edge_mask(g)
     inter = (1 << g.n * (g.n - 1) // 2) - 1
     for idx, f in enumerate(factors):
         fmask = edge_mask(f.graph)
         if fmask & gmask != gmask:
-            return (False, "factor drops an edge of the graph",
-                    _first_mask_pair(g.n, gmask & ~fmask), idx)
+            return _first_mask_pair(g.n, gmask & ~fmask), idx
         inter &= fmask
     if inter != gmask:
-        return (False, "a non-edge survives every factor",
-                _first_mask_pair(g.n, inter & ~gmask), None)
-    return (True, "", None, None)
+        return _first_mask_pair(g.n, inter & ~gmask), None
+    return None
 
 
 def _first_mask_pair(n: int, mask: int) -> tuple[int, int]:
@@ -888,7 +887,7 @@ def fresh_degeneracy_text(g: Graph, seed: int) -> str:
     for family in families():
         factors = [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
                    for coloring in family for cls in color_classes(coloring) if cls]
-        if edge_mask_verify(g, factors)[0]:
+        if edge_mask_verify(g, factors) is None:
             lines = [f"td-decomp degeneracy {len(factors)}", *map(format_threshold, factors)]
             return "\n".join(lines) + "\n"
     raise AssertionError("no family of the seeded draws intersects to g")

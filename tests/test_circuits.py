@@ -67,18 +67,18 @@ def test_2cnf_equivalence_exhaustive():
 
 def test_compile_threshold_single_gate():
     g = star_graph(5)
-    d = decompose_vertex_cover(g, [0])
+    d = decompose_vertex_cover(g)
     c = compile_circuit(g, d)
     assert c.gate_count == 1
-    assert verify_circuit(GraphicFunction(g), c) == (True, None)
+    assert verify_circuit(g, c) is None
 
 
 def test_compile_p4_two_gates():
     g = path_graph(4)
-    d = decompose_vertex_cover(g, [1, 2])
+    d = decompose_vertex_cover(g)
     c = compile_circuit(g, d)
     assert c.gate_count == 2
-    assert verify_circuit(GraphicFunction(g), c) == (True, None)
+    assert verify_circuit(g, c) is None
 
 
 def test_compile_2k3_exact_three_gates():
@@ -86,12 +86,12 @@ def test_compile_2k3_exact_three_gates():
     d = exact_decomposition(g)
     c = compile_circuit(g, d)
     assert c.gate_count == 3
-    assert verify_circuit(GraphicFunction(g), c) == (True, None)
+    assert verify_circuit(g, c) is None
 
 
 def test_compile_rejects_unverified():
     g = path_graph(4)
-    d = decompose_vertex_cover(g, [1, 2])
+    d = decompose_vertex_cover(g)
     stale = Decomposition(factors=d.factors, method=d.method,
                           bound_claimed=d.bound_claimed)
     with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def test_compile_rejects_unverified():
 
 
 def test_compile_rejects_decomposition_verified_for_another_graph():
-    d = decompose_vertex_cover(path_graph(4), [1, 2])
+    d = decompose_vertex_cover(path_graph(4))
     with pytest.raises(ValueError):
         compile_circuit(cycle_graph(4), d)
 
@@ -113,7 +113,6 @@ def test_compile_does_not_verify_again(monkeypatch):
 
     def counting(graph, decomposition):
         calls.append(graph.n)
-        return True
 
     monkeypatch.setattr(thdim.decompose, "verify_decomposition", counting)
     monkeypatch.setattr(thdim.circuits, "verify_decomposition", counting, raising=False)
@@ -126,8 +125,7 @@ def test_verify_circuit_2k2_exhaustive():
     d = exact_decomposition(g)
     c = compile_circuit(g, d)
     assert c.gate_count == 2
-    ok, _ = verify_circuit(GraphicFunction(g), c)
-    assert ok
+    assert verify_circuit(g, c) is None
 
 
 def test_verify_circuit_detects_corruption():
@@ -138,10 +136,11 @@ def test_verify_circuit_detects_corruption():
         arity=c.arity,
         gates=(LtfWitness(weights=gate.weights, bound=gate.bound + 10 ** 9),)
               + c.gates[1:])
-    ok, counterexample = verify_circuit(GraphicFunction(g), hacked)
-    assert not ok and counterexample is not None
+    counterexample = verify_circuit(g, hacked)
+    assert counterexample is not None
     # the counterexample disagrees for real
-    assert hacked.evaluate(counterexample) != GraphicFunction(g).evaluate(counterexample)
+    x = [int(v in counterexample) for v in range(g.n)]
+    assert hacked.evaluate(x) != GraphicFunction(g).evaluate(x)
 
 
 def test_verify_matches_naive_evaluation():
@@ -149,10 +148,9 @@ def test_verify_matches_naive_evaluation():
         d = decompose_degeneracy(g, seed=0)
         c = compile_circuit(g, d)
         f = GraphicFunction(g)
-        ok, _ = verify_circuit(f, c)
         naive = all(c.evaluate(x) == f.evaluate(x)
                     for x in _all_vectors(g.n))
-        assert ok == naive == True
+        assert (verify_circuit(g, c) is None) == naive == True
 
 
 def _all_vectors(n):
@@ -162,28 +160,26 @@ def _all_vectors(n):
 
 def test_verify_exact_at_arity_24():
     g = gen_gnm(24, 60, seed=11)
-    cover = sorted(set(range(g.n)) - max_independent_set(g))
-    d = decompose_vertex_cover(g, cover)
-    c = compile_circuit(g, d)
-    ok, _ = verify_circuit(GraphicFunction(g), c)
-    assert ok
+    d = decompose_vertex_cover(g)
+    assert d.size == g.n - len(max_independent_set(g))
+    assert verify_circuit(g, compile_circuit(g, d)) is None
 
 
 def test_verify_exhaustive_refused_beyond_20():
     # a negative weight leaves only the 2^n walk, which stops at 20 inputs
     g = empty_graph(21)
-    d = decompose_vertex_cover(g, [])
+    d = decompose_vertex_cover(g)
     c = compile_circuit(g, d)
     negative = MajorityCircuit(arity=21, gates=c.gates + (LtfWitness((-1,) * 21, 0),))
     with pytest.raises(ValueError):
-        verify_circuit(GraphicFunction(g), negative)
+        verify_circuit(g, negative)
 
 
 def test_verify_arity_mismatch():
     g = path_graph(3)
     c = compile_circuit(g, exact_decomposition(g))
     with pytest.raises(ValueError):
-        verify_circuit(GraphicFunction(path_graph(4)), c)
+        verify_circuit(path_graph(4), c)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +209,7 @@ def test_round_trip_through_compilation():
 
 def test_circuit_file_round_trip():
     g = path_graph(4)
-    c = compile_circuit(g, decompose_vertex_cover(g, [1, 2]))
+    c = compile_circuit(g, decompose_vertex_cover(g))
     text = format_circuit(c)
     assert text.startswith("ltf-and 4 2\n")
     back = parse_circuit(text)

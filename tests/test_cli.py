@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import thdim
-from thdim import (Graph, GraphicFunction, complete_graph, cycle_graph, decompose_degeneracy,
+from thdim import (Graph, complete_graph, cycle_graph, decompose_degeneracy,
                    disjoint_cliques, format_decomposition, format_tree_decomposition,
                    gen_gnm, heuristic_tree_decomposition,
                    ltfs_to_graph, parse_circuit, parse_decomposition, path_graph,
@@ -59,7 +59,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     out = tmp_path / "c10.dec"
     path = write_graph(tmp_path, "c10.gr", cycle_graph(10))
     assert run_module("decompose", path, "--method", "degeneracy", "--out", str(out)).returncode == 0
-    assert verify_decomposition(cycle_graph(10), parse_decomposition(out.read_text())).ok
+    assert verify_decomposition(cycle_graph(10), parse_decomposition(out.read_text())) is None
 
 
 def test_decompose_vc_star(tmp_path):
@@ -68,7 +68,7 @@ def test_decompose_vc_star(tmp_path):
     assert main(["decompose", path, "--method", "vc", "--out", str(out)]) == 0
     d = parse_decomposition(out.read_text())
     assert d.size == 1
-    assert verify_decomposition(star_graph(5), d).ok
+    assert verify_decomposition(star_graph(5), d) is None
 
 
 def test_decompose_vc_beyond_independent_set_limit(tmp_path, monkeypatch):
@@ -80,7 +80,7 @@ def test_decompose_vc_beyond_independent_set_limit(tmp_path, monkeypatch):
     path = write_graph(tmp_path, "g30.gr", g)
     out = tmp_path / "d.txt"
     assert main(["decompose", path, "--method", "vc", "--out", str(out)]) == 0
-    assert verify_decomposition(g, parse_decomposition(out.read_text())).ok
+    assert verify_decomposition(g, parse_decomposition(out.read_text())) is None
 
 
 def test_decompose_degeneracy_c10(tmp_path):
@@ -90,7 +90,7 @@ def test_decompose_degeneracy_c10(tmp_path):
                  "--out", str(out)]) == 0
     d = parse_decomposition(out.read_text())
     assert d.size <= 60
-    assert verify_decomposition(cycle_graph(10), d).ok
+    assert verify_decomposition(cycle_graph(10), d) is None
 
 
 def test_decompose_treewidth_tree(tmp_path):
@@ -158,7 +158,7 @@ def test_decompose_maxdeg(tmp_path):
     out = tmp_path / "d.txt"
     assert main(["decompose", path, "--method", "maxdeg", "--out", str(out)]) == 0
     d = parse_decomposition(out.read_text())
-    assert verify_decomposition(cycle_graph(12), d).ok
+    assert verify_decomposition(cycle_graph(12), d) is None
 
 
 def test_decompose_maxdeg_diagnostics(tmp_path):
@@ -269,7 +269,7 @@ def test_compile_writes_the_certified_circuit_without_walking_it(tmp_path, monke
         patch.setattr(thdim.circuits, "_circuit_counterexample", walked)
         assert main(["compile", path, "--method", method, "--out", str(circ)]) == 0
     c = parse_circuit(circ.read_text())
-    assert verify_circuit(GraphicFunction(g), c) == (True, None)
+    assert verify_circuit(g, c) is None
     assert ltfs_to_graph(c.gates) == g
 
 
@@ -369,6 +369,31 @@ def test_experiment_command(tmp_path):
     assert main(["experiment", str(spec), "--seed", "0", "--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
     assert out1.read_text().startswith("kind,n,m,trial")
+
+
+def test_experiment_records_a_refused_trial_in_its_row(tmp_path):
+    # one vertex is below the degeneracy method's two: a refusal, not a bug
+    spec, out = tmp_path / "spec.txt", tmp_path / "t.csv"
+    spec.write_text("1 0 1\n")
+    assert main(["experiment", str(spec), "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "kind,n,m,trial,seed,degeneracy,factors,bound,ratio,verified,flag\n"
+        "trial,1,0,0,11559177372754217917,0,,0,,0,below-m>=n/2;failed:ValueError\n")
+
+
+def test_experiment_ends_in_exit_3_on_a_failed_verification(tmp_path, monkeypatch, capsys):
+    import thdim.randgraphs
+
+    def failing(*_args, **_kwargs):
+        raise AssertionError("degeneracy construction failed verification")
+
+    spec, out = tmp_path / "spec.txt", tmp_path / "t.csv"
+    spec.write_text("8 12 1\n")
+    monkeypatch.setattr(thdim.randgraphs, "decompose_degeneracy", failing)
+    assert main(["experiment", str(spec), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: degeneracy construction failed verification\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line,code", [("100001 10 1", 1), ("8 29 1", 2), ("8 8 0", 2)])

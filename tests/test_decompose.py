@@ -39,7 +39,7 @@ def test_verify_p4_two_factor_example():
     f1 = recognize_threshold(parse_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)]))
     f2 = recognize_threshold(parse_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]))
     assert isinstance(f1, ThresholdGraph) and isinstance(f2, ThresholdGraph)
-    assert verify_decomposition(g, make([f1, f2])).ok
+    assert verify_decomposition(g, make([f1, f2])) is None
 
 
 def parse_edges(n, edges):
@@ -50,23 +50,18 @@ def parse_edges(n, edges):
 def test_verify_complete_factor_fails_with_first_nonedge():
     g = path_graph(4)
     k4 = recognize_threshold(complete_graph(4))
-    result = verify_decomposition(g, make([k4]))
-    assert not result.ok
-    assert result.pair == (0, 2)
-    assert result.factor_index is None
+    assert verify_decomposition(g, make([k4])) == ((0, 2), None)
 
 
 def test_verify_threshold_graph_with_itself():
     t = recognize_threshold(star_graph(4))
-    assert verify_decomposition(star_graph(4), make([t])).ok
+    assert verify_decomposition(star_graph(4), make([t])) is None
 
 
 def test_verify_missing_edge_names_factor():
     g = path_graph(3)
     bad = recognize_threshold(parse_edges(3, [(0, 1)]))  # drops edge (1,2)
-    result = verify_decomposition(g, make([bad]))
-    assert not result.ok and result.factor_index == 0
-    assert result.pair == (1, 2)
+    assert verify_decomposition(g, make([bad])) == ((1, 2), 0)
 
 
 def test_verify_vertex_set_mismatch():
@@ -79,52 +74,47 @@ def test_verify_vertex_set_mismatch():
 
 def test_vc_star_single_factor():
     star = star_graph(5)
-    d = decompose_vertex_cover(star, [0])
+    d = decompose_vertex_cover(star)  # the cover is the center
     assert d.size == 1 and d.verified
     assert d.factors[0].graph == star
 
 
 def test_vc_p4():
-    d = decompose_vertex_cover(path_graph(4), [1, 2])
+    d = decompose_vertex_cover(path_graph(4))  # the cover is [1, 3]
     assert d.size == 2 and d.verified
 
 
 def test_vc_pendant_clique_complement():
     h = pendant_clique_complement(3)
-    cover = [3, 4, 5]  # the pendant side is a clique of H and covers it
-    d = decompose_vertex_cover(h, cover)
+    d = decompose_vertex_cover(h)  # a minimum cover has 3 vertices, as the pendant side
     assert d.size == 3 and d.verified
 
 
 def test_vc_edgeless_single_factor():
-    d = decompose_vertex_cover(empty_graph(4), [])
+    d = decompose_vertex_cover(empty_graph(4))
     assert d.size == 1 and d.verified
-
-
-def test_vc_rejects_non_cover():
-    with pytest.raises(ValueError):
-        decompose_vertex_cover(path_graph(4), [0])
-    with pytest.raises(ValueError, match=r"not a vertex cover: edge \(0,1\) uncovered"):
-        decompose_vertex_cover(path_graph(4), [])
 
 
 def test_vc_factor_count_matches_cover():
     for g in random_corpus(10, [(7, 10), (8, 12)], seed=41):
         from thdim.graphs import max_independent_set
         cover = sorted(set(range(g.n)) - max_independent_set(g))
-        d = decompose_vertex_cover(g, cover)
+        d = decompose_vertex_cover(g)
         assert d.verified and d.size == max(len(cover), 1)
         assert d.size <= d.bound_claimed
 
 
 def test_vc_default_cover_is_minimum_up_to_independent_set_limit():
+    # the first factors are guided by the minimum cover's vertices but its
+    # last, each as the singleton independent side
     from thdim.graphs import INDEPENDENT_SET_LIMIT, max_independent_set
     graphs = [empty_graph(3), star_graph(6)] + random_corpus(
         12, [(8, 12), (16, 30), (INDEPENDENT_SET_LIMIT, 50)], seed=43)
     for g in graphs:
         cover = sorted(set(range(g.n)) - max_independent_set(g))
-        assert (format_decomposition(decompose_vertex_cover(g))
-                == format_decomposition(decompose_vertex_cover(g, cover)))
+        d = decompose_vertex_cover(g)
+        assert d.size == d.bound_claimed == max(len(cover), 1)
+        assert list(d.factors[:-1]) == [threshold_supergraph(g, [v]) for v in cover[:-1]]
 
 
 def test_vc_default_cover_beyond_limit_is_a_matching_cover(monkeypatch):
@@ -158,14 +148,14 @@ def test_family_c10():
     assert 1 <= len(family.colorings) <= math.ceil(math.log(10))
     assert all(is_proper_coloring(c, g, 10 * k) for c in family.colorings)
     assert family.decomposition.verified_for == g
-    assert verify_decomposition(g, family.decomposition).ok
+    assert verify_decomposition(g, family.decomposition) is None
 
 
 def test_family_k5_vacuous():
     g = complete_graph(5)
     family = build_separating_colorings(g, seed=0)
     assert family.decomposition.verified_for == g
-    assert verify_decomposition(g, family.decomposition).ok
+    assert verify_decomposition(g, family.decomposition) is None
 
 
 def test_family_deterministic():
@@ -337,10 +327,7 @@ def test_resumable_check_answers_as_a_fresh_one_on_every_prefix(case):
         added += chunk
         got = check.mismatch()
         assert got == threshold._Intersection(g, added).mismatch()
-        ok, _, pair, idx = edge_mask_verify(g, added)
-        assert (got is None) == ok
-        if not ok:
-            assert got == (pair, idx)
+        assert got == edge_mask_verify(g, added)
 
 
 def test_family_accepted_after_a_retry_is_pinned():
@@ -445,10 +432,27 @@ def test_degeneracy_is_verified_within_its_bound(g, seed):
     r = math.ceil(math.log(g.n))
     family = build_separating_colorings(g, seed=seed)
     d = decompose_degeneracy(g, seed=seed)
-    assert d.verified_for == g and verify_decomposition(g, d).ok
+    assert d.verified_for == g and verify_decomposition(g, d) is None
     assert d.factors == family.decomposition.factors
     assert 1 <= len(family.colorings) <= r
     assert d.size <= d.bound_claimed == 10 * max(k, 1) * r
+
+
+def test_a_completion_dropping_an_edge_fails_at_once_without_a_redraw(monkeypatch):
+    # a dropped edge is a construction bug, not an unlucky draw: the check of
+    # the first coloring raises, and no other coloring is drawn
+    g = cycle_graph(10)
+    keeps_no_pair = threshold_supergraph(empty_graph(g.n), list(range(g.n)))
+    completions, sample = decompose._class_completions, decompose._sample_coloring
+    drawn = []
+    monkeypatch.setattr(decompose, "_sample_coloring",
+                        lambda *args: drawn.append(sample(*args)) or drawn[-1])
+    monkeypatch.setattr(decompose, "_class_completions",
+                        lambda *args: [*completions(*args), keeps_no_pair])
+    with pytest.raises(AssertionError, match=r"^degeneracy construction failed verification: "
+                                             r"factor \d+ drops an edge of the graph: \(0, 1\)$"):
+        build_separating_colorings(g, seed=0)
+    assert len(drawn) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +521,7 @@ def test_treewidth_bound_on_randoms():
 def test_exact_dimension_below_method_counts_small():
     for g in all_graphs(4):
         dim = exact_dimension(g)
-        from thdim.graphs import max_independent_set
-        cover = sorted(set(range(g.n)) - max_independent_set(g))
-        assert dim <= decompose_vertex_cover(g, cover).size
+        assert dim <= decompose_vertex_cover(g).size
         if g.n >= 2:
             assert dim <= decompose_degeneracy(g, seed=0).size
             td = heuristic_tree_decomposition(g)
@@ -533,7 +535,7 @@ def test_serialization_round_trip():
     assert text.startswith(f"td-decomp degeneracy {d.size}\n")
     back = parse_decomposition(text)
     assert back.method == "degeneracy" and back.size == d.size
-    assert verify_decomposition(g, back).ok
+    assert verify_decomposition(g, back) is None
     assert [f.graph for f in back.factors] == [f.graph for f in d.factors]
 
 

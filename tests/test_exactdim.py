@@ -96,7 +96,7 @@ def test_exact_decomposition_witnesses_dimension():
     for g in [path_graph(4), disjoint_cliques(3), cycle_graph(5), complete_graph(3)]:
         d = exact_decomposition(g)
         assert d.verified and d.size == exact_dimension(g) == d.bound_claimed
-        assert verify_decomposition(g, d).ok
+        assert verify_decomposition(g, d) is None
 
 
 ORACLE_GRAPHS = ([g for n in range(6) for g in all_graphs(n)]

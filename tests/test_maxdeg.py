@@ -291,7 +291,7 @@ def test_split_two_centers_four_leaves():
     assert d.verified
     # G*[A, B] is g plus the edge that completes B = {4, 5} into a clique
     assert d.verified_for == Graph(6, edges + [(4, 5)])
-    assert verify_decomposition(d.verified_for, d).ok
+    assert verify_decomposition(d.verified_for, d) is None
     for f in d.factors:
         assert isinstance(recognize_threshold(f.graph), ThresholdGraph)
 
@@ -308,8 +308,8 @@ def test_split_a_isolated_factor_alone_insufficient(monkeypatch):
     assert first.split_a == (0, 1, 2, 3) and first.graph.has_edge(0, 5)
     from thdim import Decomposition
     stripped = Decomposition(factors=(first,), method="manual", bound_claimed=1)
-    assert not verify_decomposition(d.verified_for, stripped).ok
-    assert verify_decomposition(d.verified_for, d).ok
+    assert verify_decomposition(d.verified_for, stripped) == ((0, 5), None)
+    assert verify_decomposition(d.verified_for, d) is None
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -416,7 +416,7 @@ def test_maxdeg_k55_55():
     g = complete_bipartite(55, 55)
     d = decompose_maxdeg(g, seed=1)
     assert d.verified and d.size == 2
-    assert verify_decomposition(g, d).ok
+    assert verify_decomposition(g, d) is None
 
 
 @pytest.mark.parametrize(("g", "most_blocks"),

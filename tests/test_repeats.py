@@ -9,7 +9,7 @@ or a verdict."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thdim import (GraphicFunction, LtfWitness, MajorityCircuit, ThresholdGraph,
+from thdim import (LtfWitness, MajorityCircuit, ThresholdGraph,
                    compile_circuit, decompose_degeneracy, decompose_vertex_cover,
                    format_circuit, format_decomposition, gen_gnm, parse_circuit,
                    threshold_supergraph, verify_circuit)
@@ -75,10 +75,7 @@ def test_repeated_factors_leave_the_mismatch_unchanged(case):
     else:
         pair, idx = expected
         assert got == (pair, new_index[idx])
-    ok, _, pair, idx = edge_mask_verify(g, repeated)
-    assert ok == (got is None)
-    if not ok:
-        assert got == (pair, idx)
+    assert got == edge_mask_verify(g, repeated)
 
 
 @st.composite
@@ -92,7 +89,7 @@ def circuits_with_repeats(draw):
     if draw(st.booleans()):
         d = decompose_degeneracy(g, seed=draw(st.integers(0, 3)))
     else:
-        d = decompose_vertex_cover(g, range(n))
+        d = decompose_vertex_cover(g)
     gates = list(dict.fromkeys(compile_circuit(g, d).gates))
     planted = draw(st.sets(st.integers(0, len(gates) - 1), max_size=2))
     for i in planted:
@@ -106,18 +103,16 @@ def circuits_with_repeats(draw):
 @given(circuits_with_repeats())
 def test_repeated_gates_leave_the_verdict_unchanged(case):
     g, gates, repeated = case
-    f = GraphicFunction(g)
-    expected = verify_circuit(f, MajorityCircuit(arity=g.n, gates=tuple(gates)))
-    assert verify_circuit(f, MajorityCircuit(arity=g.n, gates=tuple(repeated))) == expected
+    expected = verify_circuit(g, MajorityCircuit(arity=g.n, gates=tuple(gates)))
+    assert verify_circuit(g, MajorityCircuit(arity=g.n, gates=tuple(repeated))) == expected
     doubled = tuple(gate for gate in repeated for _ in range(2))
-    assert verify_circuit(f, MajorityCircuit(arity=g.n, gates=doubled)) == expected
-    assert expected[0] == (walk_counterexample(g, gates) is None)
+    assert verify_circuit(g, MajorityCircuit(arity=g.n, gates=doubled)) == expected
+    assert (expected is None) == (walk_counterexample(g, gates) is None)
 
 
 def test_a_repeated_bad_gate_is_caught_with_the_same_counterexample():
     g = gen_gnm(12, 20, seed=4)
     gates = list(dict.fromkeys(compile_circuit(g, decompose_degeneracy(g, seed=0)).gates))
-    f = GraphicFunction(g)
     bad, worse = tightened_below(g, gates[3]), tightened_below(g, gates[2])
     rest = [gate for j, gate in enumerate(gates) if j not in (2, 3)]
     for first, distinct, listings in (
@@ -126,13 +121,13 @@ def test_a_repeated_bad_gate_is_caught_with_the_same_counterexample():
             (worse, (*rest, worse, bad), [(*rest, worse, bad, worse),
                                           (*rest, worse, *rest, bad, bad)])):
         # the first bad gate listed names the counterexample
-        expected = verify_circuit(f, MajorityCircuit(arity=g.n, gates=(*rest, first)))
-        assert expected[0] is False
-        assert verify_circuit(f, MajorityCircuit(arity=g.n, gates=distinct)) == expected
+        expected = verify_circuit(g, MajorityCircuit(arity=g.n, gates=(*rest, first)))
+        assert expected is not None
+        assert verify_circuit(g, MajorityCircuit(arity=g.n, gates=distinct)) == expected
         for listed in listings:
-            assert verify_circuit(f, MajorityCircuit(arity=g.n, gates=listed)) == expected
-    assert verify_circuit(f, MajorityCircuit(arity=g.n, gates=(*rest, bad))) != (
-        verify_circuit(f, MajorityCircuit(arity=g.n, gates=(*rest, worse))))
+            assert verify_circuit(g, MajorityCircuit(arity=g.n, gates=listed)) == expected
+    assert verify_circuit(g, MajorityCircuit(arity=g.n, gates=(*rest, bad))) != (
+        verify_circuit(g, MajorityCircuit(arity=g.n, gates=(*rest, worse))))
 
 
 def test_circuit_with_repeated_gates_reads_back_unchanged():
@@ -141,7 +136,7 @@ def test_circuit_with_repeated_gates_reads_back_unchanged():
     assert len(set(c.gates)) < c.gate_count
     text = format_circuit(c)
     parsed = parse_circuit(text)
-    assert verify_circuit(GraphicFunction(g), parsed) == (True, None)
+    assert verify_circuit(g, parsed) is None
     assert parsed == c and format_circuit(parsed) == text
 
 

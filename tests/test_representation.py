@@ -283,8 +283,24 @@ def test_mask_verification_matches_edge_mask_oracle(data):
     g = data.draw(graphs())
     factors = data.draw(factor_lists(g))
     d = Decomposition(factors=tuple(factors), method="manual", bound_claimed=len(factors))
-    r = verify_decomposition(g, d)
-    assert (r.ok, r.reason, r.pair, r.factor_index) == edge_mask_verify(g, factors)
+    assert verify_decomposition(g, d) == edge_mask_verify(g, factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_reported_pair_is_a_dropped_edge_or_a_kept_non_edge(data):
+    # the pair names its own fault: an edge of g that factor i drops, or a
+    # non-edge of g that every factor keeps
+    g = data.draw(graphs())
+    factors = data.draw(factor_lists(g))
+    d = Decomposition(factors=tuple(factors), method="manual", bound_claimed=len(factors))
+    mismatch = verify_decomposition(g, d)
+    if mismatch is not None:
+        (u, w), idx = mismatch
+        if idx is None:
+            assert not g.has_edge(u, w) and all(f.graph.has_edge(u, w) for f in factors)
+        else:
+            assert g.has_edge(u, w) and not factors[idx].graph.has_edge(u, w)
 
 
 # C4 = 0-2-1-3-0, with non-edges {0, 1} and {2, 3}. The first factor places 0
@@ -298,20 +314,19 @@ HELD_AT_LARGER = from_creation(((2, ISOLATED), (3, ISOLATED), (0, DOMINATING), (
 
 def _check(g, factors):
     d = Decomposition(factors=tuple(factors), method="manual", bound_claimed=len(factors))
-    r = verify_decomposition(g, d)
-    result = (r.ok, r.reason, r.pair, r.factor_index)
-    assert result == edge_mask_verify(g, factors)
-    return result
+    mismatch = verify_decomposition(g, d)
+    assert mismatch == edge_mask_verify(g, factors)
+    return mismatch
 
 
 def test_non_edge_held_at_either_end_verifies():
-    assert _check(C4, [HELD_AT_SMALLER, HELD_AT_LARGER])[0]
-    assert _check(C4, [HELD_AT_LARGER, HELD_AT_SMALLER])[0]
+    assert _check(C4, [HELD_AT_SMALLER, HELD_AT_LARGER]) is None
+    assert _check(C4, [HELD_AT_LARGER, HELD_AT_SMALLER]) is None
 
 
 def test_non_edge_kept_without_its_only_factor_is_reported():
-    assert _check(C4, [HELD_AT_LARGER])[2:] == ((0, 1), None)
-    assert _check(C4, [HELD_AT_SMALLER])[2:] == ((2, 3), None)
+    assert _check(C4, [HELD_AT_LARGER]) == ((0, 1), None)
+    assert _check(C4, [HELD_AT_SMALLER]) == ((2, 3), None)
 
 
 def test_smallest_dropped_edge_is_reported_whichever_end_is_isolated():
@@ -319,11 +334,11 @@ def test_smallest_dropped_edge_is_reported_whichever_end_is_isolated():
     # after 1, 2 and 3 (dropping (0, 2) and (0, 3)): the smallest is (0, 2),
     # at its isolated end 0
     bad = from_creation(((1, DOMINATING), (2, DOMINATING), (3, ISOLATED), (0, ISOLATED)))
-    assert _check(C4, [HELD_AT_SMALLER, bad])[2:] == ((0, 2), 1)
+    assert _check(C4, [HELD_AT_SMALLER, bad]) == ((0, 2), 1)
     # 2 enters isolated after 0 and 1: the smallest is (0, 2), at its
     # isolated end 2
     mirror = from_creation(((0, DOMINATING), (1, DOMINATING), (2, ISOLATED), (3, DOMINATING)))
-    assert _check(C4, [mirror])[2:] == ((0, 2), 0)
+    assert _check(C4, [mirror]) == ((0, 2), 0)
 
 
 def test_pairs_held_at_their_larger_ends_only():
@@ -332,7 +347,7 @@ def test_pairs_held_at_their_larger_ends_only():
     # records each pair at its earlier-placed end
     n = 8
     ascending = from_creation(tuple((v, ISOLATED) for v in range(n)))
-    assert _check(Graph(n, []), [ascending])[0]
+    assert _check(Graph(n, []), [ascending]) is None
     one_dominating = from_creation(tuple((v, DOMINATING if v == 5 else ISOLATED)
                                          for v in range(n)))
-    assert _check(Graph(n, []), [one_dominating])[2:] == ((0, 5), None)
+    assert _check(Graph(n, []), [one_dominating]) == ((0, 5), None)

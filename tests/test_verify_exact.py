@@ -51,13 +51,14 @@ def random_gates(draw):
 @st.composite
 def perturbed_circuits(draw):
     """A compiled circuit with one weight or one bound of one gate moved:
-    by a little, to zero, or to a sum of other weights."""
+    by a little, to zero, or to a sum of other weights; with the factors
+    the gates were compiled from, in gate order."""
     n = draw(st.integers(2, 12))
     g = gen_gnm(n, draw(st.integers(0, n * (n - 1) // 2)), seed=draw(st.integers(0, 999)))
     if draw(st.booleans()):
         d = decompose_degeneracy(g, seed=0)
     else:
-        d = decompose_vertex_cover(g, range(n))
+        d = decompose_vertex_cover(g)
     gates = list(compile_circuit(g, d).gates)
     gi = draw(st.integers(0, len(gates) - 1))
     w, b = list(gates[gi].weights), gates[gi].bound
@@ -77,16 +78,22 @@ def perturbed_circuits(draw):
         subset = draw(st.lists(st.integers(0, n - 1), unique=True))
         b = sum(w[v] for v in subset) + delta
     gates[gi] = LtfWitness(tuple(w), b)
-    return g, gates
+    return g, gates, [f.graph for f in d.factors]
+
+
+def assert_misjudged(g, gates, vertices):
+    """The circuit of the gates and the graphic function of g differ on the
+    indicator vector of the vertices."""
+    x = [int(v in vertices) for v in range(g.n)]
+    circuit = MajorityCircuit(arity=g.n, gates=tuple(gates))
+    assert circuit.evaluate(x) != GraphicFunction(g).evaluate(x)
 
 
 def assert_agrees_with_walk(g, gates):
     bad = _circuit_counterexample(g, gates)
     assert (bad is None) == (walk_counterexample(g, gates) is None)
     if bad is not None:
-        x = tuple(bad >> v & 1 for v in range(g.n))
-        circuit = MajorityCircuit(arity=g.n, gates=tuple(gates))
-        assert circuit.evaluate(x) != GraphicFunction(g).evaluate(x)
+        assert_misjudged(g, gates, {v for v in range(g.n) if bad >> v & 1})
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,7 +105,23 @@ def test_exact_check_agrees_with_walk_on_random_gates(case):
 @settings(max_examples=150, deadline=None)
 @given(perturbed_circuits())
 def test_exact_check_agrees_with_walk_on_perturbed_compiled_circuits(case):
-    assert_agrees_with_walk(*case)
+    g, gates, _ = case
+    assert_agrees_with_walk(g, gates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_circuits())
+def test_every_counterexample_returned_is_misjudged(case):
+    # the vertices verify_circuit returns, and those verify_ltf returns for a
+    # gate against the factor it was compiled from, are ascending, and their
+    # indicator vector is one the circuit (the gate) gets wrong
+    g, gates, factors = case
+    checks = [(g, gates, verify_circuit(g, MajorityCircuit(g.n, tuple(gates))))]
+    checks += [(h, [gate], verify_ltf(h, gate)) for h, gate in zip(factors, gates)]
+    for graph, checked, bad in checks:
+        if bad is not None:
+            assert list(bad) == sorted(set(bad))
+            assert_misjudged(graph, checked, bad)
 
 
 @st.composite
@@ -162,16 +185,16 @@ def test_pair_check_names_the_pair_a_decomposition_check_names(case):
     # the circuit's pair check and verify_decomposition report the same
     # first pair when the gates' pair graphs do not intersect to g
     g, gates = case
-    ok, _, pair, _ = edge_mask_verify(g, [_pair_graph(gate) for gate in gates])
-    if not ok:
-        u, v = pair
+    mismatch = edge_mask_verify(g, [_pair_graph(gate) for gate in gates])
+    if mismatch is not None:
+        (u, v), _ = mismatch
         assert _circuit_counterexample(g, gates) == 1 << u | 1 << v
 
 
 def test_zero_gates_accept_everything():
     empty = MajorityCircuit(3, ())
-    assert verify_circuit(GraphicFunction(complete_graph(3)), empty) == (True, None)
-    assert verify_circuit(GraphicFunction(path_graph(3)), empty) == (False, (1, 0, 1))
+    assert verify_circuit(complete_graph(3), empty) is None
+    assert verify_circuit(path_graph(3), empty) == (0, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,7 +234,7 @@ def test_equal_circuit_with_a_gate_not_exact_on_its_pair_graph():
     g = path_graph(3)
     loose, tight = LtfWitness((1, 1, 1), 2), LtfWitness((1, 0, 1), 1)
     assert _ltf_counterexample(_pair_graph(loose), loose) == {0, 1, 2}
-    assert verify_circuit(GraphicFunction(g), MajorityCircuit(3, (loose, tight))) == (True, None)
+    assert verify_circuit(g, MajorityCircuit(3, (loose, tight))) is None
     assert walk_counterexample(g, [loose, tight]) is None
 
 
@@ -224,7 +247,7 @@ def test_clique_search_finds_a_clique_of_g_just_over_the_bound():
     loose, tight = LtfWitness((1, 1, 1, 1), 2), LtfWitness((1, 1, 1, 3), 3)
     assert _ltf_counterexample(_pair_graph(loose), loose) == {0, 1, 2, 3}
     circuit = MajorityCircuit(4, (loose, tight))
-    assert verify_circuit(GraphicFunction(g), circuit) == (False, (1, 1, 1, 0))
+    assert verify_circuit(g, circuit) == (0, 1, 2)
 
 
 def test_a_clique_check_reads_the_masks_of_the_pair_check(monkeypatch):
@@ -234,7 +257,7 @@ def test_a_clique_check_reads_the_masks_of_the_pair_check(monkeypatch):
     masks = Graph.adjacency_masks
     monkeypatch.setattr(Graph, "adjacency_masks", lambda g: built.append(g) or masks(g))
     circuit = MajorityCircuit(3, (LtfWitness((1, 1, 1), 2),))
-    assert verify_circuit(GraphicFunction(complete_graph(3)), circuit) == (False, (1, 1, 1))
+    assert verify_circuit(complete_graph(3), circuit) == (0, 1, 2)
     assert len(built) == 1
 
 
@@ -270,15 +293,15 @@ def test_verify_walks_no_inputs_at_arity_40(monkeypatch):
     monkeypatch.setattr(threshold, "and_of_gates_counterexample", refuse)
     g = gen_gnm(40, 60, seed=8)
     c = compile_circuit(g, decompose_degeneracy(g, seed=0))
-    assert verify_circuit(GraphicFunction(g), c) == (True, None)
+    assert verify_circuit(g, c) is None
     for gate in c.gates:
-        assert verify_ltf(ltfs_to_graph([gate]), gate) == (True, None)
+        assert verify_ltf(ltfs_to_graph([gate]), gate) is None
     # twice its bound, a gate accepts every pair: each one it should reject is
     # a counterexample
-    loosened = MajorityCircuit(40, tuple(LtfWitness(w.weights, 2 * w.bound) for w in c.gates))
-    ok, counterexample = verify_circuit(GraphicFunction(g), loosened)
-    assert not ok and loosened.evaluate(counterexample) != GraphicFunction(g).evaluate(
-        counterexample)
+    loosened = tuple(LtfWitness(w.weights, 2 * w.bound) for w in c.gates)
+    counterexample = verify_circuit(g, MajorityCircuit(40, loosened))
+    assert counterexample is not None
+    assert_misjudged(g, loosened, counterexample)
 
 
 def test_verify_option_is_accepted_and_ignored(tmp_path, capsys):
