@@ -1,7 +1,10 @@
 """Constructive decompositions of a graph into intersections of threshold
 graphs: by vertex cover, by degeneracy (randomized colorings, redrawn until
-their class completions verify), and by tree decomposition.
+their class completions intersect to the graph), and by tree decomposition.
 
+Degeneracy and treewidth list guiding orders, ordered independent sets whose
+completions (`threshold_supergraph`) intersect to the input, and `_finish`
+keeps a greedy subcover of those completions (`_Intersection.prune`).
 Every method returns a Decomposition whose factors provably intersect to the
 input graph; verification runs before the result is handed back.
 """
@@ -69,10 +72,16 @@ def verify_decomposition(g: Graph, d: Decomposition) -> tuple[tuple[int, int], i
     return _Intersection(g, d.factors).mismatch()
 
 
-def _finish(g: Graph, method: str, bound: int, check: _Intersection) -> Decomposition:
-    """The decomposition of g by the factors added to `check`, an
-    intersection check for g, marked verified for g: the one place that sets
-    `verified_for`. Any mismatch is a construction bug: AssertionError."""
+def _finish(g: Graph, method: str, bound: int, check: _Intersection,
+            orders: Sequence[Sequence[int]] | None = None) -> Decomposition:
+    """The decomposition of g by the factors of `check`, an intersection
+    check for g, marked verified for g: the one place that sets
+    `verified_for`. Given guiding `orders`, the factors are the greedy
+    subcover of their completions that `check.prune` picks, in place of
+    whatever the check held. Any mismatch is a construction bug:
+    AssertionError."""
+    if orders is not None:
+        check.prune(orders)
     mismatch = check.mismatch()
     if mismatch is not None:
         pair, idx = mismatch
@@ -124,19 +133,11 @@ def decompose_vertex_cover(g: Graph) -> Decomposition:
 class SeparatingColoringFamily:
     """Proper colorings, each a tuple of the vertices' colors, whose
     per-color-class threshold completions intersect to the graph, the
-    shortest such prefix of a seeded draw; `decomposition` holds those
-    completions, verified."""
+    shortest such prefix of a seeded draw; `decomposition` holds a greedy
+    subcover of those completions, verified."""
 
     colorings: tuple[tuple[int, ...], ...]
     decomposition: Decomposition = field(compare=False, repr=False)
-
-
-def _class_completions(g: Graph, colors: Sequence[int],
-                       pos: Sequence[int]) -> list[ThresholdGraph]:
-    """The completion of each non-empty color class, ordered by position,
-    with the class vertices as its isolated ones."""
-    return [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
-            for cls in color_classes(colors) if cls]
 
 
 def _sample_coloring(forward: Sequence[Sequence[int]], k: int, order: Sequence[int],
@@ -164,15 +165,18 @@ def build_separating_colorings(g: Graph, seed: int = 0) -> SeparatingColoringFam
     completions intersect to g, as a separating family's always do.
 
     An attempt draws up to ceil(ln n) colorings from its seeded stream one
-    at a time, adds each one's class completions to one resumable
-    intersection check, which walks only the completions just added, and
-    stops at the first coloring after which no non-edge of g survives, where
-    `_finish` takes them as a decomposition of g. A completion that drops
-    an edge of g is a bug, so that check raises AssertionError there.
-    Every prefix of a failed attempt fails too, so the attempt accepted is
-    the one a whole-family check accepts, cut to its shortest accepted
-    prefix. Resamples with an incremented seed up to RESAMPLES times, then
-    raises RandomizedSearchError, so no family is longer than ceil(ln n).
+    at a time. Each non-empty color class, ordered by the degeneracy
+    ordering, is a guiding order, and one resumable intersection check
+    records the pairs its completion excludes without building it
+    (`_Intersection.record`). The attempt stops at the first coloring
+    after which no non-edge of g survives. Every prefix of a failed attempt
+    fails too, so the attempt accepted is the one a whole-family check
+    accepts, cut to its shortest accepted prefix. The same check is then
+    cleared, and `_finish` keeps a greedy subcover of the completions along
+    every class order of the family: only those are built, and a
+    completion that drops an edge of g, a bug, raises AssertionError there.
+    Resamples with an incremented seed up to RESAMPLES times, then raises
+    RandomizedSearchError, so no family is longer than ceil(ln n).
     """
     if g.n < 2:
         raise ValueError("degeneracy decomposition needs at least 2 vertices")
@@ -184,27 +188,30 @@ def build_separating_colorings(g: Graph, seed: int = 0) -> SeparatingColoringFam
     family: list[tuple[int, ...]] = []
     for attempt in range(RESAMPLES):
         rng = random.Random(split_seed(seed + attempt, "separating"))
-        family, check = [], _Intersection(g)
+        family, orders, check = [], [], _Intersection(g)
         while len(family) < r:
             family.append(_sample_coloring(forward, k, order, rng))
-            check.add(_class_completions(g, family[-1], pos))
-            mismatch = check.mismatch()
-            if mismatch is None or mismatch[1] is not None:  # verified, or a dropped edge: a bug
-                return SeparatingColoringFamily(tuple(family),
-                                                _finish(g, "degeneracy", 10 * k * r, check))
+            for cls in color_classes(family[-1]):
+                if cls:
+                    cls.sort(key=pos.__getitem__)
+                    check.record(cls)
+                    orders.append(cls)
+            if check.mismatch() is None:
+                return SeparatingColoringFamily(
+                    tuple(family), _finish(g, "degeneracy", 10 * k * r, check, orders))
     raise RandomizedSearchError(
         "separating coloring family not found",
         {"resamples": RESAMPLES, "final_size": len(family)})
 
 
 def decompose_degeneracy(g: Graph, seed: int = 0) -> Decomposition:
-    """One factor per (coloring, non-empty color class) of the family
-    `build_separating_colorings(g, seed)` accepts: the class is the
-    independent side, ordered by the degeneracy ordering. A class that
-    recurs in the family is listed once per coloring, as equal factors,
-    each walked by the check and certified by `compile_circuit`. At most
-    10k*ceil(ln n) factors for a k-degenerate graph, verified once, by the
-    family search, each coloring's factors as it is drawn."""
+    """A greedy subcover of the completions along the (coloring, non-empty
+    color class) orders of the family `build_separating_colorings(g, seed)`
+    accepts: each class is the independent side of its completion, ordered
+    by the degeneracy ordering. A class that recurs in the family excludes
+    no new pair, so it is kept at most once. At most 10k*ceil(ln n)
+    factors for a k-degenerate graph, verified once, on the check that
+    picked them."""
     return build_separating_colorings(g, seed).decomposition
 
 
@@ -247,22 +254,22 @@ def treewidth_ordering(td: TreeDecomposition) -> tuple[tuple[int, ...], list[int
 
 
 def decompose_treewidth(g: Graph, td: TreeDecomposition) -> Decomposition:
-    """Two factors per color class of the bag-distinct coloring, one along
-    the preorder-derived ordering and one along its reverse; a one-vertex
-    class reads the same both ways and gives one. At most 2*(width+1)
-    factors in total."""
+    """A greedy subcover of two completions per color class of the
+    bag-distinct coloring, one along the preorder-derived ordering and one
+    along its reverse; a one-vertex class reads the same both ways and
+    gives one. At most 2*(width+1) factors in total."""
     if g.n == 0:
         raise ValueError("treewidth decomposition needs at least 1 vertex")
     validate_tree_decomposition(td, g)
     order, colors = treewidth_ordering(td)
     pos = sorted(range(g.n), key=order.__getitem__)
-    factors = []
+    orders = []
     for cls in color_classes(colors):  # a vertex's color is the least unused: none is empty
         cls.sort(key=pos.__getitem__)
-        factors.append(threshold_supergraph(g, cls))
+        orders.append(cls)
         if len(cls) > 1:
-            factors.append(threshold_supergraph(g, list(reversed(cls))))
-    return _finish(g, "treewidth", 2 * (td.width + 1), _Intersection(g, factors))
+            orders.append(cls[::-1])
+    return _finish(g, "treewidth", 2 * (td.width + 1), _Intersection(g), orders)
 
 
 # ---------------------------------------------------------------------------

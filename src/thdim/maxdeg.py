@@ -172,22 +172,8 @@ def decompose_split(g: Graph, a_side: Iterable[int], seed: int = 0) -> Decomposi
     edges = [(a, u) for a in a_side for u in g.adj[a]]
     edges.extend(combinations([v for v in range(g.n) if v not in a_side], 2))
     # the split graph keeps g's edges at A, so it completes each order as g does
-    return _pruned(Graph(g.n, edges), orders, budget, None)
-
-
-def _pruned(g: Graph, orders: list[tuple[int, ...]], budget: int,
-            diagnostics: list[str] | None) -> Decomposition:
-    """The greedy subcover of the completions of g along `orders`
-    (`_Intersection.prune`), verified for g on the check that picked it.
-    Only the picks are completed; a repeated order excludes no new pair, so
-    it is never picked."""
-    check = _Intersection(g)
-    check.prune(orders)
-    d = _finish(g, "maxdeg", budget, check)
-    if diagnostics is not None:
-        diagnostics.append(f"factors: listed={len(orders)} distinct={len(set(orders))} "
-                           f"pruned={d.size}")
-    return d
+    split = Graph(g.n, edges)
+    return _finish(split, "maxdeg", budget, _Intersection(split), orders)
 
 
 def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
@@ -411,4 +397,8 @@ def decompose_maxdeg(g: Graph, seed: int = 0,
                 g, [members[x] for x in cls], split_seed(seed, "split", i, j), diagnostics)
             budget += piece_budget
             orders.extend(piece)
-    return _pruned(g, orders, budget, diagnostics)
+    d = _finish(g, "maxdeg", budget, _Intersection(g), orders)
+    if diagnostics is not None:
+        diagnostics.append(f"factors: listed={len(orders)} distinct={len(set(orders))} "
+                           f"pruned={d.size}")
+    return d

@@ -295,8 +295,10 @@ class _Intersection:
     prefix(w), and it excludes the pairs {w} x prefix(w), recorded in
     `excluded[w]`: one AND and one OR per isolated vertex. Once an edge is
     dropped, the earliest factor that drops one is the answer for good, and
-    no later factor is walked. `prune` adds instead a greedy subcover of
-    the completions along a list of orders, completing only its picks.
+    no later factor is walked. `record` writes the pairs of a completion
+    along an order without building it, and `prune` replaces what the
+    check holds by a greedy subcover of the completions along a list of
+    orders, completing only its picks.
 
     A non-edge (u, w), u < w, not excluded in u's row costs a test of bit u
     in w's row. Rows only grow, so the scan starts at the first row that
@@ -307,7 +309,8 @@ class _Intersection:
     on from the row it reached.
     """
 
-    __slots__ = ("g", "factors", "adjacent", "excluded", "unswept", "dropped", "clear")
+    __slots__ = ("g", "factors", "adjacent", "excluded", "unswept", "dropped", "clear",
+                 "_closed")
 
     def __init__(self, g: Graph, factors: Sequence[ThresholdGraph] = ()):
         self.g = g
@@ -317,7 +320,15 @@ class _Intersection:
         self.unswept: list[ThresholdGraph] = []  # walked, not yet swept backward
         self.dropped: tuple[tuple[int, int], int] | None = None
         self.clear = 0  # the rows before it hold no surviving non-edge
+        self._closed: list[int] | None = None
         self.add(factors)
+
+    @property
+    def closed(self) -> list[int]:
+        """The mask of N[v] for each vertex v, built on first use."""
+        if self._closed is None:
+            self._closed = [mask | 1 << v for v, mask in enumerate(self.adjacent)]
+        return self._closed
 
     def add(self, factors: Sequence[ThresholdGraph]) -> None:
         start = len(self.factors)
@@ -331,12 +342,26 @@ class _Intersection:
             self.unswept.append(f)
             self._walk(f, idx)
 
+    def record(self, order: Sequence[int]) -> None:
+        """Record the pairs that the completion of g along `order`, an
+        ordered independent set (`threshold_supergraph`), excludes, at their
+        isolated end, without building it: prefix(a_j) is V minus the
+        vertices placed from a_j on, N[a_j] | ... | N[a_k], so excluded[a_j]
+        gets the same row as `_walk` of the completion gives it. Such a
+        completion drops no edge of g."""
+        closed, excluded = self.closed, self.excluded
+        full = (1 << self.g.n) - 1
+        reach = 0
+        for a in reversed(order):
+            reach |= closed[a]
+            excluded[a] |= full ^ reach
+
     def prune(self, orders: Sequence[Sequence[int]]) -> list[ThresholdGraph]:
-        """Add a greedy subcover of the completions of g along `orders`
-        (`threshold_supergraph`), each an ordered independent set of g, to
-        this check, which holds no factor yet, and return it: the
-        completions picked, in input order. Completions contain g, so they
-        intersect to g iff together they exclude every non-edge of g.
+        """Replace whatever this check holds by a greedy subcover of the
+        completions of g along `orders` (`threshold_supergraph`), each an
+        ordered independent set of g, and return it: the completions
+        picked, in input order. Completions contain g, so they intersect to
+        g iff together they exclude every non-edge of g.
 
         An order is scored without completing it: its completion excludes
         {a_j} x prefix(a_j) for each a_j, and prefix(a_j) is V minus
@@ -345,11 +370,13 @@ class _Intersection:
         `excluded`, where each pick is recorded at both ends. The pick is
         the lazy greedy of set cover (Chvatal 1979, Minoux 1978): gains only
         fall, so a stale one is recomputed when it reaches the top of the
-        heap; ties go to the order listed first, so of two equal orders only
-        the first can be picked. Only a pick is completed: one walk tests it
-        for a dropped edge and records its pairs, and a backward sweep
-        records them at their other end. `excluded` then holds the picks
-        alone, and `mismatch` checks them by its own exact scan.
+        heap, and one computed since the last pick is exact and picked as
+        it stands; ties go to the order listed first, so of two equal
+        orders only the first can be picked. Only a pick is completed: one
+        walk tests it for a dropped edge and records its pairs, and a
+        backward sweep records them at their other end. `excluded` then
+        holds the picks alone, and `mismatch` checks them by its own exact
+        scan.
 
         The greedy stops once every non-edge is excluded, once no order
         gains (the picks then exclude every pair the whole list does, and
@@ -357,8 +384,10 @@ class _Intersection:
         edge (`mismatch` names it). With no pick, the first order's
         completion is kept.
         """
-        g, excluded = self.g, self.excluded
-        closed = [mask | 1 << v for v, mask in enumerate(self.adjacent)]
+        g = self.g
+        self.factors, self.unswept, self.dropped, self.clear = [], [], None, 0
+        self.excluded = excluded = [0] * g.n
+        closed = self.closed
         picks: dict[int, ThresholdGraph] = {}
 
         def pick(i: int) -> None:
@@ -369,12 +398,16 @@ class _Intersection:
         remaining = g.n * (g.n - 1) // 2 - g.m  # the non-edges no pick excludes
         heap = [(-_gain(order, closed, excluded), i) for i, order in enumerate(orders)]
         heapify(heap)
+        scored = [0] * len(orders)  # the number of picks when each key was computed
         while remaining and heap and self.dropped is None:
-            _, i = heappop(heap)
-            current = _gain(orders[i], closed, excluded)
-            if heap and (-current, i) > heap[0]:
-                heappush(heap, (-current, i))
-                continue
+            key, i = heappop(heap)
+            current = -key
+            if scored[i] != len(picks):
+                current = _gain(orders[i], closed, excluded)
+                scored[i] = len(picks)
+                if heap and (-current, i) > heap[0]:
+                    heappush(heap, (-current, i))
+                    continue
             if not current:
                 break
             pick(i)

@@ -195,7 +195,9 @@ def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
     The next vertex comes off a heap of (fill, vertex) entries with lazy
     deletion: an entry is live iff its vertex is and its fill is current,
     so ties go to the least index. The heap is rebuilt from the live
-    vertices when stale entries outnumber them.
+    vertices when stale entries outnumber them. Once a vertex of fill 0
+    sees every other live vertex, the live vertices form a clique, every
+    fill among them is 0, and they are eliminated in one step, ascending.
 
     Bag i holds the i-th eliminated vertex plus its not-yet-eliminated
     neighbors in the fill graph; each bag hangs under the bag of its
@@ -235,6 +237,13 @@ def heuristic_tree_decomposition(g: Graph) -> TreeDecomposition:
             later.append(low.bit_length() - 1)
             rest ^= low
         later_nbrs[v] = later
+        if not fill and len(later) == len(alive):
+            # the live vertices are a clique, so every fill stays 0 and the
+            # rest go in ascending order, each seeing the ones after it
+            for i, u in enumerate(later):
+                elim_order.append(u)
+                later_nbrs[u] = later[i + 1:]
+            break
         if not fill:
             # a neighbor a of degree d loses v and the len(later) - 1 edges
             # from v into N(a): its fill drops by d - len(later)

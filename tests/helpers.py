@@ -870,7 +870,8 @@ def fresh_degeneracy_text(g: Graph, seed: int) -> str:
     write, from the same seeded draws (64 of them), with every class
     completion built afresh for each coloring and a family accepted on
     materialized edge masks (`edge_mask_verify`): each draw is tried on its
-    prefixes, shortest first."""
+    prefixes, shortest first, and the family accepted keeps the greedy
+    subcover of its completions (`plain_greedy_subcover`)."""
     k, order = degeneracy_ordering(g)
     k = max(k, 1)
     pos = position(order)
@@ -888,6 +889,7 @@ def fresh_degeneracy_text(g: Graph, seed: int) -> str:
         factors = [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
                    for coloring in family for cls in color_classes(coloring) if cls]
         if edge_mask_verify(g, factors) is None:
+            factors = plain_greedy_subcover(g, factors)
             lines = [f"td-decomp degeneracy {len(factors)}", *map(format_threshold, factors)]
             return "\n".join(lines) + "\n"
     raise AssertionError("no family of the seeded draws intersects to g")

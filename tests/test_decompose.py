@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from thdim import (Decomposition, ParseError, RandomizedSearchError, ThresholdGraph,
                    build_separating_colorings, complete_graph, cycle_graph,
-                   decompose_degeneracy, decompose_treewidth, decompose_vertex_cover,
-                   degeneracy_ordering, disjoint_cliques, empty_graph,
+                   decompose_degeneracy, decompose_maxdeg, decompose_treewidth,
+                   decompose_vertex_cover, degeneracy_ordering, disjoint_cliques, empty_graph,
                    exact_dimension, format_decomposition, gen_gnm, heuristic_tree_decomposition,
                    parse_decomposition, path_graph, recognize_threshold, star_graph,
                    threshold_supergraph, verify_decomposition)
@@ -22,8 +23,8 @@ from thdim.seeding import split_seed
 from thdim.treedecomp import TreeDecomposition
 
 from helpers import (all_graphs, anchor_bag_ordering, edge_mask_verify, forward_neighbours,
-                     is_proper_coloring, pendant_complement_bags, pendant_clique_complement, position,
-                     random_corpus, small_graphs)
+                     is_proper_coloring, pendant_complement_bags, pendant_clique_complement,
+                     plain_greedy_subcover, position, random_corpus, small_graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +178,24 @@ def _forward_palette_ok(g, k, order):
     return all(10 * k > sum(pos[u] > pos[v] for u in g.adj[v]) for v in range(g.n))
 
 
+def _class_orders(family, order):
+    """The guiding order of each non-empty color class of each coloring of
+    the family, in turn: the class ordered by position in `order`."""
+    pos = position(order)
+    return [sorted(cls, key=pos.__getitem__)
+            for coloring in family for cls in color_classes(coloring) if cls]
+
+
+def _class_completions(g, family, order):
+    return [threshold_supergraph(g, cls) for cls in _class_orders(family, order)]
+
+
 def _completions_intersect_to(g, family, order):
     """Whether the completions of the family's color classes, each ordered
     by position, intersect to g, on their edge sets."""
-    pos = position(order)
     edges = set(combinations(range(g.n), 2))
-    for coloring in family:
-        for cls in color_classes(coloring):
-            if cls:
-                completion = threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
-                edges &= set(completion.graph.edges())
+    for completion in _class_completions(g, family, order):
+        edges &= set(completion.graph.edges())
     return edges == set(g.edges())
 
 
@@ -238,8 +247,8 @@ def test_family_search_matches_the_pair_walk(g, k, resamples, seed):
         d = family.decomposition
         assert d.verified_for == g and d.method == "degeneracy"
         assert d.bound_claimed == 10 * k * math.ceil(math.log(g.n))
-        assert [frozenset(f.split_a) for f in d.factors] == [
-            frozenset(cls) for c in family.colorings for cls in color_classes(c) if cls]
+        assert list(d.factors) == plain_greedy_subcover(
+            g, _class_completions(g, family.colorings, order))
 
 
 def test_family_is_the_shortest_accepted_prefix_of_its_draw():
@@ -250,29 +259,22 @@ def test_family_is_the_shortest_accepted_prefix_of_its_draw():
         g = gen_gnm(n, m, seed=s)
         k, order = degeneracy_ordering(g)
         k = max(k, 1)
-        pos, forward = position(order), forward_neighbours(g, order)
+        forward = forward_neighbours(g, order)
         r = math.ceil(math.log(n))
         family = build_separating_colorings(g, seed=s)
-
-        def completions(coloring):
-            return [threshold_supergraph(g, sorted(cls, key=pos.__getitem__))
-                    for cls in color_classes(coloring) if cls]
-
         for attempt in range(64):
             rng = random.Random(split_seed(s + attempt, "separating"))
             draw = [_sample_coloring(forward, k, order, rng) for _ in range(r)]
-            factors = [f for c in draw for f in completions(c)]
-            if threshold._Intersection(g, factors).mismatch() is None:
+            if threshold._Intersection(g, _class_completions(g, draw, order)).mismatch() is None:
                 break
         else:
             raise AssertionError("no seeded draw is accepted whole")
         j = len(family.colorings)
         assert family.colorings == tuple(draw[:j])
-        prefixes = [[f for c in draw[:i] for f in completions(c)] for i in range(1, j + 1)]
+        prefixes = [_class_completions(g, draw[:i], order) for i in range(1, j + 1)]
         assert [threshold._Intersection(g, p).mismatch() is None for p in prefixes] == (
             [False] * (j - 1) + [True])
-        assert [f.split_a for f in family.decomposition.factors] == [
-            f.split_a for f in prefixes[-1]]
+        assert list(family.decomposition.factors) == plain_greedy_subcover(g, prefixes[-1])
         shorter += j < r
     assert shorter  # some family stops before its draw's last coloring
 
@@ -291,13 +293,13 @@ def factor_chunks(draw):
     assume(g.n >= 2)
     k, order = degeneracy_ordering(g)
     k = max(k, 1)
-    pos, forward = position(order), forward_neighbours(g, order)
+    forward = forward_neighbours(g, order)
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
     chunks = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
             coloring = _sample_coloring(forward, k, order, rng)
-            chunks.append(decompose._class_completions(g, coloring, pos))
+            chunks.append(_class_completions(g, [coloring], order))
         else:
             independent = []
             for v in draw(st.permutations(range(g.n))):
@@ -377,41 +379,42 @@ def test_degeneracy_k4():
 
 
 def test_degeneracy_factor_independent_part_is_color_class():
+    # each factor completes a class order of the family, none twice, in the
+    # order the family lists them
     g = cycle_graph(10)
     family = build_separating_colorings(g, seed=0)
     d = decompose_degeneracy(g, seed=0)
-    classes = [frozenset(cls) for c in family.colorings
-               for cls in color_classes(c) if cls]
-    assert [frozenset(f.split_a) for f in d.factors] == classes
+    orders = [tuple(cls) for cls in _class_orders(family.colorings, degeneracy_ordering(g)[1])]
+    positions = [orders.index(f.split_a) for f in d.factors]
+    assert positions == sorted(set(positions))
+    assert d.size < len(orders)
 
 
-def test_degeneracy_walks_each_factor_once(monkeypatch):
-    # the family search's verification is the only one, and it resumes: the
-    # check is asked after each of the two colorings of a family accepted at
-    # its first draw, yet the isolated prefixes of each listed factor are
-    # walked once, in order, a class that recurs across colorings (equal
-    # factors) once per listing
+def test_degeneracy_builds_only_the_factors_it_keeps(monkeypatch):
+    # the family search records each class order without completing it;
+    # the prune then completes and walks only its picks, each once, as it
+    # picks them, and a class that recurs across colorings is picked at
+    # most once
     g = gen_gnm(30, 60, seed=3)
+    _, order = degeneracy_ordering(g)
     with _forced_search(resamples=1):
         first_draw = build_separating_colorings(g, seed=3).colorings
     assert len(first_draw) == 2 < math.ceil(math.log(g.n))
-    assert build_separating_colorings(g, seed=3).colorings == first_draw
-    walked = []
-
-    def counting(t):
-        walked.append(t)
-        return original(t)
-
-    original = threshold._isolated_prefixes
-    monkeypatch.setattr(threshold, "_isolated_prefixes", counting)
-    monkeypatch.setattr(decompose, "_isolated_prefixes", counting, raising=False)
-    d = decompose_degeneracy(g, seed=3)
-    assert d.verified_for == g
-    assert d.size == sum(1 for c in first_draw for cls in color_classes(c) if cls)
-    distinct = {tuple(cls) for c in first_draw for cls in color_classes(c) if cls}
-    assert len(set(d.factors)) == len(distinct) < d.size
-    assert walked == list(d.factors)
-    assert all(t is f for t, f in zip(walked, d.factors))
+    orders = [tuple(cls) for cls in _class_orders(first_draw, order)]
+    assert len(set(orders)) < len(orders)
+    built, walked = [], []
+    supergraph, prefixes = threshold.threshold_supergraph, threshold._isolated_prefixes
+    monkeypatch.setattr(threshold, "threshold_supergraph",
+                        lambda *args: built.append(supergraph(*args)) or built[-1])
+    monkeypatch.setattr(threshold, "_isolated_prefixes",
+                        lambda t: walked.append(t) or prefixes(t))
+    family = build_separating_colorings(g, seed=3)
+    d = family.decomposition
+    assert family.colorings == first_draw and d.verified_for == g
+    assert len(built) == d.size < len(set(orders))
+    assert sorted(map(id, built)) == sorted(map(id, d.factors))  # built in the order picked
+    assert list(map(id, walked)) == list(map(id, built))
+    assert len({f.split_a for f in d.factors}) == d.size
 
 
 def test_degeneracy_bound_on_randoms():
@@ -438,21 +441,33 @@ def test_degeneracy_is_verified_within_its_bound(g, seed):
     assert d.size <= d.bound_claimed == 10 * max(k, 1) * r
 
 
-def test_a_completion_dropping_an_edge_fails_at_once_without_a_redraw(monkeypatch):
-    # a dropped edge is a construction bug, not an unlucky draw: the check of
-    # the first coloring raises, and no other coloring is drawn
+def test_a_completion_dropping_an_edge_fails_at_the_finish_without_a_redraw(
+        monkeypatch, tmp_path, capsys):
+    # a dropped edge is a construction bug, not an unlucky draw: the family
+    # search builds no completion, so it draws the colorings it would
+    # anyway; the prune's first pick drops (0, 1), and `_finish` raises,
+    # which the command line reports as an internal error, exit 3
+    from thdim.cli import main
+    from thdim.graphs import write_edge_list
     g = cycle_graph(10)
+    expected = build_separating_colorings(g, seed=0).colorings
     keeps_no_pair = threshold_supergraph(empty_graph(g.n), list(range(g.n)))
-    completions, sample = decompose._class_completions, decompose._sample_coloring
+    sample = decompose._sample_coloring
     drawn = []
     monkeypatch.setattr(decompose, "_sample_coloring",
                         lambda *args: drawn.append(sample(*args)) or drawn[-1])
-    monkeypatch.setattr(decompose, "_class_completions",
-                        lambda *args: [*completions(*args), keeps_no_pair])
-    with pytest.raises(AssertionError, match=r"^degeneracy construction failed verification: "
-                                             r"factor \d+ drops an edge of the graph: \(0, 1\)$"):
+    monkeypatch.setattr(threshold, "threshold_supergraph", lambda g, order: keeps_no_pair)
+    message = ("degeneracy construction failed verification: "
+               "factor 0 drops an edge of the graph: (0, 1)")
+    with pytest.raises(AssertionError) as err:
         build_separating_colorings(g, seed=0)
-    assert len(drawn) == 1
+    assert str(err.value) == message
+    assert tuple(drawn) == expected
+    path = tmp_path / "c10.gr"
+    path.write_text(write_edge_list(g))
+    assert main(["decompose", str(path), "--method", "degeneracy", "--seed", "0",
+                 "--out", str(tmp_path / "d.txt")]) == 3
+    assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +528,42 @@ def test_treewidth_bound_on_randoms():
         td = heuristic_tree_decomposition(g)
         d = decompose_treewidth(g, td)
         assert d.verified and d.size <= 2 * (td.width + 1) == d.bound_claimed
+
+
+# ---------------------------------------------------------------------------
+# the methods that prune their guiding orders
+
+def _pruned_with_listed(method, g, seed):
+    """The method's decomposition of g and the number of guiding orders it
+    listed for its prune."""
+    if method == "degeneracy":
+        family = build_separating_colorings(g, seed=seed)
+        return family.decomposition, len(_class_orders(family.colorings,
+                                                       degeneracy_ordering(g)[1]))
+    if method == "treewidth":
+        td = heuristic_tree_decomposition(g)
+        classes = color_classes(treewidth_ordering(td)[1])
+        return decompose_treewidth(g, td), sum(min(len(cls), 2) for cls in classes)
+    diagnostics = []
+    d = decompose_maxdeg(g, seed=seed, diagnostics=diagnostics)
+    listed = re.search(r"^factors: listed=(\d+) ", "\n".join(diagnostics), re.MULTILINE)
+    return d, int(listed.group(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["degeneracy", "treewidth", "maxdeg"]), st.integers(2, 14), st.data(),
+       st.integers(0, 2 ** 16))
+def test_pruned_methods_keep_distinct_verified_completions(method, n, data, seed):
+    g = gen_gnm(n, data.draw(st.integers(0, n * (n - 1) // 2)), seed=seed)
+    assume(method != "maxdeg" or g.max_degree() >= 2)
+    d, listed = _pruned_with_listed(method, g, seed)
+    assert d.verified_for == g and verify_decomposition(g, d) is None
+    assert d.size <= listed
+    lines = format_decomposition(d).splitlines()[1:]
+    assert len(set(lines)) == len(lines) == d.size
+    assert all(f == threshold_supergraph(g, f.split_a) for f in d.factors)
+    if n <= 8:
+        assert d.size >= exact_dimension(g)
 
 
 # ---------------------------------------------------------------------------

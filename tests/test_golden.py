@@ -37,7 +37,14 @@ K_{55,55} hash did not move. The circuit hashes (sha256 of format_circuit for
 seeded compiles) were recorded when gates took level weights, after each
 gate was checked to equal the level weights that helpers.pair_walk_ltf
 computes from its factor's creation sequence and each circuit to verify
-equal and to read back unchanged."""
+equal and to read back unchanged. The degeneracy and treewidth hashes, their
+circuit hashes, the report hashes and the experiment table hash were
+re-recorded when those methods began to keep the greedy subcover of their
+completions, as maxdeg does; each new factor list was first checked to be
+the plain greedy, by pair sets, over the factors the old code listed, each
+new circuit's gates to be a subsequence of the old ones, and the reports
+and the table to change only in their degeneracy and treewidth factor
+counts and the ratios computed from them."""
 
 import hashlib
 import math
@@ -52,15 +59,15 @@ from thdim import (Graph, compile_circuit, compute_report, decompose_degeneracy,
 from helpers import bounded_degree_graph, complement, complete_bipartite
 
 GOLDEN = {
-    ("degeneracy", 12, 20, 1): "77b5a1e6a0e2f3ab3a21ae063e58c88cecc43e368e207c5f6dd03688230eef61",
-    ("treewidth", 12, 20, 1): "4d8c985ddb6bde848cfcf124bb4ea3d9afd3b2ae97f99a6bf79f49b20e2e829d",
-    ("degeneracy", 20, 45, 2): "38d6ee303fa5b74c9400b7b0c1c69a8d411aebc5feb2e04945860e4cc4f7fd43",
-    ("treewidth", 20, 45, 2): "8573b0ea69df4bd9cd72aea94a31110f036fd6c5cf828a7eed403deb63d017b9",
-    ("degeneracy", 30, 60, 3): "38497a3dd33a592f97c1177b9570c031154b7fd90d22127e58304651f27f63cf",
-    ("treewidth", 30, 60, 3): "244515901628cf1f5a3493a8e708d3ad28eb6167143e26e9dd9a3020957ad2e0",
-    ("degeneracy", 400, 1200, 1): "a889ceb7fc4ed2af564b35c0d401879e37cfedd09033a0ae352b509bd7ab7a3a",
-    ("treewidth", 120, 360, 4): "b318cb0111ab579bdaf62da83a9b69c432839de7ff1739c7f5dfdfd4985c4542",
-    ("treewidth", 400, 1200, 1): "b2dc0858414958c4025b17837450f6305e0bc2787530a582cbd20bfcf8ad6370",
+    ("degeneracy", 12, 20, 1): "41767183c86291350fe19b3a77d2b15082ddfd704cd84c9721e28878c68d8272",
+    ("treewidth", 12, 20, 1): "f85ca910a9fd3d38c93ff4253ed9235926fdb55bcbd2b0f04625b6f6b7577a2d",
+    ("degeneracy", 20, 45, 2): "98fe90ef36353102d968661f94dc61610b985826f829261834852cf7dd49907b",
+    ("treewidth", 20, 45, 2): "ce12ea103cd8e60518710b67519667fc298f8c04a98fcb2534254494e07baaae",
+    ("degeneracy", 30, 60, 3): "e9e7c56b7f5c09d3a0fab097749b0daeb0bbabff0c58d20f4fd90112e85d6940",
+    ("treewidth", 30, 60, 3): "e76f079ff41c82fcca47fb948daf3d0446de5981ddaf6f237ce1c200a6063672",
+    ("degeneracy", 400, 1200, 1): "04bd51846313aadf3ee8994ca44cca5c572a6697124144da7c4b9724a4d3fb09",
+    ("treewidth", 120, 360, 4): "2f53bf102d450205af9e5cf852e9a8ef73e4b2ce32d676992244e5ef566bee90",
+    ("treewidth", 400, 1200, 1): "03aa4185294e2b6ae66549984aa57d5c884960ae837d0d52f8c169fc1fbe1d08",
     ("vertex-cover", 12, 20, 1): "61604f3b558f26a98a16e1fb2d1e16addcb13f6bf5e0c16c852144b4839ad2d9",
     ("maxdeg", 40, 50, 4): "6fbb71f92b52bff1a7ea8abe592a702c9d755aa798518ea0b5125d96cdcd66e5",
     ("maxdeg", 40, 50, 5): "2c50e7ac7d06ddb58ea562e15a132b2de3a26c92f3cfc9a5b1882987e0b183d3",
@@ -97,8 +104,8 @@ def test_maxdeg_on_k55_55_is_byte_identical():
 
 
 CIRCUIT_GOLDEN = {
-    ("degeneracy", 16, 24, 1): "d7fb9e7bb53a87a069510860fd721c48512b604fa6efa3afeb1e802353281bb7",
-    ("treewidth", 24, 18, 4): "7dab3c6ec0e76c0fefd5f075a951fecdc8fb07cd642d098661d3ac94f37c1f57",
+    ("degeneracy", 16, 24, 1): "8b2ae3f207028a9ea362bdfb2f0e3c3845660f0d952659df1cff77ba2e25f8c6",
+    ("treewidth", 24, 18, 4): "5ae594e75ba881be39a4eef8cb3dd9600fac6e977a07e55a55a00980b5a2438f",
     ("vertex-cover", 12, 20, 1): "98596d59ca032f4b89a505856eff498c7c8e2436b3f3cff838cadc32e0913df2",
 }
 
@@ -114,8 +121,8 @@ def test_seeded_circuit_is_byte_identical(case):
 
 
 REPORT_GOLDEN = {
-    (8, 10, 1): "b28147ca631fd3c92c050fa47ec2c8c9fd467fc3c3509ede21af2c0cec7d99ca",
-    (12, 20, 1): "e98b11ee8f7033556075acfb66ed1f241f41c85ba1f43345ee4023c2604cf7e4",
+    (8, 10, 1): "434d0c3c9d8d745d908a40e13860427031adec9a5f79626e6c9da8a094383f0f",
+    (12, 20, 1): "334abf522f6fea8fed1835e311a0f0f97c5106f245a6923a9665c7f7f2721a75",
 }
 
 
@@ -144,4 +151,4 @@ def test_report_builds_no_complement(monkeypatch):
 def test_seeded_experiment_table_is_byte_identical():
     table = render_table(run_experiment([(8, 10, 4), (60, 180, 3), (120, 360, 2)], seed=1))
     assert hashlib.sha256(table.encode()).hexdigest() == (
-        "93e3b11d5c2091e0660cfc36c4931120830b64bde14c26dbde472ebc1267292a")
+        "a0933fa89bb7e7170bf99cee1396cf82347d4d0ce7cb821625bd1c558be81e3a")

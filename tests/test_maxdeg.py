@@ -15,9 +15,9 @@ from thdim import (Graph, RandomizedSearchError, ThresholdGraph,
                    recognize_threshold, star_graph, threshold_supergraph,
                    verify_decomposition)
 from thdim import threshold
+from thdim.decompose import _finish
 from thdim.graphs import color_classes, edge_mask
-from thdim.maxdeg import (_cell_orderings, _cell_requirements, _conflict_blocks, _hoods,
-                          _pruned)
+from thdim.maxdeg import _cell_orderings, _cell_requirements, _conflict_blocks, _hoods
 
 from helpers import (all_suitable_pairs, bounded_degree_graph, complete_bipartite,
                      full_scan_uncovered_pairs, guided_completion_args, plain_greedy_subcover,
@@ -617,7 +617,7 @@ def test_prune_names_a_pick_that_drops_an_edge(monkeypatch):
     assert kept == [original(g, (0,)), bad]
     assert check.mismatch() == ((0, 1), 1) == threshold._Intersection(g, kept).mismatch()
     with pytest.raises(AssertionError, match=r"factor 1 drops an edge of the graph: \(0, 1\)"):
-        _pruned(g, orders, 4, None)
+        _finish(g, "maxdeg", 4, threshold._Intersection(g), orders)
 
 
 def test_prune_names_the_non_edge_every_order_keeps():
@@ -628,7 +628,7 @@ def test_prune_names_the_non_edge_every_order_keeps():
     assert check.prune(orders) == completions[:1]  # (0, 2) excludes nothing more
     assert check.mismatch() == ((1, 3), None) == threshold._Intersection(g, completions).mismatch()
     with pytest.raises(AssertionError, match="a non-edge survives every factor"):
-        _pruned(g, orders, 2, None)
+        _finish(g, "maxdeg", 2, threshold._Intersection(g), orders)
 
 
 def test_prune_keeps_the_first_factor_of_a_complete_graph():
@@ -637,7 +637,7 @@ def test_prune_keeps_the_first_factor_of_a_complete_graph():
     first = threshold_supergraph(g, orders[0])
     check = threshold._Intersection(g)
     assert check.prune(orders) == [first]
-    assert _pruned(g, orders, 3, None).factors == (first,)
+    assert _finish(g, "maxdeg", 3, threshold._Intersection(g), orders).factors == (first,)
 
 
 class _CellVertex(int):

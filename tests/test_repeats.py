@@ -1,19 +1,21 @@
-"""Repeated factors and gates. The degeneracy method lists a color class
-that recurs across its colorings once per coloring, as equal factors, and
-each layer treats a repeat as it treats any other listed factor or gate:
-the intersection check walks it, `compile` certifies it and gives it its
-own gate, and `verify` checks that gate. A repeat excludes no pair its twin
-does not, and an AND is idempotent, so none of that may change an output
-or a verdict."""
+"""Repeated factors and gates. A decomposition or circuit may list a
+factor or gate more than once, and each layer treats a repeat as it treats
+any other listed factor or gate: the intersection check walks it,
+`compile` certifies it and gives it its own gate, and `verify` checks that
+gate. A repeat excludes no pair its twin does not, and an AND is
+idempotent, so none of that may change an output or a verdict. The
+degeneracy method writes no repeat: a color class that recurs across its
+colorings excludes no new pair, so its prune keeps it at most once."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thdim import (LtfWitness, MajorityCircuit, ThresholdGraph,
+from thdim import (LtfWitness, MajorityCircuit, ThresholdGraph, build_separating_colorings,
                    compile_circuit, decompose_degeneracy, decompose_vertex_cover,
                    format_circuit, format_decomposition, gen_gnm, parse_circuit,
                    threshold_supergraph, verify_circuit)
 from thdim import circuits, decompose, threshold
+from thdim.graphs import color_classes
 
 from helpers import (edge_mask_verify, fresh_degeneracy_text, maximal_cliques, small_graphs,
                      walk_counterexample)
@@ -131,8 +133,9 @@ def test_a_repeated_bad_gate_is_caught_with_the_same_counterexample():
 
 
 def test_circuit_with_repeated_gates_reads_back_unchanged():
-    g = gen_gnm(16, 24, seed=7)  # its accepted prefix of colorings repeats a class
-    c = compile_circuit(g, decompose_degeneracy(g, seed=2))
+    g = gen_gnm(16, 24, seed=7)
+    compiled = compile_circuit(g, decompose_degeneracy(g, seed=2))
+    c = MajorityCircuit(arity=g.n, gates=compiled.gates + compiled.gates[:2])
     assert len(set(c.gates)) < c.gate_count
     text = format_circuit(c)
     parsed = parse_circuit(text)
@@ -149,14 +152,16 @@ def test_degeneracy_text_matches_the_fresh_completions_oracle():
                 fresh_degeneracy_text(g, seed))
 
 
-def test_repeated_classes_share_one_completion():
-    # two factors are equal iff they complete the same class: a repeated
-    # class gives the same completion, by value, every time it is listed
+def test_a_recurring_class_is_kept_once():
+    # a class listed by two colorings has one completion, which excludes
+    # no new pair the second time, so the prune picks it at most once
     g = gen_gnm(16, 30, seed=3)  # its accepted prefix of colorings repeats a class
-    d = decompose_degeneracy(g, seed=1)
-    listed = [(f, f.split_a) for f in d.factors]
-    assert len(set(d.factors)) == len({a for _, a in listed}) < d.size
-    assert all((f == h) == (a == b) for f, a in listed for h, b in listed)
+    family = build_separating_colorings(g, seed=1)
+    classes = [frozenset(cls) for c in family.colorings for cls in color_classes(c) if cls]
+    assert len(set(classes)) < len(classes)
+    d = family.decomposition
+    assert len(set(d.factors)) == len({frozenset(f.split_a) for f in d.factors}) == d.size
+    assert {frozenset(f.split_a) for f in d.factors} <= set(classes)
 
 
 def counting_calls(monkeypatch, module, name):
@@ -173,17 +178,13 @@ def counting_calls(monkeypatch, module, name):
 
 
 def test_compile_certifies_each_listed_factor(monkeypatch):
-    g = gen_gnm(20, 40, seed=0)  # its accepted prefix of colorings repeats a class
+    g = gen_gnm(20, 40, seed=0)
     d = decompose_degeneracy(g, seed=2)
-    assert len(set(d.factors)) < d.size
     certified = counting_calls(monkeypatch, circuits, "extract_ltf")
     c = compile_circuit(g, d)
     assert certified == list(d.factors)
     assert all(t is f for t, f in zip(certified, d.factors))
-    assert c.gate_count == d.size
-    for f, gate in zip(d.factors, c.gates):  # equal factors give equal gates
-        for h, other in zip(d.factors, c.gates):
-            assert (f == h) <= (gate == other)
+    assert c.gate_count == d.size == len(set(c.gates))
 
 
 def test_equal_factor_objects_are_each_walked_and_certified(monkeypatch):

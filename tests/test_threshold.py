@@ -9,7 +9,7 @@ from thdim import (ForbiddenSubgraph, Graph, LtfWitness, ThresholdGraph,
                    format_threshold, parse_threshold, path_graph,
                    recognize_threshold, star_graph, threshold_supergraph,
                    verify_ltf)
-from thdim.threshold import (DOMINATING, ISOLATED, _gain, _isolated_prefixes,
+from thdim.threshold import (DOMINATING, ISOLATED, _gain, _Intersection, _isolated_prefixes,
                              classify_forbidden)
 
 from helpers import (_supergraph_creations, all_graphs, brute_is_threshold, complement, creation,
@@ -228,6 +228,24 @@ def test_an_order_scores_its_completion_from_closed_neighbourhoods(data):
             earlier, later = sorted(pair, key=position.__getitem__)
             fresh += not excluded[later] >> earlier & 1
     assert _gain(a_order, closed, excluded) == fresh
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_recording_an_order_writes_the_rows_its_completion_walks(data):
+    # `record` writes each pair at its isolated end from the closed
+    # neighbourhoods, as `_walk` does from the built completion, over
+    # rows that may already hold pairs
+    g = data.draw(small_graphs(9))
+    orders = data.draw(st.lists(guided_completion_args(g), min_size=1, max_size=3))
+    recorded, walked = _Intersection(g), _Intersection(g)
+    start = [data.draw(st.integers(0, (1 << g.n) - 1)) for _ in range(g.n)]
+    recorded.excluded, walked.excluded = list(start), list(start)
+    for a_order in orders:
+        recorded.record(a_order)
+        walked._walk(threshold_supergraph(g, a_order), 0)
+    assert recorded.excluded == walked.excluded
+    assert recorded.dropped is walked.dropped is None
 
 
 # ---------------------------------------------------------------------------
