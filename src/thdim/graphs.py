@@ -119,8 +119,11 @@ class Graph:
         return sum(len(s) for s in self.adj) // 2
 
     def induced(self, keep: Iterable[int]) -> "Graph":
-        """Induced subgraph on `keep`, relabeled to 0..len(keep)-1 in sorted order."""
+        """Induced subgraph on `keep`, relabeled to 0..len(keep)-1 in sorted
+        order; the graph itself when `keep` is all of range(n)."""
         keep = sorted(set(keep))
+        if keep == list(range(self.n)):
+            return self
         index = {v: i for i, v in enumerate(keep)}
         edges = [(i, index[u]) for i, v in enumerate(keep) for u in self.adj[v]
                  if u > v and u in index]

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .decompose import Decomposition, RandomizedSearchError, _finish
@@ -73,14 +72,19 @@ def bounded_partition(g: Graph, d: int, parts: int,
                       seed: int = 0) -> tuple[frozenset[int], ...]:
     """Partition V so every vertex has at most d neighbors inside every part.
 
-    Random assignment plus randomized local repair: while some vertex sees
-    more than d neighbors in a part, one of those neighbors (picked at
-    random) moves to a part where the vertex has fewest. A repair stuck
-    after max(1000, 50 * n * parts) moves is followed by a fresh restart;
-    exhausting PARTITION_RESTARTS of them fails with the worst violation.
+    One part is V itself when no vertex has more than d neighbors, the only
+    answer the repair below could give, and is returned with nothing drawn.
+    Otherwise: random assignment plus randomized local repair: while some
+    vertex sees more than d neighbors in a part, one of those neighbors
+    (picked at random) moves to a part where the vertex has fewest. A repair
+    stuck after max(1000, 50 * n * parts) moves is followed by a fresh
+    restart; exhausting PARTITION_RESTARTS of them fails with the worst
+    violation.
     """
     if parts < 1 or d < 1:
         raise ValueError("need parts >= 1 and d >= 1")
+    if parts == 1 and g.max_degree() <= d:
+        return (frozenset(range(g.n)),)
     cap = max(1000, 50 * g.n * parts)
     worst_seen = 0
     for attempt in range(PARTITION_RESTARTS):
@@ -206,9 +210,10 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
 
     A cell's blocks and requirements depend on its slice only through the
     hoods: the A-neighbours in the cell of each B-vertex of the slice that
-    has some. The slice is walked once per coloring, in ascending order,
-    and each B-vertex's A-neighbours are bucketed by color (`_hoods`), so
-    every edge between A and the slice is read once, not once per cell.
+    has some. Each B-vertex's A-neighbours are listed once, ascending, from
+    A's adjacency; they give d, and per coloring the slice's lists are
+    bucketed by color (`_hoods`), so every edge between A and B is read
+    once, not once per coloring or cell.
 
     `diagnostics`, when given, collects text lines describing the parameters
     and intermediate artifacts.
@@ -219,8 +224,11 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
     orders = [tuple(a_side)]
     budget = 1
     # A is independent, so every neighbour of a vertex of A lies in B
-    a_neighbours = Counter(chain.from_iterable(g.adj[a] for a in a_side))  # per B-vertex
-    d = max(2, max(a_neighbours.values(), default=0))
+    a_hoods: dict[int, list[int]] = {}  # each B-vertex's A-neighbours, ascending
+    for a in a_side:
+        for b in g.adj[a]:
+            a_hoods.setdefault(b, []).append(a)
+    d = max(2, max(map(len, a_hoods.values()), default=0))
     delta = max(1, max((len(g.adj[a]) for a in a_side), default=0))
     r = math.ceil(math.sqrt(math.log(d)))
     ell = math.ceil(math.e * (math.e * d / (r + 1)) ** (1 + 1 / r))
@@ -248,7 +256,7 @@ def _split_factors(g: Graph, a_side: Iterable[int], seed: int,
             by_color: dict[int, list[int]] = {}
             for a in a_side:
                 by_color.setdefault(c[a], []).append(a)
-            hoods = _hoods(g, c, b_part)
+            hoods = _hoods(a_hoods, c, b_part)
             for color, a_part in sorted(by_color.items()):
                 cell_hoods = hoods.get(color, [])
                 blocks = _conflict_blocks(a_part, cell_hoods, ground)
@@ -299,18 +307,20 @@ def _cell_orderings(cells: Sequence[Sequence[Sequence[int]]],
     return orderings, size, drawn
 
 
-def _hoods(g: Graph, coloring: dict[int, int],
+def _hoods(a_hoods: dict[int, Sequence[int]], coloring: dict[int, int],
            b_part: Sequence[int]) -> dict[int, list[list[int]]]:
     """The hoods of every cell of `coloring` over the slice b_part, by color.
 
-    One walk of b_part in its order: each B-vertex's A-neighbours (the
-    vertices `coloring` colors), ascending, go to the hood list of their
-    color, so a cell's hoods are in slice order and none is empty.
+    `a_hoods` maps each B-vertex with an A-neighbour (a vertex `coloring`
+    colors) to those neighbours, ascending. One walk of b_part in its
+    order: each B-vertex's list is split by color, keeping its order, and
+    each piece goes to the hood list of its color, so a cell's hoods are in
+    slice order and none is empty.
     """
     hoods: dict[int, list[list[int]]] = {}
     for b in b_part:
         mine: dict[int, list[int]] = {}
-        for u in sorted(u for u in g.adj[b] if u in coloring):
+        for u in a_hoods.get(b, ()):
             mine.setdefault(coloring[u], []).append(u)
         for color, nbrs in mine.items():
             hoods.setdefault(color, []).append(nbrs)

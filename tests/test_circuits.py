@@ -182,6 +182,25 @@ def test_verify_arity_mismatch():
         verify_circuit(path_graph(4), c)
 
 
+PAIR_GATE = LtfWitness(weights=(1, 1), bound=2)
+TRIPLE_GATE = LtfWitness(weights=(1, 1, 1), bound=3)
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: MajorityCircuit(arity=3, gates=(TRIPLE_GATE, PAIR_GATE)), "gate arity mismatch"),
+    (lambda: MajorityCircuit(arity=2, gates=(PAIR_GATE,)).evaluate((1, 0, 1)),
+     "expected 2 bits, got 3"),
+    (lambda: PAIR_GATE.accepts((1,)), "vector length does not match arity"),
+    (lambda: ltfs_to_graph([]), "need at least one gate"),
+    (lambda: ltfs_to_graph([PAIR_GATE, TRIPLE_GATE]), "gate arity mismatch"),
+    (lambda: cycle_graph(2), "cycle needs at least 3 vertices"),
+], ids=["circuit-gate-arity", "circuit-input-length", "gate-input-length",
+        "no-gates", "mixed-gate-arities", "two-cycle"])
+def test_argument_checks_refuse(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # gates back to graphs
 

@@ -520,6 +520,10 @@ BAD_TD = {
     "s td 2 2 4\nb 1 0 1\nb 2 2 3\n1 2\n": "edge (1,2) is inside no bag",
     # one bag edge and a loop pass the symmetry test and the edge count
     "s td 2 3 4\nb 1 0 1 2\nb 2 2 3\n1 2\n1 1\n": "tree edge (1,1) is a loop",
+    "s td 2 3 4\nb 1 0 1 2\nb 2 2 3\n1 2\n3 4\n": "tree edge at unknown bag 3",
+    "s td 2 3 4\nb 1 0 1 2\nb 2 2 3\n1 3\n": "tree edge to unknown bag 3",
+    # three edges for four bags, but a triangle leaves bag 4 apart
+    "s td 4 2 4\nb 1 0 1\nb 2 1 2\nb 3 2 3\nb 4 3\n1 2\n2 3\n3 1\n": "bag tree is not connected",
 }
 
 

@@ -203,6 +203,13 @@ def test_induced_matches_the_pair_walk(g, data):
     assert sub.n == len(set(keep))
 
 
+def test_induced_on_every_vertex_is_the_graph_itself():
+    g = petersen_graph()
+    assert g.induced(range(g.n)) is g
+    assert g.induced([9, 0, 5, *range(10)]) is g
+    assert g.induced(range(1, g.n)) is not g
+
+
 def test_greedy_coloring_bounds():
     assert greedy_coloring(empty_graph(4), range(4)) == (0, 0, 0, 0)
     assert greedy_coloring(complete_graph(4), [3, 2, 1, 0]) == (3, 2, 1, 0)

@@ -169,10 +169,22 @@ def test_cells_stop_the_draw_once_each_has_seen_its_orderings():
 # ---------------------------------------------------------------------------
 # bounded partitions
 
-def test_partition_trivial():
-    g = petersen_graph()
-    parts = bounded_partition(g, g.max_degree(), 1, seed=0)
-    assert parts == (frozenset(range(10)),)
+def test_partition_trivial(monkeypatch):
+    # one part is V, drawn from nothing, when no vertex has more than d
+    # neighbours; with more, the repair loop runs (and here can only refuse)
+    import thdim.maxdeg
+
+    def no_draw(*args):
+        raise AssertionError("random.Random seeded")
+
+    monkeypatch.setattr(thdim.maxdeg.random, "Random", no_draw)
+    for g in (petersen_graph(), star_graph(1), Graph(0)):
+        assert bounded_partition(g, max(1, g.max_degree()), 1) == (frozenset(range(g.n)),)
+    with pytest.raises(AssertionError, match="seeded"):
+        bounded_partition(petersen_graph(), 2, 1)
+    monkeypatch.undo()
+    with pytest.raises(RandomizedSearchError, match="worst_violation"):
+        bounded_partition(petersen_graph(), 2, 1)
 
 
 def test_partition_c8_two_parts():
@@ -337,6 +349,25 @@ def test_maxdeg_named_graphs(g):
         assert isinstance(recognize_threshold(f.graph), ThresholdGraph)
 
 
+def test_maxdeg_star_200_draws_two_parts(monkeypatch):
+    # Delta = 200 gives d = ceil(100 ln 200) = 530 and ceil(600 / 530) = 2
+    # parts: past Delta = 171 the partition is drawn
+    import thdim.maxdeg
+    calls = []
+    partition = thdim.maxdeg.bounded_partition
+
+    def recording(g, d, parts, seed=0):
+        calls.append((d, parts))
+        return partition(g, d, parts, seed)
+
+    monkeypatch.setattr(thdim.maxdeg, "bounded_partition", recording)
+    g = star_graph(201)
+    d = decompose_maxdeg(g, seed=1)
+    assert calls == [(530, 2)]
+    assert d.verified and d.size <= d.bound_claimed
+    assert verify_decomposition(g, d) is None
+
+
 def test_maxdeg_requires_degree_two():
     with pytest.raises(ValueError):
         decompose_maxdeg(path_graph(2), seed=0)
@@ -400,7 +431,9 @@ def split_cells(draw):
 @given(split_cells())
 def test_bucketed_hoods_give_each_cell_what_its_slice_walk_gives(case):
     g, coloring, b_part = case
-    hoods = _hoods(g, coloring, b_part)
+    a_hoods = {b: nbrs for b in range(g.n)
+               if (nbrs := sorted(u for u in g.adj[b] if u in coloring))}
+    hoods = _hoods(a_hoods, coloring, b_part)
     for color in set(coloring.values()):
         a_part = [a for a in sorted(coloring) if coloring[a] == color]
         blocks = _conflict_blocks(a_part, hoods.get(color, []), len(coloring))

@@ -179,6 +179,17 @@ def test_validate_names_the_one_uncovered_edge_of_c6():
     assert str(err.value) == "edge (0,5) is inside no bag"
 
 
+def test_validate_refuses_a_one_way_tree_edge():
+    # the file format lists each edge once and reads it both ways, so only a
+    # hand-built decomposition can hold an edge one way
+    td = TreeDecomposition(bags={1: frozenset({0, 1}), 2: frozenset({1, 2})},
+                           tree={1: (2,), 2: ()}, root=1, n=3)
+    with pytest.raises(TreeDecompositionError) as err:
+        validate_tree_decomposition(td, path_graph(3))
+    assert err.value.condition == 0
+    assert str(err.value) == "tree adjacency is not symmetric"
+
+
 def test_handmade_star_bags_validate():
     h = pendant_clique_complement(3)
     bags = pendant_complement_bags(3)
